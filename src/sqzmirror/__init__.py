@@ -7,12 +7,12 @@ from .dynamics import (
     expm_action,
     integrate,
     minimize_scalar,
+    normalize_phase,
     periodic_steady_state,
     steady_at_phase,
 )
 from .full import (
     AdiabaticComparison,
-    FullState,
     compare_adiabatic,
     evolve_full,
     initial_covariance,

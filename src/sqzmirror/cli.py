@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     sqzmirror run <scenario|config-file> [--set key=value ...] [--model M]
-                  [--phase {+1,-1,average}] [--jobs N] [--out DIR]
+                  [--phase {+1,-1,average}] [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 numeric instability,
 4 internal error.
@@ -28,6 +28,7 @@ from .scenarios import (
     ScenarioConfig,
     parse_config_file,
     run,
+    set_field,
 )
 
 EXIT_OK = 0
@@ -60,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help=f"model(s) to run: {', '.join(MODELS)}")
     runp.add_argument("--phase", choices=PHASES, default=None,
                       help="steady-state reservoir phase e^{2i delta t}")
-    runp.add_argument("--jobs", type=int, default=None,
-                      help="concurrent sweep evaluations")
     runp.add_argument("--out", default=None, help="output directory")
     return parser
 
@@ -72,18 +71,7 @@ def _apply_overrides(cfg: ScenarioConfig, pairs: list[str]) -> None:
             raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
         key = key.strip()
-        try:
-            num = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"--set {key}: not a number: {value!r}") from exc
-        if key == "t_end_s":
-            cfg.t_end_s = num
-        elif key == "n_samples":
-            cfg.n_samples = int(num)
-        elif key in PARAM_KEYS:
-            cfg.params_hz[key] = num
-        else:
-            raise ConfigError(f"--set {key}: unknown parameter field")
+        set_field(cfg, key, value, f"--set {key}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -102,8 +90,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.models = list(args.model)
         if args.phase is not None:
             cfg.phase = args.phase
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         if args.out is not None:
             cfg.output_dir = args.out
         written = run(cfg)

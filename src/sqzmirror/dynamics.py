@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionError, DivergenceError, StabilityError, StepSizeError
+from .errors import (
+    DimensionError,
+    DivergenceError,
+    SimulationError,
+    StabilityError,
+    StepSizeError,
+)
 from .gaussian import QuadratureObservables
 from .generator import MomentEquations
 
@@ -332,9 +338,33 @@ def periodic_steady_state(eqs: MomentEquations) -> tuple[NDArray, NDArray]:
     return V_dc, V_2
 
 
-def steady_at_phase(V_dc: NDArray, V_2: NDArray, phase: complex) -> NDArray:
-    """Evaluate the periodic steady covariance at e^{2i Delta t} = phase."""
-    return V_dc + 2.0 * np.real(V_2 * phase)
+def normalize_phase(phase: complex | float | str) -> complex:
+    """Normalize a reservoir-phase request to a point on the unit circle.
+
+    The one meaning of a phase in every model: +1/-1 are the two ends of
+    the oscillation band, any other real number is the angle 2*Delta*t in
+    radians, a nonzero complex value is scaled onto the unit circle, and
+    "average" (returned as 0) keeps the time-averaged dc part alone.
+    """
+    if isinstance(phase, str):
+        if phase == "average":
+            return 0j
+        raise SimulationError(f"unknown phase {phase!r}")
+    if isinstance(phase, (int, float)):
+        if phase == 1.0 or phase == -1.0:
+            return complex(phase)
+        return complex(np.exp(1j * phase))
+    z = complex(phase)
+    if z == 0j:
+        return z
+    return z / abs(z)
+
+
+def steady_at_phase(
+    V_dc: NDArray, V_2: NDArray, phase: complex | float | str
+) -> NDArray:
+    """Evaluate the periodic steady state at e^{2i Delta t} = normalize_phase(phase)."""
+    return V_dc + 2.0 * np.real(V_2 * normalize_phase(phase))
 
 
 @dataclass(frozen=True)

@@ -25,17 +25,6 @@ from .params import PhysicalParams, derive
 from .reduced import build_system, evolve as evolve_reduced, lift_covariance
 
 
-@dataclass(frozen=True)
-class FullState:
-    """Three-mode covariance over (x_c, p_c, x1, p1, x2, p2)."""
-
-    V6: NDArray[np.float64]
-    t: float
-
-    def mirror_block(self) -> NDArray[np.float64]:
-        return self.V6[2:, 2:]
-
-
 def mirror_block(V6: NDArray) -> NDArray[np.float64]:
     """Trace out the cavity: keep the mirror rows/columns."""
     return np.asarray(V6)[2:, 2:]
@@ -72,10 +61,16 @@ def evolve_full(
 
 def steady_full(
     params: PhysicalParams,
-    phase: complex = 1.0,
+    phase: complex | float | str = 1.0,
     single_mirror: bool = False,
 ) -> NDArray[np.float64]:
-    """Periodic steady three-mode covariance at reservoir phase e^{2i delta t}."""
+    """Periodic steady three-mode covariance at reservoir phase e^{2i delta t}.
+
+    phase has the same meaning as in reduced.steady_state (see
+    dynamics.normalize_phase): +1/-1 are the band ends, another real number
+    is an angle in radians, a complex value is scaled onto the unit circle
+    and "average" gives the time-averaged covariance.
+    """
     eqs = compile_generator(full_generator(derive(params), single_mirror=single_mirror))
     V_dc, V_2 = periodic_steady_state(eqs)
     return steady_at_phase(V_dc, V_2, phase)
@@ -102,14 +97,15 @@ class AdiabaticComparison:
 def compare_adiabatic(
     params: PhysicalParams,
     grid: TimeGrid | None = None,
-    phase: complex = 1.0,
+    phase: complex | float | str = 1.0,
 ) -> AdiabaticComparison:
     """Quantify how well the eliminated model tracks the full one.
 
     When a grid is given, both models are integrated on it and the time
     series of |dP2_minus(full) - dP2_minus(reduced)| is reported alongside
     the steady-state relative deviation; without a grid only the steady
-    comparison is made (resolvent solves on both sides).
+    comparison is made (resolvent solves on both sides). phase is read by
+    dynamics.normalize_phase, the same for both models.
     """
     V6 = steady_full(params, phase)
     dp2_f = _rotated_dp2(mirror_block(V6))

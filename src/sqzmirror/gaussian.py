@@ -49,12 +49,6 @@ def _check_covariance(V: NDArray, name: str = "V") -> NDArray[np.float64]:
     return V
 
 
-def n_modes_of(V: NDArray) -> int:
-    """Number of bosonic modes described by a 2n x 2n covariance."""
-    V = _check_covariance(V)
-    return V.shape[0] // 2
-
-
 def symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
     """Symplectic spectrum of a covariance matrix, ascending.
 
@@ -80,11 +74,6 @@ def symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
 
 def min_symplectic_eigenvalue(V: NDArray) -> float:
     return float(symplectic_eigenvalues(V)[0])
-
-
-def is_physical(V: NDArray, tol: float = PHYSICALITY_TOL) -> bool:
-    """True when every symplectic eigenvalue is >= 1/2 - tol."""
-    return min_symplectic_eigenvalue(V) >= 0.5 - tol
 
 
 def partial_transpose(V: NDArray) -> NDArray[np.float64]:

@@ -65,7 +65,6 @@ class GeneratorSpec:
     hamiltonian: NDArray[np.float64]
     dissipators: list[DissipatorTerm] = field(default_factory=list)
     delta: float = 0.0  # harmonic terms oscillate at 2*delta
-    mean_drive: NDArray[np.float64] | None = None
 
     def add_dissipator(self, rate, left, right, harmonic: int = 0) -> None:
         self.dissipators.append(DissipatorTerm(complex(rate), left, right, harmonic))
@@ -79,8 +78,7 @@ class GeneratorSpec:
     def frozen(self, t: float) -> "GeneratorSpec":
         """Snapshot with every harmonic rate evaluated at time t (static spec)."""
         phase = np.exp(2j * self.delta * t)
-        out = GeneratorSpec(self.n_modes, self.hamiltonian.copy(), [], 0.0,
-                            None if self.mean_drive is None else self.mean_drive.copy())
+        out = GeneratorSpec(self.n_modes, self.hamiltonian.copy(), [], 0.0)
         for term in self.dissipators:
             out.add_dissipator(term.rate * phase**term.harmonic, term.left, term.right)
         return out
@@ -94,7 +92,6 @@ class MomentEquations:
     diffusion_static: NDArray[np.float64]
     diffusion_harmonic: NDArray[np.complex128]  # e^{+i omega t} amplitude
     omega: float  # 2*Delta; 0 when the diffusion is static
-    mean_drive: NDArray[np.float64] | None = None
 
     @property
     def n_modes(self) -> int:
@@ -111,11 +108,6 @@ class MomentEquations:
             self.diffusion_harmonic * np.exp(1j * self.omega * t)
         )
         return D
-
-    def fastest_rate(self) -> float:
-        """Largest dynamical rate: spectral radius of A and the drive frequency."""
-        rho = float(np.abs(np.linalg.eigvals(self.drift)).max())
-        return max(rho, abs(self.omega))
 
 
 def _term_drift(term: DissipatorTerm, U: NDArray) -> NDArray[np.complex128]:
@@ -164,7 +156,6 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
         diffusion_static=D0,
         diffusion_harmonic=D2,
         omega=2.0 * spec.delta if np.abs(D2).max() > 0 else 0.0,
-        mean_drive=spec.mean_drive,
     )
 
 

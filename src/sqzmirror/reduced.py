@@ -28,10 +28,11 @@ from .dynamics import (
     integrate_linear,
     linear_steady,
     minimize_scalar,
+    normalize_phase,
+    steady_at_phase,
 )
 from .errors import DivergenceError, FrameError, SimulationError
 from .gaussian import (
-    QuadratureObservables,
     log_negativity,
     quadrature_observables,
     rotate_local,
@@ -125,10 +126,9 @@ class ReducedSystem:
     def initial_state(self) -> NDArray[np.float64]:
         return np.array([self.nbar0 + 0.5, self.nbar0 + 0.5, 0.0])
 
-    def steady_v3(self, phase: complex = 1.0) -> NDArray[np.float64]:
-        """Resolvent steady state at reservoir phase e^{2i delta t} = phase."""
-        v_dc, v_2 = linear_steady(self.ode())
-        return v_dc + 2.0 * np.real(v_2 * phase)
+    def steady_v3(self, phase: complex | float | str = 1.0) -> NDArray[np.float64]:
+        """Resolvent steady state at the reservoir phase (see normalize_phase)."""
+        return steady_at_phase(*linear_steady(self.ode()), phase)
 
     def dynamical_solution(self, t: float) -> NDArray[np.float64]:
         """Closed-form solution by eigendecomposition of the drift.
@@ -206,10 +206,6 @@ def build_system(params: PhysicalParams) -> ReducedSystem:
     )
 
 
-def _observables(V: NDArray) -> QuadratureObservables:
-    return quadrature_observables(V)
-
-
 def evolve(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     """Integrate the 3-variable model from the thermal initial state.
 
@@ -219,7 +215,7 @@ def evolve(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     system = build_system(params)
     times, xs = integrate_linear(system.ode(), system.initial_state(), grid)
     covs = np.array([lift_covariance(x, system.nbar0) for x in xs])
-    obs = [_observables(V) for V in covs]
+    obs = [quadrature_observables(V) for V in covs]
     return Trajectory(times=times, covariances=covs, observables=obs)
 
 
@@ -239,7 +235,7 @@ def evolve_analytic(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
                 last_valid_time=times[k - 1] if k else None,
             )
         covs[k] = lift_covariance(v3, system.nbar0)
-    obs = [_observables(V) for V in covs]
+    obs = [quadrature_observables(V) for V in covs]
     return Trajectory(times=times, covariances=covs, observables=obs)
 
 
@@ -253,7 +249,7 @@ def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     coeffs = derive(params)
     eqs = compile_generator(reduced_generator(coeffs))
     V0 = thermal(coeffs.nbar0, 2)
-    return integrate(eqs, V0, grid, observables_fn=_observables)
+    return integrate(eqs, V0, grid, observables_fn=quadrature_observables)
 
 
 def criterion(V_rot: NDArray, nbar0: float) -> CriterionReport:
@@ -283,51 +279,23 @@ def criterion(V_rot: NDArray, nbar0: float) -> CriterionReport:
     )
 
 
-def _phase_value(phase: complex | float | str) -> complex:
-    """Normalize a reservoir-phase request to a point on the unit circle.
-
-    Accepts the special values +1/-1, "average" (dc part only), a real
-    angle in radians (any other real number), or a complex phase value.
-    """
-    if isinstance(phase, str):
-        if phase == "average":
-            return 0j
-        raise SimulationError(f"unknown phase {phase!r}")
-    if isinstance(phase, (int, float)):
-        if phase == 1.0 or phase == -1.0:
-            return complex(phase)
-        return complex(np.exp(1j * phase))
-    z = complex(phase)
-    if z == 0j:
-        return z
-    return z / abs(z)
-
-
 def steady_state(
     params: PhysicalParams, phase: complex | float | str = 1.0
 ) -> tuple[ReducedState, CriterionReport]:
     """Periodic steady state at the requested reservoir phase.
 
-    phase is e^{2i delta t}: +1/-1 for even/odd multiples of pi/(2 delta),
-    any other real number is taken as the angle 2*delta*t in radians, a
-    complex value is normalized to the unit circle, and "average" keeps the
-    dc part alone. Refuses non-Hurwitz drift.
+    phase is e^{2i delta t} as read by dynamics.normalize_phase: +1/-1 for
+    even/odd multiples of pi/(2 delta), any other real number is the angle
+    2*delta*t in radians, a complex value is normalized to the unit circle,
+    and "average" keeps the dc part alone. Refuses non-Hurwitz drift.
     """
     system = build_system(params)
-    z = _phase_value(phase)
-    v3 = system.steady_v3(z)
+    v3 = system.steady_v3(phase)
     state = ReducedState(v3=v3, t=math.inf, nbar0=system.nbar0)
     V = state.covariance()
     theta = rotation_angle(V)
     report = criterion(rotate_local(V, theta), system.nbar0)
     return state, report
-
-
-def steady_dp2_minus(
-    params: PhysicalParams, phase: complex | float | str = 1.0
-) -> float:
-    _, report = steady_state(params, phase)
-    return report.dP2_minus
 
 
 @dataclass(frozen=True)
@@ -340,21 +308,24 @@ class OptimalSqueezing:
 
 
 def squeezing_formula(
-    system: ReducedSystem, theta: float, phase: complex = 1.0, doubled: bool = True
+    system: ReducedSystem,
+    theta: float,
+    phase: complex | float | str = 1.0,
+    doubled: bool = True,
 ) -> float | None:
     """Stationary squeezing degree from the closed-form artanh expression.
 
     `doubled` applies the factor-2 correction obtained by differentiating
     the steady-state solution directly (dN/dr = sinh 2r, dM/dr = cosh 2r),
     which the numeric minimizer confirms; doubled=False evaluates the
-    uncorrected expression. Returns None when the artanh argument leaves
-    (-1, 1).
+    uncorrected expression. phase is read by dynamics.normalize_phase.
+    Returns None when the artanh argument leaves (-1, 1).
     """
     th = np.array(
         [math.sin(theta / 2.0) ** 2, math.cos(theta / 2.0) ** 2, -math.sin(theta)]
     )
     shifted = 2j * system.delta * np.eye(3) - system.m3.astype(complex)
-    num = th @ np.real(np.linalg.solve(shifted, system.b2 * phase))
+    num = th @ np.real(np.linalg.solve(shifted, system.b2 * normalize_phase(phase)))
     den = th @ np.linalg.solve(system.m3, system.b1)
     x = num / den
     if doubled:
@@ -379,10 +350,10 @@ def optimal_squeezing(
     phase-averaged (the dc variance has no interior optimum).
     """
     base = params.with_(r=0.0)
-    z = _phase_value(phase)
+    z = normalize_phase(phase)
 
     def objective(r: float) -> float:
-        return steady_dp2_minus(base.with_(r=r), z)
+        return steady_state(base.with_(r=r), z)[1].dP2_minus
 
     res: MinimizeResult = minimize_scalar(objective, (0.0, r_max), tol=tol)
     state, report = steady_state(base.with_(r=res.x), z)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import full as full_model
 from . import reduced as reduced_model
 from .dynamics import TimeGrid, Trajectory, periodic_steady_state, steady_at_phase
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, ParameterError, SimulationError
 from .gaussian import quadrature_observables
 from .generator import compile_generator, reduced_generator
 from .params import BASELINE_HZ, PhysicalParams, baseline_params, derive
@@ -33,7 +33,8 @@ SCENARIOS = (
     "fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b",
     "fig4a", "fig4b", "figS1", "figS2", "custom",
 )
-PHASES = ("+1", "-1", "average")
+# CLI and config spelling of the reservoir phase -> model argument
+PHASES = {"+1": 1.0, "-1": -1.0, "average": "average"}
 
 TRAJECTORY_COLUMNS = (
     "t_s", "E_N", "dP2_minus", "dQ2_minus", "theta", "n_phonon_1", "n_phonon_2",
@@ -48,33 +49,52 @@ class ScenarioConfig:
     phase: str = "+1"
     sweep: tuple[str, list[float]] | None = None
     output_dir: str = "out"
-    jobs: int = 1
     t_end_s: float | None = None
     n_samples: int = 800
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario.name: unknown scenario {self.scenario!r}")
-        for key in self.params_hz:
+        for key, val in self.params_hz.items():
             if key not in PARAM_KEYS:
                 raise ConfigError(f"params.{key}: unknown parameter field")
+            if not math.isfinite(val):
+                raise ConfigError(f"params.{key}: must be finite, got {val!r}")
+        try:
+            derive(_params(self))
+        except ParameterError as exc:
+            raise ConfigError(f"params: {exc}") from exc
         for m in self.models:
             if m not in MODELS:
                 raise ConfigError(f"scenario.model: unknown model {m!r}")
         if self.phase not in PHASES:
-            raise ConfigError(f"scenario.phase: must be one of {PHASES}")
+            raise ConfigError(f"scenario.phase: must be one of {tuple(PHASES)}")
         if self.sweep is not None:
             name, values = self.sweep
+            if self.scenario != "custom":
+                raise ConfigError(f"sweep: only the custom scenario takes a sweep, "
+                                  f"not {self.scenario!r}")
             if name not in PARAM_KEYS:
                 raise ConfigError(f"sweep.name: {name!r} is not a parameter field")
             if len(values) == 0:
                 raise ConfigError("sweep.values: empty value list")
             if not all(np.isfinite(v) for v in values):
                 raise ConfigError("sweep.values: values must be finite")
-        if self.jobs < 1:
-            raise ConfigError("scenario.jobs: must be >= 1")
+        if self.t_end_s is not None and not (math.isfinite(self.t_end_s)
+                                             and self.t_end_s > 0):
+            raise ConfigError(f"scenario.t_end_s: must be finite and > 0, "
+                              f"got {self.t_end_s!r}")
         if self.n_samples < 2:
             raise ConfigError("scenario.n_samples: must be >= 2")
+
+
+# Every section and key a config file may hold; anything else is rejected.
+CONFIG_KEYS = {
+    "scenario": ("name", "model", "phase", "n_samples", "t_end_s"),
+    "params": PARAM_KEYS,
+    "sweep": ("name", "values"),
+    "output": ("dir",),
+}
 
 
 def parse_config_file(path: str | Path) -> ScenarioConfig:
@@ -86,27 +106,31 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config parse error: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(f"[{section}]: unknown section")
+        for key in parser[section]:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(f"{section}.{key}: unknown key")
     cfg = ScenarioConfig(scenario="custom")
     if parser.has_section("scenario"):
         sec = parser["scenario"]
-        cfg.scenario = sec.get("name", "custom").strip()
+        cfg.scenario = sec.get("name", cfg.scenario).strip()
         if "model" in sec:
             cfg.models = [m.strip() for m in sec["model"].split(",") if m.strip()]
-        cfg.phase = sec.get("phase", "+1").strip()
-        cfg.jobs = _to_int(sec.get("jobs", "1"), "scenario.jobs")
-        if "t_end_s" in sec:
-            cfg.t_end_s = _to_float(sec["t_end_s"], "scenario.t_end_s")
-        if "n_samples" in sec:
-            cfg.n_samples = _to_int(sec["n_samples"], "scenario.n_samples")
+        cfg.phase = sec.get("phase", cfg.phase).strip()
+        for key in ("t_end_s", "n_samples"):
+            if key in sec:
+                set_field(cfg, key, sec[key], f"scenario.{key}")
     if parser.has_section("params"):
         for key, val in parser["params"].items():
-            cfg.params_hz[key] = _to_float(val, f"params.{key}")
+            set_field(cfg, key, val, f"params.{key}")
     if parser.has_section("sweep"):
         sec = parser["sweep"]
         if "name" not in sec or "values" not in sec:
             raise ConfigError("sweep section needs both 'name' and 'values'")
         values = [
-            _to_float(v, "sweep.values")
+            _parse_number(v, "sweep.values")
             for v in sec["values"].replace("\n", ",").split(",")
             if v.strip()
         ]
@@ -117,18 +141,29 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
     return cfg
 
 
-def _to_float(text: str, where: str) -> float:
+def _parse_number(text: str, where: str, integer: bool = False) -> float | int:
+    """The number in a config value or --set override; `where` names the field."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"{where}: not a number: {text!r}") from exc
+    if not integer:
+        return value
+    if not value.is_integer():
+        raise ConfigError(f"{where}: not an integer: {text!r}")
+    return int(value)
 
 
-def _to_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: not an integer: {text!r}") from exc
+def set_field(cfg: ScenarioConfig, key: str, text: str, where: str) -> None:
+    """Set t_end_s, n_samples or a parameter field from its text form."""
+    if key == "t_end_s":
+        cfg.t_end_s = _parse_number(text, where)
+    elif key == "n_samples":
+        cfg.n_samples = _parse_number(text, where, integer=True)
+    elif key in PARAM_KEYS:
+        cfg.params_hz[key] = _parse_number(text, where)
+    else:
+        raise ConfigError(f"{where}: unknown parameter field")
 
 
 def resolved_params_hz(cfg: ScenarioConfig) -> dict[str, float]:
@@ -144,10 +179,6 @@ def _params(cfg: ScenarioConfig, **extra_hz) -> PhysicalParams:
     return baseline_params(**merged)
 
 
-def _phase_value(phase: str) -> complex | str:
-    return {"+1": 1.0, "-1": -1.0, "average": "average"}[phase]
-
-
 def trajectory_grid(params: PhysicalParams, t_end: float, n_samples: int) -> TimeGrid:
     """Default plot grid: the step resolves the fastest model frequency."""
     fastest = max(params.omega_m, abs(params.delta), params.kappa)
@@ -156,9 +187,12 @@ def trajectory_grid(params: PhysicalParams, t_end: float, n_samples: int) -> Tim
     return TimeGrid(0.0, t_end, n_steps, sample_stride=stride)
 
 
-def default_t_end(params: PhysicalParams) -> float:
+def default_t_end(params: PhysicalParams, damping_times: float = 10.0) -> float:
     # repo convention for trajectory scenarios: ten mirror damping times
-    return 10.0 / params.gamma_m
+    # (figS1/figS2 use five)
+    if params.gamma_m == 0:
+        raise ConfigError("scenario.t_end_s: required when gamma_m_hz = 0")
+    return damping_times / params.gamma_m
 
 
 def _fmt(x) -> str:
@@ -174,14 +208,7 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _trajectory_rows(traj: Trajectory) -> list[tuple]:
-    rows = []
-    for t, obs in zip(traj.times, traj.observables):
-        rows.append(
-            (t, obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta,
-             obs.phonon[0], obs.phonon[1])
-        )
-    return rows
+Curve = tuple[str, tuple[str, ...], list[tuple]]
 
 
 def _evolve_model(model: str, params: PhysicalParams, grid: TimeGrid) -> Trajectory:
@@ -196,37 +223,56 @@ def _evolve_model(model: str, params: PhysicalParams, grid: TimeGrid) -> Traject
     raise ConfigError(f"unknown model {model!r}")
 
 
-def _steady_observables(model: str, params: PhysicalParams, phase) -> dict:
+def _trajectory_curve(cfg: ScenarioConfig, name: str, model: str,
+                      params: PhysicalParams, damping_times: float = 10.0) -> Curve:
+    """One trajectory curve up to cfg.t_end_s, or damping_times / gamma_m."""
+    t_end = cfg.t_end_s or default_t_end(params, damping_times)
+    grid = trajectory_grid(params, t_end, cfg.n_samples)
+    traj = _evolve_model(model, params, grid)
+    rows = [(t, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, o.phonon[0], o.phonon[1])
+            for t, o in zip(traj.times, traj.observables)]
+    return name, TRAJECTORY_COLUMNS, rows
+
+
+def _steady_covariance(model: str, params: PhysicalParams, phase) -> np.ndarray:
+    """Steady two-mirror covariance of one model at the reservoir phase."""
     if model == "full6":
-        z = 0.0 if phase == "average" else complex(phase)
-        V = full_model.steady_full(params, z)
-        obs = quadrature_observables(full_model.mirror_block(V))
-    elif model in ("reduced3", "reduced_analytic"):
+        return full_model.mirror_block(full_model.steady_full(params, phase))
+    if model in ("reduced3", "reduced_analytic"):
         state, _ = reduced_model.steady_state(params, phase)
-        obs = quadrature_observables(state.covariance())
-    elif model == "reduced10":
+        return state.covariance()
+    if model == "reduced10":
         eqs = compile_generator(reduced_generator(derive(params)))
-        z = 0.0 if phase == "average" else complex(phase)
-        V = steady_at_phase(*periodic_steady_state(eqs), z)
-        obs = quadrature_observables(V)
-    else:
-        raise ConfigError(f"unknown model {model!r}")
-    return {
-        "E_N": obs.E_N,
-        "dP2_minus": obs.dP2_minus,
-        "dQ2_minus": obs.dQ2_minus,
-        "theta": obs.theta,
-    }
+        return steady_at_phase(*periodic_steady_state(eqs), phase)
+    raise ConfigError(f"unknown model {model!r}")
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz) -> list:
+    """Reduced-model steady criterion reports along one parameter field."""
+    phase = PHASES[cfg.phase]
+    return [
+        reduced_model.steady_state(_params(cfg, **extra_hz, **{name: v}), phase)[1]
+        for v in values
+    ]
 
 
-Curve = tuple[str, tuple[str, ...], list[tuple]]
+def _err_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+
+
+def _guarded_rows(values, point, n_out: int) -> list[tuple]:
+    """One row (value, *point(value), "") per value.
+
+    A point that raises SimulationError gets n_out NaNs and the error text,
+    and the sweep goes on.
+    """
+    rows = []
+    for val in values:
+        try:
+            rows.append((val, *point(val), ""))
+        except SimulationError as exc:
+            rows.append((val, *[np.nan] * n_out, _err_text(exc)))
+    return rows
 
 
 def _label(x: float) -> str:
@@ -234,50 +280,28 @@ def _label(x: float) -> str:
 
 
 def _scenario_fig2a(cfg: ScenarioConfig) -> list[Curve]:
-    curves: list[Curve] = []
-    for r in (0.0, 0.5, 1.0, 2.0):
-        params = _params(cfg, r=r)
-        grid = trajectory_grid(params, cfg.t_end_s or default_t_end(params),
-                               cfg.n_samples)
-        traj = reduced_model.evolve(params, grid)
-        curves.append((f"fig2a_r{_label(r)}", TRAJECTORY_COLUMNS,
-                       _trajectory_rows(traj)))
-    return curves
+    return [_trajectory_curve(cfg, f"fig2a_r{_label(r)}", "reduced3", _params(cfg, r=r))
+            for r in (0.0, 0.5, 1.0, 2.0)]
 
 
 def _scenario_fig2b(cfg: ScenarioConfig) -> list[Curve]:
-    curves: list[Curve] = []
-    steady_rows = []
     omega_m_hz = resolved_params_hz(cfg)["omega_m_hz"]
-    phase = _phase_value(cfg.phase)
-    for ratio in (0.5, 1.0, 1.5):
-        params = _params(cfg, delta_hz=ratio * omega_m_hz)
-        grid = trajectory_grid(params, cfg.t_end_s or default_t_end(params),
-                               cfg.n_samples)
-        traj = reduced_model.evolve(params, grid)
-        curves.append((f"fig2b_delta{_label(ratio)}", TRAJECTORY_COLUMNS,
-                       _trajectory_rows(traj)))
-        _, report = reduced_model.steady_state(params, phase)
-        steady_rows.append((ratio, report.E_N, report.dP2_minus))
+    ratios = (0.5, 1.0, 1.5)
+    deltas_hz = [ratio * omega_m_hz for ratio in ratios]
+    curves = [_trajectory_curve(cfg, f"fig2b_delta{_label(ratio)}", "reduced3",
+                                _params(cfg, delta_hz=delta_hz))
+              for ratio, delta_hz in zip(ratios, deltas_hz)]
+    reports = _steady_reports(cfg, "delta_hz", deltas_hz)
     curves.append(
-        ("fig2b_steady", ("delta_over_omega_m", "E_N", "dP2_minus"), steady_rows)
+        ("fig2b_steady", ("delta_over_omega_m", "E_N", "dP2_minus"),
+         [(ratio, rep.E_N, rep.dP2_minus) for ratio, rep in zip(ratios, reports)])
     )
     return curves
 
 
-def _steady_sweep_r(cfg: ScenarioConfig, r_values, **extra_hz):
-    phase = _phase_value(cfg.phase)
-
-    def point(r: float):
-        _, report = reduced_model.steady_state(_params(cfg, r=r, **extra_hz), phase)
-        return report
-
-    return _map_jobs(point, r_values, cfg.jobs)
-
-
 def _scenario_fig2c(cfg: ScenarioConfig) -> list[Curve]:
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
-    reports = _steady_sweep_r(cfg, r_values)
+    reports = _steady_reports(cfg, "r", r_values)
     en_rows = [(r, rep.E_N) for r, rep in zip(r_values, reports)]
     dp_rows = [(r, rep.dP2_minus) for r, rep in zip(r_values, reports)]
     return [
@@ -287,14 +311,8 @@ def _scenario_fig2c(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _scenario_fig2d(cfg: ScenarioConfig) -> list[Curve]:
-    phase = _phase_value(cfg.phase)
     temps = np.linspace(0.0, 5e-3, 101)
-
-    def point(T: float):
-        _, report = reduced_model.steady_state(_params(cfg, temperature_k=T), phase)
-        return report
-
-    reports = _map_jobs(point, temps, cfg.jobs)
+    reports = _steady_reports(cfg, "temperature_k", temps)
     return [
         ("fig2d_EN", ("T_K", "E_N"), [(T, rep.E_N) for T, rep in zip(temps, reports)]),
         ("fig2d_dP2", ("T_K", "dP2_minus"),
@@ -308,50 +326,36 @@ def _scenario_fig3a(cfg: ScenarioConfig) -> list[Curve]:
     curves: list[Curve] = []
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
     for p_uw in (0.01, 0.1, 2.0):
-        reports = _steady_sweep_r(cfg, r_values, power_w=p_uw * 1e-6)
+        reports = _steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
         rows = [(r, rep.dP2_minus) for r, rep in zip(r_values, reports)]
         curves.append((f"fig3a_dP2_P{_label(p_uw)}uW", ("r", "dP2_minus"), rows))
     return curves
 
 
 def _scenario_fig3b(cfg: ScenarioConfig) -> list[Curve]:
-    phase = _phase_value(cfg.phase)
-    powers = np.geomspace(0.01e-6, 4e-6, 25)
+    phase = PHASES[cfg.phase]
 
     def point(P: float):
-        try:
-            opt = reduced_model.optimal_squeezing(_params(cfg, power_w=P), phase=phase)
-            r_formula = np.nan if opt.r_formula is None else opt.r_formula
-            return (P, opt.r_numeric, r_formula, opt.E_N, "")
-        except SimulationError as exc:
-            return (P, np.nan, np.nan, np.nan, _err_text(exc))
+        opt = reduced_model.optimal_squeezing(_params(cfg, power_w=P), phase=phase)
+        r_formula = np.nan if opt.r_formula is None else opt.r_formula
+        return opt.r_numeric, r_formula, opt.E_N
 
-    rows = _map_jobs(point, powers, cfg.jobs)
+    rows = _guarded_rows(np.geomspace(0.01e-6, 4e-6, 25), point, 3)
     return [
         ("fig3b_ropt",
          ("power_w", "r_opt_numeric", "r_opt_formula", "E_N_opt", "error"), rows)
     ]
 
 
-def _err_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-
-
 def _adiabatic_rows(cfg: ScenarioConfig, sweep_values, sweep_field: str):
-    phase = _phase_value(cfg.phase)
-    z = 0.0 if phase == "average" else complex(phase)
+    phase = PHASES[cfg.phase]
 
     def point(val: float):
-        try:
-            comp = full_model.compare_adiabatic(
-                _params(cfg, **{sweep_field: val}), grid=None, phase=z
-            )
-            return (val, comp.steady_dp2_full, comp.steady_dp2_reduced,
-                    comp.steady_rel_deviation, "")
-        except SimulationError as exc:
-            return (val, np.nan, np.nan, np.nan, _err_text(exc))
+        comp = full_model.compare_adiabatic(_params(cfg, **{sweep_field: val}),
+                                            phase=phase)
+        return comp.steady_dp2_full, comp.steady_dp2_reduced, comp.steady_rel_deviation
 
-    return _map_jobs(point, sweep_values, cfg.jobs)
+    return _guarded_rows(sweep_values, point, 3)
 
 
 def _scenario_fig4a(cfg: ScenarioConfig) -> list[Curve]:
@@ -380,69 +384,45 @@ def _scenario_fig4b(cfg: ScenarioConfig) -> list[Curve]:
     ]
 
 
-def _supplement_params(cfg: ScenarioConfig, r: float) -> PhysicalParams:
+def _full_vs_reduced(cfg: ScenarioConfig, prefix: str, r: float) -> list[Curve]:
+    """Full and reduced trajectories at the supplement's temperature and damping."""
     kappa_hz = resolved_params_hz(cfg)["kappa_hz"]
-    extra = {"temperature_k": 2.5e-3, "gamma_m_hz": 1.5e-3 * kappa_hz, "r": r}
-    merged = {**extra, **cfg.params_hz}
-    merged["r"] = r
-    return baseline_params(**merged)
+    params = baseline_params(**{"temperature_k": 2.5e-3, "gamma_m_hz": 1.5e-3 * kappa_hz,
+                                **cfg.params_hz, "r": r})
+    return [_trajectory_curve(cfg, f"{prefix}_{label}", model, params, 5.0)
+            for model, label in (("full6", "full"), ("reduced3", "reduced"))]
 
 
 def _scenario_figS1(cfg: ScenarioConfig) -> list[Curve]:
-    curves: list[Curve] = []
-    for r in (0.0, 1.0, 2.0):
-        params = _supplement_params(cfg, r)
-        t_end = cfg.t_end_s or 5.0 / params.gamma_m
-        grid = trajectory_grid(params, t_end, cfg.n_samples)
-        for model in ("full6", "reduced3"):
-            traj = _evolve_model(model, params, grid)
-            name = f"figS1_r{_label(r)}_{'full' if model == 'full6' else 'reduced'}"
-            curves.append((name, TRAJECTORY_COLUMNS, _trajectory_rows(traj)))
-    return curves
+    return [curve for r in (0.0, 1.0, 2.0)
+            for curve in _full_vs_reduced(cfg, f"figS1_r{_label(r)}", r)]
 
 
 def _scenario_figS2(cfg: ScenarioConfig) -> list[Curve]:
-    curves: list[Curve] = []
-    params = _supplement_params(cfg, 1.0)
-    t_end = cfg.t_end_s or 5.0 / params.gamma_m
-    grid = trajectory_grid(params, t_end, cfg.n_samples)
-    for model in ("full6", "reduced3"):
-        traj = _evolve_model(model, params, grid)
-        name = f"figS2_{'full' if model == 'full6' else 'reduced'}"
-        curves.append((name, TRAJECTORY_COLUMNS, _trajectory_rows(traj)))
-    return curves
+    return _full_vs_reduced(cfg, "figS2", 1.0)
 
 
 def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
-    params = _params(cfg)
     models = cfg.models or ["reduced3"]
     if cfg.sweep is not None:
         name, values = cfg.sweep
-        phase = _phase_value(cfg.phase)
+        phase = PHASES[cfg.phase]
         curves: list[Curve] = []
         for model in models:
-            def point(val: float, model=model):
-                try:
-                    obs = _steady_observables(model, _params(cfg, **{name: val}),
-                                              phase)
-                    return (val, obs["E_N"], obs["dP2_minus"], obs["dQ2_minus"],
-                            obs["theta"], "")
-                except SimulationError as exc:
-                    return (val, np.nan, np.nan, np.nan, np.nan, _err_text(exc))
+            def point(val: float):
+                V = _steady_covariance(model, _params(cfg, **{name: val}), phase)
+                obs = quadrature_observables(V)
+                return obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta
 
-            rows = _map_jobs(point, values, cfg.jobs)
             curves.append(
                 (f"custom_sweep_{model}",
-                 (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error"), rows)
+                 (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error"),
+                 _guarded_rows(values, point, 4))
             )
         return curves
-    t_end = cfg.t_end_s or default_t_end(params)
-    grid = trajectory_grid(params, t_end, cfg.n_samples)
-    return [
-        (f"custom_{model}", TRAJECTORY_COLUMNS,
-         _trajectory_rows(_evolve_model(model, params, grid)))
-        for model in models
-    ]
+    params = _params(cfg)
+    return [_trajectory_curve(cfg, f"custom_{model}", model, params)
+            for model in models]
 
 
 _SCENARIO_FNS = {
@@ -466,7 +446,6 @@ def write_manifest(cfg: ScenarioConfig, path: Path) -> None:
     models = cfg.models or ["reduced3"]
     lines.append(f"model = {', '.join(models)}")
     lines.append(f"phase = {cfg.phase}")
-    lines.append(f"jobs = {cfg.jobs}")
     lines.append(f"n_samples = {cfg.n_samples}")
     if cfg.t_end_s is not None:
         lines.append(f"t_end_s = {cfg.t_end_s!r}")
@@ -488,9 +467,9 @@ def run(cfg: ScenarioConfig) -> list[Path]:
     CLI to map onto exit codes.
     """
     cfg.validate()
+    curves = _SCENARIO_FNS[cfg.scenario](cfg)
     out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = _SCENARIO_FNS[cfg.scenario](cfg)
     written: list[Path] = []
     for name, header, rows in curves:
         path = out_dir / f"{name}.csv"

@@ -1,12 +1,20 @@
 """CLI and scenario runner: files, formats, determinism, exit codes."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sqzmirror.cli import main
-from sqzmirror.scenarios import OUTPUT_DIR_ENV, ScenarioConfig, parse_config_file, run
+from sqzmirror.scenarios import (
+    OUTPUT_DIR_ENV,
+    SCENARIOS,
+    ScenarioConfig,
+    parse_config_file,
+    run,
+    write_manifest,
+)
 from sqzmirror.errors import ConfigError
 
 
@@ -132,6 +140,66 @@ def test_non_numeric_set_value_exit_code(tmp_path):
     assert main(["run", "fig2c", "--set", "r=abc", "--out", str(tmp_path)]) == 2
 
 
+BAD_INPUTS = [
+    # (config file text, or None to run fig4a; --set overrides; field named)
+    (None, ["n_samples=nan"], "n_samples"),
+    (None, ["n_samples=2.7"], "n_samples"),
+    (None, ["t_end_s=-1"], "scenario.t_end_s"),
+    (None, ["t_end_s=nan"], "scenario.t_end_s"),
+    (None, ["power_w=inf"], "params.power_w"),
+    (None, ["r=nan"], "params.r"),
+    (None, ["power_w=-1"], "power"),
+    (None, ["omega_c_hz=1"], "params"),
+    ("[scenario]\nname = custom\nn_sample = 5\n", [], "scenario.n_sample"),
+    ("[scenario]\nname = custom\njobs = 1\n", [], "scenario.jobs"),
+    ("[scenario]\nname = custom\nn_samples = 2.7\n", [], "scenario.n_samples"),
+    ("[scenario]\nname = custom\nt_end_s = 0\n", [], "scenario.t_end_s"),
+    ("[params]\nr = nan\n", [], "params.r"),
+    ("[params]\ngamma_m_hz = 0\n", [], "scenario.t_end_s"),
+    ("[sweep]\nname = r\nvalus = 0.5\n", [], "sweep.valus"),
+    ("[scenario]\nname = custom\n\n[outptu]\n", [], "[outptu]"),
+    ("[scenario]\nname = fig4a\n\n[sweep]\nname = r\nvalues = 0.5\n", [], "sweep"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg_text, overrides, field", BAD_INPUTS,
+    ids=[o[0] if o else t.strip().split("\n")[-1] for t, o, _ in BAD_INPUTS],
+)
+def test_bad_input_is_config_error_naming_field(
+    tmp_path, capsys, cfg_text, overrides, field
+):
+    target = "fig4a"
+    if cfg_text is not None:
+        target = tmp_path / "bad.cfg"
+        target.write_text(cfg_text)
+    argv = ["run", str(target), "--out", str(tmp_path / "out")]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_jobs_flag_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig2c", "--jobs", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_shipped_configs_parse_and_equal_their_manifests(tmp_path):
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    figures = [p for p in paths if p.stem in SCENARIOS]
+    assert len(paths) == 11 and len(figures) == 10
+    for path in paths:
+        parse_config_file(path)
+    for path in figures:
+        manifest = tmp_path / path.name
+        write_manifest(ScenarioConfig(scenario=path.stem), manifest)
+        assert manifest.read_bytes() == path.read_bytes(), path.name
+
+
 def test_unknown_model_exit_code(tmp_path):
     assert main(["run", "custom", "--model", "nosuch", "--out", str(tmp_path)]) == 2
 
@@ -142,18 +210,6 @@ def test_instability_exit_code(tmp_path, capsys):
     ])
     assert code == 3
     assert "instability" in capsys.readouterr().err
-
-
-def test_jobs_option_preserves_order(tmp_path):
-    cfg = ScenarioConfig(
-        scenario="custom",
-        sweep=("r", [0.0, 0.5, 1.0, 1.5]),
-        output_dir=str(tmp_path),
-        jobs=4,
-    )
-    run(cfg)
-    r = column(tmp_path / "custom_sweep_reduced3.csv", "r")
-    assert list(r) == [0.0, 0.5, 1.0, 1.5]
 
 
 def test_reruns_byte_identical(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqzmirror.dynamics import TimeGrid
+from sqzmirror.dynamics import TimeGrid, normalize_phase, periodic_steady_state
 from sqzmirror.full import (
     compare_adiabatic,
     evolve_full,
@@ -17,6 +17,7 @@ from sqzmirror.gaussian import (
     quadrature_observables,
     symplectic_eigenvalues,
 )
+from sqzmirror.generator import compile_generator, full_generator
 from sqzmirror.params import baseline_params, derive
 from sqzmirror.reduced import steady_state
 
@@ -169,3 +170,27 @@ def test_initial_covariance_layout(baseline):
     nbar = derive(baseline_params(temperature_k=2.5e-3)).nbar0
     assert np.allclose(V0[:2, :2], 0.5 * np.eye(2))
     assert np.allclose(V0[2:, 2:], (nbar + 0.5) * np.eye(4))
+
+
+PHASES = (1.0, -1.0, "average", np.pi / 3, np.exp(1j * np.pi / 3), 2.0, 0.0)
+
+
+@pytest.mark.parametrize("phase", PHASES, ids=repr)
+def test_phase_has_one_meaning_in_every_model(phase):
+    """A reservoir phase means the same point of the orbit in both models.
+
+    The full model reads it through the same normalizer as the reduced one:
+    a real number other than +/-1 is an angle, "average" is the dc part.
+    """
+    p = baseline_params(gamma_m_hz=1e3)
+    V = steady_full(p, phase)
+    assert np.allclose(V, steady_full(p, normalize_phase(phase)), rtol=1e-12, atol=0)
+    assert min_symplectic_eigenvalue(V) >= 0.5 - 1e-6
+    if isinstance(phase, str):
+        V_dc, _ = periodic_steady_state(compile_generator(full_generator(derive(p))))
+        assert np.array_equal(V, V_dc)
+    _, report = steady_state(p, phase)
+    comp = compare_adiabatic(p, phase=phase)
+    assert comp.steady_dp2_reduced == pytest.approx(report.dP2_minus, rel=1e-12)
+    # at gamma_m << kappa the eliminated model tracks the full one closely
+    assert comp.steady_rel_deviation < 0.1
