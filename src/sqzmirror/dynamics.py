@@ -1,15 +1,18 @@
 """Numerical machinery for linear moment equations with harmonic drive.
 
-Everything here works on the vectorized form dx/dt = A x + b0 + (b2 e^{iwt}
-+ c.c.). The integrator is classic RK4; because the one-step map of a linear
-ODE is an affine map that is identical at every step, blocks of steps are
-composed exactly (binary product ladder) so that trajectories spanning 1e8
-steps stay cheap without changing the method.
+Everything here works on the vector form dx/dt = A x + b0 + (b2 e^{iwt}
++ c.c.); covariance equations enter it as x = vech(V) (see moment_ode).
+The integrator is classic RK4; because the one-step map of a linear ODE is
+an affine map that is identical at every step, blocks of steps are composed
+exactly (binary product ladder) so that trajectories spanning 1e8 steps stay
+cheap without changing the method.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,39 +92,55 @@ class LinearHarmonicODE:
         )
 
 
-def _vec(V: NDArray) -> NDArray:
-    return np.asarray(V).reshape(-1)
+@functools.cache
+def _vech_index(n: int) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+    """Read-only index tables (upper, sym, flat, gather) for n x n matrices.
+
+    vech(V) = V.ravel()[upper], the upper triangle in row-major order;
+    sym[i, j] = sym[j, i] is the position of V_ij in vech(V); the matrix of
+    V -> A V + V A^T on vech(V) is bincount(flat, A.ravel()[gather]).
+    Cached: building them costs more than using them.
+    """
+    iu, ju = np.triu_indices(n)
+    m = len(iu)
+    sym = np.empty((n, n), dtype=np.intp)
+    sym[iu, ju] = sym[ju, iu] = np.arange(m)
+    i, j, k = iu[:, None], ju[:, None], np.arange(n)[None, :]
+    row = np.arange(m)[:, None] * m
+    # (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik, with V_kl = V_lk one unknown
+    flat = np.concatenate([(row + sym[k, j]).ravel(), (row + sym[i, k]).ravel()])
+    gather = np.concatenate([(i * n + k).ravel(), (j * n + k).ravel()])
+    tables = (iu * n + ju, sym, flat, gather)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def _unvec(v: NDArray, dim: int) -> NDArray:
-    return v.reshape(dim, dim)
+def _vech(V: NDArray) -> NDArray:
+    """Upper triangle of a symmetric matrix, row-major: n(n+1)/2 entries."""
+    return V.ravel()[_vech_index(V.shape[0])[0]]
 
 
-def _lyapunov_operator(A: NDArray) -> NDArray:
-    """Matrix of V -> A V + V A^T acting on row-major vec(V)."""
-    n = A.shape[0]
-    eye = np.eye(n)
-    return np.kron(A, eye) + np.kron(eye, A)
-
-
-def _symmetrizer(n: int) -> NDArray[np.float64]:
-    """Projection onto symmetric matrices in row-major vec space."""
-    P = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            P[i * n + j, i * n + j] += 0.5
-            P[i * n + j, j * n + i] += 0.5
-    return P
+def _unvech(x: NDArray) -> NDArray:
+    """Exactly symmetric matrix from vech(V); a stack of them for rows of x."""
+    n = (math.isqrt(8 * x.shape[-1] + 1) - 1) // 2
+    return x[..., _vech_index(n)[1]]
 
 
 def moment_ode(eqs: MomentEquations) -> LinearHarmonicODE:
-    """Vectorize matrix moment equations, folding in per-step symmetrization."""
+    """dV/dt = A V + V A^T + D(t) as a linear ODE on vech(V).
+
+    The n(n+1)/2 unknowns are the independent entries of the symmetric
+    covariance, so every solution is exactly symmetric by construction.
+    """
     n = eqs.drift.shape[0]
-    P = _symmetrizer(n)
+    m = n * (n + 1) // 2
+    _, _, flat, gather = _vech_index(n)
+    drift = np.bincount(flat, weights=eqs.drift.ravel()[gather], minlength=m * m)
     return LinearHarmonicODE(
-        drift=P @ _lyapunov_operator(eqs.drift) @ P,
-        drive_static=P @ _vec(eqs.diffusion_static),
-        drive_harmonic=P @ _vec(eqs.diffusion_harmonic),
+        drift=drift.reshape(m, m),
+        drive_static=_vech(eqs.diffusion_static),
+        drive_harmonic=_vech(eqs.diffusion_harmonic),
         omega=eqs.omega,
     )
 
@@ -187,15 +206,11 @@ def integrate_linear(
     ode: LinearHarmonicODE,
     x0: NDArray,
     grid: TimeGrid,
-    project: NDArray | None = None,
 ) -> tuple[NDArray, NDArray]:
     """RK4-integrate the linear harmonic ODE, returning (times, states).
 
-    States are sampled at grid.sample_indices(). `project`, when given, is
-    an invariant-subspace projector re-applied to the state at every sample
-    boundary (keeps roundoff from leaking out of the subspace over very
-    long composed spans). Raises StepSizeError when the step does not
-    resolve the fastest rate, DivergenceError on blow-up.
+    States are sampled at grid.sample_indices(). Raises StepSizeError when
+    the step does not resolve the fastest rate, DivergenceError on blow-up.
     """
     h = grid.h
     rate = ode.fastest_rate()
@@ -219,8 +234,6 @@ def integrate_linear(
         t_start = grid.t0 + idx[k - 1] * h
         phi = np.exp(1j * ode.omega * t_start)
         x = blk.P @ x + blk.u0 + 2.0 * np.real(blk.u2 * phi)
-        if project is not None:
-            x = project @ x
         if not np.all(np.isfinite(x)) or np.abs(x).max() > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"integration diverged at t = {grid.t0 + idx[k] * h:.6e}",
@@ -240,20 +253,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate dV/dt = A V + V A^T + D(t) from V0 over the grid.
 
-    V stays exactly symmetric (the symmetrizer is folded into every step).
-    observables_fn, when given, maps each sampled covariance to a
-    QuadratureObservables record.
+    The integrated state is vech(V) (see moment_ode), so every sampled V
+    is exactly symmetric. observables_fn, when given, maps each sampled
+    covariance to a QuadratureObservables record.
     """
     dim = eqs.drift.shape[0]
     V0 = np.asarray(V0, dtype=float)
     if V0.shape != (dim, dim):
         raise DimensionError(f"V0 shape {V0.shape} does not match drift {dim}")
-    ode = moment_ode(eqs)
-    times, xs = integrate_linear(
-        ode, _vec(0.5 * (V0 + V0.T)), grid, project=_symmetrizer(dim)
-    )
-    covs = xs.reshape(len(times), dim, dim)
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    times, xs = integrate_linear(moment_ode(eqs), _vech(0.5 * (V0 + V0.T)), grid)
+    covs = _unvech(xs)
     obs = [observables_fn(V) for V in covs] if observables_fn is not None else None
     return Trajectory(times=times, covariances=covs, observables=obs)
 
@@ -309,9 +318,9 @@ def linear_steady(ode: LinearHarmonicODE) -> tuple[NDArray, NDArray]:
     """Periodic steady state of the linear harmonic ODE.
 
     Returns (x_dc, x_2) with x(t) = x_dc + (x_2 e^{iwt} + c.c.), from the
-    resolvent solves A x_dc = -b0 and (A - iw I) x_2 = -b2.
+    resolvent solves A x_dc = -b0 and (A - iw I) x_2 = -b2. Callers check
+    stability (require_hurwitz) on the drift they own.
     """
-    require_hurwitz(ode.drift)
     x_dc = np.linalg.solve(ode.drift, -ode.drive_static)
     eye = np.eye(ode.drift.shape[0])
     x_2 = np.linalg.solve(
@@ -323,19 +332,15 @@ def linear_steady(ode: LinearHarmonicODE) -> tuple[NDArray, NDArray]:
 def periodic_steady_state(eqs: MomentEquations) -> tuple[NDArray, NDArray]:
     """Steady covariance V(t) = V_dc + (V_2 e^{2i Delta t} + c.c.).
 
-    V_dc solves A V + V A^T + D0 = 0; V_2 solves the 2*Delta-shifted
-    equation (A - 2i Delta I) V_2 + V_2 A^T + D2 = 0. Raises StabilityError
-    for non-Hurwitz drift.
+    V_dc solves A V + V A^T + D0 = 0 and V_2 the 2*Delta-shifted equation
+    (A - 2i Delta I) V_2 + V_2 A^T + D2 = 0: the linear_steady solves of
+    moment_ode(eqs). Raises StabilityError for non-Hurwitz drift.
     """
+    # on A itself: the vech operator's eigenvalues are pair sums of A's, and
+    # an imaginary pair +-i sums to roundoff that can pass the check
     require_hurwitz(eqs.drift)
-    dim = eqs.drift.shape[0]
-    L = _lyapunov_operator(eqs.drift)
-    v_dc = np.linalg.solve(L, -_vec(eqs.diffusion_static))
-    L2 = L.astype(complex) - 1j * eqs.omega * np.eye(dim * dim)
-    v_2 = np.linalg.solve(L2, -_vec(eqs.diffusion_harmonic).astype(complex))
-    V_dc = 0.5 * (_unvec(v_dc, dim) + _unvec(v_dc, dim).T)
-    V_2 = 0.5 * (_unvec(v_2, dim) + _unvec(v_2, dim).T)
-    return V_dc, V_2
+    x_dc, x_2 = linear_steady(moment_ode(eqs))
+    return _unvech(x_dc), _unvech(x_2)
 
 
 def normalize_phase(phase: complex | float | str) -> complex:
@@ -350,10 +355,11 @@ def normalize_phase(phase: complex | float | str) -> complex:
         if phase == "average":
             return 0j
         raise SimulationError(f"unknown phase {phase!r}")
-    if isinstance(phase, (int, float)):
-        if phase == 1.0 or phase == -1.0:
-            return complex(phase)
-        return complex(np.exp(1j * phase))
+    if isinstance(phase, numbers.Real):  # numpy real scalars included
+        angle = float(phase)
+        if abs(angle) == 1.0:
+            return complex(angle)
+        return complex(np.exp(1j * angle))
     z = complex(phase)
     if z == 0j:
         return z

@@ -29,6 +29,7 @@ from .dynamics import (
     linear_steady,
     minimize_scalar,
     normalize_phase,
+    require_hurwitz,
     steady_at_phase,
 )
 from .errors import DivergenceError, FrameError, SimulationError
@@ -105,16 +106,6 @@ class ReducedSystem:
     M: float
     params: PhysicalParams
 
-    @property
-    def hurwitz(self) -> bool:
-        return bool(np.linalg.eigvals(self.m3).real.max() < 0)
-
-    def drive(self, t: float) -> NDArray[np.float64]:
-        return self.drive_at_phase(np.exp(2j * self.delta * t))
-
-    def drive_at_phase(self, phase: complex) -> NDArray[np.float64]:
-        return self.b0 + self.N * self.b1 + 2.0 * np.real(self.M * self.b2 * phase)
-
     def ode(self) -> LinearHarmonicODE:
         return LinearHarmonicODE(
             drift=self.m3,
@@ -128,23 +119,20 @@ class ReducedSystem:
 
     def steady_v3(self, phase: complex | float | str = 1.0) -> NDArray[np.float64]:
         """Resolvent steady state at the reservoir phase (see normalize_phase)."""
+        require_hurwitz(self.m3)
         return steady_at_phase(*linear_steady(self.ode()), phase)
 
     def dynamical_solution(self, t: float) -> NDArray[np.float64]:
-        """Closed-form solution by eigendecomposition of the drift.
+        """Closed form x_ss(t) + e^{m3 t} (x(0) - x_ss(0)) from the thermal state.
 
-        Equals the RK4 route up to truncation error; used as the analytic
-        cross-check path (model "reduced_analytic").
+        x_ss is the periodic solution from linear_steady, e^{m3 t} comes from
+        expm_action. Equals the RK4 route up to truncation error; used as the
+        analytic cross-check path (model "reduced_analytic").
         """
-        m3c = self.m3.astype(complex)
-        eye = np.eye(3)
-        E = expm_action(self.m3, t)
-        stat = self.b0 + self.N * self.b1
-        part_dc = -np.linalg.solve(self.m3, (np.eye(3) - E) @ stat)
-        shifted = m3c - 2j * self.delta * eye
-        z = np.exp(2j * self.delta * t)
-        part_h = -np.linalg.solve(shifted, (z * eye - E) @ (self.M * self.b2))
-        return (part_dc + 2.0 * np.real(part_h) + E @ self.initial_state()).real
+        x_dc, x_2 = linear_steady(self.ode())
+        x_ss0 = steady_at_phase(x_dc, x_2, 1.0)
+        x_sst = steady_at_phase(x_dc, x_2, np.exp(2j * self.delta * t))
+        return x_sst + expm_action(self.m3, t) @ (self.initial_state() - x_ss0)
 
 
 def _closure_drift_and_drive(

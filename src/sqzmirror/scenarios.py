@@ -67,6 +67,9 @@ class ScenarioConfig:
         for m in self.models:
             if m not in MODELS:
                 raise ConfigError(f"scenario.model: unknown model {m!r}")
+        if self.models and self.scenario != "custom":
+            raise ConfigError(f"scenario.model: only the custom scenario takes a "
+                              f"model, not {self.scenario!r}")
         if self.phase not in PHASES:
             raise ConfigError(f"scenario.phase: must be one of {tuple(PHASES)}")
         if self.sweep is not None:
@@ -443,8 +446,8 @@ _SCENARIO_FNS = {
 def write_manifest(cfg: ScenarioConfig, path: Path) -> None:
     """Materialize every default so the file replays to identical output."""
     lines = ["[scenario]", f"name = {cfg.scenario}"]
-    models = cfg.models or ["reduced3"]
-    lines.append(f"model = {', '.join(models)}")
+    if cfg.scenario == "custom":
+        lines.append(f"model = {', '.join(cfg.models or ['reduced3'])}")
     lines.append(f"phase = {cfg.phase}")
     lines.append(f"n_samples = {cfg.n_samples}")
     if cfg.t_end_s is not None:

@@ -1,5 +1,12 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# The benchmark's input ranges (inputs.py) and reference checker (verify.py)
+# are imported read-only by the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from sqzmirror.params import baseline_params
 

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import verify
 from _fock import integrate_fock_thermal
 from sqzmirror.dynamics import TimeGrid, integrate
 from sqzmirror.full import compare_adiabatic, mirror_block, steady_full
@@ -154,7 +155,7 @@ def test_compiler_vs_printed_matrices():
                     xi.imag - c.phi * zi / (2 * g0),
                 ]
             )
-            if np.abs(s.drive(t) - printed).max() > 1e-10 * np.abs(printed).max():
+            if np.abs(s.ode().drive(t) - printed).max() > 1e-10 * np.abs(printed).max():
                 failures.append(f"drive mismatch at point {k}, t={t:.2e}")
                 break
     report(3, "compiled drift/drive match the printed 3-variable forms", failures)
@@ -353,6 +354,19 @@ def test_small_system_fock_oracle():
     if worst > 1e-4:
         failures.append(f"quadrature variance deviates by {worst:.2e}")
     report(9, "moment equations match the Fock-space oracle", failures)
+
+
+def test_shipped_outputs_match_reference(shipped):
+    """Every figure's CSVs equal the values recorded in the benchmark's
+    reference (perfbench/reference.json.xz) within its stated tolerances."""
+    out, first, names = shipped
+    reference = verify.load_reference()
+    failures = []
+    for name in names:
+        written = [out / f for f in first if f.startswith(f"{name}_")]
+        check = verify.check_run(name, (), written, reference)
+        failures += [f"{name}: {problem}" for problem in check.problems]
+    assert not failures, "; ".join(failures)
 
 
 def test_deterministic_outputs(shipped):

@@ -159,6 +159,7 @@ BAD_INPUTS = [
     ("[sweep]\nname = r\nvalus = 0.5\n", [], "sweep.valus"),
     ("[scenario]\nname = custom\n\n[outptu]\n", [], "[outptu]"),
     ("[scenario]\nname = fig4a\n\n[sweep]\nname = r\nvalues = 0.5\n", [], "sweep"),
+    ("[scenario]\nname = fig4a\nmodel = full6\n", [], "scenario.model"),
 ]
 
 

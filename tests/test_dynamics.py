@@ -6,10 +6,14 @@ import pytest
 from sqzmirror.dynamics import (
     LinearHarmonicODE,
     TimeGrid,
+    _unvech,
+    _vech,
     expm_action,
     integrate,
     integrate_linear,
     minimize_scalar,
+    moment_ode,
+    normalize_phase,
     periodic_steady_state,
     steady_at_phase,
     Trajectory,
@@ -21,9 +25,15 @@ from sqzmirror.errors import (
     StepSizeError,
 )
 from sqzmirror.gaussian import vacuum
-from sqzmirror.generator import GeneratorSpec, annihilation_vector, compile_generator
+from sqzmirror.generator import (
+    GeneratorSpec,
+    MomentEquations,
+    annihilation_vector,
+    compile_generator,
+    full_generator,
+    reduced_generator,
+)
 from sqzmirror.params import derive
-from sqzmirror.generator import reduced_generator
 
 
 def rotation_eqs(omega):
@@ -149,6 +159,36 @@ def test_expm_action_roundtrip(rng):
 def test_expm_action_defective_matrix_fallback():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])  # Jordan block, not diagonalizable
     assert np.allclose(expm_action(A, 2.0), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_moment_ode_is_the_lyapunov_map_on_vech(rng):
+    """drift @ vech(V) = vech(A V + V A^T) for random A and symmetric V."""
+    for n in (2, 4, 6):
+        A = rng.normal(size=(n, n))
+        W = rng.normal(size=(n, n))
+        V = W + W.T
+        zero = np.zeros((n, n))
+        ode = moment_ode(MomentEquations(A, zero, zero.astype(complex), 0.0))
+        assert ode.drift.shape == (n * (n + 1) // 2,) * 2
+        assert np.array_equal(_unvech(_vech(V)), V)
+        ref = _vech(A @ V + V @ A.T)
+        assert np.abs(ode.drift @ _vech(V) - ref).max() <= 1e-12 * np.abs(ref).max()
+    stack = _unvech(rng.normal(size=(5, 21)))
+    assert stack.shape == (5, 6, 6)
+    assert np.array_equal(stack, stack.transpose(0, 2, 1))
+
+
+def test_moment_ode_unknowns_per_model(baseline):
+    """reduced10 has 10 independent moments and full6 has 21."""
+    c = derive(baseline)
+    assert moment_ode(compile_generator(reduced_generator(c))).drift.shape == (10, 10)
+    assert moment_ode(compile_generator(full_generator(c))).drift.shape == (21, 21)
+
+
+def test_numpy_real_phase_is_an_angle():
+    assert normalize_phase(np.float32(2.0)) == normalize_phase(2.0)
+    assert normalize_phase(np.int64(2)) == normalize_phase(2)
+    assert normalize_phase(np.float64(-1.0)) == -1.0
 
 
 def test_periodic_steady_state_static_diffusion():

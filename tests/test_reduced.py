@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from sqzmirror.dynamics import TimeGrid
+import inputs
+from sqzmirror.dynamics import (
+    TimeGrid,
+    periodic_steady_state,
+    require_hurwitz,
+    steady_at_phase,
+)
 from sqzmirror.errors import FrameError, StabilityError
-from sqzmirror.gaussian import rotate_local, rotation_angle
+from sqzmirror.gaussian import min_symplectic_eigenvalue, rotate_local, rotation_angle
+from sqzmirror.generator import compile_generator, full_generator, reduced_generator
 from sqzmirror.params import baseline_params, derive
 from sqzmirror.reduced import (
     ReducedSystem,
@@ -81,14 +88,14 @@ def test_drive_decomposition_matches_direct_form(baseline, rng):
                 xi.imag - c.phi * zi / (2 * p.gamma_m),
             ]
         )
-        dec = s.drive(t)
+        dec = s.ode().drive(t)
         assert np.abs(dec - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_vacuum_reservoir_drive_is_static():
     s = build_system(baseline_params(r=0.0))
     assert s.N == 0.0 and s.M == 0.0
-    assert np.allclose(s.drive(0.0), s.drive(1.23e-9), rtol=1e-14)
+    assert np.allclose(s.ode().drive(0.0), s.ode().drive(1.23e-9), rtol=1e-14)
 
 
 def test_evolve_decoupled_fixed_point():
@@ -162,6 +169,37 @@ def test_analytic_solution_matches_rk4(baseline):
     assert np.allclose(tr_rk.times, tr_an.times)
     for Va, Vb in zip(tr_rk.covariances, tr_an.covariances):
         assert np.abs(Va - Vb).max() <= 1e-6 * np.abs(Vb).max()
+
+
+def test_random_draws_agree_across_vector_forms(rng):
+    """At random points of the benchmark's figure ranges: the 3-variable
+    steady state equals the half-vectorized 10-moment one at every phase,
+    both are physical, and the reduced10 and full6 dc covariances satisfy
+    their Lyapunov equations."""
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    for _ in range(20):
+        p = baseline_params(
+            power_w=log_uniform(*inputs.POWER_W),
+            temperature_k=rng.uniform(*inputs.TEMPERATURE_K),
+            r=rng.uniform(*inputs.R_RANGE),
+            gamma_m_hz=inputs.KAPPA_HZ * log_uniform(*inputs.GAMMA_OVER_KAPPA),
+        )
+        c = derive(p)
+        eqs10 = compile_generator(reduced_generator(c))
+        eqs6 = compile_generator(full_generator(c))
+        steady10 = periodic_steady_state(eqs10)
+        for phase in (1.0, -1.0, "average"):
+            V3 = steady_state(p, phase)[0].covariance()
+            V10 = steady_at_phase(*steady10, phase)
+            assert np.abs(V3 - V10).max() <= 1e-9 * np.abs(V10).max()
+            assert min_symplectic_eigenvalue(V10) >= 0.5 - 1e-6
+        for eqs in (eqs10, eqs6):
+            A, D0 = eqs.drift, eqs.diffusion_static
+            V_dc, _ = periodic_steady_state(eqs)
+            resid = A @ V_dc + V_dc @ A.T + D0
+            assert np.abs(resid).max() <= 1e-10 * np.abs(D0).max()
 
 
 def test_steady_state_decoupled(baseline):
@@ -367,6 +405,6 @@ def test_squeezing_formula_domain_guard():
         b2=np.array([0.0, 0.5 + 0.0j, 0.0]),
         delta=1.0, nbar0=0.0, N=0.0, M=0.0, params=sys_.params,
     )
-    assert small.hurwitz
+    require_hurwitz(small.m3)
     val = squeezing_formula(small, theta=0.0, doubled=True)
     assert val is not None
