@@ -60,11 +60,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled covariance evolution plus derived observables."""
+    """Sampled covariance evolution plus derived observables, one column per field."""
 
     times: NDArray[np.float64]
     covariances: NDArray[np.float64]  # (n_samples, 2n, 2n)
-    observables: list[QuadratureObservables] | None = None
+    observables: QuadratureObservables | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.covariances):
@@ -249,44 +249,42 @@ def integrate(
     eqs: MomentEquations,
     V0: NDArray,
     grid: TimeGrid,
-    observables_fn=None,
 ) -> Trajectory:
     """Integrate dV/dt = A V + V A^T + D(t) from V0 over the grid.
 
     The integrated state is vech(V) (see moment_ode), so every sampled V
-    is exactly symmetric. observables_fn, when given, maps each sampled
-    covariance to a QuadratureObservables record.
+    is exactly symmetric. The trajectory carries no observables.
     """
     dim = eqs.drift.shape[0]
     V0 = np.asarray(V0, dtype=float)
     if V0.shape != (dim, dim):
         raise DimensionError(f"V0 shape {V0.shape} does not match drift {dim}")
     times, xs = integrate_linear(moment_ode(eqs), _vech(0.5 * (V0 + V0.T)), grid)
-    covs = _unvech(xs)
-    obs = [observables_fn(V) for V in covs] if observables_fn is not None else None
-    return Trajectory(times=times, covariances=covs, observables=obs)
+    return Trajectory(times=times, covariances=_unvech(xs))
 
 
-def expm_action(A: NDArray, t: float) -> NDArray:
+def expm_action(A: NDArray, t) -> NDArray:
     """e^{A t} via eigendecomposition, falling back to scaling-and-squaring.
 
-    The eigendecomposition path requires the eigenvector matrix to be well
+    For an array t, a stack of matrices along t's axes from one
+    eigendecomposition of A. It requires the eigenvector matrix to be well
     conditioned (< 1e8); otherwise a Taylor scaling-and-squaring evaluation
-    is used, so the function never fails on diagonalizability.
+    is used at each time, so the function never fails on diagonalizability.
     """
     A = np.asarray(A)
-    B = A * t
+    t = np.asarray(t, dtype=float)
     try:
-        w, Y = np.linalg.eig(B)
+        w, Y = np.linalg.eig(A)
         cond = np.linalg.cond(Y)
         if np.isfinite(cond) and cond < 1e8:
-            E = Y @ np.diag(np.exp(w)) @ np.linalg.inv(Y)
+            E = (Y * np.exp(t[..., None] * w)[..., None, :]) @ np.linalg.inv(Y)
             if np.isrealobj(A):
                 return E.real
             return E
     except np.linalg.LinAlgError:
         pass
-    return _expm_squaring(B)
+    E = [_expm_squaring(A * tk) for tk in t.ravel()]
+    return np.reshape(E, t.shape + A.shape)
 
 
 def _expm_squaring(B: NDArray) -> NDArray:

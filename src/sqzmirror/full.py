@@ -7,7 +7,7 @@ for Gaussian states is just the mirror rows/columns of the covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,8 +26,8 @@ from .reduced import build_system, evolve as evolve_reduced, lift_covariance
 
 
 def mirror_block(V6: NDArray) -> NDArray[np.float64]:
-    """Trace out the cavity: keep the mirror rows/columns."""
-    return np.asarray(V6)[2:, 2:]
+    """Trace out the cavity: keep the mirror rows/columns (of every matrix of a stack)."""
+    return np.asarray(V6)[..., 2:, 2:]
 
 
 def initial_covariance(params: PhysicalParams) -> NDArray[np.float64]:
@@ -54,9 +54,9 @@ def evolve_full(
     eqs = compile_generator(full_generator(derive(params), single_mirror=single_mirror))
     if V0 is None:
         V0 = initial_covariance(params)
-    return integrate(
-        eqs, V0, grid, observables_fn=lambda V: quadrature_observables(mirror_block(V))
-    )
+    traj = integrate(eqs, V0, grid)
+    return replace(traj,
+                   observables=quadrature_observables(mirror_block(traj.covariances)))
 
 
 def steady_full(
@@ -107,35 +107,23 @@ def compare_adiabatic(
     comparison is made (resolvent solves on both sides). phase is read by
     dynamics.normalize_phase, the same for both models.
     """
-    V6 = steady_full(params, phase)
-    dp2_f = _rotated_dp2(mirror_block(V6))
+    dp2_f = _rotated_dp2(mirror_block(steady_full(params, phase)))
     system = build_system(params)
-    v3 = system.steady_v3(phase)
-    dp2_r = _rotated_dp2(lift_covariance(v3, system.nbar0))
-    rel = abs(dp2_f - dp2_r) / abs(dp2_f)
-
+    dp2_r = _rotated_dp2(lift_covariance(system.steady_v3(phase), system.nbar0))
     if grid is None:
-        empty = np.empty(0)
-        return AdiabaticComparison(
-            times=empty,
-            dp2_full=empty,
-            dp2_reduced=empty,
-            max_abs_deviation=abs(dp2_f - dp2_r),
-            steady_dp2_full=dp2_f,
-            steady_dp2_reduced=dp2_r,
-            steady_rel_deviation=rel,
-        )
-
-    traj_f = evolve_full(params, grid)
-    traj_r = evolve_reduced(params, grid)
-    series_f = np.array([o.dP2_minus for o in traj_f.observables])
-    series_r = np.array([o.dP2_minus for o in traj_r.observables])
+        times = series_f = series_r = np.empty(0)
+        max_dev = abs(dp2_f - dp2_r)
+    else:
+        traj_f = evolve_full(params, grid)
+        times, series_f = traj_f.times, traj_f.observables.dP2_minus
+        series_r = evolve_reduced(params, grid).observables.dP2_minus
+        max_dev = float(np.abs(series_f - series_r).max())
     return AdiabaticComparison(
-        times=traj_f.times,
+        times=times,
         dp2_full=series_f,
         dp2_reduced=series_r,
-        max_abs_deviation=float(np.abs(series_f - series_r).max()),
+        max_abs_deviation=max_dev,
         steady_dp2_full=dp2_f,
         steady_dp2_reduced=dp2_r,
-        steady_rel_deviation=rel,
+        steady_rel_deviation=abs(dp2_f - dp2_r) / abs(dp2_f),
     )

@@ -46,23 +46,24 @@ from .params import DerivedCoefficients, PhysicalParams, derive
 CRITERION_BAND = 1e-9
 
 
+# position of each 4x4 entry in (V11, V22, V12, c - V11, c - V22, -V12)
+_LIFT_INDEX = np.array([[0, 2, 3, 5], [2, 1, 5, 4], [3, 5, 0, 2], [5, 4, 2, 1]])
+
+
 def lift_covariance(v3: NDArray, nbar0: float) -> NDArray[np.float64]:
-    """Assemble the full symmetric 4x4 covariance from (V11, V22, V12)."""
-    v11, v22, v12 = v3
+    """Assemble the full symmetric 4x4 covariance from (V11, V22, V12).
+
+    v3 may be a stack (..., 3); the result is then a stack (..., 4, 4).
+    """
+    v3 = np.asarray(v3, dtype=float)
     c = nbar0 + 0.5
-    V = np.empty((4, 4))
-    V[0, 0] = V[2, 2] = v11
-    V[1, 1] = V[3, 3] = v22
-    V[0, 1] = V[1, 0] = V[2, 3] = V[3, 2] = v12
-    V[0, 2] = V[2, 0] = c - v11
-    V[1, 3] = V[3, 1] = c - v22
-    V[0, 3] = V[3, 0] = V[1, 2] = V[2, 1] = -v12
-    return V
+    entries = np.concatenate([v3, c - v3[..., :2], -v3[..., 2:]], axis=-1)
+    return entries[..., _LIFT_INDEX]
 
 
 def project_covariance(V: NDArray) -> NDArray[np.float64]:
-    """Extract the three independent entries (V11, V22, V12)."""
-    return np.array([V[0, 0], V[1, 1], V[0, 1]])
+    """Extract the three independent entries (V11, V22, V12), of a stack too."""
+    return V[..., (0, 1, 0), (0, 1, 1)]
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,6 @@ class ReducedSystem:
     nbar0: float
     N: float
     M: float
-    params: PhysicalParams
 
     def ode(self) -> LinearHarmonicODE:
         return LinearHarmonicODE(
@@ -122,16 +122,18 @@ class ReducedSystem:
         require_hurwitz(self.m3)
         return steady_at_phase(*linear_steady(self.ode()), phase)
 
-    def dynamical_solution(self, t: float) -> NDArray[np.float64]:
+    def dynamical_solution(self, t) -> NDArray[np.float64]:
         """Closed form x_ss(t) + e^{m3 t} (x(0) - x_ss(0)) from the thermal state.
 
         x_ss is the periodic solution from linear_steady, e^{m3 t} comes from
-        expm_action. Equals the RK4 route up to truncation error; used as the
-        analytic cross-check path (model "reduced_analytic").
+        expm_action; an array t (result t.shape + (3,)) shares both. Equals
+        the RK4 route up to truncation error; used as the analytic
+        cross-check path (model "reduced_analytic").
         """
         x_dc, x_2 = linear_steady(self.ode())
         x_ss0 = steady_at_phase(x_dc, x_2, 1.0)
-        x_sst = steady_at_phase(x_dc, x_2, np.exp(2j * self.delta * t))
+        z = np.exp(2j * self.delta * np.asarray(t, dtype=float))[..., None]
+        x_sst = x_dc + 2.0 * np.real(x_2 * z)
         return x_sst + expm_action(self.m3, t) @ (self.initial_state() - x_ss0)
 
 
@@ -149,18 +151,11 @@ def _closure_drift_and_drive(
     def lyap(V):
         return A @ V + V @ A.T
 
-    cols = []
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        cols.append(project_covariance(lyap(lift_covariance(e, -0.5))))
-    m3 = np.column_stack(cols)
+    # column k is the image of the lifted unit vector e_k
+    m3 = project_covariance(lyap(lift_covariance(np.eye(3), -0.5))).T
     base = lift_covariance(np.zeros(3), coeffs.nbar0)
     drive_dc = project_covariance(lyap(base) + eqs.diffusion_static)
-    drive_plus = np.array(
-        [eqs.diffusion_harmonic[0, 0], eqs.diffusion_harmonic[1, 1],
-         eqs.diffusion_harmonic[0, 1]]
-    )
+    drive_plus = project_covariance(eqs.diffusion_harmonic)
     return m3, drive_dc, drive_plus
 
 
@@ -190,7 +185,6 @@ def build_system(params: PhysicalParams) -> ReducedSystem:
         nbar0=coeffs.nbar0,
         N=coeffs.N,
         M=coeffs.M,
-        params=params,
     )
 
 
@@ -202,29 +196,28 @@ def evolve(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     """
     system = build_system(params)
     times, xs = integrate_linear(system.ode(), system.initial_state(), grid)
-    covs = np.array([lift_covariance(x, system.nbar0) for x in xs])
-    obs = [quadrature_observables(V) for V in covs]
-    return Trajectory(times=times, covariances=covs, observables=obs)
+    covs = lift_covariance(xs, system.nbar0)
+    return Trajectory(times=times, covariances=covs,
+                      observables=quadrature_observables(covs))
 
 
 def evolve_analytic(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     """Closed-form counterpart of evolve() on the same sample times."""
     system = build_system(params)
-    idx = grid.sample_indices()
-    times = grid.t0 + idx * grid.h
-    covs = np.empty((len(times), 4, 4))
-    for k, t in enumerate(times):
-        # overflow is detected on the values, not reported per-operation
-        with np.errstate(over="ignore", invalid="ignore"):
-            v3 = system.dynamical_solution(t)
-        if not np.all(np.isfinite(v3)) or np.abs(v3).max() > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"analytic solution diverged at t = {t:.6e}",
-                last_valid_time=times[k - 1] if k else None,
-            )
-        covs[k] = lift_covariance(v3, system.nbar0)
-    obs = [quadrature_observables(V) for V in covs]
-    return Trajectory(times=times, covariances=covs, observables=obs)
+    times = grid.t0 + grid.sample_indices() * grid.h
+    # overflow is detected on the values, not reported per-operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        v3 = system.dynamical_solution(times)
+        bad = ~np.isfinite(v3).all(axis=1) | (np.abs(v3).max(axis=1) > DIVERGENCE_LIMIT)
+    if bad.any():
+        k = int(bad.argmax())
+        raise DivergenceError(
+            f"analytic solution diverged at t = {times[k]:.6e}",
+            last_valid_time=times[k - 1] if k else None,
+        )
+    covs = lift_covariance(v3, system.nbar0)
+    return Trajectory(times=times, covariances=covs,
+                      observables=quadrature_observables(covs))
 
 
 def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
@@ -236,8 +229,8 @@ def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     """
     coeffs = derive(params)
     eqs = compile_generator(reduced_generator(coeffs))
-    V0 = thermal(coeffs.nbar0, 2)
-    return integrate(eqs, V0, grid, observables_fn=quadrature_observables)
+    traj = integrate(eqs, thermal(coeffs.nbar0, 2), grid)
+    return replace(traj, observables=quadrature_observables(traj.covariances))
 
 
 def criterion(V_rot: NDArray, nbar0: float) -> CriterionReport:

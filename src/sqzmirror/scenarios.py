@@ -232,8 +232,9 @@ def _trajectory_curve(cfg: ScenarioConfig, name: str, model: str,
     t_end = cfg.t_end_s or default_t_end(params, damping_times)
     grid = trajectory_grid(params, t_end, cfg.n_samples)
     traj = _evolve_model(model, params, grid)
-    rows = [(t, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, o.phonon[0], o.phonon[1])
-            for t, o in zip(traj.times, traj.observables)]
+    o = traj.observables
+    columns = (traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, *o.phonon)
+    rows = list(zip(*(column.tolist() for column in columns)))
     return name, TRAJECTORY_COLUMNS, rows
 
 

@@ -159,6 +159,17 @@ def test_expm_action_roundtrip(rng):
 def test_expm_action_defective_matrix_fallback():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])  # Jordan block, not diagonalizable
     assert np.allclose(expm_action(A, 2.0), np.array([[1.0, 2.0], [0.0, 1.0]]))
+    ts = np.array([-1.0, 0.0, 2.0])
+    assert np.allclose(expm_action(A, ts), [[[1.0, t], [0.0, 1.0]] for t in ts])
+
+
+def test_expm_action_over_times_equals_each_time(rng):
+    A = rng.normal(size=(3, 3))
+    ts = np.linspace(-1.0, 2.0, 7)
+    stacked = expm_action(A, ts)
+    assert stacked.shape == (7, 3, 3)
+    for t, E in zip(ts, stacked):
+        assert np.array_equal(E, expm_action(A, t))
 
 
 def test_moment_ode_is_the_lyapunov_map_on_vech(rng):

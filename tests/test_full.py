@@ -13,7 +13,6 @@ from sqzmirror.full import (
 )
 from sqzmirror.gaussian import (
     mean_phonon,
-    min_symplectic_eigenvalue,
     quadrature_observables,
     symplectic_eigenvalues,
 )
@@ -71,6 +70,11 @@ def test_mirror_block_symmetry_relations(baseline):
         assert abs(V[1, 1] - V[3, 3]) < 1e-9
         assert abs(V[0, 1] - V[2, 3]) < 1e-9
         assert abs(V[0, 3] - V[1, 2]) < 1e-9
+    # the observables columns are those of the mirror blocks, sample by sample
+    blocks = mirror_block(traj.covariances)
+    assert np.array_equal(blocks[7], mirror_block(traj.covariances[7]))
+    assert np.array_equal(traj.observables.dP2_minus,
+                          [quadrature_observables(V).dP2_minus for V in blocks])
 
 
 def test_full_model_confirms_steady_entanglement(baseline):
@@ -84,7 +88,7 @@ def test_full_model_confirms_steady_entanglement(baseline):
 def test_full_steady_physical(baseline):
     for phase in (1.0, -1.0, np.exp(0.8j)):
         V = steady_full(baseline, phase=phase)
-        assert min_symplectic_eigenvalue(V) >= 0.5 - 1e-6
+        assert symplectic_eigenvalues(V)[0] >= 0.5 - 1e-6
 
 
 def test_adiabatic_agreement_in_valid_regime():
@@ -123,8 +127,8 @@ def test_phonon_dynamics_overlay():
         from sqzmirror.reduced import evolve as evolve_reduced
 
         tr_r = evolve_reduced(p, grid)
-        ph_f = np.array([o.phonon[0] for o in tr_f.observables])
-        ph_r = np.array([o.phonon[0] for o in tr_r.observables])
+        ph_f = tr_f.observables.phonon[0]
+        ph_r = tr_r.observables.phonon[0]
         late = tr_f.times > 10.0 / p.kappa
         scale = max(ph_f.max(), 1.0)
         assert np.abs(ph_f[late] - ph_r[late]).max() < 0.1 * scale
@@ -185,7 +189,7 @@ def test_phase_has_one_meaning_in_every_model(phase):
     p = baseline_params(gamma_m_hz=1e3)
     V = steady_full(p, phase)
     assert np.allclose(V, steady_full(p, normalize_phase(phase)), rtol=1e-12, atol=0)
-    assert min_symplectic_eigenvalue(V) >= 0.5 - 1e-6
+    assert symplectic_eigenvalues(V)[0] >= 0.5 - 1e-6
     if isinstance(phase, str):
         V_dc, _ = periodic_steady_state(compile_generator(full_generator(derive(p))))
         assert np.array_equal(V, V_dc)

@@ -11,7 +11,7 @@ from sqzmirror.dynamics import (
     steady_at_phase,
 )
 from sqzmirror.errors import FrameError, StabilityError
-from sqzmirror.gaussian import min_symplectic_eigenvalue, rotate_local, rotation_angle
+from sqzmirror.gaussian import rotate_local, rotation_angle, symplectic_eigenvalues
 from sqzmirror.generator import compile_generator, full_generator, reduced_generator
 from sqzmirror.params import baseline_params, derive
 from sqzmirror.reduced import (
@@ -106,6 +106,9 @@ def test_evolve_decoupled_fixed_point():
     expected = lift_covariance([nbar + 0.5, nbar + 0.5, 0.0], nbar)
     for V in traj.covariances:
         assert np.abs(V - expected).max() < 1e-10
+    v3 = np.array([[0.7, 0.6, 0.1], [nbar + 0.5, nbar + 0.5, -0.2]])
+    assert np.array_equal(lift_covariance(v3, nbar),
+                          [lift_covariance(v, nbar) for v in v3])
 
 
 def test_evolve_vacuum_reservoir_no_stationary_entanglement():
@@ -118,7 +121,7 @@ def test_evolve_vacuum_reservoir_no_stationary_entanglement():
     t_end = 10.0 / p.gamma_m
     n = int(np.ceil(t_end * 2 * p.omega_m / 0.05))
     traj = evolve(p, TimeGrid(0.0, t_end, n, sample_stride=n // 200))
-    assert all(o.E_N == 0.0 for o in traj.observables)
+    assert np.all(traj.observables.E_N == 0.0)
     _, report = steady_state(p)
     assert report.dP2_minus >= 0.5
     assert report.E_N == 0.0
@@ -129,7 +132,7 @@ def test_evolve_baseline_plateau_regression(baseline):
     slow_time = 20.0 / SLOW_RATE
     grid = fine_grid(baseline, slow_time, n_samples=60, resolution=0.01)
     traj = evolve(baseline, grid)
-    en = np.array([o.E_N for o in traj.observables])
+    en = traj.observables.E_N
     assert en[0] == 0.0
     late = en[-12:]
     assert late.min() > 0.9  # saturated near the plateau
@@ -194,7 +197,7 @@ def test_random_draws_agree_across_vector_forms(rng):
             V3 = steady_state(p, phase)[0].covariance()
             V10 = steady_at_phase(*steady10, phase)
             assert np.abs(V3 - V10).max() <= 1e-9 * np.abs(V10).max()
-            assert min_symplectic_eigenvalue(V10) >= 0.5 - 1e-6
+            assert symplectic_eigenvalues(V10)[0] >= 0.5 - 1e-6
         for eqs in (eqs10, eqs6):
             A, D0 = eqs.drift, eqs.diffusion_static
             V_dc, _ = periodic_steady_state(eqs)
@@ -217,12 +220,22 @@ def test_steady_state_refuses_blue_detuning():
 
 
 def test_evolve_analytic_detects_divergence():
+    from sqzmirror.dynamics import DIVERGENCE_LIMIT
     from sqzmirror.errors import DivergenceError
 
     p = baseline_params(delta_hz=-32.1e6)  # unstable drift
     grid = fine_grid(p, 10.0 / p.gamma_m, n_samples=10, resolution=0.05)
     with pytest.raises(DivergenceError):
         evolve_analytic(p, grid)
+    # on a grid that crosses the limit mid-way: the first bad sample is reported
+    grid = fine_grid(p, 2.85e-6, n_samples=20, resolution=0.05)
+    times = grid.t0 + grid.sample_indices() * grid.h
+    v3 = build_system(p).dynamical_solution(times)
+    first_bad = int(np.argmax(np.abs(v3).max(axis=1) > DIVERGENCE_LIMIT))
+    assert first_bad > 1
+    with pytest.raises(DivergenceError, match=f"t = {times[first_bad]:.6e}") as err:
+        evolve_analytic(p, grid)
+    assert err.value.last_valid_time == times[first_bad - 1]
 
 
 def test_steady_state_matches_late_time_evolution(baseline):
@@ -397,13 +410,12 @@ def test_squeezing_formula_domain_guard():
         nbar0=0.0,
         N=0.0,
         M=0.0,
-        params=baseline_params(),
     )
     assert squeezing_formula(sys_, theta=0.0, doubled=True) is None
     small = ReducedSystem(
         m3=sys_.m3, b0=sys_.b0, b1=sys_.b1,
         b2=np.array([0.0, 0.5 + 0.0j, 0.0]),
-        delta=1.0, nbar0=0.0, N=0.0, M=0.0, params=sys_.params,
+        delta=1.0, nbar0=0.0, N=0.0, M=0.0,
     )
     require_hurwitz(small.m3)
     val = squeezing_formula(small, theta=0.0, doubled=True)
