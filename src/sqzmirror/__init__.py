@@ -50,7 +50,6 @@ from .params import (
 from .reduced import (
     CriterionReport,
     OptimalSqueezing,
-    ReducedState,
     ReducedSystem,
     build_system,
     criterion,

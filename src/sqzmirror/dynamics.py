@@ -303,12 +303,12 @@ def _expm_squaring(B: NDArray) -> NDArray:
     return E
 
 
-def require_hurwitz(A: NDArray, what: str = "drift") -> None:
+def require_hurwitz(A: NDArray) -> None:
     ev = np.linalg.eigvals(A)
     worst = ev[np.argmax(ev.real)]
     if worst.real >= 0:
         raise StabilityError(
-            f"{what} is not Hurwitz: eigenvalue {worst:.6e} has non-negative real part"
+            f"drift is not Hurwitz: eigenvalue {worst:.6e} has non-negative real part"
         )
 
 

@@ -21,10 +21,6 @@ class PhysicalityError(SimulationError):
     """A state quantity violates physicality beyond tolerance."""
 
 
-class FrameError(SimulationError):
-    """Covariance is not in the expected (rotated) frame."""
-
-
 class StabilityError(SimulationError):
     """Drift matrix is not Hurwitz; no steady state exists."""
 

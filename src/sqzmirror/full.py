@@ -19,7 +19,7 @@ from .dynamics import (
     periodic_steady_state,
     steady_at_phase,
 )
-from .gaussian import quadrature_observables, rotate_local, rotation_angle, thermal, vacuum
+from .gaussian import quadrature_observables, thermal, vacuum
 from .generator import compile_generator, full_generator
 from .params import PhysicalParams, derive
 from .reduced import build_system, evolve as evolve_reduced, lift_covariance
@@ -42,19 +42,16 @@ def initial_covariance(params: PhysicalParams) -> NDArray[np.float64]:
 def evolve_full(
     params: PhysicalParams,
     grid: TimeGrid,
-    V0: NDArray | None = None,
     single_mirror: bool = False,
 ) -> Trajectory:
-    """Integrate the linearized three-mode covariance.
+    """Integrate the linearized three-mode covariance from initial_covariance.
 
     Observables are attached for the mirror marginal. Raises StabilityError
     via the steady-state helpers only; integration itself reports divergence
     if the drift is unstable enough to blow up on the grid.
     """
     eqs = compile_generator(full_generator(derive(params), single_mirror=single_mirror))
-    if V0 is None:
-        V0 = initial_covariance(params)
-    traj = integrate(eqs, V0, grid)
+    traj = integrate(eqs, initial_covariance(params), grid)
     return replace(traj,
                    observables=quadrature_observables(mirror_block(traj.covariances)))
 
@@ -74,11 +71,6 @@ def steady_full(
     eqs = compile_generator(full_generator(derive(params), single_mirror=single_mirror))
     V_dc, V_2 = periodic_steady_state(eqs)
     return steady_at_phase(V_dc, V_2, phase)
-
-
-def _rotated_dp2(V: NDArray) -> float:
-    Vbar = rotate_local(V, rotation_angle(V))
-    return float(Vbar[1, 1] - Vbar[1, 3])
 
 
 @dataclass(frozen=True)
@@ -107,9 +99,10 @@ def compare_adiabatic(
     comparison is made (resolvent solves on both sides). phase is read by
     dynamics.normalize_phase, the same for both models.
     """
-    dp2_f = _rotated_dp2(mirror_block(steady_full(params, phase)))
+    V_f = mirror_block(steady_full(params, phase))
     system = build_system(params)
-    dp2_r = _rotated_dp2(lift_covariance(system.steady_v3(phase), system.nbar0))
+    V_r = lift_covariance(system.steady_v3(phase), system.nbar0)
+    dp2_f, dp2_r = quadrature_observables(np.stack([V_f, V_r])).dP2_minus.tolist()
     if grid is None:
         times = series_f = series_r = np.empty(0)
         max_dev = abs(dp2_f - dp2_r)

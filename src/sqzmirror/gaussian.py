@@ -97,14 +97,14 @@ def _negativity(nu_min: NDArray) -> NDArray[np.float64]:
     return np.where(x > 0.0, x, 0.0)
 
 
-def log_negativity(V: NDArray, tol: float = PHYSICALITY_TOL) -> float:
+def log_negativity(V: NDArray) -> float:
     """Logarithmic negativity E_N = max{0, -log2[2 min nu~]} of a 2-mode state.
 
     Emits one PhysicalityWarning (and still returns the values) when V, or
-    any matrix of a stack, violates the uncertainty bound beyond `tol`.
+    any matrix of a stack, violates the uncertainty bound beyond PHYSICALITY_TOL.
     """
     V = _check_covariance(V)
-    if (_symplectic_eigenvalues(V)[..., 0] < 0.5 - tol).any():
+    if (_symplectic_eigenvalues(V)[..., 0] < 0.5 - PHYSICALITY_TOL).any():
         warnings.warn(
             "covariance violates the uncertainty bound; E_N is unreliable",
             PhysicalityWarning,
@@ -157,18 +157,18 @@ def rotate_local(V: NDArray, theta: float) -> NDArray[np.float64]:
     return _rotate_local(_check_covariance(V), theta)
 
 
-def _relative_mode_variances(V: NDArray, tol: float) -> tuple:
+def _relative_mode_variances(V: NDArray) -> tuple:
     if V.shape[-1] != 4:
         raise DimensionError("relative-mode variances need exactly 2 modes")
     dq_m, dq_p = V[..., 0, 0] - V[..., 0, 2], V[..., 0, 0] + V[..., 0, 2]
     dp_m, dp_p = V[..., 1, 1] - V[..., 1, 3], V[..., 1, 1] + V[..., 1, 3]
     for val in (dq_m, dp_m, dq_p, dp_p):
-        if (val < -tol).any():
+        if (val < -PHYSICALITY_TOL).any():
             raise PhysicalityError(f"negative quadrature variance {np.min(val)!r}")
     return dq_m, dp_m, dq_p, dp_p
 
 
-def relative_mode_variances(V: NDArray, tol: float = PHYSICALITY_TOL) -> tuple[float, ...]:
+def relative_mode_variances(V: NDArray) -> tuple[float, ...]:
     """Center-of-mass / relative quadrature variances of a 2-mode covariance.
 
     Returns (dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) where
@@ -176,22 +176,22 @@ def relative_mode_variances(V: NDArray, tol: float = PHYSICALITY_TOL) -> tuple[f
     frame V is expressed; pass a rotated covariance for the barred variances.
     """
     V = _check_covariance(V)
-    return tuple(_out(val, V) for val in _relative_mode_variances(V, tol))
+    return tuple(_out(val, V) for val in _relative_mode_variances(V))
 
 
-def _mean_phonon(V: NDArray, mode: int, tol: float) -> NDArray[np.float64]:
+def _mean_phonon(V: NDArray, mode: int) -> NDArray[np.float64]:
     if not 0 <= mode < V.shape[-1] // 2:
         raise DimensionError(f"mode {mode} out of range for {V.shape[-1] // 2} modes")
     val = 0.5 * (V[..., 2 * mode, 2 * mode] + V[..., 2 * mode + 1, 2 * mode + 1] - 1.0)
-    if (val < -tol).any():
+    if (val < -PHYSICALITY_TOL).any():
         raise PhysicalityError(f"negative phonon number {np.min(val)!r} for mode {mode}")
     return np.where(val < 0.0, 0.0, val)
 
 
-def mean_phonon(V: NDArray, mode: int, tol: float = PHYSICALITY_TOL) -> float:
+def mean_phonon(V: NDArray, mode: int) -> float:
     """Mean excitation number of one mode of a zero-mean Gaussian state."""
     V = _check_covariance(V)
-    return _out(_mean_phonon(V, mode, tol), V)
+    return _out(_mean_phonon(V, mode), V)
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def quadrature_observables(V: NDArray) -> QuadratureObservables:
     V = _check_covariance(V)
     theta, _ = _rotation_angle(V)
     Vbar = _rotate_local(V, theta)
-    dq_m, dp_m, dq_p, dp_p = _relative_mode_variances(Vbar, PHYSICALITY_TOL)
+    dq_m, dp_m, dq_p, dp_p = _relative_mode_variances(Vbar)
     nu = _symplectic_eigenvalues(_partial_transpose(V))
     return QuadratureObservables(
         dP2_minus=_out(dp_m, V),
@@ -228,7 +228,7 @@ def quadrature_observables(V: NDArray) -> QuadratureObservables:
         theta=_out(theta, V),
         E_N=_out(_negativity(nu[..., 0]), V),
         nu_tilde=(_out(nu[..., 0], V), _out(nu[..., 1], V)),
-        phonon=tuple(_out(_mean_phonon(V, m, PHYSICALITY_TOL), V) for m in (0, 1)),
+        phonon=tuple(_out(_mean_phonon(V, m), V) for m in (0, 1)),
     )
 
 

@@ -167,7 +167,7 @@ def _thermal_terms(spec: GeneratorSpec, mode: int, gamma: float, nbar: float) ->
 
 
 def _require_static(h: Harmonic, what: str) -> complex:
-    if not h.is_static(tol=1e-9):
+    if not h.is_static():
         raise GeneratorError(f"{what} acquired a harmonic part; cannot compile")
     return h.c0
 

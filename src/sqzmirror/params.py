@@ -73,9 +73,10 @@ class Harmonic:
     def __rsub__(self, other):
         return Harmonic(other) + (-1.0) * self
 
-    def is_static(self, tol: float = 1e-12) -> bool:
+    def is_static(self) -> bool:
+        """True when the oscillating parts are below 1e-9 of the largest part."""
         scale = max(abs(self.c0), abs(self.cp), abs(self.cm), 1e-300)
-        return max(abs(self.cp), abs(self.cm)) <= tol * scale
+        return max(abs(self.cp), abs(self.cm)) <= 1e-9 * scale
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class PhysicalParams:
     delta: float  # detuning
     r: float  # reservoir squeezing degree
     temperature: float  # K
-    drive_prefactor: float = 2.0  # Omega = prefactor * sqrt(P kappa / hbar omega_L)
+    drive_prefactor: float  # Omega = prefactor * sqrt(P kappa / hbar omega_L)
 
     def __post_init__(self):
         if self.omega_c <= 0 or self.kappa <= 0 or self.omega_m <= 0:
@@ -121,7 +122,7 @@ def from_hz(
     delta_hz: float,
     r: float,
     temperature_k: float,
-    drive_prefactor: float = 2.0,
+    drive_prefactor: float,
 ) -> PhysicalParams:
     """Build PhysicalParams from ordinary frequencies in Hz."""
     return PhysicalParams(
@@ -149,6 +150,7 @@ BASELINE_HZ: dict[str, float] = {
     "delta_hz": 32.1e6,
     "r": 1.0,
     "temperature_k": 0.0,
+    "drive_prefactor": 2.0,
 }
 
 
@@ -156,7 +158,7 @@ def baseline_params(**overrides_hz) -> PhysicalParams:
     """Baseline parameter set, with optional Hz-level field overrides."""
     cfg = dict(BASELINE_HZ)
     for key, val in overrides_hz.items():
-        if key not in cfg and key != "drive_prefactor":
+        if key not in cfg:
             raise ParameterError(f"unknown parameter field {key!r}")
         cfg[key] = float(val)
     return from_hz(**cfg)
@@ -210,11 +212,10 @@ class DerivedCoefficients:
         r2 = 1.0 / (p.kappa - 1j * (p.delta - sign * omega_k))
         return F * r1 + (F.conj() + a2) * r2
 
-    def xi_combined(self, omega_k: float | None = None) -> Harmonic:
-        """eta0^2 (xi_k^- + conj(xi_k^+)), the drive coefficient xi^r + i xi^i."""
-        wk = self.params.omega_m if omega_k is None else omega_k
+    def xi_combined(self) -> Harmonic:
+        """eta0^2 (xi_k^- + conj(xi_k^+)) at omega_k = omega_m: the drive xi^r + i xi^i."""
         p = self.params
-        h = self.xi_harmonic(wk, -1) + self.xi_harmonic(wk, +1).conj()
+        h = self.xi_harmonic(p.omega_m, -1) + self.xi_harmonic(p.omega_m, +1).conj()
         return h * p.eta0**2
 
 

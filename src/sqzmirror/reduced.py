@@ -12,6 +12,7 @@ source of truth for the model matrices.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,12 +33,12 @@ from .dynamics import (
     require_hurwitz,
     steady_at_phase,
 )
-from .errors import DivergenceError, FrameError, SimulationError
+from .errors import DivergenceError, PhysicalityWarning, SimulationError
 from .gaussian import (
-    log_negativity,
+    PHYSICALITY_TOL,
     quadrature_observables,
-    rotate_local,
     rotation_angle,
+    symplectic_eigenvalues,
     thermal,
 )
 from .generator import compile_generator, reduced_generator
@@ -64,18 +65,6 @@ def lift_covariance(v3: NDArray, nbar0: float) -> NDArray[np.float64]:
 def project_covariance(V: NDArray) -> NDArray[np.float64]:
     """Extract the three independent entries (V11, V22, V12), of a stack too."""
     return V[..., (0, 1, 0), (0, 1, 1)]
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Snapshot of the 3-variable state; t = inf marks a steady state."""
-
-    v3: NDArray[np.float64]
-    t: float
-    nbar0: float
-
-    def covariance(self) -> NDArray[np.float64]:
-        return lift_covariance(self.v3, self.nbar0)
 
 
 @dataclass(frozen=True)
@@ -233,21 +222,26 @@ def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     return replace(traj, observables=quadrature_observables(traj.covariances))
 
 
-def criterion(V_rot: NDArray, nbar0: float) -> CriterionReport:
-    """Entanglement test on a rotated covariance: dP2_minus vs threshold.
+def criterion(V: NDArray, nbar0: float) -> CriterionReport:
+    """Entanglement test of a two-mirror covariance: dP2_minus vs threshold.
 
-    The threshold 1/[2(2 nbar0 + 1)] encodes the thermal robustness of the
-    relative-momentum squeezing. Requires V12 = 0 (rotated frame).
+    V may be in any local frame: dP2_minus and E_N are read as
+    gaussian.quadrature_observables reads them, dP2_minus in the frame that
+    removes the anomalous-moment phase. The threshold 1/[2(2 nbar0 + 1)]
+    encodes the thermal robustness of the relative-momentum squeezing.
+    Emits a PhysicalityWarning when V breaks the uncertainty bound.
     """
-    scale = max(np.abs(V_rot).max(), 1.0)
-    if abs(V_rot[0, 1]) > 1e-8 * scale:
-        raise FrameError(
-            f"covariance not in the rotated frame: V12 = {V_rot[0, 1]!r}"
+    obs = quadrature_observables(V)
+    # log_negativity(V) would warn the same way, but also redo obs.E_N's spectrum
+    if symplectic_eigenvalues(V)[0] < 0.5 - PHYSICALITY_TOL:
+        warnings.warn(
+            "covariance violates the uncertainty bound; E_N is unreliable",
+            PhysicalityWarning,
+            stacklevel=2,
         )
-    dp2 = float(V_rot[1, 1] - V_rot[1, 3])
+    dp2, e_n = obs.dP2_minus, obs.E_N
     threshold = 1.0 / (2.0 * (2.0 * nbar0 + 1.0))
     entangled = dp2 < threshold
-    e_n = log_negativity(V_rot)
     below = dp2 < threshold - CRITERION_BAND
     above = dp2 > threshold + CRITERION_BAND
     if (below and not e_n > 0.0) or (above and e_n > 0.0):
@@ -262,8 +256,8 @@ def criterion(V_rot: NDArray, nbar0: float) -> CriterionReport:
 
 def steady_state(
     params: PhysicalParams, phase: complex | float | str = 1.0
-) -> tuple[ReducedState, CriterionReport]:
-    """Periodic steady state at the requested reservoir phase.
+) -> tuple[NDArray[np.float64], CriterionReport]:
+    """Periodic steady two-mirror covariance (4x4) and its criterion report.
 
     phase is e^{2i delta t} as read by dynamics.normalize_phase: +1/-1 for
     even/odd multiples of pi/(2 delta), any other real number is the angle
@@ -271,12 +265,8 @@ def steady_state(
     and "average" keeps the dc part alone. Refuses non-Hurwitz drift.
     """
     system = build_system(params)
-    v3 = system.steady_v3(phase)
-    state = ReducedState(v3=v3, t=math.inf, nbar0=system.nbar0)
-    V = state.covariance()
-    theta = rotation_angle(V)
-    report = criterion(rotate_local(V, theta), system.nbar0)
-    return state, report
+    V = lift_covariance(system.steady_v3(phase), system.nbar0)
+    return V, criterion(V, system.nbar0)
 
 
 @dataclass(frozen=True)
@@ -292,15 +282,13 @@ def squeezing_formula(
     system: ReducedSystem,
     theta: float,
     phase: complex | float | str = 1.0,
-    doubled: bool = True,
 ) -> float | None:
     """Stationary squeezing degree from the closed-form artanh expression.
 
-    `doubled` applies the factor-2 correction obtained by differentiating
+    The artanh argument carries the factor 2 obtained by differentiating
     the steady-state solution directly (dN/dr = sinh 2r, dM/dr = cosh 2r),
-    which the numeric minimizer confirms; doubled=False evaluates the
-    uncorrected expression. phase is read by dynamics.normalize_phase.
-    Returns None when the artanh argument leaves (-1, 1).
+    which the numeric minimizer confirms. phase is read by
+    dynamics.normalize_phase. Returns None when the argument leaves (-1, 1).
     """
     th = np.array(
         [math.sin(theta / 2.0) ** 2, math.cos(theta / 2.0) ** 2, -math.sin(theta)]
@@ -308,24 +296,19 @@ def squeezing_formula(
     shifted = 2j * system.delta * np.eye(3) - system.m3.astype(complex)
     num = th @ np.real(np.linalg.solve(shifted, system.b2 * normalize_phase(phase)))
     den = th @ np.linalg.solve(system.m3, system.b1)
-    x = num / den
-    if doubled:
-        x = 2.0 * x
+    x = 2.0 * num / den
     if not -1.0 < x < 1.0:
         return None
     return 0.5 * float(np.arctanh(x))
 
 
 def optimal_squeezing(
-    params: PhysicalParams,
-    r_max: float = 3.0,
-    tol: float = 1e-4,
-    phase: complex | float | str = 1.0,
+    params: PhysicalParams, phase: complex | float | str = 1.0
 ) -> OptimalSqueezing:
     """Squeezing degree minimizing the steady relative-momentum variance.
 
-    r_numeric is the golden-section minimum of dP2_minus(infinity)(r) over
-    [0, r_max] (the governing oracle); r_formula evaluates the closed-form
+    r_numeric is the golden-section minimum (to 1e-4) of dP2_minus(infinity)(r)
+    over [0, 3] (the governing oracle); r_formula evaluates the closed-form
     expression with the rotation angle solved self-consistently, and is
     None when the artanh argument is out of range or the steady state is
     phase-averaged (the dc variance has no interior optimum).
@@ -336,8 +319,8 @@ def optimal_squeezing(
     def objective(r: float) -> float:
         return steady_state(base.with_(r=r), z)[1].dP2_minus
 
-    res: MinimizeResult = minimize_scalar(objective, (0.0, r_max), tol=tol)
-    state, report = steady_state(base.with_(r=res.x), z)
+    res: MinimizeResult = minimize_scalar(objective, (0.0, 3.0), tol=1e-4)
+    _, report = steady_state(base.with_(r=res.x), z)
     if z == 0.0:
         return OptimalSqueezing(
             r_numeric=res.x,
@@ -351,9 +334,8 @@ def optimal_squeezing(
     note = ""
     r_k = max(res.x, 0.1) if res.boundary else 0.5
     for _ in range(50):
-        st, _ = steady_state(base.with_(r=r_k), z)
-        theta = rotation_angle(st.covariance())
-        r_next = squeezing_formula(system, theta, z, doubled=True)
+        V, _ = steady_state(base.with_(r=r_k), z)
+        r_next = squeezing_formula(system, rotation_angle(V), z)
         if r_next is None:
             note = "artanh argument out of (-1, 1)"
             r_formula = None

@@ -27,7 +27,7 @@ from .params import BASELINE_HZ, PhysicalParams, baseline_params, derive
 
 OUTPUT_DIR_ENV = "SQZ_OUTPUT_DIR"
 
-PARAM_KEYS = tuple(BASELINE_HZ) + ("drive_prefactor",)
+PARAM_KEYS = tuple(BASELINE_HZ)
 MODELS = ("reduced3", "reduced10", "reduced_analytic", "full6")
 SCENARIOS = (
     "fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b",
@@ -170,10 +170,7 @@ def set_field(cfg: ScenarioConfig, key: str, text: str, where: str) -> None:
 
 
 def resolved_params_hz(cfg: ScenarioConfig) -> dict[str, float]:
-    out = dict(BASELINE_HZ)
-    out["drive_prefactor"] = 2.0
-    out.update(cfg.params_hz)
-    return out
+    return {**BASELINE_HZ, **cfg.params_hz}
 
 
 def _params(cfg: ScenarioConfig, **extra_hz) -> PhysicalParams:
@@ -243,8 +240,7 @@ def _steady_covariance(model: str, params: PhysicalParams, phase) -> np.ndarray:
     if model == "full6":
         return full_model.mirror_block(full_model.steady_full(params, phase))
     if model in ("reduced3", "reduced_analytic"):
-        state, _ = reduced_model.steady_state(params, phase)
-        return state.covariance()
+        return reduced_model.steady_state(params, phase)[0]
     if model == "reduced10":
         eqs = compile_generator(reduced_generator(derive(params)))
         return steady_at_phase(*periodic_steady_state(eqs), phase)

@@ -184,8 +184,7 @@ def test_analytic_vs_numeric(baseline):
     t_end = Z * np.pi / (2 * baseline.delta)
     n = int(np.ceil(t_end * 2 * baseline.omega_m / 0.004))
     traj = evolve(baseline, TimeGrid(0.0, t_end, n, sample_stride=n))
-    state, _ = steady_state(baseline, phase=1.0)
-    V_ref = state.covariance()
+    V_ref, _ = steady_state(baseline, phase=1.0)
     rel = np.abs(traj.covariances[-1] - V_ref).max() / np.abs(V_ref).max()
     if rel > 1e-6:
         failures.append(f"steady solution deviates by {rel:.2e}")
@@ -247,7 +246,7 @@ def test_optimal_squeezing_formula():
     """6: closed-form optimum within 0.02 of the golden-section oracle."""
     failures = []
     for p_uw in np.geomspace(0.1, 4.0, 7):
-        opt = optimal_squeezing(baseline_params(power_w=p_uw * 1e-6), tol=1e-4)
+        opt = optimal_squeezing(baseline_params(power_w=p_uw * 1e-6))
         if opt.r_formula is None:
             failures.append(f"P={p_uw:.2f}uW: formula out of domain")
         elif abs(opt.r_formula - opt.r_numeric) >= 0.02:
@@ -314,17 +313,15 @@ def test_physicality_of_shipped_scenarios():
                 _check_physical(V, f"figS1 r={r} {name} sample {k}", failures)
     # steady-state scans
     for r in np.arange(0.0, 2.5 + 1e-12, 0.025):
-        state, _ = steady_state(baseline_params(r=r), phase=1.0)
-        _check_physical(state.covariance(), f"fig2c r={r:.3f}", failures)
+        V, _ = steady_state(baseline_params(r=r), phase=1.0)
+        _check_physical(V, f"fig2c r={r:.3f}", failures)
     for T in np.linspace(0.0, 5e-3, 101):
-        state, _ = steady_state(baseline_params(temperature_k=T), phase=1.0)
-        _check_physical(state.covariance(), f"fig2d T={T:.4f}", failures)
+        V, _ = steady_state(baseline_params(temperature_k=T), phase=1.0)
+        _check_physical(V, f"fig2d T={T:.4f}", failures)
     for p_uw in (0.01, 0.1, 2.0):
         for r in np.arange(0.0, 2.5 + 1e-12, 0.1):
-            state, _ = steady_state(
-                baseline_params(r=r, power_w=p_uw * 1e-6), phase=1.0
-            )
-            _check_physical(state.covariance(), f"fig3a P={p_uw} r={r:.2f}", failures)
+            V, _ = steady_state(baseline_params(r=r, power_w=p_uw * 1e-6), phase=1.0)
+            _check_physical(V, f"fig3a P={p_uw} r={r:.2f}", failures)
     for ratio in np.geomspace(1.5e-5, 1.0, 13):
         V = steady_full(baseline_params(gamma_m_hz=ratio * KAPPA_HZ), phase=1.0)
         _check_physical(mirror_block(V), f"fig4a ratio={ratio:.2e}", failures)

@@ -79,6 +79,20 @@ def test_custom_sweep_full_model(tmp_path):
     assert float(rows[1]["E_N"]) > 0.5
 
 
+def test_fig2c_and_custom_sweep_print_one_number_per_point(tmp_path):
+    """fig2c and a custom reduced3 sweep over its r grid print the same cells."""
+    assert main(["run", "fig2c", "--out", str(tmp_path / "fig")]) == 0
+    r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
+    run(ScenarioConfig(scenario="custom", sweep=("r", r_values.tolist()),
+                       output_dir=str(tmp_path / "sweep")))
+    en = read_csv(tmp_path / "fig" / "fig2c_EN.csv")
+    dp = read_csv(tmp_path / "fig" / "fig2c_dP2.csv")
+    sweep = read_csv(tmp_path / "sweep" / "custom_sweep_reduced3.csv")
+    assert len(sweep) == len(en) == len(dp) == 101
+    for e, d, s in zip(en, dp, sweep):
+        assert (s["r"], s["E_N"], s["dP2_minus"]) == (e["r"], e["E_N"], d["dP2_minus"])
+
+
 def test_trajectory_columns_and_monotone_time(tmp_path):
     assert main(["run", "custom", "--out", str(tmp_path)]) == 0
     rows = read_csv(tmp_path / "custom_reduced3.csv")

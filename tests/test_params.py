@@ -104,7 +104,7 @@ def test_laser_frequency_must_be_positive():
 
 def test_params_invariants():
     with pytest.raises(ParameterError):
-        from_hz(6.98e9, -6.2e6, 32.1e6, 930.0, 39.0, 4e-6, 32.1e6, 1.0, 0.0)
+        from_hz(6.98e9, -6.2e6, 32.1e6, 930.0, 39.0, 4e-6, 32.1e6, 1.0, 0.0, 2.0)
     with pytest.raises(ParameterError):
         baseline_params(r=-0.5)
 

@@ -10,8 +10,13 @@ from sqzmirror.dynamics import (
     require_hurwitz,
     steady_at_phase,
 )
-from sqzmirror.errors import FrameError, StabilityError
-from sqzmirror.gaussian import rotate_local, rotation_angle, symplectic_eigenvalues
+from sqzmirror.errors import DegenerateAngleWarning, PhysicalityWarning, StabilityError
+from sqzmirror.gaussian import (
+    quadrature_observables,
+    rotate_local,
+    rotation_angle,
+    symplectic_eigenvalues,
+)
 from sqzmirror.generator import compile_generator, full_generator, reduced_generator
 from sqzmirror.params import baseline_params, derive
 from sqzmirror.reduced import (
@@ -194,7 +199,7 @@ def test_random_draws_agree_across_vector_forms(rng):
         eqs6 = compile_generator(full_generator(c))
         steady10 = periodic_steady_state(eqs10)
         for phase in (1.0, -1.0, "average"):
-            V3 = steady_state(p, phase)[0].covariance()
+            V3 = steady_state(p, phase)[0]
             V10 = steady_at_phase(*steady10, phase)
             assert np.abs(V3 - V10).max() <= 1e-9 * np.abs(V10).max()
             assert symplectic_eigenvalues(V10)[0] >= 0.5 - 1e-6
@@ -207,9 +212,9 @@ def test_random_draws_agree_across_vector_forms(rng):
 
 def test_steady_state_decoupled(baseline):
     p = baseline_params(eta0_hz=0.0, temperature_k=2.5e-3)
-    state, report = steady_state(p)
+    V, report = steady_state(p)
     nbar = derive(p).nbar0
-    assert np.allclose(state.v3, [nbar + 0.5, nbar + 0.5, 0.0], rtol=1e-12)
+    assert np.allclose(V, lift_covariance([nbar + 0.5, nbar + 0.5, 0.0], nbar), rtol=1e-12)
     assert report.E_N == 0.0
     assert not report.entangled
 
@@ -246,8 +251,8 @@ def test_steady_state_matches_late_time_evolution(baseline):
     tZ = Z * np.pi / (2 * p.delta)
     grid = fine_grid(p, tZ, n_samples=4, resolution=0.004)
     traj = evolve(p, grid)
-    state, _ = steady_state(p, phase=1.0)
-    V_end, V_ref = traj.covariances[-1], state.covariance()
+    V_ref, _ = steady_state(p, phase=1.0)
+    V_end = traj.covariances[-1]
     assert np.abs(V_end - V_ref).max() <= 1e-6 * np.abs(V_ref).max()
 
 
@@ -267,12 +272,12 @@ def test_steady_observables_periodic(baseline):
 
 def test_steady_state_accepts_angle_phase(baseline):
     """A real angle phi behaves like the complex phase e^{i phi}."""
-    st_angle, _ = steady_state(baseline, phase=np.pi / 3)
-    st_cplx, _ = steady_state(baseline, phase=np.exp(1j * np.pi / 3))
-    assert np.allclose(st_angle.v3, st_cplx.v3, rtol=1e-12)
-    st_pi, _ = steady_state(baseline, phase=float(np.pi))
-    st_minus, _ = steady_state(baseline, phase=-1.0)
-    assert np.allclose(st_pi.v3, st_minus.v3, rtol=1e-9)
+    V_angle, _ = steady_state(baseline, phase=np.pi / 3)
+    V_cplx, _ = steady_state(baseline, phase=np.exp(1j * np.pi / 3))
+    assert np.allclose(V_angle, V_cplx, rtol=1e-12)
+    V_pi, _ = steady_state(baseline, phase=float(np.pi))
+    V_minus, _ = steady_state(baseline, phase=-1.0)
+    assert np.allclose(V_pi, V_minus, rtol=1e-9)
 
 
 def test_steady_state_phase_average_is_dc_covariance(baseline):
@@ -282,10 +287,10 @@ def test_steady_state_phase_average_is_dc_covariance(baseline):
     3-vector is the mean of the two phase extremes; its rotating squeezing
     washes out, leaving a much larger relative-momentum variance.
     """
-    st_plus, rep_plus = steady_state(baseline, phase=1.0)
-    st_minus, rep_minus = steady_state(baseline, phase=-1.0)
-    st_avg, rep_avg = steady_state(baseline, phase="average")
-    assert np.allclose(st_avg.v3, 0.5 * (st_plus.v3 + st_minus.v3), rtol=1e-12)
+    V_plus, rep_plus = steady_state(baseline, phase=1.0)
+    V_minus, rep_minus = steady_state(baseline, phase=-1.0)
+    V_avg, rep_avg = steady_state(baseline, phase="average")
+    assert np.allclose(V_avg, 0.5 * (V_plus + V_minus), rtol=1e-12)
     assert rep_avg.dP2_minus > max(rep_plus.dP2_minus, rep_minus.dP2_minus)
 
 
@@ -293,7 +298,9 @@ def test_rotated_frame_identity(baseline):
     """V11 - V22 in the rotated frame equals 2|<a1 a1>| >= 0."""
     grid = fine_grid(baseline, 5.0 / SLOW_RATE, n_samples=25, resolution=0.02)
     traj = evolve(baseline, grid)
-    for V in traj.covariances:
+    with pytest.warns(DegenerateAngleWarning):  # the thermal state at t = 0
+        assert rotation_angle(traj.covariances[0]) == 0.0
+    for V in traj.covariances[1:]:
         theta = rotation_angle(V)
         Vbar = rotate_local(V, theta)
         mod = np.hypot(V[0, 0] - V[1, 1], 2 * V[0, 1]) / 2.0
@@ -318,6 +325,14 @@ def test_criterion_boundary_not_entangled():
     assert rep.E_N == 0.0
 
 
+def test_criterion_warns_on_unphysical_state():
+    # minus-mode variances (0.9, 0.1): symplectic eigenvalue 0.3 < 1/2
+    with pytest.warns(PhysicalityWarning):
+        rep = criterion(lift_covariance([0.7, 0.3, 0.0], 0.0), nbar0=0.0)
+    assert rep.dP2_minus == pytest.approx(0.1, rel=1e-12)
+    assert rep.entangled
+
+
 def test_criterion_threshold_regression():
     from sqzmirror.params import thermal_occupation
 
@@ -328,11 +343,22 @@ def test_criterion_threshold_regression():
     assert rep.threshold == pytest.approx(THRESHOLD_2P5_MK, rel=1e-12)
 
 
-def test_criterion_rejects_unrotated_frame(baseline):
-    state, _ = steady_state(baseline)
-    V = state.covariance()  # V12 != 0 before rotation
-    with pytest.raises(FrameError):
-        criterion(V, state.nbar0)
+@pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
+def test_criterion_reads_any_frame(phase):
+    """criterion reads a covariance in any local frame, as the observables do."""
+    for r, T in ((0.3, 0.0), (1.0, 0.0), (2.2, 0.0), (1.0, 2.5e-3), (0.5, 5e-3)):
+        p = baseline_params(r=r, temperature_k=T)
+        nbar = derive(p).nbar0
+        V, _ = steady_state(p, phase)
+        assert V[0, 1] != 0.0  # not in the rotated frame
+        rep = criterion(V, nbar)
+        obs = quadrature_observables(V)
+        assert rep.E_N == obs.E_N
+        assert rep.dP2_minus == obs.dP2_minus
+        for theta in (obs.theta, 0.7, -2.0):
+            rot = criterion(rotate_local(V, theta), nbar)
+            assert rot.dP2_minus == pytest.approx(rep.dP2_minus, rel=1e-12, abs=0)
+            assert rot.entangled == rep.entangled
 
 
 def test_criterion_equivalence_with_negativity(baseline):
@@ -344,12 +370,10 @@ def test_criterion_equivalence_with_negativity(baseline):
 
 def test_nu_tilde_analytic_relation(baseline):
     """nu1 = sqrt[(nbar+1/2) dP2-], nu2 = sqrt[(nbar+1/2) dQ2-]."""
-    from sqzmirror.gaussian import quadrature_observables
-
     for r in (0.5, 1.0, 1.8):
-        state, _ = steady_state(baseline.with_(r=r))
-        obs = quadrature_observables(state.covariance())
-        c = state.nbar0 + 0.5
+        V, _ = steady_state(baseline.with_(r=r))
+        obs = quadrature_observables(V)
+        c = derive(baseline).nbar0 + 0.5
         assert obs.nu_tilde[0] == pytest.approx(
             np.sqrt(c * obs.dP2_minus), rel=1e-9
         )
@@ -393,7 +417,7 @@ def test_optimal_squeezing_formula_agreement(baseline):
 
 def test_optimal_squeezing_phase_averaged(baseline):
     """Phase-averaged variance is monotone in r: boundary optimum, no formula."""
-    opt = optimal_squeezing(baseline, phase="average", tol=1e-4)
+    opt = optimal_squeezing(baseline, phase="average")
     assert opt.r_formula is None
     assert opt.r_numeric < 1e-3
     assert opt.dP2_minus > 0.5
@@ -411,12 +435,12 @@ def test_squeezing_formula_domain_guard():
         N=0.0,
         M=0.0,
     )
-    assert squeezing_formula(sys_, theta=0.0, doubled=True) is None
+    assert squeezing_formula(sys_, theta=0.0) is None
     small = ReducedSystem(
         m3=sys_.m3, b0=sys_.b0, b1=sys_.b1,
         b2=np.array([0.0, 0.5 + 0.0j, 0.0]),
         delta=1.0, nbar0=0.0, N=0.0, M=0.0,
     )
     require_hurwitz(small.m3)
-    val = squeezing_formula(small, theta=0.0, doubled=True)
+    val = squeezing_formula(small, theta=0.0)
     assert val is not None
