@@ -57,6 +57,7 @@ from .reduced import (
     evolve_analytic,
     evolve_full10,
     optimal_squeezing,
+    steady_curve,
     steady_state,
 )
 

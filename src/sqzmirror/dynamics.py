@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -316,8 +317,9 @@ def linear_steady(ode: LinearHarmonicODE) -> tuple[NDArray, NDArray]:
     """Periodic steady state of the linear harmonic ODE.
 
     Returns (x_dc, x_2) with x(t) = x_dc + (x_2 e^{iwt} + c.c.), from the
-    resolvent solves A x_dc = -b0 and (A - iw I) x_2 = -b2. Callers check
-    stability (require_hurwitz) on the drift they own.
+    resolvent solves A x_dc = -b0 and (A - iw I) x_2 = -b2. A b0 with
+    columns solves for each of them (x_dc gets the same columns). Callers
+    check stability (require_hurwitz) on the drift they own.
     """
     x_dc = np.linalg.solve(ode.drift, -ode.drive_static)
     eye = np.eye(ode.drift.shape[0])
@@ -339,6 +341,26 @@ def periodic_steady_state(eqs: MomentEquations) -> tuple[NDArray, NDArray]:
     require_hurwitz(eqs.drift)
     x_dc, x_2 = linear_steady(moment_ode(eqs))
     return _unvech(x_dc), _unvech(x_2)
+
+
+def reservoir_parts(
+    injections: Sequence[MomentEquations],
+) -> tuple[NDArray, NDArray, NDArray]:
+    """Steady covariance responses (x0, x1, x2) of a model affine in the
+    reservoir correlations (N, M).
+
+    injections are the model compiled at (N, M) = (0, 0), (1, 0) and (0, 1)
+    (generator.compile_injections). x0 answers the static diffusion at
+    (0, 0), x1 unit N and x2 the e^{2i Delta t} sideband of unit M; two
+    periodic_steady_state calls give them, and reservoir_steady evaluates
+    them at any (N, M).
+    """
+    eqs00, eqs10, eqs01 = injections
+    x0, _ = periodic_steady_state(eqs00)
+    # the dc response to unit N and the sideband response to unit M, in one call
+    unit_n = eqs10.diffusion_static - eqs00.diffusion_static
+    x1, x2 = periodic_steady_state(replace(eqs01, diffusion_static=unit_n))
+    return x0, x1, x2
 
 
 def normalize_phase(phase: complex | float | str) -> complex:
@@ -369,6 +391,22 @@ def steady_at_phase(
 ) -> NDArray:
     """Evaluate the periodic steady state at e^{2i Delta t} = normalize_phase(phase)."""
     return V_dc + 2.0 * np.real(V_2 * normalize_phase(phase))
+
+
+def reservoir_steady(
+    parts: tuple[NDArray, NDArray, NDArray], N, M, phase: complex | float | str
+) -> NDArray[np.float64]:
+    """Periodic steady state x0 + N x1 + M x2(z) of a model affine in (N, M).
+
+    parts = (x0, x1, x2) are the steady responses to the static drive, to
+    unit N and to the e^{2i Delta t} sideband of unit M, as covariance
+    matrices (reservoir_parts) or vectors (reduced.ReducedSystem.steady_parts);
+    x2(z) = x2 z + c.c. at z = normalize_phase(phase). Arrays N, M give a
+    stack along their axes, so one set of parts serves a whole r curve.
+    """
+    x0, x1, x2 = parts
+    N, M = (np.reshape(c, np.shape(c) + (1,) * x0.ndim) for c in (N, M))
+    return steady_at_phase(x0 + N * x1, M * x2, phase)
 
 
 @dataclass(frozen=True)

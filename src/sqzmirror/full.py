@@ -39,27 +39,21 @@ def initial_covariance(params: PhysicalParams) -> NDArray[np.float64]:
     return V0
 
 
-def evolve_full(
-    params: PhysicalParams,
-    grid: TimeGrid,
-    single_mirror: bool = False,
-) -> Trajectory:
+def evolve_full(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     """Integrate the linearized three-mode covariance from initial_covariance.
 
     Observables are attached for the mirror marginal. Raises StabilityError
     via the steady-state helpers only; integration itself reports divergence
     if the drift is unstable enough to blow up on the grid.
     """
-    eqs = compile_generator(full_generator(derive(params), single_mirror=single_mirror))
+    eqs = compile_generator(full_generator(derive(params)))
     traj = integrate(eqs, initial_covariance(params), grid)
     return replace(traj,
                    observables=quadrature_observables(mirror_block(traj.covariances)))
 
 
 def steady_full(
-    params: PhysicalParams,
-    phase: complex | float | str = 1.0,
-    single_mirror: bool = False,
+    params: PhysicalParams, phase: complex | float | str = 1.0
 ) -> NDArray[np.float64]:
     """Periodic steady three-mode covariance at reservoir phase e^{2i delta t}.
 
@@ -68,8 +62,7 @@ def steady_full(
     is an angle in radians, a complex value is scaled onto the unit circle
     and "average" gives the time-averaged covariance.
     """
-    eqs = compile_generator(full_generator(derive(params), single_mirror=single_mirror))
-    V_dc, V_2 = periodic_steady_state(eqs)
+    V_dc, V_2 = periodic_steady_state(compile_generator(full_generator(derive(params))))
     return steady_at_phase(V_dc, V_2, phase)
 
 

@@ -18,12 +18,13 @@ for every drift/diffusion matrix in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import GeneratorError
+from .errors import GeneratorError, SimulationError
 from .gaussian import symplectic_form
 from .params import DerivedCoefficients, Harmonic
 
@@ -157,6 +158,29 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
         diffusion_harmonic=D2,
         omega=2.0 * spec.delta if np.abs(D2).max() > 0 else 0.0,
     )
+
+
+# the reservoir correlations (N, M) at which compile_injections compiles
+RESERVOIR_INJECTIONS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+
+def compile_injections(
+    model: Callable[[DerivedCoefficients], GeneratorSpec], coeffs: DerivedCoefficients
+) -> list[MomentEquations]:
+    """Compile model(coeffs) at each of RESERVOIR_INJECTIONS.
+
+    The moment equations are affine in the reservoir correlations (N, M)
+    and their drift does not depend on them, so these three compiles give
+    every squeezing degree: the diffusion at (N, M) is D(0,0) +
+    N [D(1,0) - D(0,0)] plus M times the sideband of D(0,1). Raises
+    SimulationError when the drift differs between them.
+    """
+    eqs = [compile_generator(model(replace(coeffs, N=n, M=m)))
+           for n, m in RESERVOIR_INJECTIONS]
+    drift = eqs[0].drift
+    if max(np.abs(e.drift - drift).max() for e in eqs[1:]) > 1e-9 * np.abs(drift).max():
+        raise SimulationError("drift acquired reservoir dependence")
+    return eqs
 
 
 def _thermal_terms(spec: GeneratorSpec, mode: int, gamma: float, nbar: float) -> None:

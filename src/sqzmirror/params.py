@@ -176,6 +176,16 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return float(1.0 / np.expm1(x))
 
 
+def reservoir_correlations(r):
+    """(N, M) = (sinh^2 r, cosh r sinh r) of a squeezed reservoir of degree r.
+
+    Floats for a scalar r; for an array r, arrays along its axes.
+    """
+    r = np.asarray(r, dtype=float)
+    N, M = np.sinh(r) ** 2, np.cosh(r) * np.sinh(r)
+    return (float(N), float(M)) if r.ndim == 0 else (N, M)
+
+
 @dataclass(frozen=True)
 class DerivedCoefficients:
     """Every symbol entering the moment equations, derived from PhysicalParams.
@@ -228,8 +238,7 @@ def derive(params: PhysicalParams) -> DerivedCoefficients:
     omega_drive = p.drive_prefactor * np.sqrt(p.power * p.kappa / (HBAR * omega_l))
     alpha = omega_drive / (1j * p.kappa - p.delta)
     nbar0 = thermal_occupation(p.omega_m, p.temperature)
-    N = float(np.sinh(p.r) ** 2)
-    M = float(np.cosh(p.r) * np.sinh(p.r))
+    N, M = reservoir_correlations(p.r)
     phi = p.gamma_m * (2.0 * nbar0 + 1.0)
     a2 = abs(alpha) ** 2
     rp = 2.0 * p.eta0**2 * a2 / (p.kappa - 1j * (p.delta + p.omega_m))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from .dynamics import (
     minimize_scalar,
     normalize_phase,
     require_hurwitz,
+    reservoir_steady,
     steady_at_phase,
 )
 from .errors import DivergenceError, PhysicalityWarning, SimulationError
@@ -41,8 +43,13 @@ from .gaussian import (
     symplectic_eigenvalues,
     thermal,
 )
-from .generator import compile_generator, reduced_generator
-from .params import DerivedCoefficients, PhysicalParams, derive
+from .generator import (
+    MomentEquations,
+    compile_generator,
+    compile_injections,
+    reduced_generator,
+)
+from .params import PhysicalParams, derive, reservoir_correlations
 
 CRITERION_BAND = 1e-9
 
@@ -69,7 +76,10 @@ def project_covariance(V: NDArray) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Relative-momentum squeezing test against the thermal threshold."""
+    """Relative-momentum squeezing test against the thermal threshold.
+
+    Fields are floats (and a bool) for one covariance, arrays for a stack.
+    """
 
     dP2_minus: float
     threshold: float
@@ -83,7 +93,10 @@ class ReducedSystem:
 
     The drive decomposes as B(t) = b0 + N b1 + M (b2 e^{2i delta t} + c.c.)
     with N, M the squeezed-reservoir correlations; b0, b1 are real, b2
-    complex, all independent of the squeezing degree.
+    complex, all independent of the squeezing degree, and so is m3. The
+    steady state is therefore affine in (N, M): an r curve (steady_curve) is
+    one build plus x0 + N x1 + M x2(z) (steady_parts,
+    dynamics.reservoir_steady), with N = sinh^2 r and M = cosh r sinh r.
     """
 
     m3: NDArray[np.float64]
@@ -106,10 +119,25 @@ class ReducedSystem:
     def initial_state(self) -> NDArray[np.float64]:
         return np.array([self.nbar0 + 0.5, self.nbar0 + 0.5, 0.0])
 
-    def steady_v3(self, phase: complex | float | str = 1.0) -> NDArray[np.float64]:
-        """Resolvent steady state at the reservoir phase (see normalize_phase)."""
+    def steady_parts(self) -> tuple[NDArray, NDArray, NDArray]:
+        """Steady responses (x0, x1, x2) to the drive pieces b0, b1 and b2.
+
+        m3 x0 = -b0, m3 x1 = -b1 and (m3 - 2i delta) x2 = -b2, from one
+        linear_steady call. Refuses non-Hurwitz drift.
+        """
         require_hurwitz(self.m3)
-        return steady_at_phase(*linear_steady(self.ode()), phase)
+        x_dc, x2 = linear_steady(LinearHarmonicODE(
+            drift=self.m3,
+            drive_static=np.stack([self.b0, self.b1], axis=-1),
+            drive_harmonic=self.b2,
+            omega=2.0 * self.delta,
+        ))
+        return x_dc[:, 0], x_dc[:, 1], x2
+
+    def steady_v3(self, phase: complex | float | str = 1.0) -> NDArray[np.float64]:
+        """Steady state at the reservoir phase (see normalize_phase) and the
+        system's own (N, M)."""
+        return reservoir_steady(self.steady_parts(), self.N, self.M, phase)
 
     def dynamical_solution(self, t) -> NDArray[np.float64]:
         """Closed form x_ss(t) + e^{m3 t} (x(0) - x_ss(0)) from the thermal state.
@@ -127,14 +155,13 @@ class ReducedSystem:
 
 
 def _closure_drift_and_drive(
-    coeffs: DerivedCoefficients,
+    eqs: MomentEquations, nbar0: float
 ) -> tuple[NDArray, NDArray, NDArray]:
-    """Compile the two-mirror generator and restrict it to the closure.
+    """Restrict compiled two-mirror moment equations to the closure.
 
     Returns (m3, drive_dc, drive_plus): the 3x3 drift, the static drive and
-    the e^{+2i delta t} drive amplitude at the coefficients' own (N, M).
+    the e^{+2i delta t} drive amplitude.
     """
-    eqs = compile_generator(reduced_generator(coeffs))
     A = eqs.drift
 
     def lyap(V):
@@ -142,7 +169,7 @@ def _closure_drift_and_drive(
 
     # column k is the image of the lifted unit vector e_k
     m3 = project_covariance(lyap(lift_covariance(np.eye(3), -0.5))).T
-    base = lift_covariance(np.zeros(3), coeffs.nbar0)
+    base = lift_covariance(np.zeros(3), nbar0)
     drive_dc = project_covariance(lyap(base) + eqs.diffusion_static)
     drive_plus = project_covariance(eqs.diffusion_harmonic)
     return m3, drive_dc, drive_plus
@@ -151,20 +178,15 @@ def _closure_drift_and_drive(
 def build_system(params: PhysicalParams) -> ReducedSystem:
     """Extract the 3-variable system from the compiled generator.
 
-    The b0/b1/b2 decomposition comes from three compiles with the reservoir
-    correlations (N, M) injected as (0,0), (1,0), (0,1); the drift must be
-    identical across them (it carries no reservoir dependence).
+    The b0/b1/b2 decomposition comes from the three compiles of
+    compile_injections, with the reservoir correlations (N, M) injected as
+    (0,0), (1,0), (0,1); it refuses a drift that differs between them.
     """
     coeffs = derive(params)
-    c00 = replace(coeffs, N=0.0, M=0.0)
-    c10 = replace(coeffs, N=1.0, M=0.0)
-    c01 = replace(coeffs, N=0.0, M=1.0)
-    m3, b0, _ = _closure_drift_and_drive(c00)
-    m3_n, b_n, _ = _closure_drift_and_drive(c10)
-    m3_m, _, b2 = _closure_drift_and_drive(c01)
-    scale = np.abs(m3).max()
-    if max(np.abs(m3 - m3_n).max(), np.abs(m3 - m3_m).max()) > 1e-9 * scale:
-        raise SimulationError("reduced drift acquired reservoir dependence")
+    eqs00, eqs10, eqs01 = compile_injections(reduced_generator, coeffs)
+    m3, b0, _ = _closure_drift_and_drive(eqs00, coeffs.nbar0)
+    _, b_n, _ = _closure_drift_and_drive(eqs10, coeffs.nbar0)
+    _, _, b2 = _closure_drift_and_drive(eqs01, coeffs.nbar0)
     return ReducedSystem(
         m3=m3,
         b0=b0,
@@ -222,36 +244,49 @@ def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     return replace(traj, observables=quadrature_observables(traj.covariances))
 
 
-def criterion(V: NDArray, nbar0: float) -> CriterionReport:
+def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:
     """Entanglement test of a two-mirror covariance: dP2_minus vs threshold.
 
     V may be in any local frame: dP2_minus and E_N are read as
     gaussian.quadrature_observables reads them, dP2_minus in the frame that
     removes the anomalous-moment phase. The threshold 1/[2(2 nbar0 + 1)]
     encodes the thermal robustness of the relative-momentum squeezing.
-    Emits a PhysicalityWarning when V breaks the uncertainty bound.
+    V may be a stack (..., 4, 4), with nbar0 a float or an array that
+    broadcasts against its leading axes: one observables call and one
+    symplectic spectrum cover it, and the report's fields are arrays. The
+    CRITERION_BAND cross-check against E_N holds for every entry; the error
+    names the first entry that fails. Emits one PhysicalityWarning when V,
+    or any entry, breaks the uncertainty bound.
     """
     obs = quadrature_observables(V)
     # log_negativity(V) would warn the same way, but also redo obs.E_N's spectrum
-    if symplectic_eigenvalues(V)[0] < 0.5 - PHYSICALITY_TOL:
+    if (symplectic_eigenvalues(V)[..., 0] < 0.5 - PHYSICALITY_TOL).any():
         warnings.warn(
             "covariance violates the uncertainty bound; E_N is unreliable",
             PhysicalityWarning,
             stacklevel=2,
         )
-    dp2, e_n = obs.dP2_minus, obs.E_N
-    threshold = 1.0 / (2.0 * (2.0 * nbar0 + 1.0))
-    entangled = dp2 < threshold
+    dp2, e_n = np.asarray(obs.dP2_minus), np.asarray(obs.E_N)
+    threshold = 1.0 / (2.0 * (2.0 * np.asarray(nbar0, dtype=float) + 1.0))
     below = dp2 < threshold - CRITERION_BAND
     above = dp2 > threshold + CRITERION_BAND
-    if (below and not e_n > 0.0) or (above and e_n > 0.0):
-        raise SimulationError(
-            f"criterion/log-negativity disagreement: dP2={dp2!r}, "
-            f"threshold={threshold!r}, E_N={e_n!r}"
+    bad = (below & ~(e_n > 0.0)) | (above & (e_n > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        where = f" at entry {k}" if bad.ndim else ""
+        dp2_k, threshold_k, e_n_k = (
+            float(np.broadcast_to(x, bad.shape).flat[k]) for x in (dp2, threshold, e_n)
         )
-    return CriterionReport(
-        dP2_minus=dp2, threshold=threshold, entangled=entangled, E_N=e_n
-    )
+        raise SimulationError(
+            f"criterion/log-negativity disagreement{where}: dP2={dp2_k!r}, "
+            f"threshold={threshold_k!r}, E_N={e_n_k!r}"
+        )
+    entangled = dp2 < threshold
+    if entangled.ndim == 0:
+        return CriterionReport(dP2_minus=obs.dP2_minus, threshold=float(threshold),
+                               entangled=bool(entangled), E_N=obs.E_N)
+    return CriterionReport(dP2_minus=dp2, threshold=threshold,
+                           entangled=entangled, E_N=e_n)
 
 
 def steady_state(
@@ -263,9 +298,43 @@ def steady_state(
     even/odd multiples of pi/(2 delta), any other real number is the angle
     2*delta*t in radians, a complex value is normalized to the unit circle,
     and "average" keeps the dc part alone. Refuses non-Hurwitz drift.
+    steady_curve gives it as a function of r from one build.
     """
     system = build_system(params)
     V = lift_covariance(system.steady_v3(phase), system.nbar0)
+    return V, criterion(V, system.nbar0)
+
+
+def steady_curve(
+    params: PhysicalParams, phase: complex | float | str = 1.0
+) -> Callable[..., tuple[NDArray[np.float64], CriterionReport]]:
+    """steady_state as a function of the squeezing degree r (params.r unread).
+
+    One build_system serves every call of the returned curve(r), and a
+    non-Hurwitz drift is refused here, once. curve(r) evaluates
+    x0 + N x1 + M x2(z) (dynamics.reservoir_steady) and runs criterion on
+    it: a float r gives (V, report) as steady_state does, an array of r a
+    covariance stack (n, 4, 4) and one report whose fields are arrays. Each
+    r goes through PhysicalParams first, so r < 0 raises its ParameterError.
+    """
+    system = build_system(params)
+    parts = system.steady_parts()
+
+    def curve(r) -> tuple[NDArray[np.float64], CriterionReport]:
+        for r_k in np.ravel(r):
+            params.with_(r=float(r_k))  # the range check steady_state would make
+        return _state_at(system, parts, r, phase)
+
+    return curve
+
+
+def _state_at(
+    system: ReducedSystem, parts, r, phase
+) -> tuple[NDArray[np.float64], CriterionReport]:
+    """Covariance and criterion report at squeezing degree(s) r, from the
+    system's steady_parts."""
+    v3 = reservoir_steady(parts, *reservoir_correlations(r), phase)
+    V = lift_covariance(v3, system.nbar0)
     return V, criterion(V, system.nbar0)
 
 
@@ -311,16 +380,21 @@ def optimal_squeezing(
     over [0, 3] (the governing oracle); r_formula evaluates the closed-form
     expression with the rotation angle solved self-consistently, and is
     None when the artanh argument is out of range or the steady state is
-    phase-averaged (the dc variance has no interior optimum).
+    phase-averaged (the dc variance has no interior optimum). One
+    build_system serves both: every evaluated r is the closed form
+    x0 + N x1 + M x2(z), read through criterion.
     """
-    base = params.with_(r=0.0)
+    system = build_system(params)
+    parts = system.steady_parts()
     z = normalize_phase(phase)
 
-    def objective(r: float) -> float:
-        return steady_state(base.with_(r=r), z)[1].dP2_minus
+    def steady(r: float) -> tuple[NDArray[np.float64], CriterionReport]:
+        return _state_at(system, parts, r, z)
 
-    res: MinimizeResult = minimize_scalar(objective, (0.0, 3.0), tol=1e-4)
-    _, report = steady_state(base.with_(r=res.x), z)
+    res: MinimizeResult = minimize_scalar(
+        lambda r: steady(r)[1].dP2_minus, (0.0, 3.0), tol=1e-4
+    )
+    _, report = steady(res.x)
     if z == 0.0:
         return OptimalSqueezing(
             r_numeric=res.x,
@@ -329,12 +403,11 @@ def optimal_squeezing(
             E_N=report.E_N,
             formula_note="formula undefined for the phase-averaged steady state",
         )
-    system = build_system(base)
     r_formula: float | None = None
     note = ""
     r_k = max(res.x, 0.1) if res.boundary else 0.5
     for _ in range(50):
-        V, _ = steady_state(base.with_(r=r_k), z)
+        V, _ = steady(r_k)
         r_next = squeezing_formula(system, rotation_angle(V), z)
         if r_next is None:
             note = "artanh argument out of (-1, 1)"

@@ -19,11 +19,29 @@ import numpy as np
 
 from . import full as full_model
 from . import reduced as reduced_model
-from .dynamics import TimeGrid, Trajectory, periodic_steady_state, steady_at_phase
+from .dynamics import (
+    TimeGrid,
+    Trajectory,
+    periodic_steady_state,
+    reservoir_parts,
+    reservoir_steady,
+    steady_at_phase,
+)
 from .errors import ConfigError, ParameterError, SimulationError
 from .gaussian import quadrature_observables
-from .generator import compile_generator, reduced_generator
-from .params import BASELINE_HZ, PhysicalParams, baseline_params, derive
+from .generator import (
+    compile_generator,
+    compile_injections,
+    full_generator,
+    reduced_generator,
+)
+from .params import (
+    BASELINE_HZ,
+    PhysicalParams,
+    baseline_params,
+    derive,
+    reservoir_correlations,
+)
 
 OUTPUT_DIR_ENV = "SQZ_OUTPUT_DIR"
 
@@ -247,13 +265,45 @@ def _steady_covariance(model: str, params: PhysicalParams, phase) -> np.ndarray:
     raise ConfigError(f"unknown model {model!r}")
 
 
-def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz) -> list:
-    """Reduced-model steady criterion reports along one parameter field."""
+def _steady_along_r(model: str, params: PhysicalParams, phase):
+    """One model's steady two-mirror covariance as a function of r.
+
+    The r-independent build runs here, once, so its errors (a non-Hurwitz
+    drift) belong to the whole curve: reduced3 and reduced_analytic through
+    reduced.steady_curve, whose every point still goes through criterion,
+    reduced10 and full6 through dynamics.reservoir_parts of their
+    compile_injections compiles. Each call is then x0 + N x1 + M x2(z).
+    """
+    if model in ("reduced3", "reduced_analytic"):
+        curve = reduced_model.steady_curve(params, phase)
+        return lambda r: curve(r)[0]
+    if model not in ("reduced10", "full6"):
+        raise ConfigError(f"unknown model {model!r}")
+    generator = full_generator if model == "full6" else reduced_generator
+    parts = reservoir_parts(compile_injections(generator, derive(params)))
+
+    def at(r: float) -> np.ndarray:
+        V = reservoir_steady(parts, *reservoir_correlations(r), phase)
+        return full_model.mirror_block(V) if model == "full6" else V
+
+    return at
+
+
+def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
+    """Reduced-model steady criterion report along one parameter field.
+
+    One criterion call for the whole curve; its fields are arrays. An r
+    curve is one build (reduced.steady_curve), any other field one per value.
+    """
     phase = PHASES[cfg.phase]
-    return [
-        reduced_model.steady_state(_params(cfg, **extra_hz, **{name: v}), phase)[1]
-        for v in values
-    ]
+    if name == "r":
+        curve = reduced_model.steady_curve(_params(cfg, **extra_hz), phase)
+        return curve(np.asarray(values))[1]
+    systems = [reduced_model.build_system(_params(cfg, **extra_hz, **{name: v}))
+               for v in values]
+    V = np.stack([reduced_model.lift_covariance(s.steady_v3(phase), s.nbar0)
+                  for s in systems])
+    return reduced_model.criterion(V, np.array([s.nbar0 for s in systems]))
 
 
 def _err_text(exc: Exception) -> str:
@@ -275,6 +325,29 @@ def _guarded_rows(values, point, n_out: int) -> list[tuple]:
     return rows
 
 
+def _r_sweep_rows(cfg: ScenarioConfig, model: str, values, phase) -> list[tuple]:
+    """Rows of a custom r sweep of one model, from one build per curve.
+
+    Each point is guarded as in _guarded_rows and fails in the order a
+    per-point build would: its parameters first (PhysicalParams refuses
+    r < 0), then the build's error (a non-Hurwitz drift, the same text in
+    every such row), then the reduced models' criterion check at that r.
+    """
+    try:
+        at = _steady_along_r(model, _params(cfg), phase)
+    except SimulationError as exc:
+        def at(r: float, exc: SimulationError = exc):
+            raise exc
+
+    return _guarded_rows(values, lambda val: _sweep_cells(at(_params(cfg, r=val).r)), 4)
+
+
+def _sweep_cells(V: np.ndarray) -> tuple:
+    """The custom sweep's outputs of a steady covariance."""
+    obs = quadrature_observables(V)
+    return obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta
+
+
 def _label(x: float) -> str:
     return f"{x:g}"
 
@@ -291,34 +364,31 @@ def _scenario_fig2b(cfg: ScenarioConfig) -> list[Curve]:
     curves = [_trajectory_curve(cfg, f"fig2b_delta{_label(ratio)}", "reduced3",
                                 _params(cfg, delta_hz=delta_hz))
               for ratio, delta_hz in zip(ratios, deltas_hz)]
-    reports = _steady_reports(cfg, "delta_hz", deltas_hz)
+    rep = _steady_reports(cfg, "delta_hz", deltas_hz)
     curves.append(
         ("fig2b_steady", ("delta_over_omega_m", "E_N", "dP2_minus"),
-         [(ratio, rep.E_N, rep.dP2_minus) for ratio, rep in zip(ratios, reports)])
+         list(zip(ratios, rep.E_N.tolist(), rep.dP2_minus.tolist())))
     )
     return curves
 
 
 def _scenario_fig2c(cfg: ScenarioConfig) -> list[Curve]:
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
-    reports = _steady_reports(cfg, "r", r_values)
-    en_rows = [(r, rep.E_N) for r, rep in zip(r_values, reports)]
-    dp_rows = [(r, rep.dP2_minus) for r, rep in zip(r_values, reports)]
+    rep = _steady_reports(cfg, "r", r_values)
     return [
-        ("fig2c_EN", ("r", "E_N"), en_rows),
-        ("fig2c_dP2", ("r", "dP2_minus"), dp_rows),
+        ("fig2c_EN", ("r", "E_N"), list(zip(r_values, rep.E_N.tolist()))),
+        ("fig2c_dP2", ("r", "dP2_minus"), list(zip(r_values, rep.dP2_minus.tolist()))),
     ]
 
 
 def _scenario_fig2d(cfg: ScenarioConfig) -> list[Curve]:
     temps = np.linspace(0.0, 5e-3, 101)
-    reports = _steady_reports(cfg, "temperature_k", temps)
+    rep = _steady_reports(cfg, "temperature_k", temps)
     return [
-        ("fig2d_EN", ("T_K", "E_N"), [(T, rep.E_N) for T, rep in zip(temps, reports)]),
-        ("fig2d_dP2", ("T_K", "dP2_minus"),
-         [(T, rep.dP2_minus) for T, rep in zip(temps, reports)]),
+        ("fig2d_EN", ("T_K", "E_N"), list(zip(temps, rep.E_N.tolist()))),
+        ("fig2d_dP2", ("T_K", "dP2_minus"), list(zip(temps, rep.dP2_minus.tolist()))),
         ("fig2d_threshold", ("T_K", "threshold"),
-         [(T, rep.threshold) for T, rep in zip(temps, reports)]),
+         list(zip(temps, rep.threshold.tolist()))),
     ]
 
 
@@ -326,9 +396,9 @@ def _scenario_fig3a(cfg: ScenarioConfig) -> list[Curve]:
     curves: list[Curve] = []
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
     for p_uw in (0.01, 0.1, 2.0):
-        reports = _steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
-        rows = [(r, rep.dP2_minus) for r, rep in zip(r_values, reports)]
-        curves.append((f"fig3a_dP2_P{_label(p_uw)}uW", ("r", "dP2_minus"), rows))
+        rep = _steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
+        curves.append((f"fig3a_dP2_P{_label(p_uw)}uW", ("r", "dP2_minus"),
+                       list(zip(r_values, rep.dP2_minus.tolist()))))
     return curves
 
 
@@ -409,15 +479,14 @@ def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
         phase = PHASES[cfg.phase]
         curves: list[Curve] = []
         for model in models:
-            def point(val: float):
-                V = _steady_covariance(model, _params(cfg, **{name: val}), phase)
-                obs = quadrature_observables(V)
-                return obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta
-
+            if name == "r":
+                rows = _r_sweep_rows(cfg, model, values, phase)
+            else:
+                rows = _guarded_rows(values, lambda val: _sweep_cells(
+                    _steady_covariance(model, _params(cfg, **{name: val}), phase)), 4)
             curves.append(
                 (f"custom_sweep_{model}",
-                 (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error"),
-                 _guarded_rows(values, point, 4))
+                 (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error"), rows)
             )
         return curves
     params = _params(cfg)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sqzmirror import full, generator, reduced, scenarios
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
     OUTPUT_DIR_ENV,
@@ -15,7 +16,7 @@ from sqzmirror.scenarios import (
     run,
     write_manifest,
 )
-from sqzmirror.errors import ConfigError
+from sqzmirror.errors import ConfigError, SimulationError
 
 
 def read_csv(path):
@@ -131,6 +132,85 @@ def test_sweep_records_per_point_failure(tmp_path):
     assert "StabilityError" in rows[1]["error"]
     assert rows[1]["E_N"] == "nan"
     assert rows[2]["error"] == ""
+
+
+def test_failing_r_sweep_writes_every_row(tmp_path):
+    """A non-Hurwitz drift fails the whole r curve; every point keeps its row."""
+    cfg = tmp_path / "blue.cfg"
+    cfg.write_text("[scenario]\nname = custom\nmodel = reduced3, reduced10\n\n"
+                   "[params]\ndelta_hz = -32.1e6\n\n"
+                   "[sweep]\nname = r\nvalues = 0.0, 0.5, 1.0\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    # the drift's own eigenvalues, so the text differs between the models
+    errors = {
+        "reduced3": "StabilityError: drift is not Hurwitz: eigenvalue "
+                    "1.940865e+07+0.000000e+00j has non-negative real part",
+        "reduced10": "StabilityError: drift is not Hurwitz: eigenvalue "
+                     "9.704323e+06+2.023930e+08j has non-negative real part",
+    }
+    for model, error in errors.items():
+        rows = read_csv(tmp_path / "out" / f"custom_sweep_{model}.csv")
+        assert [float(row["r"]) for row in rows] == [0.0, 0.5, 1.0]
+        for row in rows:
+            assert row["error"] == error
+            assert [row[c] for c in ("E_N", "dP2_minus", "dQ2_minus", "theta")] == [
+                "nan"] * 4
+
+
+def test_negative_r_fails_its_own_row(tmp_path):
+    """One build per r curve still refuses r < 0 point by point, with the
+    text PhysicalParams gives; the other points keep their values."""
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text("[scenario]\nname = custom\n"
+                   "model = reduced3, reduced10, reduced_analytic, full6\n\n"
+                   "[sweep]\nname = r\nvalues = -0.5, 0.0, 0.5\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    for model in ("reduced3", "reduced10", "reduced_analytic", "full6"):
+        rows = read_csv(tmp_path / "out" / f"custom_sweep_{model}.csv")
+        assert [row["error"] for row in rows] == [
+            "ParameterError: gamma_m; power; temperature; r must be >= 0", "", ""]
+        assert rows[0]["E_N"] == "nan"
+        assert all(np.isfinite(float(row["dP2_minus"])) for row in rows[1:])
+
+
+def test_r_sweep_criterion_failure_fails_its_own_row(tmp_path, monkeypatch):
+    """A criterion cross-check that fails at one r fails that row only."""
+    criterion = reduced.criterion
+    calls = []
+
+    def failing_at_second_point(V, nbar0):
+        calls.append(V)
+        if len(calls) == 2:
+            raise SimulationError("criterion/log-negativity disagreement")
+        return criterion(V, nbar0)
+
+    monkeypatch.setattr(reduced, "criterion", failing_at_second_point)
+    run(ScenarioConfig(scenario="custom", models=["reduced3"],
+                       sweep=("r", [0.0, 0.5, 1.0]), output_dir=str(tmp_path)))
+    rows = read_csv(tmp_path / "custom_sweep_reduced3.csv")
+    assert [row["error"] for row in rows] == [
+        "", "SimulationError: criterion/log-negativity disagreement", ""]
+    assert [row["E_N"] == "nan" for row in rows] == [False, True, False]
+
+
+def test_r_sweep_compiles_once_per_curve(tmp_path, monkeypatch):
+    """An r sweep compiles each model's generator at the three reservoir
+    injections; any other axis compiles once per point."""
+    compiles = []
+    compile_one = generator.compile_generator
+    for module in (generator, full, reduced, scenarios):
+        monkeypatch.setattr(module, "compile_generator",
+                            lambda spec: compiles.append(spec) or compile_one(spec))
+    models = ["reduced3", "reduced10", "full6"]
+    run(ScenarioConfig(scenario="custom", models=models,
+                       sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
+                       output_dir=str(tmp_path / "r")))
+    assert len(compiles) == 3 * len(models)
+    compiles.clear()
+    run(ScenarioConfig(scenario="custom", models=["reduced10", "full6"],
+                       sweep=("power_w", [1e-6, 2e-6, 3e-6]),
+                       output_dir=str(tmp_path / "power")))
+    assert len(compiles) == 2 * 3
 
 
 def test_empty_sweep_rejected(tmp_path):

@@ -10,12 +10,13 @@ from sqzmirror.dynamics import (
     periodic_steady_state,
     steady_at_phase,
 )
-from sqzmirror.errors import GeneratorError
+from sqzmirror.errors import GeneratorError, SimulationError
 from sqzmirror.gaussian import symplectic_eigenvalues, vacuum
 from sqzmirror.generator import (
     GeneratorSpec,
     annihilation_vector,
     compile_generator,
+    compile_injections,
     full_generator,
     hermitian_form,
     reduced_generator,
@@ -208,6 +209,33 @@ def test_full_generator_single_mirror_flag(baseline):
     # mirror 2 decouples from the cavity
     assert np.allclose(eqs.drift[:2, 4:], 0.0)
     assert np.allclose(eqs.drift[4:, :2], 0.0)
+
+
+@pytest.mark.parametrize("model", [reduced_generator, full_generator])
+def test_compile_injections_span_every_reservoir(baseline, model):
+    """The three injections give the moment equations at any (N, M)."""
+    coeffs = derive(baseline)
+    eqs00, eqs10, eqs01 = compile_injections(model, coeffs)
+    direct = compile_generator(model(coeffs))
+    scale = np.abs(direct.diffusion_static).max()
+    D0 = eqs00.diffusion_static + coeffs.N * (eqs10.diffusion_static
+                                              - eqs00.diffusion_static)
+    assert np.abs(D0 - direct.diffusion_static).max() <= 1e-12 * scale
+    D2 = coeffs.M * eqs01.diffusion_harmonic
+    assert np.abs(D2 - direct.diffusion_harmonic).max() <= 1e-12 * scale
+    assert np.abs(eqs10.drift - direct.drift).max() <= 1e-12 * np.abs(direct.drift).max()
+    assert np.abs(eqs00.diffusion_harmonic).max() == 0.0
+
+
+def test_compile_injections_refuse_reservoir_dependent_drift(baseline):
+    """A drift that moves with N breaks the affine form and is refused."""
+    def model(coeffs):
+        spec = reduced_generator(coeffs)
+        spec.hamiltonian = spec.hamiltonian * (1.0 + coeffs.N)
+        return spec
+
+    with pytest.raises(SimulationError, match="drift acquired reservoir dependence"):
+        compile_injections(model, derive(baseline))
 
 
 def test_compiled_moment_symmetry_preservation(baseline, rng):

@@ -4,13 +4,23 @@ import numpy as np
 import pytest
 
 import inputs
+from sqzmirror import generator
 from sqzmirror.dynamics import (
     TimeGrid,
+    linear_steady,
+    minimize_scalar,
     periodic_steady_state,
     require_hurwitz,
     steady_at_phase,
 )
-from sqzmirror.errors import DegenerateAngleWarning, PhysicalityWarning, StabilityError
+from sqzmirror.errors import (
+    DegenerateAngleWarning,
+    ParameterError,
+    PhysicalityWarning,
+    SimulationError,
+    StabilityError,
+)
+from sqzmirror.full import mirror_block
 from sqzmirror.gaussian import (
     quadrature_observables,
     rotate_local,
@@ -29,8 +39,10 @@ from sqzmirror.reduced import (
     lift_covariance,
     optimal_squeezing,
     squeezing_formula,
+    steady_curve,
     steady_state,
 )
+from sqzmirror.scenarios import _steady_along_r
 
 # frozen regressions (phase +1 resolvent steady state at the baseline, r = 1)
 BASELINE_EN_STEADY = 1.023152226440142
@@ -210,6 +222,85 @@ def test_random_draws_agree_across_vector_forms(rng):
             assert np.abs(resid).max() <= 1e-10 * np.abs(D0).max()
 
 
+def random_point(rng):
+    """A point of the benchmark's figure ranges (perfbench/inputs.py), r unset."""
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    return baseline_params(
+        power_w=log_uniform(*inputs.POWER_W),
+        temperature_k=rng.uniform(*inputs.TEMPERATURE_K),
+        gamma_m_hz=inputs.KAPPA_HZ * log_uniform(*inputs.GAMMA_OVER_KAPPA),
+    )
+
+
+def solved_at_point(model, p, phase):
+    """One model's steady covariance, compiled and solved at this point alone."""
+    if model == "reduced3":
+        system = build_system(p)
+        v3 = steady_at_phase(*linear_steady(system.ode()), phase)
+        return lift_covariance(v3, system.nbar0)
+    model_fn = reduced_generator if model == "reduced10" else full_generator
+    V = steady_at_phase(*periodic_steady_state(compile_generator(model_fn(derive(p)))),
+                        phase)
+    return V if model == "reduced10" else mirror_block(V)
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
+def test_r_curve_equals_per_point_solve(rng, phase):
+    """x0 + N x1 + M x2(z) from one build equals a compile and solve per point."""
+    for _ in range(6):
+        p = random_point(rng)
+        r_values = rng.uniform(*inputs.R_RANGE, size=3)
+        for model in ("reduced3", "reduced10", "full6"):
+            at = _steady_along_r(model, p, phase)
+            for r in r_values:
+                ref = solved_at_point(model, p.with_(r=r), phase)
+                assert np.abs(at(r) - ref).max() <= 1e-12 * np.abs(ref).max(), (model, r)
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
+def test_optimal_squeezing_matches_per_point_objective(rng, phase):
+    """The closed-form objective finds the optimum of the per-point one."""
+    for _ in range(2):
+        p = random_point(rng)
+        opt = optimal_squeezing(p, phase)
+
+        def objective(r):
+            return quadrature_observables(solved_at_point("reduced3", p.with_(r=r),
+                                                          phase)).dP2_minus
+
+        assert abs(minimize_scalar(objective, (0.0, 3.0), tol=1e-4).x
+                   - opt.r_numeric) <= 1e-4
+
+
+def test_r_curve_is_one_build(baseline, monkeypatch):
+    """A whole r curve, or an optimum search, compiles the generator three
+    times, and each point equals steady_state's."""
+    compiles = []
+    compile_one = generator.compile_generator
+    monkeypatch.setattr(generator, "compile_generator",
+                        lambda spec: compiles.append(spec) or compile_one(spec))
+    r_values = np.linspace(0.0, 2.5, 11)
+    V, report = steady_curve(baseline, -1.0)(r_values)
+    assert len(compiles) == 3
+    optimal_squeezing(baseline)
+    assert len(compiles) == 6
+    for k, r in enumerate(r_values):
+        V_k, report_k = steady_state(baseline.with_(r=r), -1.0)
+        assert np.array_equal(V[k], V_k)
+        assert report.dP2_minus[k] == report_k.dP2_minus
+        assert report.E_N[k] == report_k.E_N
+
+
+def test_r_curve_refuses_negative_r(baseline):
+    """curve(r) makes the range check steady_state would, for every entry."""
+    curve = steady_curve(baseline)
+    for r in (-0.5, np.array([0.5, -0.5])):
+        with pytest.raises(ParameterError, match="r must be >= 0"):
+            curve(r)
+
+
 def test_steady_state_decoupled(baseline):
     p = baseline_params(eta0_hz=0.0, temperature_k=2.5e-3)
     V, report = steady_state(p)
@@ -341,6 +432,41 @@ def test_criterion_threshold_regression():
     assert threshold == pytest.approx(THRESHOLD_2P5_MK, rel=1e-12)
     rep = criterion(lift_covariance([nbar + 0.5, nbar + 0.5, 0.0], nbar), nbar)
     assert rep.threshold == pytest.approx(THRESHOLD_2P5_MK, rel=1e-12)
+
+
+def test_criterion_stack_matches_single_calls():
+    """A stack with per-entry nbar0 gives each entry's single-call report."""
+    Vs, nbars = [], []
+    for r, T in ((0.0, 0.0), (0.3, 0.0), (1.0, 2.5e-3), (2.2, 5e-3)):
+        p = baseline_params(r=r, temperature_k=T)
+        Vs.append(steady_state(p)[0])
+        nbars.append(derive(p).nbar0)
+    stacked = criterion(np.stack(Vs), np.array(nbars))
+    assert stacked.entangled.tolist() == [False, True, True, False]
+    for k, (V, nbar) in enumerate(zip(Vs, nbars)):
+        single = criterion(V, nbar)
+        assert stacked.dP2_minus[k] == single.dP2_minus
+        assert stacked.E_N[k] == single.E_N
+        assert stacked.threshold[k] == single.threshold
+        assert stacked.entangled[k] == single.entangled
+
+
+def test_criterion_stack_names_first_failing_entry():
+    # E_N > 0, yet dP2_minus = 0.4 is above the threshold 1/6 of nbar0 = 1
+    V = lift_covariance([0.8, 0.45, 0.0], 0.0)
+    with pytest.raises(SimulationError, match="disagreement at entry 1: dP2=0.4"):
+        criterion(np.stack([V, V, V]), np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(SimulationError, match="disagreement: dP2=0.4"):
+        criterion(V, 1.0)
+
+
+def test_criterion_stack_warns_once():
+    good = lift_covariance([0.8, 0.45, 0.0], 0.0)
+    bad = lift_covariance([0.7, 0.3, 0.0], 0.0)
+    with pytest.warns(PhysicalityWarning) as record:
+        rep = criterion(np.stack([bad, good, bad]), 0.0)
+    assert len(record) == 1
+    assert rep.entangled.tolist() == [True, True, True]
 
 
 @pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
