@@ -45,7 +45,6 @@ from .params import (
     derive,
     from_hz,
     thermal_occupation,
-    xi_pm,
 )
 from .reduced import (
     CriterionReport,

@@ -87,11 +87,6 @@ class LinearHarmonicODE:
         rho = float(np.abs(np.linalg.eigvals(self.drift)).max())
         return max(rho, abs(self.omega))
 
-    def drive(self, t: float) -> NDArray[np.float64]:
-        return self.drive_static + 2.0 * np.real(
-            self.drive_harmonic * np.exp(1j * self.omega * t)
-        )
-
 
 @functools.cache
 def _vech_index(n: int) -> tuple[NDArray, NDArray, NDArray, NDArray]:
@@ -416,8 +411,7 @@ class MinimizeResult:
     boundary: bool  # no interior decrease detected; minimum sits at an edge
 
 
-def minimize_scalar(f, bracket: tuple[float, float], tol: float = 1e-6
-                    ) -> MinimizeResult:
+def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResult:
     """Golden-section minimizer of a continuous scalar function.
 
     Flags `boundary` when the minimizer lands within 10*tol of a bracket

@@ -22,7 +22,7 @@ from .dynamics import (
 from .gaussian import quadrature_observables, thermal, vacuum
 from .generator import compile_generator, full_generator
 from .params import PhysicalParams, derive
-from .reduced import build_system, evolve as evolve_reduced, lift_covariance
+from .reduced import build_system, lift_covariance
 
 
 def mirror_block(V6: NDArray) -> NDArray[np.float64]:
@@ -68,47 +68,26 @@ def steady_full(
 
 @dataclass(frozen=True)
 class AdiabaticComparison:
-    """Full-vs-reduced discrepancy of the relative-momentum variance."""
+    """Full-vs-reduced discrepancy of the steady relative-momentum variance."""
 
-    times: NDArray[np.float64]
-    dp2_full: NDArray[np.float64]
-    dp2_reduced: NDArray[np.float64]
-    max_abs_deviation: float
     steady_dp2_full: float
     steady_dp2_reduced: float
     steady_rel_deviation: float
 
 
 def compare_adiabatic(
-    params: PhysicalParams,
-    grid: TimeGrid | None = None,
-    phase: complex | float | str = 1.0,
+    params: PhysicalParams, phase: complex | float | str = 1.0
 ) -> AdiabaticComparison:
     """Quantify how well the eliminated model tracks the full one.
 
-    When a grid is given, both models are integrated on it and the time
-    series of |dP2_minus(full) - dP2_minus(reduced)| is reported alongside
-    the steady-state relative deviation; without a grid only the steady
-    comparison is made (resolvent solves on both sides). phase is read by
-    dynamics.normalize_phase, the same for both models.
+    Compares the steady states, from resolvent solves on both sides. phase
+    is read by dynamics.normalize_phase, the same for both models.
     """
     V_f = mirror_block(steady_full(params, phase))
     system = build_system(params)
     V_r = lift_covariance(system.steady_v3(phase), system.nbar0)
     dp2_f, dp2_r = quadrature_observables(np.stack([V_f, V_r])).dP2_minus.tolist()
-    if grid is None:
-        times = series_f = series_r = np.empty(0)
-        max_dev = abs(dp2_f - dp2_r)
-    else:
-        traj_f = evolve_full(params, grid)
-        times, series_f = traj_f.times, traj_f.observables.dP2_minus
-        series_r = evolve_reduced(params, grid).observables.dP2_minus
-        max_dev = float(np.abs(series_f - series_r).max())
     return AdiabaticComparison(
-        times=times,
-        dp2_full=series_f,
-        dp2_reduced=series_r,
-        max_abs_deviation=max_dev,
         steady_dp2_full=dp2_f,
         steady_dp2_reduced=dp2_r,
         steady_rel_deviation=abs(dp2_f - dp2_r) / abs(dp2_f),

@@ -55,7 +55,7 @@ class DissipatorTerm:
     rate: complex
     left: NDArray[np.complex128]  # L = left^T X
     right: NDArray[np.complex128]  # M = right^T X
-    harmonic: int = 0
+    harmonic: int
 
 
 @dataclass
@@ -76,14 +76,6 @@ class GeneratorSpec:
             if amp != 0:
                 self.add_dissipator(amp, left, right, h)
 
-    def frozen(self, t: float) -> "GeneratorSpec":
-        """Snapshot with every harmonic rate evaluated at time t (static spec)."""
-        phase = np.exp(2j * self.delta * t)
-        out = GeneratorSpec(self.n_modes, self.hamiltonian.copy(), [], 0.0)
-        for term in self.dissipators:
-            out.add_dissipator(term.rate * phase**term.harmonic, term.left, term.right)
-        return out
-
 
 @dataclass(frozen=True)
 class MomentEquations:
@@ -93,22 +85,6 @@ class MomentEquations:
     diffusion_static: NDArray[np.float64]
     diffusion_harmonic: NDArray[np.complex128]  # e^{+i omega t} amplitude
     omega: float  # 2*Delta; 0 when the diffusion is static
-
-    @property
-    def n_modes(self) -> int:
-        return self.drift.shape[0] // 2
-
-    @property
-    def period(self) -> float | None:
-        if self.omega == 0.0 or np.abs(self.diffusion_harmonic).max() == 0.0:
-            return None
-        return 2.0 * np.pi / self.omega
-
-    def diffusion(self, t: float) -> NDArray[np.float64]:
-        D = self.diffusion_static + 2.0 * np.real(
-            self.diffusion_harmonic * np.exp(1j * self.omega * t)
-        )
-        return D
 
 
 def _term_drift(term: DissipatorTerm, U: NDArray) -> NDArray[np.complex128]:
@@ -196,16 +172,13 @@ def _require_static(h: Harmonic, what: str) -> complex:
     return h.c0
 
 
-def reduced_generator(
-    coeffs: DerivedCoefficients, t: float | None = None
-) -> GeneratorSpec:
+def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     """Two-mirror generator after adiabatic elimination of the cavity.
 
     Modes are (mirror 1, mirror 2); the cavity acts only on the relative
     mode (a1 - a2)/sqrt(2) through thermal-like and squeezing-like
     dissipators with reservoir-phase sidebands, plus a static frequency
     shift and a quadratic squeezing drive in the effective Hamiltonian.
-    Pass t to freeze the reservoir phase at that instant.
     """
     p = coeffs.params
     eta2 = p.eta0**2
@@ -236,35 +209,27 @@ def reduced_generator(
     spec.add_harmonic_dissipator(xi_m.re() * (2.0 * eta2), np.conj(am), am)
     spec.add_harmonic_dissipator((xi_p.conj() + xi_m) * eta2, am, am)
     spec.add_harmonic_dissipator((xi_m.conj() + xi_p) * eta2, np.conj(am), np.conj(am))
-    return spec if t is None else spec.frozen(t)
+    return spec
 
 
-def full_generator(
-    coeffs: DerivedCoefficients,
-    t: float | None = None,
-    single_mirror: bool = False,
-) -> GeneratorSpec:
+def full_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     """Linearized three-mode generator: (cavity, mirror 1, mirror 2).
 
     The cavity couples to the mirror positions with a pi-phase difference
-    (eta1 = -eta2 = eta0); `single_mirror` switches the second coupling off
-    for cooling checks. The squeezed reservoir enters as thermal-like (N)
-    and phase-tagged anomalous (M) cavity dissipators. Pass t to freeze the
-    reservoir phase.
+    (eta1 = -eta2 = eta0). The squeezed reservoir enters as thermal-like (N)
+    and phase-tagged anomalous (M) cavity dissipators.
     """
     p = coeffs.params
     c = annihilation_vector(3, 0)
     mirrors = [annihilation_vector(3, 1), annihilation_vector(3, 2)]
-    etas = (p.eta0, 0.0 if single_mirror else -p.eta0)
+    etas = (p.eta0, -p.eta0)
 
     G = hermitian_form(p.delta / 2.0, np.conj(c), c)
     # (alpha c^dag + alpha* c) as a real quadrature form
     w = coeffs.alpha * np.conj(c) + np.conj(coeffs.alpha) * c
     for a_j, eta_j in zip(mirrors, etas):
         G += hermitian_form(p.omega_m / 2.0, np.conj(a_j), a_j)
-        if eta_j != 0.0:
-            u = a_j + np.conj(a_j)
-            G += hermitian_form(eta_j / 2.0, u, w)
+        G += hermitian_form(eta_j / 2.0, a_j + np.conj(a_j), w)
 
     spec = GeneratorSpec(n_modes=3, hamiltonian=G, delta=p.delta)
     spec.add_dissipator(p.kappa * (coeffs.N + 1.0), c, np.conj(c))
@@ -276,4 +241,4 @@ def full_generator(
                             harmonic=-1)
     for mode in (1, 2):
         _thermal_terms(spec, mode, p.gamma_m, coeffs.nbar0)
-    return spec if t is None else spec.frozen(t)
+    return spec

@@ -7,6 +7,7 @@ multiplies by 2*pi before constructing PhysicalParams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,9 +35,6 @@ class Harmonic:
     def __call__(self, phase: complex) -> complex:
         """Evaluate at e^{i w t} = phase (a unit-modulus complex number)."""
         return self.c0 + self.cp * phase + self.cm / phase
-
-    def at_time(self, t: float, omega: float) -> complex:
-        return self(np.exp(1j * omega * t))
 
     def conj(self) -> "Harmonic":
         return Harmonic(np.conj(self.c0), np.conj(self.cm), np.conj(self.cp))
@@ -99,10 +97,19 @@ class PhysicalParams:
     drive_prefactor: float  # Omega = prefactor * sqrt(P kappa / hbar omega_L)
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.omega_c <= 0 or self.kappa <= 0 or self.omega_m <= 0:
             raise ParameterError("omega_c, kappa, omega_m must be positive")
         if self.gamma_m < 0 or self.power < 0 or self.temperature < 0 or self.r < 0:
             raise ParameterError("gamma_m, power, temperature, r must be >= 0")
+        # derive's N = sinh^2 r; M = cosh r sinh r rounds to N where N is
+        # large. A float overflow raises OverflowError, numpy's only warns.
+        try:
+            math.sinh(self.r) ** 2
+        except OverflowError:
+            raise ParameterError(f"r = {self.r!r} overflows N = sinh^2 r") from None
 
     @property
     def omega_laser(self) -> float:
@@ -259,15 +266,3 @@ def derive(params: PhysicalParams) -> DerivedCoefficients:
         zeta_bar_minus=bp - bm,
     )
 
-
-def xi_pm(params: PhysicalParams, omega_k: float, t: float) -> tuple[complex, complex]:
-    """Cavity-mediated coefficients (xi_k^+, xi_k^-) at time t.
-
-    Periodic in t with period pi/Delta through the reservoir phase factor.
-    """
-    c = derive(params)
-    phase = np.exp(2j * params.delta * t)
-    return (
-        complex(c.xi_harmonic(omega_k, +1)(phase)),
-        complex(c.xi_harmonic(omega_k, -1)(phase)),
-    )

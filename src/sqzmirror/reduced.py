@@ -134,7 +134,7 @@ class ReducedSystem:
         ))
         return x_dc[:, 0], x_dc[:, 1], x2
 
-    def steady_v3(self, phase: complex | float | str = 1.0) -> NDArray[np.float64]:
+    def steady_v3(self, phase: complex | float | str) -> NDArray[np.float64]:
         """Steady state at the reservoir phase (see normalize_phase) and the
         system's own (N, M)."""
         return reservoir_steady(self.steady_parts(), self.N, self.M, phase)
@@ -344,7 +344,7 @@ class OptimalSqueezing:
     r_formula: float | None
     dP2_minus: float  # at r_numeric
     E_N: float  # at r_numeric
-    formula_note: str = ""
+    formula_note: str
 
 
 def squeezing_formula(

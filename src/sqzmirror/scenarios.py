@@ -205,7 +205,7 @@ def trajectory_grid(params: PhysicalParams, t_end: float, n_samples: int) -> Tim
     return TimeGrid(0.0, t_end, n_steps, sample_stride=stride)
 
 
-def default_t_end(params: PhysicalParams, damping_times: float = 10.0) -> float:
+def default_t_end(params: PhysicalParams, damping_times: float) -> float:
     # repo convention for trajectory scenarios: ten mirror damping times
     # (figS1/figS2 use five)
     if params.gamma_m == 0:

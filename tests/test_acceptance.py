@@ -11,6 +11,7 @@ import pytest
 
 import verify
 from _fock import integrate_fock_thermal
+from _periodic import at_time
 from sqzmirror.dynamics import TimeGrid, integrate
 from sqzmirror.full import compare_adiabatic, mirror_block, steady_full
 from sqzmirror.gaussian import (
@@ -147,7 +148,7 @@ def test_compiler_vs_printed_matrices():
         if np.abs(s.m3 - m3_printed).max() > 1e-10 * scale:
             failures.append(f"drift mismatch at point {k}")
         for t in rng.uniform(0.0, 2 * np.pi / p.delta, 20):
-            xi = complex(c.xi_combined().at_time(t, 2 * p.delta))
+            xi = complex(c.xi_combined()(np.exp(2j * p.delta * t)))
             printed = np.array(
                 [
                     c.phi,
@@ -155,7 +156,9 @@ def test_compiler_vs_printed_matrices():
                     xi.imag - c.phi * zi / (2 * g0),
                 ]
             )
-            if np.abs(s.ode().drive(t) - printed).max() > 1e-10 * np.abs(printed).max():
+            ode = s.ode()
+            drive = at_time(ode.drive_static, ode.drive_harmonic, ode.omega, t)
+            if np.abs(drive - printed).max() > 1e-10 * np.abs(printed).max():
                 failures.append(f"drive mismatch at point {k}, t={t:.2e}")
                 break
     report(3, "compiled drift/drive match the printed 3-variable forms", failures)
@@ -289,12 +292,12 @@ def test_physicality_of_shipped_scenarios():
     # trajectory scenarios
     for r in (0.0, 0.5, 1.0, 2.0):
         p = baseline_params(r=r)
-        traj = evolve(p, trajectory_grid(p, default_t_end(p), 200))
+        traj = evolve(p, trajectory_grid(p, default_t_end(p, 10.0), 200))
         for k, V in enumerate(traj.covariances):
             _check_physical(V, f"fig2a r={r} sample {k}", failures)
     for ratio in (0.5, 1.0, 1.5):
         p = baseline_params(delta_hz=ratio * 32.1e6)
-        traj = evolve(p, trajectory_grid(p, default_t_end(p), 200))
+        traj = evolve(p, trajectory_grid(p, default_t_end(p, 10.0), 200))
         for k, V in enumerate(traj.covariances):
             _check_physical(V, f"fig2b delta={ratio} sample {k}", failures)
     for r in (0.0, 1.0, 2.0):

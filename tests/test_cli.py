@@ -173,6 +173,24 @@ def test_negative_r_fails_its_own_row(tmp_path):
         assert all(np.isfinite(float(row["dP2_minus"])) for row in rows[1:])
 
 
+def test_overflowing_r_fails_its_own_row(tmp_path, recwarn):
+    """An r whose N = sinh^2 r overflows is refused in its own row, with no
+    numpy warning; the other row is the one a sweep over it alone prints."""
+    for name, values in (("both", "0.5, 400.0"), ("alone", "0.5")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("[scenario]\nname = custom\nmodel = reduced3, full6\n\n"
+                       f"[sweep]\nname = r\nvalues = {values}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+    for model in ("reduced3", "full6"):
+        both, alone = (
+            (tmp_path / name / f"custom_sweep_{model}.csv").read_text().splitlines()
+            for name in ("both", "alone"))
+        assert both[:2] == alone
+        assert both[2] == ("4.000000000000e+02,nan,nan,nan,nan,"
+                           "ParameterError: r = 400.0 overflows N = sinh^2 r")
+    assert not recwarn.list
+
+
 def test_r_sweep_criterion_failure_fails_its_own_row(tmp_path, monkeypatch):
     """A criterion cross-check that fails at one r fails that row only."""
     criterion = reduced.criterion

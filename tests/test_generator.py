@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _fock import integrate_fock_thermal
+from _periodic import at_time, frozen
 from sqzmirror.dynamics import (
     TimeGrid,
     integrate,
@@ -36,7 +37,7 @@ def test_harmonic_oscillator_drift():
     eqs = compile_generator(GeneratorSpec(1, one_mode_number_hamiltonian(omega)))
     assert np.allclose(eqs.drift, omega * J, atol=1e-14)
     assert np.allclose(eqs.diffusion_static, 0.0)
-    assert eqs.period is None
+    assert eqs.omega == 0.0
 
 
 def test_vacuum_decay_fixed_point():
@@ -134,13 +135,25 @@ def test_reduced_generator_vacuum_reservoir_rates():
     assert all(t.harmonic == 0 for t in spec.dissipators)
 
 
+def assert_frozen_matches_instantaneous(model, coeffs):
+    """The spec frozen at t compiles to the harmonic-tagged compile's D(t)."""
+    harmonic = compile_generator(model(coeffs))
+    assert np.abs(harmonic.diffusion_harmonic).max() > 0
+    for t in (0.0, 1.1e-9, 3.3e-9):
+        snapshot = compile_generator(frozen(model(coeffs), t))
+        assert np.allclose(snapshot.drift, harmonic.drift, rtol=1e-12)
+        D_t = at_time(harmonic.diffusion_static, harmonic.diffusion_harmonic,
+                      harmonic.omega, t)
+        assert np.allclose(snapshot.diffusion_static, D_t, rtol=1e-10)
+        assert np.abs(snapshot.diffusion_harmonic).max() == 0.0
+
+
 def test_reduced_generator_frozen_matches_instantaneous(baseline):
-    c = derive(baseline)
-    t = 3.3e-9
-    frozen = compile_generator(reduced_generator(c, t=t))
-    harmonic = compile_generator(reduced_generator(c))
-    assert np.allclose(frozen.drift, harmonic.drift, rtol=1e-12)
-    assert np.allclose(frozen.diffusion_static, harmonic.diffusion(t), rtol=1e-10)
+    assert_frozen_matches_instantaneous(reduced_generator, derive(baseline))
+
+
+def test_full_generator_frozen_matches_instantaneous(baseline):
+    assert_frozen_matches_instantaneous(full_generator, derive(baseline))
 
 
 def test_full_generator_uncoupled_cavity_block():
@@ -167,10 +180,9 @@ def test_full_generator_frozen_phase_squeezed_variances():
     """Zero detuning: steady cavity variances are exactly e^{+-2r}/2."""
     r = 0.8
     p = baseline_params(eta0_hz=0.0, r=r, delta_hz=0.0)
-    eqs = compile_generator(full_generator(derive(p), t=0.0))
-    V_dc, V_2 = periodic_steady_state(eqs)
-    assert np.abs(V_2).max() < 1e-12
-    ev = np.sort(np.linalg.eigvalsh(V_dc[:2, :2]))
+    eqs = compile_generator(full_generator(derive(p)))
+    V = steady_at_phase(*periodic_steady_state(eqs), 1.0)
+    ev = np.sort(np.linalg.eigvalsh(V[:2, :2]))
     assert ev[0] == pytest.approx(0.5 * np.exp(-2 * r), rel=1e-10)
     assert ev[1] == pytest.approx(0.5 * np.exp(2 * r), rel=1e-10)
 
@@ -202,13 +214,6 @@ def test_full_generator_drift_entrywise(baseline):
     sq = kap * c.M * np.array([[1.0, 1.0j], [1.0j, -1.0]])
     assert np.abs(D2[:2, :2] - sq).max() < 1e-12 * kap * c.M
     assert np.abs(D2[2:, 2:]).max() == 0.0
-
-
-def test_full_generator_single_mirror_flag(baseline):
-    eqs = compile_generator(full_generator(derive(baseline), single_mirror=True))
-    # mirror 2 decouples from the cavity
-    assert np.allclose(eqs.drift[:2, 4:], 0.0)
-    assert np.allclose(eqs.drift[4:, :2], 0.0)
 
 
 @pytest.mark.parametrize("model", [reduced_generator, full_generator])
@@ -243,7 +248,8 @@ def test_compiled_moment_symmetry_preservation(baseline, rng):
     eqs = compile_generator(reduced_generator(derive(baseline)))
     S = rng.normal(size=(4, 4))
     V = S + S.T
-    dV = eqs.drift @ V + V @ eqs.drift.T + eqs.diffusion(1e-9)
+    D = at_time(eqs.diffusion_static, eqs.diffusion_harmonic, eqs.omega, 1e-9)
+    dV = eqs.drift @ V + V @ eqs.drift.T + D
     assert np.allclose(dV, dV.T, rtol=1e-12)
 
 
@@ -298,7 +304,8 @@ def ten_variable_system(eqs, t=0.0):
         V = np.zeros((4, 4))
         V[i, j] = V[j, i] = 1.0
         cols.append(coords(eqs.drift @ V + V @ eqs.drift.T))
-    return np.column_stack(cols), coords(eqs.diffusion(t))
+    D = at_time(eqs.diffusion_static, eqs.diffusion_harmonic, eqs.omega, t)
+    return np.column_stack(cols), coords(D)
 
 
 def test_compiled_ten_variable_drift_and_drive(baseline):
@@ -336,7 +343,7 @@ def test_compiled_ten_variable_drift_and_drive(baseline):
 
     for t in (0.0, 1.9e-9, 4.4e-9):
         _, B10_t = ten_variable_system(eqs, t)
-        xi = complex(c.xi_combined().at_time(t, 2 * p.delta))
+        xi = complex(c.xi_combined()(np.exp(2j * p.delta * t)))
         xr, xi_i = xi.real, xi.imag
         phi = c.phi
         printed = np.array([phi, phi + 2*xr, phi, phi + 2*xr, xi_i, 0.0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sqzmirror.errors import ParameterError
+from sqzmirror.reduced import steady_curve, steady_state
 from sqzmirror.params import (
     HBAR,
     KB,
@@ -12,7 +13,6 @@ from sqzmirror.params import (
     derive,
     from_hz,
     thermal_occupation,
-    xi_pm,
 )
 
 # direct evaluation of Omega^2/(kappa^2 + Delta^2) at the baseline
@@ -102,11 +102,30 @@ def test_laser_frequency_must_be_positive():
         derive(baseline_params(delta_hz=7e9))  # delta > omega_c
 
 
-def test_params_invariants():
+def test_params_invariants(baseline, recwarn):
     with pytest.raises(ParameterError):
         from_hz(6.98e9, -6.2e6, 32.1e6, 930.0, 39.0, 4e-6, 32.1e6, 1.0, 0.0, 2.0)
     with pytest.raises(ParameterError):
         baseline_params(r=-0.5)
+    # non-finite fields, and an r whose N = sinh^2 r overflows
+    for field, value, match in (("r", np.nan, "r must be finite"),
+                                ("temperature", np.nan, "temperature must be finite"),
+                                ("power", np.inf, "power must be finite"),
+                                ("r", 400.0, "overflows N = sinh")):
+        with pytest.raises(ParameterError, match=match):
+            baseline.with_(**{field: value})
+    with pytest.raises(ParameterError, match="r must be finite"):
+        steady_curve(baseline)(float("nan"))
+    with pytest.raises(ParameterError, match="temperature must be finite"):
+        steady_state(baseline.with_(temperature=np.nan))
+    assert not recwarn.list  # refused before numpy sees the overflow
+
+
+def xi_pm(params, omega_k, t):
+    """(xi_k^+, xi_k^-) at time t, from the harmonic decompositions."""
+    c = derive(params)
+    phase = np.exp(2j * params.delta * t)
+    return c.xi_harmonic(omega_k, +1)(phase), c.xi_harmonic(omega_k, -1)(phase)
 
 
 def test_xi_pm_vacuum_reservoir(baseline):
@@ -141,7 +160,7 @@ def test_xi_combined_time_average_keeps_only_static_part(baseline):
     h = c.xi_combined()
     period = np.pi / baseline.delta
     ts = np.linspace(0.0, period, 4001)
-    vals = np.array([h.at_time(t, 2 * baseline.delta) for t in ts])
+    vals = np.array([h(np.exp(2j * baseline.delta * t)) for t in ts])
     avg = np.trapezoid(vals, ts) / period
     assert avg == pytest.approx(h.c0, rel=1e-8)
     assert abs(h.cp) > 0  # sideband present at r = 1
