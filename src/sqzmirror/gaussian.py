@@ -53,26 +53,61 @@ def _check_covariance(V: NDArray) -> NDArray[np.float64]:
     asymmetry = np.abs(V - V.swapaxes(-1, -2)).max(axis=(-2, -1))
     if (asymmetry > SYMMETRY_RTOL * scale * 100).any():
         raise DimensionError("V is not symmetric")
+    # entries of size scale round at scale * eps: past PHYSICALITY_TOL no
+    # uncertainty bound or variance read from them can be trusted
+    rounding = scale * np.finfo(float).eps
+    if (rounding > PHYSICALITY_TOL).any():
+        raise PhysicalityError(
+            f"covariance entries up to {scale.max():.3e} round at "
+            f"{rounding.max():.1e}: precision lost beyond the physicality "
+            f"tolerance {PHYSICALITY_TOL}"
+        )
     return V
 
 
 def _symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
-    n = V.shape[-1] // 2
-    mods = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ V)), axis=-1)
-    # eigenvalues come in +/- pairs; after sorting, adjacent entries pair up
-    a, b = mods[..., 0::2], mods[..., 1::2]
-    unpaired = b - a > PAIRING_RTOL * np.maximum(b, 1.0)
-    if unpaired.any():
-        raise DimensionError(f"symplectic eigenvalues do not pair up: "
-                             f"{a[unpaired][0]!r} vs {b[unpaired][0]!r}")
-    return 0.5 * (a + b)
+    if V.shape[-1] != 4:
+        raise DimensionError(
+            f"symplectic spectrum implemented for 2 modes only, got dim {V.shape[-1]}"
+        )
+    # nu_-^2, nu_+^2 are the roots of x^2 - delta x + det V with
+    # delta = det A + det B + 2 det C for V = [[A, C], [C^T, B]] (Serafini,
+    # Illuminati & De Siena, J. Phys. B 37, L21 (2004)). (UV)^2 has the
+    # eigenvalues -nu_-^2, -nu_+^2, each twice: delta is minus half its trace,
+    # and N below has +-(nu_+^2 - nu_-^2)/2, so disc = tr(N^2) = delta^2 - 4 det V.
+    # N vanishes entrywise at a double root (a pure state), where
+    # delta^2 - 4 det V would cancel to its rounding and its root keep half
+    # the digits.
+    W = symplectic_form(2) @ V
+    M = W @ W
+    delta = -0.5 * np.trace(M, axis1=-2, axis2=-1)
+    N = M + (0.5 * delta)[..., None, None] * np.eye(4)
+    disc = (N * N.swapaxes(-1, -2)).sum(axis=(-2, -1))
+    det = np.linalg.det(V)
+    # a positive definite V has real roots; a negative discriminant is rounding
+    # only up to PAIRING_RTOL of the size its entries allow
+    scale = np.abs(V).max(axis=(-2, -1), initial=1.0)
+    bad = (det <= 0.0) | (delta <= 0.0) | (disc < -PAIRING_RTOL * scale**4)
+    if bad.any():
+        k = int(np.argmax(bad.ravel()))
+        raise DimensionError(
+            f"no symplectic spectrum: det V = {det.ravel()[k]!r}, "
+            f"delta = {delta.ravel()[k]!r}, discriminant = {disc.ravel()[k]!r}"
+        )
+    nu2_plus = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
+    # the small root as det V / nu_+^2 keeps its digits when the state is
+    # strongly entangled, where delta - sqrt(disc) would cancel
+    return np.sqrt(np.stack([det / nu2_plus, nu2_plus], axis=-1))
 
 
 def symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
-    """Symplectic spectrum of a covariance matrix, ascending along the last axis.
+    """Symplectic spectrum (nu_-, nu_+) of a 2-mode covariance, ascending.
 
-    The n non-negative moduli of the eigenvalues of i U V, each conjugate
-    pair collapsed to one value. Physical states have every value >= 1/2.
+    The moduli of the eigenvalues of i U V, each conjugate pair collapsed to
+    one value, from the two-mode invariants det V and
+    delta = det A + det B + 2 det C. Physical states have both values >= 1/2.
+    Refuses (DimensionError) any other mode count and a matrix that is not
+    positive definite: det V <= 0, delta <= 0 or complex roots.
     """
     return _symplectic_eigenvalues(_check_covariance(V))
 

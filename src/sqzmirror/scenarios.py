@@ -213,16 +213,10 @@ def default_t_end(params: PhysicalParams, damping_times: float) -> float:
     return damping_times / params.gamma_m
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    return f"{x:.12e}"
-
-
 def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """One line per row: every number as %.12e, the error column's text as is."""
+    row_format = ",".join("{}" if name == "error" else "{:.12e}" for name in header)
+    lines = [",".join(header), *(row_format.format(*row) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

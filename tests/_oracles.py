@@ -1,0 +1,79 @@
+"""Reference implementations that the package's fast paths are checked against.
+
+The package integrates by a prefix scan over the samples and reads two-mode
+symplectic spectra from a closed form. These are the direct versions: the
+sequential loop that applies one affine span per sample, and the spectrum of
+any mode count as the moduli of the eigenvalues of i U V.
+"""
+
+import numpy as np
+
+from sqzmirror.dynamics import (
+    DIVERGENCE_LIMIT,
+    STEP_SAFETY,
+    _rk4_step_span,
+    _span_power,
+)
+from sqzmirror.errors import DimensionError, DivergenceError, StepSizeError
+from sqzmirror.gaussian import _check_covariance, symplectic_form
+
+PAIRING_RTOL = 1e-9
+
+
+def symplectic_spectrum(V):
+    """Symplectic eigenvalues of an n-mode covariance or a stack, ascending.
+
+    The n moduli of the eigenvalues of i U V, each +/- pair collapsed to one
+    value; refuses (DimensionError) moduli that do not pair up.
+    """
+    V = _check_covariance(V)
+    n = V.shape[-1] // 2
+    mods = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ V)), axis=-1)
+    # eigenvalues come in +/- pairs; after sorting, adjacent entries pair up
+    a, b = mods[..., 0::2], mods[..., 1::2]
+    unpaired = b - a > PAIRING_RTOL * np.maximum(b, 1.0)
+    if unpaired.any():
+        raise DimensionError(f"symplectic eigenvalues do not pair up: "
+                             f"{a[unpaired][0]!r} vs {b[unpaired][0]!r}")
+    return 0.5 * (a + b)
+
+
+def integrate_loop(ode, x0, grid):
+    """dynamics.integrate_linear as one affine span per sample, in order.
+
+    Same RK4 spans, step check and DivergenceError (text and
+    last_valid_time) as the scan; sample 0 is not checked.
+    """
+    h = grid.h
+    rate = ode.fastest_rate()
+    if h * rate > STEP_SAFETY:
+        raise StepSizeError(
+            f"step {h:.3e} too coarse for fastest rate {rate:.3e} "
+            f"(h*rate = {h * rate:.3f} > {STEP_SAFETY})"
+        )
+    step = _rk4_step_span(ode, h)
+    idx = grid.sample_indices()
+    xs = np.empty((len(idx), len(x0)))
+    xs[0] = np.asarray(x0, dtype=float)
+    x = xs[0].copy()
+    spans = {}
+    last_t = grid.t0
+    for k in range(1, len(idx)):
+        m = int(idx[k] - idx[k - 1])
+        if m not in spans:
+            spans[m] = _span_power(step, m)
+        blk = spans[m]
+        t_start = grid.t0 + idx[k - 1] * h
+        phi = np.exp(1j * ode.omega * t_start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = blk.P @ x + blk.u0 + 2.0 * np.real(blk.u2 * phi)
+            bad = not np.all(np.isfinite(x)) or np.abs(x).max() > DIVERGENCE_LIMIT
+        if bad:
+            raise DivergenceError(
+                f"integration diverged at t = {grid.t0 + idx[k] * h:.6e}",
+                last_valid_time=last_t,
+            )
+        last_t = grid.t0 + idx[k] * h
+        xs[k] = x
+    times = grid.t0 + idx * h
+    return times, xs

@@ -8,6 +8,7 @@ import pytest
 # are imported read-only by the tests.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import inputs
 from sqzmirror.params import baseline_params
 
 
@@ -26,3 +27,15 @@ def random_physical_cov(rng, n_modes: int) -> np.ndarray:
     dim = 2 * n_modes
     A = rng.normal(scale=0.4, size=(dim, dim))
     return 0.5 * np.eye(dim) + A @ A.T
+
+
+def random_point(rng):
+    """A point of the benchmark's figure ranges (perfbench/inputs.py), r unset."""
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    return baseline_params(
+        power_w=log_uniform(*inputs.POWER_W),
+        temperature_k=rng.uniform(*inputs.TEMPERATURE_K),
+        gamma_m_hz=inputs.KAPPA_HZ * log_uniform(*inputs.GAMMA_OVER_KAPPA),
+    )

@@ -191,6 +191,32 @@ def test_overflowing_r_fails_its_own_row(tmp_path, recwarn):
     assert not recwarn.list
 
 
+def test_large_r_fails_as_lost_precision_in_every_model(tmp_path):
+    """Steady covariance entries grow as e^{2r}/4; from r = 12 they round
+    coarser than PHYSICALITY_TOL. Every model then refuses the row with the
+    same PhysicalityError and keeps finite values up to r = 10."""
+    cfg = tmp_path / "large_r.cfg"
+    cfg.write_text("[scenario]\nname = custom\n"
+                   "model = reduced3, reduced10, reduced_analytic, full6\n\n"
+                   "[sweep]\nname = r\nvalues = 3, 5, 8, 10, 12, 15\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    cells = ("E_N", "dP2_minus", "dQ2_minus", "theta")
+    dp2 = {}
+    for model in ("reduced3", "reduced10", "reduced_analytic", "full6"):
+        rows = read_csv(tmp_path / "out" / f"custom_sweep_{model}.csv")
+        assert [row["error"] for row in rows[:4]] == [""] * 4, model
+        assert all(np.isfinite(float(row[c])) for row in rows[:4] for c in cells)
+        dp2[model] = [float(row["dP2_minus"]) for row in rows[:4]]
+        for row in rows[4:]:
+            assert row["error"].startswith(
+                "PhysicalityError: covariance entries up to "), (model, row["r"])
+            assert row["error"].endswith(
+                "precision lost beyond the physicality tolerance 1e-06")
+            assert [row[c] for c in cells] == ["nan"] * 4
+    assert np.allclose(dp2["reduced3"], dp2["reduced10"], rtol=1e-9)
+    assert dp2["reduced3"] == dp2["reduced_analytic"]
+
+
 def test_r_sweep_criterion_failure_fails_its_own_row(tmp_path, monkeypatch):
     """A criterion cross-check that fails at one r fails that row only."""
     criterion = reduced.criterion
@@ -380,6 +406,24 @@ def test_config_file_full_roundtrip(tmp_path):
     run(cfg)
     t_k = column(tmp_path / "out" / "custom_sweep_reduced3.csv", "temperature_k")
     assert list(t_k) == [0.0, 1e-3, 2e-3]
+
+
+def test_csv_bytes_with_an_error_row(tmp_path):
+    """Numbers as %.12e (numpy and Python floats, ints, -0.0, nan); the
+    error column's text as it is."""
+    path = tmp_path / "curve.csv"
+    scenarios.write_csv(path, ("r", "E_N", "error"), [
+        (np.float64(0.025), 1 / 3, ""),
+        (2, -0.0, ""),
+        (-0.5, np.nan, "ParameterError: gamma_m; power; temperature; r must be >= 0"),
+    ])
+    assert path.read_bytes() == (
+        b"r,E_N,error\n"
+        b"2.500000000000e-02,3.333333333333e-01,\n"
+        b"2.000000000000e+00,-0.000000000000e+00,\n"
+        b"-5.000000000000e-01,nan,"
+        b"ParameterError: gamma_m; power; temperature; r must be >= 0\n"
+    )
 
 
 def test_csv_float_format_precision(tmp_path):

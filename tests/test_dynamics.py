@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+import inputs
+from _oracles import integrate_loop
+from conftest import random_point
 from sqzmirror.dynamics import (
     LinearHarmonicODE,
     TimeGrid,
+    _affine_scan,
+    _diverged,
+    _rk4_step_span,
+    _span_power,
     _unvech,
     _vech,
     expm_action,
@@ -24,7 +31,8 @@ from sqzmirror.errors import (
     StabilityError,
     StepSizeError,
 )
-from sqzmirror.gaussian import vacuum
+from sqzmirror.full import initial_covariance
+from sqzmirror.gaussian import thermal, vacuum
 from sqzmirror.generator import (
     GeneratorSpec,
     MomentEquations,
@@ -34,6 +42,8 @@ from sqzmirror.generator import (
     reduced_generator,
 )
 from sqzmirror.params import derive
+from sqzmirror.reduced import build_system
+from sqzmirror.scenarios import trajectory_grid
 
 
 def rotation_eqs(omega):
@@ -238,13 +248,109 @@ def test_step_size_guard():
         integrate(eqs, vacuum(1), TimeGrid(0.0, 100.0, 10))
 
 
+def assert_columns_close(xs, ref, rtol=1e-12):
+    """Every entry within rtol of its column's largest value in ref."""
+    assert xs.shape == ref.shape
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(xs - ref) <= rtol * scale), np.abs(xs - ref).max(axis=0) / scale
+
+
+def model_odes(p):
+    """(ode, x0) of reduced3, reduced10 and full6 at the parameters p."""
+    system = build_system(p)
+    c = derive(p)
+    return [
+        (system.ode(), system.initial_state()),
+        (moment_ode(compile_generator(reduced_generator(c))), _vech(thermal(c.nbar0, 2))),
+        (moment_ode(compile_generator(full_generator(c))), _vech(initial_covariance(p))),
+    ]
+
+
+def test_scan_matches_sequential_loop_on_random_draws(rng):
+    """Random points of the benchmark's figure ranges, each model, on the
+    plot grid of a random span and sample count (often a ragged last span)."""
+    ragged = 0
+    for _ in range(4):
+        p = random_point(rng).with_(r=rng.uniform(*inputs.R_RANGE))
+        grid = trajectory_grid(p, rng.uniform(0.05, 1.0) * 10.0 / p.gamma_m,
+                               int(rng.integers(2, 300)))
+        ragged += grid.n_steps % grid.sample_stride != 0
+        for ode, x0 in model_odes(p):
+            times, xs = integrate_linear(ode, x0, grid)
+            ref_times, ref = integrate_loop(ode, x0, grid)
+            assert np.array_equal(times, ref_times)
+            assert_columns_close(xs, ref)
+    assert ragged
+
+
+def random_ode(rng, dim=3):
+    A = rng.normal(scale=0.4, size=(dim, dim)) - 0.6 * np.eye(dim)
+    b2 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return LinearHarmonicODE(A, rng.normal(size=dim), b2, 2.7)
+
+
+@pytest.mark.parametrize("grid", [
+    TimeGrid(0.0, 1.5, 300, sample_stride=1),
+    TimeGrid(0.0, 1.5, 1000, sample_stride=7),  # ragged last span of 6 steps
+    TimeGrid(0.0, 1.5, 50, sample_stride=50),  # one span
+    TimeGrid(0.0, 1.5, 50, sample_stride=80),  # one ragged span
+    TimeGrid(0.3, 0.35, 1, sample_stride=1),  # one step
+], ids=["stride1", "ragged", "one-span", "one-ragged-span", "one-step"])
+def test_scan_matches_sequential_loop_on_edge_grids(rng, grid):
+    ode = random_ode(rng)
+    x0 = rng.normal(size=3)
+    times, xs = integrate_linear(ode, x0, grid)
+    ref_times, ref = integrate_loop(ode, x0, grid)
+    assert np.array_equal(times, ref_times)
+    assert_columns_close(xs, ref)
+    assert np.array_equal(xs[0], x0)
+
+
+def divergence_of(f, *args):
+    with pytest.raises(DivergenceError) as err:
+        f(*args)
+    return str(err.value), err.value.last_valid_time
+
+
 def test_divergence_detection():
     ode = LinearHarmonicODE(
         np.array([[2.0]]), np.zeros(1), np.zeros(1, dtype=complex), 0.0
     )
-    with pytest.raises(DivergenceError) as err:
-        integrate_linear(ode, np.array([1.0]), TimeGrid(0.0, 20.0, 2000, 100))
-    assert err.value.last_valid_time is not None
+    args = (ode, np.array([1.0]), TimeGrid(0.0, 20.0, 2000, 100))
+    message, last_valid = divergence_of(integrate_linear, *args)
+    assert last_valid is not None
+    assert (message, last_valid) == divergence_of(integrate_loop, *args)
+
+
+def diagonal_ode(rates):
+    """Decoupled modes x_i' = rate_i x_i, no drive."""
+    dim = len(rates)
+    return LinearHarmonicODE(np.diag(rates), np.zeros(dim), np.zeros(dim, complex), 0.0)
+
+
+def test_scan_overflow_before_the_first_bad_sample_matches_loop():
+    """A mode growing e^3 per sample from exactly zero stays zero in the
+    loop, but its power P^256 overflows and 0 * inf poisons the scan from
+    sample 257 on; the real blow-up (the mode at rate 0.05) comes at t ~ 553.
+    The error names the loop's sample, and a stable second mode keeps every
+    state equal to the loop's."""
+    grid = TimeGrid(0.0, 800.0, 80_000, sample_stride=100)
+    x0 = np.array([0.0, 1.0])
+    ode = diagonal_ode([3.0, 0.05])
+    block = _span_power(_rk4_step_span(ode, grid.h), grid.sample_stride)
+    with np.errstate(over="ignore", invalid="ignore"):
+        one_scan = _affine_scan(block.P, x0, np.zeros((800, 2)))
+    first_bad_of_one_scan = 1 + int(_diverged(one_scan).argmax())
+    message, last_valid = divergence_of(integrate_linear, ode, x0, grid)
+    assert (message, last_valid) == divergence_of(integrate_loop, ode, x0, grid)
+    assert first_bad_of_one_scan == 257 < last_valid
+    assert message == "integration diverged at t = 5.530000e+02"
+
+    ode = diagonal_ode([3.0, -0.05])
+    _, xs = integrate_linear(ode, x0, grid)
+    _, ref = integrate_loop(ode, x0, grid)
+    assert np.all(xs[:, 0] == 0.0)
+    assert_columns_close(xs, ref)
 
 
 def test_trajectory_invariants():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _oracles import symplectic_spectrum
 from conftest import random_physical_cov
 from sqzmirror.errors import (
     DegenerateAngleWarning,
@@ -36,17 +37,26 @@ def test_symplectic_form_properties():
     assert np.allclose(U @ U, -np.eye(6))
 
 
+# At a double root (delta^2 = 4 det V) the closed form's discriminant must
+# not cancel: errors stay at rounding of the squared entries, as eig(i U V)'s.
+def double_root_tol(V):
+    return 16.0 * np.finfo(float).eps * np.abs(V).max() ** 2
+
+
 def test_symplectic_eigenvalues_vacuum_and_thermal():
-    assert np.allclose(symplectic_eigenvalues(vacuum(2)), [0.5, 0.5])
-    for a in (0.5, 1.0, 7.3):
-        assert np.allclose(symplectic_eigenvalues(a * np.eye(4)), [a, a])
+    assert np.array_equal(symplectic_eigenvalues(vacuum(2)), [0.5, 0.5])
+    for a in (0.5, 0.8, 1.0, 7.3, 1e3):
+        V = a * np.eye(4)
+        assert np.abs(symplectic_eigenvalues(V) - a).max() <= double_root_tol(V)
+    V = thermal([1.2, 0.1])
+    assert np.abs(symplectic_eigenvalues(V) - [0.6, 1.7]).max() <= 1e-15
 
 
 def test_symplectic_eigenvalues_tmsv_pure():
     # pure state: both symplectic eigenvalues at the vacuum floor
-    for s in (0.3, 1.0, 2.0):
-        nu = symplectic_eigenvalues(two_mode_squeezed(s))
-        assert np.allclose(nu, [0.5, 0.5], atol=1e-10)
+    for s in (0.3, 1.0, 2.0, 3.0, 4.0):
+        for V in (two_mode_squeezed(s), rotate_local(two_mode_squeezed(s), 0.7)):
+            assert np.abs(symplectic_eigenvalues(V) - 0.5).max() <= double_root_tol(V)
 
 
 def test_symplectic_eigenvalues_rejects_bad_input():
@@ -54,10 +64,38 @@ def test_symplectic_eigenvalues_rejects_bad_input():
         symplectic_eigenvalues(np.eye(3))
     with pytest.raises(DimensionError):
         symplectic_eigenvalues(np.ones(4))
-    V = vacuum(1).copy()
+    V = vacuum(2).copy()
     V[0, 1] = 0.2  # asymmetric
     with pytest.raises(DimensionError):
         symplectic_eigenvalues(V)
+    for n_modes in (1, 3):
+        with pytest.raises(DimensionError, match="2 modes only"):
+            symplectic_eigenvalues(vacuum(n_modes))
+
+
+@pytest.mark.parametrize("V", [
+    np.diag([1.0, 1.0, 1.0, -1.0]),  # det V < 0
+    np.diag([1.0, -1.0, 1.0, -1.0]),  # det V > 0, delta < 0
+    # det V = 50 and delta = 2 > 0, but delta^2 - 4 det V = -196: complex roots
+    np.array([[-1.0, 2.0, 1.0, -2.0], [2.0, -1.0, 2.0, 0.0],
+              [1.0, 2.0, -2.0, 1.0], [-2.0, 0.0, 1.0, 1.0]]),
+], ids=["det", "delta", "discriminant"])
+def test_symplectic_eigenvalues_refuse_matrices_that_are_not_positive(V):
+    with pytest.raises(DimensionError, match="no symplectic spectrum"):
+        symplectic_eigenvalues(V)
+    with pytest.raises(DimensionError, match="no symplectic spectrum"):
+        symplectic_eigenvalues(np.array([vacuum(2), V]))
+
+
+def test_closed_form_spectrum_matches_eigvals(rng):
+    """The two-mode closed form against the moduli of eig(i U V), single and
+    stacked, on random states and their partial transposes."""
+    states = np.array([random_physical_cov(rng, 2) for _ in range(200)])
+    for stack in (states, partial_transpose(states)):
+        stacked = symplectic_eigenvalues(stack)
+        assert stacked == pytest.approx(symplectic_spectrum(stack), rel=1e-12)
+        for k in (0, 57, 199):
+            assert np.array_equal(symplectic_eigenvalues(stack[k]), stacked[k])
 
 
 def test_partial_transpose_diagonal_invariant():
@@ -84,9 +122,13 @@ def test_partial_transpose_needs_two_modes():
 
 
 def test_tmsv_partial_transpose_eigenvalue():
-    for s in (0.2, 1.0, 1.7):
-        nu_min = symplectic_eigenvalues(partial_transpose(two_mode_squeezed(s)))[0]
-        assert nu_min == pytest.approx(0.5 * np.exp(-2 * s), rel=1e-10)
+    """Cancellation case: nu_- = e^{-2s}/2 comes from det V / nu_+^2 with its
+    relative precision, down to 1.2e-3 at s = 3, as eig(i U V) gives it."""
+    for s in (0.2, 1.0, 1.7, 2.25, 2.5, 2.75, 3.0):
+        Vt = partial_transpose(rotate_local(two_mode_squeezed(s), 0.7))
+        nu = symplectic_eigenvalues(Vt)
+        assert nu == pytest.approx(0.5 * np.exp([-2 * s, 2 * s]), rel=1e-10)
+        assert nu == pytest.approx(symplectic_spectrum(Vt), rel=1e-10)
 
 
 def test_log_negativity_vacuum_and_thermal_zero():
@@ -226,7 +268,6 @@ def test_quadrature_observables_consistency(rng):
 def _per_matrix_results(V, theta, n_modes):
     """Every broadcasting function of gaussian.py on V (one matrix or a stack)."""
     out = {
-        "symplectic_eigenvalues": symplectic_eigenvalues(V),
         "rotation_angle": rotation_angle(V),
         "rotate_local": rotate_local(V, theta),
         "mean_phonon": [mean_phonon(V, m) for m in range(n_modes)],
@@ -234,6 +275,7 @@ def _per_matrix_results(V, theta, n_modes):
     if n_modes == 2:
         obs = quadrature_observables(V)
         out.update(
+            symplectic_eigenvalues=symplectic_eigenvalues(V),
             partial_transpose=partial_transpose(V),
             log_negativity=log_negativity(V),
             relative_mode_variances=relative_mode_variances(V),
@@ -275,3 +317,19 @@ def test_stack_with_one_asymmetric_matrix_is_rejected(rng, f):
     stack[1, 0, 1] += 0.2
     with pytest.raises(DimensionError):
         f(stack)
+
+
+@pytest.mark.parametrize("f", [
+    symplectic_eigenvalues, log_negativity, rotation_angle, relative_mode_variances,
+    lambda V: mean_phonon(V, 0), quadrature_observables,
+])
+def test_entries_past_the_physicality_precision_are_refused(f):
+    """Entries of size x round at x * eps; past PHYSICALITY_TOL (x > 4.5e9)
+    a matrix, or a stack holding one, is refused as lost precision."""
+    V = np.array([[2.0, 0.3, 0.5, 0.0], [0.3, 3.0, 0.0, 0.4],
+                  [0.5, 0.0, 5.0, 0.2], [0.0, 0.4, 0.2, 7.0]]) / 7.0
+    fine, coarse = 4.4e9 * V, 4.6e9 * V
+    f(fine)
+    for V in (coarse, np.array([fine, coarse])):
+        with pytest.raises(PhysicalityError, match="precision lost"):
+            f(V)

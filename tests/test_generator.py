@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _fock import integrate_fock_thermal
+from _oracles import symplectic_spectrum
 from _periodic import at_time, frozen
 from sqzmirror.dynamics import (
     TimeGrid,
@@ -12,7 +13,7 @@ from sqzmirror.dynamics import (
     steady_at_phase,
 )
 from sqzmirror.errors import GeneratorError, SimulationError
-from sqzmirror.gaussian import symplectic_eigenvalues, vacuum
+from sqzmirror.gaussian import vacuum
 from sqzmirror.generator import (
     GeneratorSpec,
     annihilation_vector,
@@ -172,7 +173,7 @@ def test_full_generator_cavity_reaches_pure_squeezed_state():
     V_dc, V_2 = periodic_steady_state(eqs)
     for phase in (1.0, -1.0, np.exp(0.43j)):
         V = steady_at_phase(V_dc, V_2, phase)
-        nu = symplectic_eigenvalues(V[:2, :2])
+        nu = symplectic_spectrum(V[:2, :2])
         assert nu[0] == pytest.approx(0.5, abs=1e-6)
 
 

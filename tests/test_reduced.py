@@ -5,6 +5,7 @@ import pytest
 
 import inputs
 from _periodic import at_time
+from conftest import random_point
 from sqzmirror import generator
 from sqzmirror.dynamics import (
     TimeGrid,
@@ -225,18 +226,6 @@ def test_random_draws_agree_across_vector_forms(rng):
             V_dc, _ = periodic_steady_state(eqs)
             resid = A @ V_dc + V_dc @ A.T + D0
             assert np.abs(resid).max() <= 1e-10 * np.abs(D0).max()
-
-
-def random_point(rng):
-    """A point of the benchmark's figure ranges (perfbench/inputs.py), r unset."""
-    def log_uniform(lo, hi):
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-    return baseline_params(
-        power_w=log_uniform(*inputs.POWER_W),
-        temperature_k=rng.uniform(*inputs.TEMPERATURE_K),
-        gamma_m_hz=inputs.KAPPA_HZ * log_uniform(*inputs.GAMMA_OVER_KAPPA),
-    )
 
 
 def solved_at_point(model, p, phase):
