@@ -18,7 +18,7 @@ for every drift/diffusion matrix in the package.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +41,7 @@ def annihilation_vector(n_modes: int, mode: int) -> NDArray[np.complex128]:
 
 def hermitian_form(w: complex, o: NDArray, p: NDArray) -> NDArray[np.float64]:
     """Symmetric G with (1/2) X^T G X = w*(o^T X)(p^T X) + h.c. (mod constant)."""
-    K = w * np.outer(o, p) + np.conj(w) * np.outer(np.conj(p), np.conj(o))
+    K = w * (o[:, None] * p) + np.conj(w) * (np.conj(p)[:, None] * np.conj(o))
     G = K + K.T
     if np.abs(G.imag).max() > 1e-12 * max(np.abs(G).max(), 1.0):
         raise GeneratorError("hermitian_form produced a non-real quadratic form")
@@ -87,53 +87,97 @@ class MomentEquations:
     omega: float  # 2*Delta; 0 when the diffusion is static
 
 
-def _term_drift(term: DissipatorTerm, U: NDArray) -> NDArray[np.complex128]:
-    l, m = term.left, term.right
-    return 1j * term.rate * (U @ (np.outer(l, m) - np.outer(m, l)))
+HARMONICS = (-1, 0, 1)
 
 
-def _term_diffusion(term: DissipatorTerm, U: NDArray) -> NDArray[np.complex128]:
-    ul, um = U @ term.left, U @ term.right
-    return term.rate * (np.outer(um, ul) + np.outer(ul, um))
+def _structure_refusal(spec: GeneratorSpec, dim: int) -> GeneratorError | None:
+    """The refusal a spec earns before any arithmetic, or None."""
+    if 2 * spec.n_modes != dim:
+        return GeneratorError("stacked specs must share one mode count")
+    G = np.asarray(spec.hamiltonian, dtype=float)
+    if G.shape != (dim, dim) or np.abs(G - G.T).max() > 1e-12 * max(np.abs(G).max(), 1.0):
+        return GeneratorError("hamiltonian must be a symmetric 2n x 2n matrix")
+    tag = next((t.harmonic for t in spec.dissipators if t.harmonic not in HARMONICS), None)
+    if tag is not None:
+        return GeneratorError(f"unsupported harmonic tag {tag}")
+    return None
+
+
+def compile_stack(specs: Sequence[GeneratorSpec]) -> list[MomentEquations]:
+    """Compile specs of one mode count in one array program.
+
+    The terms of every spec are stacked into L, R (T, 2n) and their rates
+    into W[s, h, t], nonzero only where spec s owns term t and t carries
+    tag h. One einsum over all terms and tags gives, per spec and tag,
+    K_h = sum_t W[s, h, t] (U l_t)(U m_t)^T, which is U k_h U^T for
+    k_h = sum_t W[s, h, t] l_t m_t^T. Since U is a signed permutation
+    (U^T U = 1), A_h = i U (k_h - k_h^T) = i (K_h - K_h^T) U (plus U G at
+    h = 0) and D_h = U (k_h + k_h^T) U^T = K_h + K_h^T.
+
+    Each spec is checked against its own scale, and the error raised is the
+    one that compiling the specs one at a time, in order, would raise first.
+    """
+    dim = 2 * specs[0].n_modes
+    for k, spec in enumerate(specs):
+        refusal = _structure_refusal(spec, dim)
+        if refusal is not None:
+            if k:
+                _compile_checked(specs[:k], dim)  # the specs before refuse first
+            raise refusal
+    return _compile_checked(specs, dim)
+
+
+def _compile_checked(specs: Sequence[GeneratorSpec], dim: int) -> list[MomentEquations]:
+    terms = [t for spec in specs for t in spec.dissipators]
+    owner = np.repeat(np.arange(len(specs)), [len(spec.dissipators) for spec in specs])
+    W = np.zeros((len(specs), len(HARMONICS), len(terms)), dtype=complex)
+    W[owner, [t.harmonic + 1 for t in terms], np.arange(len(terms))] = [t.rate for t in terms]
+    U = symplectic_form(dim // 2)
+    UL = np.array([t.left for t in terms], dtype=complex).reshape(-1, dim) @ U.T
+    UR = np.array([t.right for t in terms], dtype=complex).reshape(-1, dim) @ U.T
+    K = np.einsum("sht,ti,tj->shij", W, UL, UR)
+    Kt = K.swapaxes(-1, -2)
+    D = K + Kt
+    A0 = 1j * ((K[:, 1] - Kt[:, 1]) @ U)
+    A0 += U @ np.array([spec.hamiltonian for spec in specs], dtype=float)
+
+    def amax(X):
+        return np.abs(X).max(axis=(-2, -1))
+
+    D0, D2 = D[:, 1], D[:, 2]
+    scale = DRIFT_RTOL * np.maximum(np.maximum(amax(A0), amax(D0)), 1.0)
+    complex_static = np.maximum(amax(A0.imag), amax(D0.imag)) > scale
+    # |A_h| = |K_h - K_h^T| entry for entry, U being a signed permutation
+    harmonic_drift = amax(K[:, ::2] - Kt[:, ::2]).max(axis=1) > scale
+    unpaired = amax(D[:, 0] - np.conj(D2)) > scale
+    for k in range(len(specs)):
+        if complex_static[k]:
+            raise GeneratorError("term list is not self-adjoint (complex static moments)")
+        if harmonic_drift[k]:
+            raise GeneratorError("harmonic terms produce a time-dependent drift")
+        if unpaired[k]:
+            raise GeneratorError("term list is not self-adjoint (sidebands not conjugate)")
+
+    sideband = amax(D2) > 0
+    return [
+        MomentEquations(
+            drift=A0[k].real,
+            diffusion_static=D0[k].real,
+            diffusion_harmonic=D2[k],
+            omega=2.0 * spec.delta if sideband[k] else 0.0,
+        )
+        for k, spec in enumerate(specs)
+    ]
 
 
 def compile_generator(spec: GeneratorSpec) -> MomentEquations:
     """Derive the first/second-moment evolution from a generator description.
 
-    Raises GeneratorError when the term list is not self-adjoint (complex
-    residues in A or D) or would produce a time-dependent drift.
+    compile_stack on a stack of one. Raises GeneratorError when the term
+    list is not self-adjoint (complex residues in A or D) or would produce a
+    time-dependent drift.
     """
-    dim = 2 * spec.n_modes
-    G = np.asarray(spec.hamiltonian, dtype=float)
-    if G.shape != (dim, dim) or np.abs(G - G.T).max() > 1e-12 * max(np.abs(G).max(), 1.0):
-        raise GeneratorError("hamiltonian must be a symmetric 2n x 2n matrix")
-    U = symplectic_form(spec.n_modes)
-
-    A = {h: np.zeros((dim, dim), dtype=complex) for h in (-1, 0, 1)}
-    D = {h: np.zeros((dim, dim), dtype=complex) for h in (-1, 0, 1)}
-    A[0] += U @ G
-    for term in spec.dissipators:
-        if term.harmonic not in (-1, 0, 1):
-            raise GeneratorError(f"unsupported harmonic tag {term.harmonic}")
-        A[term.harmonic] += _term_drift(term, U)
-        D[term.harmonic] += _term_diffusion(term, U)
-
-    scale = max(np.abs(A[0]).max(), np.abs(D[0]).max(), 1.0)
-    if max(np.abs(A[0].imag).max(), np.abs(D[0].imag).max()) > DRIFT_RTOL * scale:
-        raise GeneratorError("term list is not self-adjoint (complex static moments)")
-    if max(np.abs(A[1]).max(), np.abs(A[-1]).max()) > DRIFT_RTOL * scale:
-        raise GeneratorError("harmonic terms produce a time-dependent drift")
-    if np.abs(D[-1] - np.conj(D[1])).max() > DRIFT_RTOL * scale:
-        raise GeneratorError("term list is not self-adjoint (sidebands not conjugate)")
-
-    D0 = 0.5 * (D[0].real + D[0].real.T)
-    D2 = 0.5 * (D[1] + D[1].T)
-    return MomentEquations(
-        drift=A[0].real,
-        diffusion_static=D0,
-        diffusion_harmonic=D2,
-        omega=2.0 * spec.delta if np.abs(D2).max() > 0 else 0.0,
-    )
+    return compile_stack([spec])[0]
 
 
 # the reservoir correlations (N, M) at which compile_injections compiles
@@ -143,7 +187,7 @@ RESERVOIR_INJECTIONS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 def compile_injections(
     model: Callable[[DerivedCoefficients], GeneratorSpec], coeffs: DerivedCoefficients
 ) -> list[MomentEquations]:
-    """Compile model(coeffs) at each of RESERVOIR_INJECTIONS.
+    """Compile model(coeffs) at each of RESERVOIR_INJECTIONS, as one stack.
 
     The moment equations are affine in the reservoir correlations (N, M)
     and their drift does not depend on them, so these three compiles give
@@ -151,8 +195,7 @@ def compile_injections(
     N [D(1,0) - D(0,0)] plus M times the sideband of D(0,1). Raises
     SimulationError when the drift differs between them.
     """
-    eqs = [compile_generator(model(replace(coeffs, N=n, M=m)))
-           for n, m in RESERVOIR_INJECTIONS]
+    eqs = compile_stack([model(replace(coeffs, N=n, M=m)) for n, m in RESERVOIR_INJECTIONS])
     drift = eqs[0].drift
     if max(np.abs(e.drift - drift).max() for e in eqs[1:]) > 1e-9 * np.abs(drift).max():
         raise SimulationError("drift acquired reservoir dependence")

@@ -1,9 +1,11 @@
 """Reference implementations that the package's fast paths are checked against.
 
-The package integrates by a prefix scan over the samples and reads two-mode
-symplectic spectra from a closed form. These are the direct versions: the
-sequential loop that applies one affine span per sample, and the spectrum of
-any mode count as the moduli of the eigenvalues of i U V.
+The package integrates by a prefix scan over the samples, reads two-mode
+symplectic spectra from a closed form and compiles generators as one array
+program over every term. These are the direct versions: the sequential loop
+that applies one affine span per sample, the spectrum of any mode count as
+the moduli of the eigenvalues of i U V, and the compiler that adds up the
+drift and diffusion of one dissipator term at a time.
 """
 
 import numpy as np
@@ -14,8 +16,9 @@ from sqzmirror.dynamics import (
     _rk4_step_span,
     _span_power,
 )
-from sqzmirror.errors import DimensionError, DivergenceError, StepSizeError
+from sqzmirror.errors import DimensionError, DivergenceError, GeneratorError, StepSizeError
 from sqzmirror.gaussian import _check_covariance, symplectic_form
+from sqzmirror.generator import DRIFT_RTOL, MomentEquations
 
 PAIRING_RTOL = 1e-9
 
@@ -77,3 +80,45 @@ def integrate_loop(ode, x0, grid):
         xs[k] = x
     times = grid.t0 + idx * h
     return times, xs
+
+
+def compile_loop(spec):
+    """generator.compile_generator as a loop over the dissipator terms.
+
+    Each term adds i*rate U (l m^T - m l^T) to the drift and
+    rate [(U m)(U l)^T + (U l)(U m)^T] to the diffusion of its harmonic tag;
+    the same GeneratorError checks, in the same order, against the same scale.
+    """
+    dim = 2 * spec.n_modes
+    G = np.asarray(spec.hamiltonian, dtype=float)
+    if G.shape != (dim, dim) or np.abs(G - G.T).max() > 1e-12 * max(np.abs(G).max(), 1.0):
+        raise GeneratorError("hamiltonian must be a symmetric 2n x 2n matrix")
+    U = symplectic_form(spec.n_modes)
+
+    A = {h: np.zeros((dim, dim), dtype=complex) for h in (-1, 0, 1)}
+    D = {h: np.zeros((dim, dim), dtype=complex) for h in (-1, 0, 1)}
+    A[0] += U @ G
+    for term in spec.dissipators:
+        if term.harmonic not in (-1, 0, 1):
+            raise GeneratorError(f"unsupported harmonic tag {term.harmonic}")
+        l, m = term.left, term.right
+        A[term.harmonic] += 1j * term.rate * (U @ (np.outer(l, m) - np.outer(m, l)))
+        ul, um = U @ l, U @ m
+        D[term.harmonic] += term.rate * (np.outer(um, ul) + np.outer(ul, um))
+
+    scale = max(np.abs(A[0]).max(), np.abs(D[0]).max(), 1.0)
+    if max(np.abs(A[0].imag).max(), np.abs(D[0].imag).max()) > DRIFT_RTOL * scale:
+        raise GeneratorError("term list is not self-adjoint (complex static moments)")
+    if max(np.abs(A[1]).max(), np.abs(A[-1]).max()) > DRIFT_RTOL * scale:
+        raise GeneratorError("harmonic terms produce a time-dependent drift")
+    if np.abs(D[-1] - np.conj(D[1])).max() > DRIFT_RTOL * scale:
+        raise GeneratorError("term list is not self-adjoint (sidebands not conjugate)")
+
+    D0 = 0.5 * (D[0].real + D[0].real.T)
+    D2 = 0.5 * (D[1] + D[1].T)
+    return MomentEquations(
+        drift=A[0].real,
+        diffusion_static=D0,
+        diffusion_harmonic=D2,
+        omega=2.0 * spec.delta if np.abs(D2).max() > 0 else 0.0,
+    )

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzmirror import full, generator, reduced, scenarios
+from sqzmirror import generator, reduced, scenarios
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
     OUTPUT_DIR_ENV,
@@ -239,12 +239,12 @@ def test_r_sweep_criterion_failure_fails_its_own_row(tmp_path, monkeypatch):
 
 def test_r_sweep_compiles_once_per_curve(tmp_path, monkeypatch):
     """An r sweep compiles each model's generator at the three reservoir
-    injections; any other axis compiles once per point."""
+    injections; any other axis compiles once per point. Every compile goes
+    through generator.compile_stack, so its stack lengths count the specs."""
     compiles = []
-    compile_one = generator.compile_generator
-    for module in (generator, full, reduced, scenarios):
-        monkeypatch.setattr(module, "compile_generator",
-                            lambda spec: compiles.append(spec) or compile_one(spec))
+    compile_stack = generator.compile_stack
+    monkeypatch.setattr(generator, "compile_stack",
+                        lambda specs: compiles.extend(specs) or compile_stack(specs))
     models = ["reduced3", "reduced10", "full6"]
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),

@@ -1,10 +1,15 @@
 """Generator compiler: moment equations from Hamiltonian + dissipator terms."""
 
+import re
+from dataclasses import replace
+
+import inputs
 import numpy as np
 import pytest
 
 from _fock import integrate_fock_thermal
-from _oracles import symplectic_spectrum
+from _oracles import compile_loop, symplectic_spectrum
+from conftest import random_point
 from _periodic import at_time, frozen
 from sqzmirror.dynamics import (
     TimeGrid,
@@ -15,10 +20,12 @@ from sqzmirror.dynamics import (
 from sqzmirror.errors import GeneratorError, SimulationError
 from sqzmirror.gaussian import vacuum
 from sqzmirror.generator import (
+    RESERVOIR_INJECTIONS,
     GeneratorSpec,
     annihilation_vector,
     compile_generator,
     compile_injections,
+    compile_stack,
     full_generator,
     hermitian_form,
     reduced_generator,
@@ -88,11 +95,18 @@ def test_thermal_decay_matches_fock_oracle():
     assert np.abs(p2 - p2_ref).max() < 1e-4
 
 
+# the refusals of the compiler, word for word
+ASYMMETRIC = "hamiltonian must be a symmetric 2n x 2n matrix"
+COMPLEX_STATIC = "term list is not self-adjoint (complex static moments)"
+HARMONIC_DRIFT = "harmonic terms produce a time-dependent drift"
+UNPAIRED = "term list is not self-adjoint (sidebands not conjugate)"
+
+
 def test_non_self_adjoint_term_list_rejected():
     a = annihilation_vector(1, 0)
     spec = GeneratorSpec(1, np.zeros((2, 2)))
     spec.add_dissipator(0.3, a, a)  # squeeze term without its h.c. partner
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError, match=re.escape(COMPLEX_STATIC)):
         compile_generator(spec)
 
 
@@ -101,7 +115,7 @@ def test_time_dependent_drift_rejected():
     spec = GeneratorSpec(1, np.zeros((2, 2)), delta=1.0)
     spec.add_dissipator(0.3, a, np.conj(a), harmonic=+1)
     spec.add_dissipator(0.3, a, np.conj(a), harmonic=-1)
-    with pytest.raises(GeneratorError):
+    with pytest.raises(GeneratorError, match=re.escape(HARMONIC_DRIFT)):
         compile_generator(spec)
 
 
@@ -350,3 +364,157 @@ def test_compiled_ten_variable_drift_and_drive(baseline):
         printed = np.array([phi, phi + 2*xr, phi, phi + 2*xr, xi_i, 0.0,
                             -xi_i, -xi_i, -2*xr, xi_i])
         assert np.abs(B10_t - printed).max() < 1e-10 * np.abs(printed).max()
+
+
+def assert_matches_loop(eqs, spec):
+    """eqs within 1e-13 of each matrix's largest entry of the term loop's."""
+    ref = compile_loop(spec)
+    for name in ("drift", "diffusion_static", "diffusion_harmonic"):
+        got, want = getattr(eqs, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+    assert eqs.omega == ref.omega
+
+
+@pytest.mark.parametrize("model", [reduced_generator, full_generator])
+@pytest.mark.parametrize("cold", [True, False], ids=["T=0", "T>0"])
+def test_compiles_match_term_loop(rng, model, cold):
+    """compile_generator and every compile_injections member against the
+    term loop, at random points of the benchmark's ranges."""
+    for _ in range(5):
+        p = random_point(rng).with_(r=rng.uniform(*inputs.R_RANGE))
+        if cold:
+            p = p.with_(temperature=0.0)
+        c = derive(p)
+        assert_matches_loop(compile_generator(model(c)), model(c))
+        specs = [model(replace(c, N=n, M=m)) for n, m in RESERVOIR_INJECTIONS]
+        for eqs, spec in zip(compile_injections(model, c), specs):
+            assert_matches_loop(eqs, spec)
+        if cold:
+            # zero rates are skipped, so the stack members differ in length
+            assert len({len(spec.dissipators) for spec in specs}) > 1
+
+
+def random_spec(rng, n_modes):
+    """A self-adjoint spec with static, +1 and -1 tagged terms on random vectors."""
+    dim = 2 * n_modes
+    S = rng.normal(size=(dim, dim))
+    spec = GeneratorSpec(n_modes, S + S.T, delta=rng.uniform(0.5, 2.0))
+    for _ in range(3):
+        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        s = complex(rng.normal(), rng.normal())
+        spec.add_dissipator(rng.uniform(0.1, 2.0), a, np.conj(a))
+        spec.add_dissipator(s, a, a)
+        spec.add_dissipator(np.conj(s), np.conj(a), np.conj(a))
+        spec.add_dissipator(s, a, a, harmonic=+1)
+        spec.add_dissipator(np.conj(s), np.conj(a), np.conj(a), harmonic=-1)
+    return spec
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_hand_built_specs_match_term_loop(rng, n_modes):
+    """Specs carrying all three tags, alone and as one stack."""
+    specs = [random_spec(rng, n_modes) for _ in range(3)]
+    for spec in specs:
+        assert_matches_loop(compile_generator(spec), spec)
+    for eqs, spec in zip(compile_stack(specs), specs):
+        assert_matches_loop(eqs, spec)
+        assert np.abs(eqs.diffusion_harmonic).max() > 0
+
+
+def one_mode_spec(*terms, hamiltonian=None):
+    """One-mode spec from (rate, left, right, harmonic) terms on a, a^dag."""
+    spec = GeneratorSpec(1, np.zeros((2, 2)) if hamiltonian is None else hamiltonian,
+                         delta=1.0)
+    for rate, left, right, harmonic in terms:
+        spec.add_dissipator(rate, left, right, harmonic)
+    return spec
+
+
+A1 = annihilation_vector(1, 0)
+AD1 = np.conj(A1)
+BAD_SPECS = {
+    "asymmetric": (lambda: one_mode_spec(hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]])),
+                   ASYMMETRIC),
+    "misshaped": (lambda: one_mode_spec(hamiltonian=np.zeros((4, 4))), ASYMMETRIC),
+    "tag": (lambda: one_mode_spec((0.3, A1, AD1, 2)), "unsupported harmonic tag 2"),
+    "complex": (lambda: one_mode_spec((0.3, A1, A1, 0)), COMPLEX_STATIC),
+    "drift": (lambda: one_mode_spec((0.3, A1, AD1, 1), (0.3, A1, AD1, -1)), HARMONIC_DRIFT),
+    "sidebands": (lambda: one_mode_spec((0.3, A1, A1, 1), (0.6, AD1, AD1, -1)), UNPAIRED),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPECS)
+def test_every_refusal_keeps_its_text(case):
+    """Each GeneratorError fires with the term loop's text, alone and as any
+    member of a stack whose other members are sound."""
+    build, text = BAD_SPECS[case]
+    with pytest.raises(GeneratorError) as loop:
+        compile_loop(build())
+    assert str(loop.value) == text
+    with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
+        compile_generator(build())
+    good = one_mode_spec((0.7, A1, AD1, 0))
+    for stack in ([build(), good], [good, build()], [good, build(), good]):
+        with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
+            compile_stack(stack)
+
+
+@pytest.mark.parametrize("first", BAD_SPECS)
+@pytest.mark.parametrize("second", BAD_SPECS)
+def test_stack_raises_what_compiling_in_order_raises(first, second):
+    """Two bad members: the first member's refusal, as a loop of compiles gives."""
+    with pytest.raises(GeneratorError, match=f"^{re.escape(BAD_SPECS[first][1])}$"):
+        compile_stack([BAD_SPECS[first][0](), BAD_SPECS[second][0]()])
+
+
+def test_stack_members_must_share_mode_count():
+    with pytest.raises(GeneratorError, match="stacked specs must share one mode count"):
+        compile_stack([one_mode_spec(), GeneratorSpec(2, np.zeros((4, 4)))])
+
+
+@pytest.mark.parametrize("defect", ["tag", "complex"])
+def test_model_bad_only_at_one_injection(baseline, defect):
+    """A spec that is bad only at (N, M) = (0, 1) is refused by compile_injections."""
+    am = (annihilation_vector(2, 0) - annihilation_vector(2, 1)) / np.sqrt(2.0)
+
+    def model(coeffs):
+        spec = reduced_generator(coeffs)
+        if coeffs.N == 0 and coeffs.M != 0:
+            if defect == "tag":
+                spec.add_dissipator(1.0, am, np.conj(am), harmonic=2)
+            else:
+                spec.add_dissipator(coeffs.params.omega_m, am, am)
+        return spec
+
+    coeffs = derive(baseline)
+    compile_generator(model(coeffs))
+    compile_generator(model(replace(coeffs, N=1.0, M=0.0)))
+    text = "unsupported harmonic tag 2" if defect == "tag" else COMPLEX_STATIC
+    with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
+        compile_injections(model, coeffs)
+
+
+def test_stack_checks_each_member_against_its_own_scale():
+    """A defect small against a loud member's scale still fails a quiet one."""
+    loud = one_mode_spec((1e12, A1, AD1, 0), (1e-2, A1, A1, 0))
+    quiet = one_mode_spec((1.0, A1, AD1, 0), (1e-3, A1, A1, 0))
+    sound = one_mode_spec((1.0, A1, AD1, 0))
+    compile_generator(loud)  # 1e-2 is 1e-14 of its own scale
+    for stack in ([loud, quiet], [quiet, loud]):
+        with pytest.raises(GeneratorError, match=re.escape(COMPLEX_STATIC)):
+            compile_stack(stack)
+    for eqs, spec in zip(compile_stack([loud, sound]), [loud, sound]):
+        assert_matches_loop(eqs, spec)
+
+
+def test_empty_term_list_compiles(rng):
+    """No dissipators: drift U G, no diffusion, alone and in a stack."""
+    empty = GeneratorSpec(2, np.diag([1.0, 2.0, 3.0, 4.0]), delta=1.0)
+    eqs = compile_generator(empty)
+    assert_matches_loop(eqs, empty)
+    assert np.abs(eqs.diffusion_static).max() == 0.0
+    assert eqs.omega == 0.0
+    full_spec = random_spec(rng, 2)
+    for stack in ([empty, full_spec], [full_spec, empty]):
+        for eqs, spec in zip(compile_stack(stack), stack):
+            assert_matches_loop(eqs, spec)

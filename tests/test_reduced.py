@@ -269,12 +269,12 @@ def test_optimal_squeezing_matches_per_point_objective(rng, phase):
 
 
 def test_r_curve_is_one_build(baseline, monkeypatch):
-    """A whole r curve, or an optimum search, compiles the generator three
-    times, and each point equals steady_state's."""
+    """A whole r curve, or an optimum search, compiles three generator specs,
+    and each point equals steady_state's."""
     compiles = []
-    compile_one = generator.compile_generator
-    monkeypatch.setattr(generator, "compile_generator",
-                        lambda spec: compiles.append(spec) or compile_one(spec))
+    compile_stack = generator.compile_stack
+    monkeypatch.setattr(generator, "compile_stack",
+                        lambda specs: compiles.extend(specs) or compile_stack(specs))
     r_values = np.linspace(0.0, 2.5, 11)
     V, report = steady_curve(baseline, -1.0)(r_values)
     assert len(compiles) == 3
