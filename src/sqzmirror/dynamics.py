@@ -442,7 +442,6 @@ def reservoir_steady(
 @dataclass(frozen=True)
 class MinimizeResult:
     x: float
-    fx: float
     boundary: bool  # no interior decrease detected; minimum sits at an edge
 
 
@@ -471,4 +470,4 @@ def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResu
             fd = f(d)
     x = 0.5 * (a + b)
     boundary = (x - a0 <= 10.0 * tol) or (b0 - x <= 10.0 * tol)
-    return MinimizeResult(x=x, fx=f(x), boundary=boundary)
+    return MinimizeResult(x=x, boundary=boundary)

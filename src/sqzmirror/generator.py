@@ -18,7 +18,7 @@ for every drift/diffusion matrix in the package.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,11 +39,23 @@ def annihilation_vector(n_modes: int, mode: int) -> NDArray[np.complex128]:
     return v
 
 
-def hermitian_form(w: complex, o: NDArray, p: NDArray) -> NDArray[np.float64]:
-    """Symmetric G with (1/2) X^T G X = w*(o^T X)(p^T X) + h.c. (mod constant)."""
+def _amax(X):
+    """Largest modulus of each matrix of a stack (..., m, m)."""
+    return np.abs(X).max(axis=(-2, -1))
+
+
+def hermitian_form(
+    w: complex | NDArray, o: NDArray, p: NDArray
+) -> NDArray[np.float64]:
+    """Symmetric G with (1/2) X^T G X = w*(o^T X)(p^T X) + h.c. (mod constant).
+
+    An array w gives a stack of forms along its axes, each checked on its
+    own scale.
+    """
+    w = np.asarray(w)[..., None, None]
     K = w * (o[:, None] * p) + np.conj(w) * (np.conj(p)[:, None] * np.conj(o))
-    G = K + K.T
-    if np.abs(G.imag).max() > 1e-12 * max(np.abs(G).max(), 1.0):
+    G = K + K.swapaxes(-1, -2)
+    if np.count_nonzero(_amax(G.imag) > 1e-12 * np.maximum(_amax(G), 1.0)):
         raise GeneratorError("hermitian_form produced a non-real quadratic form")
     return G.real
 
@@ -52,7 +64,7 @@ def hermitian_form(w: complex, o: NDArray, p: NDArray) -> NDArray[np.float64]:
 class DissipatorTerm:
     """rate * e^{i*harmonic*2*Delta*t} * (2 L rho M - M L rho - rho M L)."""
 
-    rate: complex
+    rate: complex  # or an array along the spec's member axis
     left: NDArray[np.complex128]  # L = left^T X
     right: NDArray[np.complex128]  # M = right^T X
     harmonic: int
@@ -60,7 +72,11 @@ class DissipatorTerm:
 
 @dataclass
 class GeneratorSpec:
-    """Quadratic Hamiltonian plus bilinear dissipators for n modes."""
+    """Quadratic Hamiltonian plus bilinear dissipators for n modes.
+
+    The Hamiltonian and the rates may carry a leading member axis: the spec
+    then describes one model at several points (compile_stack).
+    """
 
     n_modes: int
     hamiltonian: NDArray[np.float64]
@@ -68,12 +84,15 @@ class GeneratorSpec:
     delta: float = 0.0  # harmonic terms oscillate at 2*delta
 
     def add_dissipator(self, rate, left, right, harmonic: int = 0) -> None:
-        self.dissipators.append(DissipatorTerm(complex(rate), left, right, harmonic))
+        # an array rate carries the member axis
+        rate = np.asarray(rate, complex) if isinstance(rate, np.ndarray) else complex(rate)
+        self.dissipators.append(DissipatorTerm(rate, left, right, harmonic))
 
     def add_harmonic_dissipator(self, rate: Harmonic, left, right) -> None:
-        """Expand a Harmonic rate into tagged static-amplitude terms."""
+        """Expand a Harmonic rate into tagged static-amplitude terms, each
+        kept when it is nonzero at any member."""
         for amp, h in ((rate.c0, 0), (rate.cp, +1), (rate.cm, -1)):
-            if amp != 0:
+            if np.count_nonzero(amp):
                 self.add_dissipator(amp, left, right, h)
 
 
@@ -90,67 +109,57 @@ class MomentEquations:
 HARMONICS = (-1, 0, 1)
 
 
-def _structure_refusal(spec: GeneratorSpec, dim: int) -> GeneratorError | None:
-    """The refusal a spec earns before any arithmetic, or None."""
-    if 2 * spec.n_modes != dim:
-        return GeneratorError("stacked specs must share one mode count")
-    G = np.asarray(spec.hamiltonian, dtype=float)
-    if G.shape != (dim, dim) or np.abs(G - G.T).max() > 1e-12 * max(np.abs(G).max(), 1.0):
-        return GeneratorError("hamiltonian must be a symmetric 2n x 2n matrix")
-    tag = next((t.harmonic for t in spec.dissipators if t.harmonic not in HARMONICS), None)
-    if tag is not None:
-        return GeneratorError(f"unsupported harmonic tag {tag}")
-    return None
+def compile_stack(spec: GeneratorSpec) -> list[MomentEquations]:
+    """Compile a spec whose Hamiltonian and rates may carry a member axis.
 
+    The Hamiltonian (dim, dim) or (S, dim, dim) and the rates, scalars or
+    (S,), broadcast to S members (one without a member axis). The terms are
+    stacked into L, R (T, 2n) and their rates into W[h, t, s], nonzero only
+    where term t carries tag h. One einsum over all terms and tags gives, per
+    member and tag, K_h = sum_t W[h, t, s] (U l_t)(U m_t)^T, which is
+    U k_h U^T for k_h = sum_t W[h, t, s] l_t m_t^T. Since U is a signed
+    permutation (U^T U = 1), A_h = i U (k_h - k_h^T) = i (K_h - K_h^T) U
+    (plus U G at h = 0) and D_h = U (k_h + k_h^T) U^T = K_h + K_h^T.
 
-def compile_stack(specs: Sequence[GeneratorSpec]) -> list[MomentEquations]:
-    """Compile specs of one mode count in one array program.
-
-    The terms of every spec are stacked into L, R (T, 2n) and their rates
-    into W[s, h, t], nonzero only where spec s owns term t and t carries
-    tag h. One einsum over all terms and tags gives, per spec and tag,
-    K_h = sum_t W[s, h, t] (U l_t)(U m_t)^T, which is U k_h U^T for
-    k_h = sum_t W[s, h, t] l_t m_t^T. Since U is a signed permutation
-    (U^T U = 1), A_h = i U (k_h - k_h^T) = i (K_h - K_h^T) U (plus U G at
-    h = 0) and D_h = U (k_h + k_h^T) U^T = K_h + K_h^T.
-
-    Each spec is checked against its own scale, and the error raised is the
-    one that compiling the specs one at a time, in order, would raise first.
+    The structure (shape, symmetry, tags) is checked once; the numeric
+    refusals member by member, in order, each against that member's own
+    scale. Returns one MomentEquations per member.
     """
-    dim = 2 * specs[0].n_modes
-    for k, spec in enumerate(specs):
-        refusal = _structure_refusal(spec, dim)
-        if refusal is not None:
-            if k:
-                _compile_checked(specs[:k], dim)  # the specs before refuse first
-            raise refusal
-    return _compile_checked(specs, dim)
+    dim = 2 * spec.n_modes
+    G = np.asarray(spec.hamiltonian, dtype=float)
+    if (G.shape[-2:] != (dim, dim) or G.ndim > 3 or np.count_nonzero(
+            _amax(G - G.swapaxes(-1, -2)) > 1e-12 * np.maximum(_amax(G), 1.0))):
+        raise GeneratorError("hamiltonian must be a symmetric 2n x 2n matrix")
+    terms = spec.dissipators
+    tag = next((t.harmonic for t in terms if t.harmonic not in HARMONICS), None)
+    if tag is not None:
+        raise GeneratorError(f"unsupported harmonic tag {tag}")
 
-
-def _compile_checked(specs: Sequence[GeneratorSpec], dim: int) -> list[MomentEquations]:
-    terms = [t for spec in specs for t in spec.dissipators]
-    owner = np.repeat(np.arange(len(specs)), [len(spec.dissipators) for spec in specs])
-    W = np.zeros((len(specs), len(HARMONICS), len(terms)), dtype=complex)
-    W[owner, [t.harmonic + 1 for t in terms], np.arange(len(terms))] = [t.rate for t in terms]
-    U = symplectic_form(dim // 2)
-    UL = np.array([t.left for t in terms], dtype=complex).reshape(-1, dim) @ U.T
-    UR = np.array([t.right for t in terms], dtype=complex).reshape(-1, dim) @ U.T
-    K = np.einsum("sht,ti,tj->shij", W, UL, UR)
+    S = max([len(G) if G.ndim == 3 else 1] + [getattr(t.rate, "size", 1) for t in terms])
+    W = np.zeros((len(HARMONICS), len(terms), S), dtype=complex)
+    for k, t in enumerate(terms):
+        W[t.harmonic + 1, k] = t.rate
+    U = symplectic_form(spec.n_modes)
+    LR = np.array([(t.left, t.right) for t in terms], dtype=complex).reshape(-1, 2, dim)
+    UL, UR = (LR @ U.T).swapaxes(0, 1)
+    K = np.einsum("hts,ti,tj->shij", W, UL, UR)
     Kt = K.swapaxes(-1, -2)
     D = K + Kt
     A0 = 1j * ((K[:, 1] - Kt[:, 1]) @ U)
-    A0 += U @ np.array([spec.hamiltonian for spec in specs], dtype=float)
-
-    def amax(X):
-        return np.abs(X).max(axis=(-2, -1))
+    A0 += U @ G
 
     D0, D2 = D[:, 1], D[:, 2]
-    scale = DRIFT_RTOL * np.maximum(np.maximum(amax(A0), amax(D0)), 1.0)
-    complex_static = np.maximum(amax(A0.imag), amax(D0.imag)) > scale
-    # |A_h| = |K_h - K_h^T| entry for entry, U being a signed permutation
-    harmonic_drift = amax(K[:, ::2] - Kt[:, ::2]).max(axis=1) > scale
-    unpaired = amax(D[:, 0] - np.conj(D2)) > scale
-    for k in range(len(specs)):
+    # per member: |A0|, |D0|, |Im A0|, |Im D0|, |A_-1|, |A_+1|, the sideband
+    # mismatch and |D2|; |A_h| = |K_h - K_h^T| entry for entry, U being a
+    # signed permutation
+    big = _amax(np.concatenate([A0[:, None], D0[:, None], A0.imag[:, None],
+                                D0.imag[:, None], K[:, ::2] - Kt[:, ::2],
+                                (D[:, 0] - np.conj(D2))[:, None], D2[:, None]], axis=1))
+    scale = DRIFT_RTOL * np.maximum(big[:, :2].max(axis=1), 1.0)
+    complex_static = big[:, 2:4].max(axis=1) > scale
+    harmonic_drift = big[:, 4:6].max(axis=1) > scale
+    unpaired = big[:, 6] > scale
+    for k in range(S):
         if complex_static[k]:
             raise GeneratorError("term list is not self-adjoint (complex static moments)")
         if harmonic_drift[k]:
@@ -158,7 +167,7 @@ def _compile_checked(specs: Sequence[GeneratorSpec], dim: int) -> list[MomentEqu
         if unpaired[k]:
             raise GeneratorError("term list is not self-adjoint (sidebands not conjugate)")
 
-    sideband = amax(D2) > 0
+    sideband = big[:, 7] > 0
     return [
         MomentEquations(
             drift=A0[k].real,
@@ -166,18 +175,18 @@ def _compile_checked(specs: Sequence[GeneratorSpec], dim: int) -> list[MomentEqu
             diffusion_harmonic=D2[k],
             omega=2.0 * spec.delta if sideband[k] else 0.0,
         )
-        for k, spec in enumerate(specs)
+        for k in range(S)
     ]
 
 
 def compile_generator(spec: GeneratorSpec) -> MomentEquations:
     """Derive the first/second-moment evolution from a generator description.
 
-    compile_stack on a stack of one. Raises GeneratorError when the term
-    list is not self-adjoint (complex residues in A or D) or would produce a
-    time-dependent drift.
+    compile_stack of a spec without a member axis. Raises GeneratorError
+    when the term list is not self-adjoint (complex residues in A or D) or
+    would produce a time-dependent drift.
     """
-    return compile_stack([spec])[0]
+    return compile_stack(spec)[0]
 
 
 # the reservoir correlations (N, M) at which compile_injections compiles
@@ -187,15 +196,18 @@ RESERVOIR_INJECTIONS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 def compile_injections(
     model: Callable[[DerivedCoefficients], GeneratorSpec], coeffs: DerivedCoefficients
 ) -> list[MomentEquations]:
-    """Compile model(coeffs) at each of RESERVOIR_INJECTIONS, as one stack.
+    """Compile model(coeffs) at each of RESERVOIR_INJECTIONS, in one build.
 
     The moment equations are affine in the reservoir correlations (N, M)
     and their drift does not depend on them, so these three compiles give
     every squeezing degree: the diffusion at (N, M) is D(0,0) +
-    N [D(1,0) - D(0,0)] plus M times the sideband of D(0,1). Raises
-    SimulationError when the drift differs between them.
+    N [D(1,0) - D(0,0)] plus M times the sideband of D(0,1). model is
+    called once, with N and M arrays over the three injections, and must
+    broadcast over them; compile_stack compiles the resulting member axis.
+    Raises SimulationError when the drift differs between them.
     """
-    eqs = compile_stack([model(replace(coeffs, N=n, M=m)) for n, m in RESERVOIR_INJECTIONS])
+    N, M = np.array(RESERVOIR_INJECTIONS).T
+    eqs = compile_stack(model(replace(coeffs, N=N, M=M)))
     drift = eqs[0].drift
     if max(np.abs(e.drift - drift).max() for e in eqs[1:]) > 1e-9 * np.abs(drift).max():
         raise SimulationError("drift acquired reservoir dependence")
@@ -242,8 +254,9 @@ def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
 
     G = hermitian_form(p.omega_m / 2.0, np.conj(a1), a1)
     G += hermitian_form(p.omega_m / 2.0, np.conj(a2), a2)
-    G += hermitian_form(shift / 2.0, np.conj(am), am)
-    G += hermitian_form(squeeze_w, am, am)
+    # the two below carry the member axis of array (N, M)
+    G = G + hermitian_form(shift / 2.0, np.conj(am), am)
+    G = G + hermitian_form(squeeze_w, am, am)
 
     spec = GeneratorSpec(n_modes=2, hamiltonian=G, delta=p.delta)
     for mode in (0, 1):
@@ -276,9 +289,9 @@ def full_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
 
     spec = GeneratorSpec(n_modes=3, hamiltonian=G, delta=p.delta)
     spec.add_dissipator(p.kappa * (coeffs.N + 1.0), c, np.conj(c))
-    if coeffs.N > 0:
+    if np.any(coeffs.N > 0):
         spec.add_dissipator(p.kappa * coeffs.N, np.conj(c), c)
-    if coeffs.M != 0:
+    if np.any(coeffs.M != 0):
         spec.add_dissipator(-p.kappa * coeffs.M, c, c, harmonic=+1)
         spec.add_dissipator(-p.kappa * np.conj(coeffs.M), np.conj(c), np.conj(c),
                             harmonic=-1)

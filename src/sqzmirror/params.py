@@ -25,7 +25,8 @@ class Harmonic:
     """Scalar of the form c0 + cp e^{i w t} + cm e^{-i w t} (w = 2*Delta here).
 
     Small closed arithmetic used to carry time-periodic coefficients around
-    exactly instead of sampling them.
+    exactly instead of sampling them. The parts may be arrays along a member
+    axis; the arithmetic broadcasts over it.
     """
 
     c0: complex = 0.0
@@ -40,15 +41,15 @@ class Harmonic:
         return Harmonic(np.conj(self.c0), np.conj(self.cm), np.conj(self.cp))
 
     def re(self) -> "Harmonic":
-        h = self.conj()
+        c0, cp, cm = self.c0, self.cp, self.cm
         return Harmonic(
-            0.5 * (self.c0 + h.c0), 0.5 * (self.cp + h.cp), 0.5 * (self.cm + h.cm)
+            0.5 * (c0 + np.conj(c0)), 0.5 * (cp + np.conj(cm)), 0.5 * (cm + np.conj(cp))
         )
 
     def im(self) -> "Harmonic":
-        h = self.conj()
+        c0, cp, cm = self.c0, self.cp, self.cm
         return Harmonic(
-            (self.c0 - h.c0) / 2j, (self.cp - h.cp) / 2j, (self.cm - h.cm) / 2j
+            (c0 - np.conj(c0)) / 2j, (cp - np.conj(cm)) / 2j, (cm - np.conj(cp)) / 2j
         )
 
     def __add__(self, other):
@@ -66,15 +67,22 @@ class Harmonic:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return self + (-1.0) * (other if isinstance(other, Harmonic) else Harmonic(other))
+        if isinstance(other, Harmonic):
+            return Harmonic(self.c0 - other.c0, self.cp - other.cp, self.cm - other.cm)
+        return Harmonic(self.c0 - other, self.cp, self.cm)
 
     def __rsub__(self, other):
         return Harmonic(other) + (-1.0) * self
 
     def is_static(self) -> bool:
-        """True when the oscillating parts are below 1e-9 of the largest part."""
-        scale = max(abs(self.c0), abs(self.cp), abs(self.cm), 1e-300)
-        return max(abs(self.cp), abs(self.cm)) <= 1e-9 * scale
+        """True when the oscillating parts are at most 1e-9 of the static part
+        (so of the largest part).
+
+        Parts that are arrays (a member axis) are judged member by member,
+        each on its own scale.
+        """
+        bound = 1e-9 * abs(self.c0)
+        return bool(np.asarray((abs(self.cp) <= bound) & (abs(self.cm) <= bound)).all())
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,8 @@ class DerivedCoefficients:
     reservoir (M^2 = N(N+1) for a pure squeezed field); zeta_minus/zeta_plus
     and zeta_bar_* are the cavity-response combinations entering the reduced
     drift and drive; phi = gamma_m (2 nbar0 + 1) is the thermal diffusion rate.
+    derive sets N and M to floats; generator.compile_injections replaces
+    them by arrays along a member axis.
     """
 
     params: PhysicalParams

@@ -22,7 +22,6 @@ from numpy.typing import NDArray
 from .dynamics import (
     DIVERGENCE_LIMIT,
     LinearHarmonicODE,
-    MinimizeResult,
     TimeGrid,
     Trajectory,
     expm_action,
@@ -44,7 +43,6 @@ from .gaussian import (
     thermal,
 )
 from .generator import (
-    MomentEquations,
     compile_generator,
     compile_injections,
     reduced_generator,
@@ -67,6 +65,10 @@ def lift_covariance(v3: NDArray, nbar0: float) -> NDArray[np.float64]:
     c = nbar0 + 0.5
     entries = np.concatenate([v3, c - v3[..., :2], -v3[..., 2:]], axis=-1)
     return entries[..., _LIFT_INDEX]
+
+
+# the lifts of the unit vectors e_k at nbar0 = -1/2, where c = nbar0 + 1/2 is 0
+_UNIT_LIFTS = lift_covariance(np.eye(3), -0.5)
 
 
 def project_covariance(V: NDArray) -> NDArray[np.float64]:
@@ -154,43 +156,32 @@ class ReducedSystem:
         return x_sst + expm_action(self.m3, t) @ (self.initial_state() - x_ss0)
 
 
-def _closure_drift_and_drive(
-    eqs: MomentEquations, nbar0: float
-) -> tuple[NDArray, NDArray, NDArray]:
-    """Restrict compiled two-mirror moment equations to the closure.
+def build_system(params: PhysicalParams) -> ReducedSystem:
+    """Extract the 3-variable system from the compiled generator.
 
-    Returns (m3, drive_dc, drive_plus): the 3x3 drift, the static drive and
-    the e^{+2i delta t} drive amplitude.
+    The b0/b1/b2 decomposition comes from compile_injections, one build
+    with the reservoir correlations (N, M) injected as (0,0), (1,0), (0,1);
+    it refuses a drift that differs between them. The shared drift gives
+    m3 once, and one projection of the three members' diffusions gives the
+    static drives at (0,0) and (1,0) and the sideband at (0,1).
     """
-    A = eqs.drift
+    coeffs = derive(params)
+    eqs00, eqs10, eqs01 = compile_injections(reduced_generator, coeffs)
+    A = eqs00.drift
 
     def lyap(V):
         return A @ V + V @ A.T
 
     # column k is the image of the lifted unit vector e_k
-    m3 = project_covariance(lyap(lift_covariance(np.eye(3), -0.5))).T
-    base = lift_covariance(np.zeros(3), nbar0)
-    drive_dc = project_covariance(lyap(base) + eqs.diffusion_static)
-    drive_plus = project_covariance(eqs.diffusion_harmonic)
-    return m3, drive_dc, drive_plus
-
-
-def build_system(params: PhysicalParams) -> ReducedSystem:
-    """Extract the 3-variable system from the compiled generator.
-
-    The b0/b1/b2 decomposition comes from the three compiles of
-    compile_injections, with the reservoir correlations (N, M) injected as
-    (0,0), (1,0), (0,1); it refuses a drift that differs between them.
-    """
-    coeffs = derive(params)
-    eqs00, eqs10, eqs01 = compile_injections(reduced_generator, coeffs)
-    m3, b0, _ = _closure_drift_and_drive(eqs00, coeffs.nbar0)
-    _, b_n, _ = _closure_drift_and_drive(eqs10, coeffs.nbar0)
-    _, _, b2 = _closure_drift_and_drive(eqs01, coeffs.nbar0)
+    m3 = project_covariance(lyap(_UNIT_LIFTS)).T
+    base = project_covariance(lyap(lift_covariance(np.zeros(3), coeffs.nbar0)))
+    d00, d10, b2 = project_covariance(np.array([
+        eqs00.diffusion_static, eqs10.diffusion_static, eqs01.diffusion_harmonic]))
+    b0 = base + d00.real
     return ReducedSystem(
         m3=m3,
         b0=b0,
-        b1=b_n - b0,
+        b1=(base + d10.real) - b0,
         b2=b2,
         delta=params.delta,
         nbar0=coeffs.nbar0,
@@ -391,7 +382,7 @@ def optimal_squeezing(
     def steady(r: float) -> tuple[NDArray[np.float64], CriterionReport]:
         return _state_at(system, parts, r, z)
 
-    res: MinimizeResult = minimize_scalar(
+    res = minimize_scalar(
         lambda r: steady(r)[1].dP2_minus, (0.0, 3.0), tol=1e-4
     )
     _, report = steady(res.x)

@@ -4,9 +4,12 @@ The package integrates by a prefix scan over the samples, reads two-mode
 symplectic spectra from a closed form and compiles generators as one array
 program over every term. These are the direct versions: the sequential loop
 that applies one affine span per sample, the spectrum of any mode count as
-the moduli of the eigenvalues of i U V, and the compiler that adds up the
-drift and diffusion of one dissipator term at a time.
+the moduli of the eigenvalues of i U V, the compiler that adds up the
+drift and diffusion of one dissipator term at a time, and the three scalar
+model builds that one build with a member axis replaces.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,9 +19,15 @@ from sqzmirror.dynamics import (
     _rk4_step_span,
     _span_power,
 )
-from sqzmirror.errors import DimensionError, DivergenceError, GeneratorError, StepSizeError
+from sqzmirror.errors import (
+    DimensionError,
+    DivergenceError,
+    GeneratorError,
+    SimulationError,
+    StepSizeError,
+)
 from sqzmirror.gaussian import _check_covariance, symplectic_form
-from sqzmirror.generator import DRIFT_RTOL, MomentEquations
+from sqzmirror.generator import DRIFT_RTOL, RESERVOIR_INJECTIONS, MomentEquations
 
 PAIRING_RTOL = 1e-9
 
@@ -122,3 +131,18 @@ def compile_loop(spec):
         diffusion_harmonic=D2,
         omega=2.0 * spec.delta if np.abs(D2).max() > 0 else 0.0,
     )
+
+
+def compile_injections_loop(model, coeffs):
+    """generator.compile_injections as three scalar builds.
+
+    model(coeffs) at each (N, M) of RESERVOIR_INJECTIONS, each spec compiled
+    alone by compile_loop, with the same SimulationError for a drift that
+    differs between them.
+    """
+    eqs = [compile_loop(model(replace(coeffs, N=n, M=m)))
+           for n, m in RESERVOIR_INJECTIONS]
+    drift = eqs[0].drift
+    if max(np.abs(e.drift - drift).max() for e in eqs[1:]) > 1e-9 * np.abs(drift).max():
+        raise SimulationError("drift acquired reservoir dependence")
+    return eqs

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import inputs
+from sqzmirror import full, generator, reduced, scenarios
 from sqzmirror.params import baseline_params
 
 
@@ -39,3 +41,35 @@ def random_point(rng):
         temperature_k=rng.uniform(*inputs.TEMPERATURE_K),
         gamma_m_hz=inputs.KAPPA_HZ * log_uniform(*inputs.GAMMA_OVER_KAPPA),
     )
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the calls that make and compile models, as they happen.
+
+    "model" counts model-builder calls (reduced_generator, full_generator)
+    from every module that makes them, "build_system" reduced.build_system
+    calls, "compile" generator.compile_stack calls and "members" the
+    MomentEquations those return.
+    """
+    counts = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts[key] += 1
+            if key == "compile":
+                counts["members"] += len(result)
+            return result
+        return wrapper
+
+    def count(module, name, key):
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+
+    for module in (reduced, scenarios, full):
+        for name in ("reduced_generator", "full_generator"):
+            if hasattr(module, name):
+                count(module, name, "model")
+    count(reduced, "build_system", "build_system")
+    count(generator, "compile_stack", "compile")
+    return counts

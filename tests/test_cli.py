@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqzmirror import generator, reduced, scenarios
+from sqzmirror import reduced, scenarios
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
     OUTPUT_DIR_ENV,
@@ -237,24 +237,20 @@ def test_r_sweep_criterion_failure_fails_its_own_row(tmp_path, monkeypatch):
     assert [row["E_N"] == "nan" for row in rows] == [False, True, False]
 
 
-def test_r_sweep_compiles_once_per_curve(tmp_path, monkeypatch):
-    """An r sweep compiles each model's generator at the three reservoir
-    injections; any other axis compiles once per point. Every compile goes
-    through generator.compile_stack, so its stack lengths count the specs."""
-    compiles = []
-    compile_stack = generator.compile_stack
-    monkeypatch.setattr(generator, "compile_stack",
-                        lambda specs: compiles.extend(specs) or compile_stack(specs))
+def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
+    """An r sweep builds each model once, as one spec whose three members
+    are the reservoir injections, and compiles it once; any other axis
+    builds and compiles once per point."""
     models = ["reduced3", "reduced10", "full6"]
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
                        output_dir=str(tmp_path / "r")))
-    assert len(compiles) == 3 * len(models)
-    compiles.clear()
+    assert builds == {"model": 3, "build_system": 1, "compile": 3, "members": 9}
+    builds.clear()
     run(ScenarioConfig(scenario="custom", models=["reduced10", "full6"],
                        sweep=("power_w", [1e-6, 2e-6, 3e-6]),
                        output_dir=str(tmp_path / "power")))
-    assert len(compiles) == 2 * 3
+    assert builds == {"model": 6, "compile": 6, "members": 6}
 
 
 def test_empty_sweep_rejected(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _fock import integrate_fock_thermal
-from _oracles import compile_loop, symplectic_spectrum
+from _oracles import compile_injections_loop, compile_loop, symplectic_spectrum
 from conftest import random_point
 from _periodic import at_time, frozen
 from sqzmirror.dynamics import (
@@ -251,7 +251,8 @@ def test_compile_injections_refuse_reservoir_dependent_drift(baseline):
     """A drift that moves with N breaks the affine form and is refused."""
     def model(coeffs):
         spec = reduced_generator(coeffs)
-        spec.hamiltonian = spec.hamiltonian * (1.0 + coeffs.N)
+        # (1 + N) along the member axis of the Hamiltonian
+        spec.hamiltonian = spec.hamiltonian * (1.0 + coeffs.N)[:, None, None]
         return spec
 
     with pytest.raises(SimulationError, match="drift acquired reservoir dependence"):
@@ -366,31 +367,51 @@ def test_compiled_ten_variable_drift_and_drive(baseline):
         assert np.abs(B10_t - printed).max() < 1e-10 * np.abs(printed).max()
 
 
-def assert_matches_loop(eqs, spec):
-    """eqs within 1e-13 of each matrix's largest entry of the term loop's."""
-    ref = compile_loop(spec)
+def assert_close(eqs, ref):
+    """eqs within 1e-13 of each matrix's largest entry of ref's."""
     for name in ("drift", "diffusion_static", "diffusion_harmonic"):
         got, want = getattr(eqs, name), getattr(ref, name)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
     assert eqs.omega == ref.omega
 
 
+def assert_matches_loop(eqs, spec):
+    """eqs within 1e-13 of each matrix's largest entry of the term loop's."""
+    assert_close(eqs, compile_loop(spec))
+
+
+def random_coeffs(rng, cold):
+    """Derived coefficients at a random point of the benchmark's ranges."""
+    p = random_point(rng).with_(r=rng.uniform(*inputs.R_RANGE))
+    return derive(p.with_(temperature=0.0) if cold else p)
+
+
 @pytest.mark.parametrize("model", [reduced_generator, full_generator])
 @pytest.mark.parametrize("cold", [True, False], ids=["T=0", "T>0"])
 def test_compiles_match_term_loop(rng, model, cold):
-    """compile_generator and every compile_injections member against the
-    term loop, at random points of the benchmark's ranges."""
+    """compile_generator against the term loop, at random points of the
+    benchmark's ranges."""
     for _ in range(5):
-        p = random_point(rng).with_(r=rng.uniform(*inputs.R_RANGE))
-        if cold:
-            p = p.with_(temperature=0.0)
-        c = derive(p)
+        c = random_coeffs(rng, cold)
         assert_matches_loop(compile_generator(model(c)), model(c))
-        specs = [model(replace(c, N=n, M=m)) for n, m in RESERVOIR_INJECTIONS]
-        for eqs, spec in zip(compile_injections(model, c), specs):
-            assert_matches_loop(eqs, spec)
+
+
+@pytest.mark.parametrize("model", [reduced_generator, full_generator])
+@pytest.mark.parametrize("cold", [True, False], ids=["T=0", "T>0"])
+def test_one_build_injections_match_loop(rng, model, cold):
+    """compile_injections, one build with a member axis, against three scalar
+    builds compiled one at a time by the term loop (compile_injections_loop),
+    to 1e-13 of each matrix's largest entry."""
+    for _ in range(5):
+        c = random_coeffs(rng, cold)
+        got, want = compile_injections(model, c), compile_injections_loop(model, c)
+        assert len(got) == len(want) == 3
+        for eqs, ref in zip(got, want):
+            assert_close(eqs, ref)
         if cold:
-            # zero rates are skipped, so the stack members differ in length
+            # zero rates are skipped per build, so the scalar builds differ
+            # in their live terms
+            specs = [model(replace(c, N=n, M=m)) for n, m in RESERVOIR_INJECTIONS]
             assert len({len(spec.dissipators) for spec in specs}) > 1
 
 
@@ -410,13 +431,37 @@ def random_spec(rng, n_modes):
     return spec
 
 
+def member_spec(*specs):
+    """The specs as the members of one spec of their mode count and delta,
+    which they must share.
+
+    Member k keeps spec k's Hamiltonian, and each term's rate is spec k's at
+    member k and zero at the others. One spec has one Hamiltonian shape, so
+    a misshaped member's shape is every member's (the others zero-padded).
+    """
+    assert len({spec.delta for spec in specs}) == 1
+    hams = [np.asarray(spec.hamiltonian, dtype=float) for spec in specs]
+    H = np.zeros((len(specs),) + max(h.shape for h in hams))
+    for k, h in enumerate(hams):
+        H[(k,) + tuple(slice(n) for n in h.shape)] = h
+    stacked = GeneratorSpec(specs[0].n_modes, H, delta=specs[0].delta)
+    for k, spec in enumerate(specs):
+        for t in spec.dissipators:
+            rate = np.zeros(len(specs), dtype=complex)
+            rate[k] = t.rate
+            stacked.add_dissipator(rate, t.left, t.right, t.harmonic)
+    return stacked
+
+
 @pytest.mark.parametrize("n_modes", [1, 2, 3])
 def test_hand_built_specs_match_term_loop(rng, n_modes):
-    """Specs carrying all three tags, alone and as one stack."""
+    """Specs carrying all three tags, alone and as the members of one spec."""
     specs = [random_spec(rng, n_modes) for _ in range(3)]
     for spec in specs:
         assert_matches_loop(compile_generator(spec), spec)
-    for eqs, spec in zip(compile_stack(specs), specs):
+    # the members of one spec share its delta
+    specs = [replace(spec, delta=specs[0].delta) for spec in specs]
+    for eqs, spec in zip(compile_stack(member_spec(*specs)), specs):
         assert_matches_loop(eqs, spec)
         assert np.abs(eqs.diffusion_harmonic).max() > 0
 
@@ -443,10 +488,24 @@ BAD_SPECS = {
 }
 
 
+def refusal_of(cases):
+    """The text a spec whose members have these defects, in order, earns.
+
+    The structure (Hamiltonian shape and symmetry, then tags) is checked
+    once for the whole spec, before any member's numbers; then the first
+    member with a numeric defect decides.
+    """
+    for structural in (("asymmetric", "misshaped"), ("tag",)):
+        hit = next((c for c in cases if c in structural), None)
+        if hit is not None:
+            return BAD_SPECS[hit][1]
+    return BAD_SPECS[cases[0]][1]
+
+
 @pytest.mark.parametrize("case", BAD_SPECS)
 def test_every_refusal_keeps_its_text(case):
     """Each GeneratorError fires with the term loop's text, alone and as any
-    member of a stack whose other members are sound."""
+    member of a spec whose other members are sound."""
     build, text = BAD_SPECS[case]
     with pytest.raises(GeneratorError) as loop:
         compile_loop(build())
@@ -454,41 +513,43 @@ def test_every_refusal_keeps_its_text(case):
     with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
         compile_generator(build())
     good = one_mode_spec((0.7, A1, AD1, 0))
-    for stack in ([build(), good], [good, build()], [good, build(), good]):
+    for members in ([build(), good], [good, build()], [good, build(), good]):
         with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
-            compile_stack(stack)
+            compile_stack(member_spec(*members))
 
 
 @pytest.mark.parametrize("first", BAD_SPECS)
 @pytest.mark.parametrize("second", BAD_SPECS)
 def test_stack_raises_what_compiling_in_order_raises(first, second):
-    """Two bad members: the first member's refusal, as a loop of compiles gives."""
-    with pytest.raises(GeneratorError, match=f"^{re.escape(BAD_SPECS[first][1])}$"):
-        compile_stack([BAD_SPECS[first][0](), BAD_SPECS[second][0]()])
-
-
-def test_stack_members_must_share_mode_count():
-    with pytest.raises(GeneratorError, match="stacked specs must share one mode count"):
-        compile_stack([one_mode_spec(), GeneratorSpec(2, np.zeros((4, 4)))])
+    """Two bad members: a structure refusal if either has one, else the first
+    member's refusal, as compiling the members one at a time in order gives."""
+    text = refusal_of((first, second))
+    if not {first, second} & {"asymmetric", "misshaped", "tag"}:
+        with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
+            compile_generator(BAD_SPECS[first][0]())
+    with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
+        compile_stack(member_spec(BAD_SPECS[first][0](), BAD_SPECS[second][0]()))
 
 
 @pytest.mark.parametrize("defect", ["tag", "complex"])
 def test_model_bad_only_at_one_injection(baseline, defect):
-    """A spec that is bad only at (N, M) = (0, 1) is refused by compile_injections."""
+    """A defect in one build reaches compile_injections' refusal: a tag 2
+    term anywhere in the model, or a complex static term whose rate is
+    proportional to M and so nonzero only at the (N, M) = (0, 1) member."""
     am = (annihilation_vector(2, 0) - annihilation_vector(2, 1)) / np.sqrt(2.0)
 
     def model(coeffs):
         spec = reduced_generator(coeffs)
-        if coeffs.N == 0 and coeffs.M != 0:
-            if defect == "tag":
-                spec.add_dissipator(1.0, am, np.conj(am), harmonic=2)
-            else:
-                spec.add_dissipator(coeffs.params.omega_m, am, am)
+        if defect == "tag":
+            spec.add_dissipator(1.0, am, np.conj(am), harmonic=2)
+        else:
+            spec.add_dissipator(coeffs.params.omega_m * coeffs.M, am, am)
         return spec
 
     coeffs = derive(baseline)
-    compile_generator(model(coeffs))
-    compile_generator(model(replace(coeffs, N=1.0, M=0.0)))
+    if defect == "complex":
+        compile_generator(model(replace(coeffs, N=0.0, M=0.0)))
+        compile_generator(model(replace(coeffs, N=1.0, M=0.0)))
     text = "unsupported harmonic tag 2" if defect == "tag" else COMPLEX_STATIC
     with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
         compile_injections(model, coeffs)
@@ -500,21 +561,45 @@ def test_stack_checks_each_member_against_its_own_scale():
     quiet = one_mode_spec((1.0, A1, AD1, 0), (1e-3, A1, A1, 0))
     sound = one_mode_spec((1.0, A1, AD1, 0))
     compile_generator(loud)  # 1e-2 is 1e-14 of its own scale
-    for stack in ([loud, quiet], [quiet, loud]):
+    for members in ([loud, quiet], [quiet, loud]):
         with pytest.raises(GeneratorError, match=re.escape(COMPLEX_STATIC)):
-            compile_stack(stack)
-    for eqs, spec in zip(compile_stack([loud, sound]), [loud, sound]):
+            compile_stack(member_spec(*members))
+    for eqs, spec in zip(compile_stack(member_spec(loud, sound)), [loud, sound]):
         assert_matches_loop(eqs, spec)
 
 
+def test_stacked_weight_checks_each_member_on_its_own_scale():
+    """A stacked hermitian_form weight sets each member's scale: an
+    imaginary static part 1e-8 of the quiet member's own scale is refused
+    beside a member 1e12 louder, and one of 1e-10 is not."""
+    H = hermitian_form(np.array([1e12, 1.0]), AD1, A1)
+    assert H.shape == (2, 2, 2)
+    assert np.array_equal(H[1], hermitian_form(1.0, AD1, A1))
+    quiet_scale = np.abs(compile_generator(GeneratorSpec(1, H[1])).drift).max()
+    for size, refused in ((1e-8, True), (1e-10, False)):
+        spec = GeneratorSpec(1, H)
+        # the imaginary part of a lone a a term is its rate over the scale
+        spec.add_dissipator(np.array([0.0, size * quiet_scale]), A1, A1)
+        if refused:
+            with pytest.raises(GeneratorError, match=f"^{re.escape(COMPLEX_STATIC)}$"):
+                compile_stack(spec)
+        else:
+            assert len(compile_stack(spec)) == 2
+
+
 def test_empty_term_list_compiles(rng):
-    """No dissipators: drift U G, no diffusion, alone and in a stack."""
+    """No dissipators: drift U G, no diffusion, alone, with a member axis on
+    the Hamiltonian, and as a member beside a full spec."""
     empty = GeneratorSpec(2, np.diag([1.0, 2.0, 3.0, 4.0]), delta=1.0)
     eqs = compile_generator(empty)
     assert_matches_loop(eqs, empty)
     assert np.abs(eqs.diffusion_static).max() == 0.0
     assert eqs.omega == 0.0
-    full_spec = random_spec(rng, 2)
-    for stack in ([empty, full_spec], [full_spec, empty]):
-        for eqs, spec in zip(compile_stack(stack), stack):
+    stacked = replace(empty, hamiltonian=np.array([1.0, 2.0])[:, None, None]
+                      * empty.hamiltonian)
+    for k, eqs in enumerate(compile_stack(stacked)):
+        assert_matches_loop(eqs, replace(empty, hamiltonian=stacked.hamiltonian[k]))
+    full_spec = replace(random_spec(rng, 2), delta=empty.delta)
+    for members in ([empty, full_spec], [full_spec, empty]):
+        for eqs, spec in zip(compile_stack(member_spec(*members)), members):
             assert_matches_loop(eqs, spec)

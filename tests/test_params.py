@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sqzmirror.errors import ParameterError
+from sqzmirror.errors import GeneratorError, ParameterError
+from sqzmirror.generator import _require_static
 from sqzmirror.reduced import steady_curve, steady_state
 from sqzmirror.params import (
     HBAR,
@@ -176,3 +177,16 @@ def test_harmonic_arithmetic():
     assert (h + h)(z) == pytest.approx(2 * t_val, rel=1e-14)
     assert (3.0 * h)(z) == pytest.approx(3 * t_val, rel=1e-14)
     assert (h - 1.0)(z) == pytest.approx(t_val - 1.0, rel=1e-14)
+
+
+def test_stacked_harmonic_judges_each_member_on_its_own_scale():
+    """A member whose sideband is 1e-8 of its own size is not static beside
+    a member 1e12 louder, and the refusal keeps its text; one of 1e-10 is."""
+    for size, static in ((1e-8, False), (1e-10, True)):
+        h = Harmonic(np.array([1e12, 1.0]), np.array([0.0, size]), 0.0)
+        assert h.is_static() is static
+        assert Harmonic(1.0, size, 0.0).is_static() is static
+    with pytest.raises(GeneratorError,
+                       match="^drive acquired a harmonic part; cannot compile$"):
+        _require_static(Harmonic(np.array([1e12, 1.0]), 0.0, np.array([0.0, 1e-8])),
+                        "drive")

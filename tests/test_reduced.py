@@ -6,7 +6,6 @@ import pytest
 import inputs
 from _periodic import at_time
 from conftest import random_point
-from sqzmirror import generator
 from sqzmirror.dynamics import (
     TimeGrid,
     linear_steady,
@@ -268,23 +267,21 @@ def test_optimal_squeezing_matches_per_point_objective(rng, phase):
                    - opt.r_numeric) <= 1e-4
 
 
-def test_r_curve_is_one_build(baseline, monkeypatch):
-    """A whole r curve, or an optimum search, compiles three generator specs,
-    and each point equals steady_state's."""
-    compiles = []
-    compile_stack = generator.compile_stack
-    monkeypatch.setattr(generator, "compile_stack",
-                        lambda specs: compiles.extend(specs) or compile_stack(specs))
+def test_r_curve_is_one_build(baseline, builds):
+    """A whole r curve, or an optimum search, is one build_system: one
+    reduced_generator call and one compile of its three injections; and
+    each point equals steady_state's."""
     r_values = np.linspace(0.0, 2.5, 11)
     V, report = steady_curve(baseline, -1.0)(r_values)
-    assert len(compiles) == 3
+    assert builds == {"build_system": 1, "model": 1, "compile": 1, "members": 3}
     optimal_squeezing(baseline)
-    assert len(compiles) == 6
+    assert builds == {"build_system": 2, "model": 2, "compile": 2, "members": 6}
     for k, r in enumerate(r_values):
         V_k, report_k = steady_state(baseline.with_(r=r), -1.0)
         assert np.array_equal(V[k], V_k)
         assert report.dP2_minus[k] == report_k.dP2_minus
         assert report.E_N[k] == report_k.E_N
+    assert builds["model"] == builds["build_system"] == builds["compile"] == 13
 
 
 def test_r_curve_refuses_negative_r(baseline):
