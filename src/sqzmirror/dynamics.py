@@ -16,7 +16,7 @@ import functools
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -360,11 +360,13 @@ def linear_steady(ode: LinearHarmonicODE) -> tuple[NDArray, NDArray]:
 
 
 def periodic_steady_state(eqs: MomentEquations) -> tuple[NDArray, NDArray]:
-    """Steady covariance V(t) = V_dc + (V_2 e^{2i Delta t} + c.c.).
+    """Steady covariance V(t) = V_dc + (V_2 e^{2i Delta t} + c.c.) of one compile.
 
     V_dc solves A V + V A^T + D0 = 0 and V_2 the 2*Delta-shifted equation
     (A - 2i Delta I) V_2 + V_2 A^T + D2 = 0: the linear_steady solves of
-    moment_ode(eqs). Raises StabilityError for non-Hurwitz drift.
+    moment_ode(eqs). Raises StabilityError for non-Hurwitz drift. The
+    package's steady states come from reservoir_parts; this is the tests'
+    reference for them.
     """
     # on A itself: the vech operator's eigenvalues are pair sums of A's, and
     # an imaginary pair +-i sums to roundoff that can pass the check
@@ -380,17 +382,23 @@ def reservoir_parts(
     reservoir correlations (N, M).
 
     injections are the model compiled at (N, M) = (0, 0), (1, 0) and (0, 1)
-    (generator.compile_injections). x0 answers the static diffusion at
-    (0, 0), x1 unit N and x2 the e^{2i Delta t} sideband of unit M; two
-    periodic_steady_state calls give them, and reservoir_steady evaluates
-    them at any (N, M).
+    (generator.compile_injections, which checks that they share one drift;
+    A is the (0, 0) one's). x0 answers the static diffusion at (0, 0), x1
+    unit N and x2 the e^{2i Delta t} sideband of unit M: one require_hurwitz
+    on A and one linear_steady call, with the first two as static columns.
+    reservoir_steady evaluates them at any (N, M).
     """
     eqs00, eqs10, eqs01 = injections
-    x0, _ = periodic_steady_state(eqs00)
-    # the dc response to unit N and the sideband response to unit M, in one call
+    require_hurwitz(eqs00.drift)
     unit_n = eqs10.diffusion_static - eqs00.diffusion_static
-    x1, x2 = periodic_steady_state(replace(eqs01, diffusion_static=unit_n))
-    return x0, x1, x2
+    ode = moment_ode(eqs00)
+    x_dc, x_2 = linear_steady(LinearHarmonicODE(
+        drift=ode.drift,
+        drive_static=np.stack([ode.drive_static, _vech(unit_n)], axis=-1),
+        drive_harmonic=_vech(eqs01.diffusion_harmonic),
+        omega=eqs01.omega,
+    ))
+    return _unvech(x_dc[:, 0]), _unvech(x_dc[:, 1]), _unvech(x_2)
 
 
 def normalize_phase(phase: complex | float | str) -> complex:

@@ -16,13 +16,13 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     integrate,
-    periodic_steady_state,
-    steady_at_phase,
+    reservoir_parts,
+    reservoir_steady,
 )
 from .gaussian import quadrature_observables, thermal, vacuum
-from .generator import compile_generator, full_generator
+from .generator import compile_generator, compile_injections, full_generator
 from .params import PhysicalParams, derive
-from .reduced import build_system, lift_covariance
+from .reduced import build_system, steady_covariance
 
 
 def mirror_block(V6: NDArray) -> NDArray[np.float64]:
@@ -60,10 +60,13 @@ def steady_full(
     phase has the same meaning as in reduced.steady_state (see
     dynamics.normalize_phase): +1/-1 are the band ends, another real number
     is an angle in radians, a complex value is scaled onto the unit circle
-    and "average" gives the time-averaged covariance.
+    and "average" gives the time-averaged covariance. It is x0 + N x1 +
+    M x2(z) of dynamics.reservoir_parts, from one build of the three
+    reservoir injections, as every r curve is.
     """
-    V_dc, V_2 = periodic_steady_state(compile_generator(full_generator(derive(params))))
-    return steady_at_phase(V_dc, V_2, phase)
+    coeffs = derive(params)
+    parts = reservoir_parts(compile_injections(full_generator, coeffs))
+    return reservoir_steady(parts, coeffs.N, coeffs.M, phase)
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,12 @@ def compare_adiabatic(
 ) -> AdiabaticComparison:
     """Quantify how well the eliminated model tracks the full one.
 
-    Compares the steady states, from resolvent solves on both sides. phase
-    is read by dynamics.normalize_phase, the same for both models.
+    Compares the steady states, each x0 + N x1 + M x2(z) from one build.
+    phase is read by dynamics.normalize_phase, the same for both models.
     """
     V_f = mirror_block(steady_full(params, phase))
     system = build_system(params)
-    V_r = lift_covariance(system.steady_v3(phase), system.nbar0)
+    V_r = steady_covariance(system, system.steady_parts(), params.r, phase)
     dp2_f, dp2_r = quadrature_observables(np.stack([V_f, V_r])).dP2_minus.tolist()
     return AdiabaticComparison(
         steady_dp2_full=dp2_f,

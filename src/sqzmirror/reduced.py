@@ -96,9 +96,9 @@ class ReducedSystem:
     The drive decomposes as B(t) = b0 + N b1 + M (b2 e^{2i delta t} + c.c.)
     with N, M the squeezed-reservoir correlations; b0, b1 are real, b2
     complex, all independent of the squeezing degree, and so is m3. The
-    steady state is therefore affine in (N, M): an r curve (steady_curve) is
-    one build plus x0 + N x1 + M x2(z) (steady_parts,
-    dynamics.reservoir_steady), with N = sinh^2 r and M = cosh r sinh r.
+    steady state is therefore affine in (N, M): a point and an r curve alike
+    are one build plus x0 + N x1 + M x2(z) (steady_parts,
+    steady_covariance), with N = sinh^2 r and M = cosh r sinh r.
     """
 
     m3: NDArray[np.float64]
@@ -135,11 +135,6 @@ class ReducedSystem:
             omega=2.0 * self.delta,
         ))
         return x_dc[:, 0], x_dc[:, 1], x2
-
-    def steady_v3(self, phase: complex | float | str) -> NDArray[np.float64]:
-        """Steady state at the reservoir phase (see normalize_phase) and the
-        system's own (N, M)."""
-        return reservoir_steady(self.steady_parts(), self.N, self.M, phase)
 
     def dynamical_solution(self, t) -> NDArray[np.float64]:
         """Closed form x_ss(t) + e^{m3 t} (x(0) - x_ss(0)) from the thermal state.
@@ -280,20 +275,17 @@ def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:
                            entangled=entangled, E_N=e_n)
 
 
-def steady_state(
-    params: PhysicalParams, phase: complex | float | str = 1.0
-) -> tuple[NDArray[np.float64], CriterionReport]:
-    """Periodic steady two-mirror covariance (4x4) and its criterion report.
+def steady_covariance(
+    system: ReducedSystem, parts: tuple[NDArray, NDArray, NDArray], r, phase
+) -> NDArray[np.float64]:
+    """Lifted steady covariance x0 + N x1 + M x2(z) at squeezing degree(s) r.
 
-    phase is e^{2i delta t} as read by dynamics.normalize_phase: +1/-1 for
-    even/odd multiples of pi/(2 delta), any other real number is the angle
-    2*delta*t in radians, a complex value is normalized to the unit circle,
-    and "average" keeps the dc part alone. Refuses non-Hurwitz drift.
-    steady_curve gives it as a function of r from one build.
+    parts is system.steady_parts(); N = sinh^2 r and M = cosh r sinh r, and
+    phase is read by dynamics.normalize_phase. An array of r gives a stack
+    (..., 4, 4). No criterion check and no range check on r.
     """
-    system = build_system(params)
-    V = lift_covariance(system.steady_v3(phase), system.nbar0)
-    return V, criterion(V, system.nbar0)
+    v3 = reservoir_steady(parts, *reservoir_correlations(r), phase)
+    return lift_covariance(v3, system.nbar0)
 
 
 def steady_curve(
@@ -303,30 +295,35 @@ def steady_curve(
 
     One build_system serves every call of the returned curve(r), and a
     non-Hurwitz drift is refused here, once. curve(r) evaluates
-    x0 + N x1 + M x2(z) (dynamics.reservoir_steady) and runs criterion on
-    it: a float r gives (V, report) as steady_state does, an array of r a
-    covariance stack (n, 4, 4) and one report whose fields are arrays. Each
-    r goes through PhysicalParams first, so r < 0 raises its ParameterError.
+    steady_covariance and runs criterion on it: a float r gives (V, report)
+    as steady_state does, an array of r a covariance stack (n, 4, 4) and one
+    report whose fields are arrays. Each r goes through PhysicalParams
+    first, so r < 0 raises its ParameterError.
     """
     system = build_system(params)
     parts = system.steady_parts()
 
     def curve(r) -> tuple[NDArray[np.float64], CriterionReport]:
         for r_k in np.ravel(r):
-            params.with_(r=float(r_k))  # the range check steady_state would make
-        return _state_at(system, parts, r, phase)
+            params.with_(r=float(r_k))  # the range check a build at r would make
+        V = steady_covariance(system, parts, r, phase)
+        return V, criterion(V, system.nbar0)
 
     return curve
 
 
-def _state_at(
-    system: ReducedSystem, parts, r, phase
+def steady_state(
+    params: PhysicalParams, phase: complex | float | str = 1.0
 ) -> tuple[NDArray[np.float64], CriterionReport]:
-    """Covariance and criterion report at squeezing degree(s) r, from the
-    system's steady_parts."""
-    v3 = reservoir_steady(parts, *reservoir_correlations(r), phase)
-    V = lift_covariance(v3, system.nbar0)
-    return V, criterion(V, system.nbar0)
+    """Periodic steady two-mirror covariance (4x4) and its criterion report.
+
+    phase is e^{2i delta t} as read by dynamics.normalize_phase: +1/-1 for
+    even/odd multiples of pi/(2 delta), any other real number is the angle
+    2*delta*t in radians, a complex value is normalized to the unit circle,
+    and "average" keeps the dc part alone. Refuses non-Hurwitz drift. It is
+    steady_curve at params.r.
+    """
+    return steady_curve(params, phase)(params.r)
 
 
 @dataclass(frozen=True)
@@ -339,24 +336,24 @@ class OptimalSqueezing:
 
 
 def squeezing_formula(
-    system: ReducedSystem,
+    parts: tuple[NDArray, NDArray, NDArray],
     theta: float,
     phase: complex | float | str = 1.0,
 ) -> float | None:
     """Stationary squeezing degree from the closed-form artanh expression.
 
+    parts are ReducedSystem.steady_parts(), of which it reads x1 and x2.
     The artanh argument carries the factor 2 obtained by differentiating
-    the steady-state solution directly (dN/dr = sinh 2r, dM/dr = cosh 2r),
-    which the numeric minimizer confirms. phase is read by
-    dynamics.normalize_phase. Returns None when the argument leaves (-1, 1).
+    the steady state x0 + N x1 + M x2(z) directly (dN/dr = sinh 2r,
+    dM/dr = cosh 2r), which the numeric minimizer confirms. phase is read
+    by dynamics.normalize_phase. Returns None when the argument leaves
+    (-1, 1).
     """
     th = np.array(
         [math.sin(theta / 2.0) ** 2, math.cos(theta / 2.0) ** 2, -math.sin(theta)]
     )
-    shifted = 2j * system.delta * np.eye(3) - system.m3.astype(complex)
-    num = th @ np.real(np.linalg.solve(shifted, system.b2 * normalize_phase(phase)))
-    den = th @ np.linalg.solve(system.m3, system.b1)
-    x = 2.0 * num / den
+    _, x1, x2 = parts
+    x = -2.0 * (th @ np.real(x2 * normalize_phase(phase))) / (th @ x1)
     if not -1.0 < x < 1.0:
         return None
     return 0.5 * float(np.arctanh(x))
@@ -380,41 +377,27 @@ def optimal_squeezing(
     z = normalize_phase(phase)
 
     def steady(r: float) -> tuple[NDArray[np.float64], CriterionReport]:
-        return _state_at(system, parts, r, z)
+        V = steady_covariance(system, parts, r, z)
+        return V, criterion(V, system.nbar0)
 
-    res = minimize_scalar(
-        lambda r: steady(r)[1].dP2_minus, (0.0, 3.0), tol=1e-4
-    )
+    def fixed_point(r_k: float) -> tuple[float | None, str]:
+        """r_formula and its note: squeezing_formula at the rotation angle of
+        the steady state at its own last value."""
+        if z == 0.0:
+            return None, "formula undefined for the phase-averaged steady state"
+        for _ in range(50):
+            V, _ = steady(r_k)
+            r_next = squeezing_formula(parts, rotation_angle(V), z)
+            if r_next is None:
+                return None, "artanh argument out of (-1, 1)"
+            if abs(r_next - r_k) < 1e-10:
+                return r_next, ""
+            r_k = r_next
+        return r_k, "fixed point not fully converged after 50 iterations"
+
+    res = minimize_scalar(lambda r: steady(r)[1].dP2_minus, (0.0, 3.0), tol=1e-4)
     _, report = steady(res.x)
-    if z == 0.0:
-        return OptimalSqueezing(
-            r_numeric=res.x,
-            r_formula=None,
-            dP2_minus=report.dP2_minus,
-            E_N=report.E_N,
-            formula_note="formula undefined for the phase-averaged steady state",
-        )
-    r_formula: float | None = None
-    note = ""
-    r_k = max(res.x, 0.1) if res.boundary else 0.5
-    for _ in range(50):
-        V, _ = steady(r_k)
-        r_next = squeezing_formula(system, rotation_angle(V), z)
-        if r_next is None:
-            note = "artanh argument out of (-1, 1)"
-            r_formula = None
-            break
-        if abs(r_next - r_k) < 1e-10:
-            r_formula = r_next
-            break
-        r_k = r_next
-    else:
-        r_formula = r_k
-        note = "fixed point not fully converged after 50 iterations"
-    return OptimalSqueezing(
-        r_numeric=res.x,
-        r_formula=r_formula,
-        dP2_minus=report.dP2_minus,
-        E_N=report.E_N,
-        formula_note=note,
-    )
+    r_formula, note = fixed_point(max(res.x, 0.1) if res.boundary else 0.5)
+    return OptimalSqueezing(r_numeric=res.x, r_formula=r_formula,
+                            dP2_minus=report.dP2_minus, E_N=report.E_N,
+                            formula_note=note)

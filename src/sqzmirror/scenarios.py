@@ -19,22 +19,10 @@ import numpy as np
 
 from . import full as full_model
 from . import reduced as reduced_model
-from .dynamics import (
-    TimeGrid,
-    Trajectory,
-    periodic_steady_state,
-    reservoir_parts,
-    reservoir_steady,
-    steady_at_phase,
-)
+from .dynamics import TimeGrid, Trajectory, reservoir_parts, reservoir_steady
 from .errors import ConfigError, ParameterError, SimulationError
 from .gaussian import quadrature_observables
-from .generator import (
-    compile_generator,
-    compile_injections,
-    full_generator,
-    reduced_generator,
-)
+from .generator import compile_injections, full_generator, reduced_generator
 from .params import (
     BASELINE_HZ,
     PhysicalParams,
@@ -224,15 +212,14 @@ Curve = tuple[str, tuple[str, ...], list[tuple]]
 
 
 def _evolve_model(model: str, params: PhysicalParams, grid: TimeGrid) -> Trajectory:
+    """One model's trajectory; ScenarioConfig.validate has refused unknown names."""
     if model == "reduced3":
         return reduced_model.evolve(params, grid)
     if model == "reduced10":
         return reduced_model.evolve_full10(params, grid)
     if model == "reduced_analytic":
         return reduced_model.evolve_analytic(params, grid)
-    if model == "full6":
-        return full_model.evolve_full(params, grid)
-    raise ConfigError(f"unknown model {model!r}")
+    return full_model.evolve_full(params, grid)
 
 
 def _trajectory_curve(cfg: ScenarioConfig, name: str, model: str,
@@ -247,18 +234,6 @@ def _trajectory_curve(cfg: ScenarioConfig, name: str, model: str,
     return name, TRAJECTORY_COLUMNS, rows
 
 
-def _steady_covariance(model: str, params: PhysicalParams, phase) -> np.ndarray:
-    """Steady two-mirror covariance of one model at the reservoir phase."""
-    if model == "full6":
-        return full_model.mirror_block(full_model.steady_full(params, phase))
-    if model in ("reduced3", "reduced_analytic"):
-        return reduced_model.steady_state(params, phase)[0]
-    if model == "reduced10":
-        eqs = compile_generator(reduced_generator(derive(params)))
-        return steady_at_phase(*periodic_steady_state(eqs), phase)
-    raise ConfigError(f"unknown model {model!r}")
-
-
 def _steady_along_r(model: str, params: PhysicalParams, phase):
     """One model's steady two-mirror covariance as a function of r.
 
@@ -271,8 +246,6 @@ def _steady_along_r(model: str, params: PhysicalParams, phase):
     if model in ("reduced3", "reduced_analytic"):
         curve = reduced_model.steady_curve(params, phase)
         return lambda r: curve(r)[0]
-    if model not in ("reduced10", "full6"):
-        raise ConfigError(f"unknown model {model!r}")
     generator = full_generator if model == "full6" else reduced_generator
     parts = reservoir_parts(compile_injections(generator, derive(params)))
 
@@ -293,10 +266,10 @@ def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
     if name == "r":
         curve = reduced_model.steady_curve(_params(cfg, **extra_hz), phase)
         return curve(np.asarray(values))[1]
-    systems = [reduced_model.build_system(_params(cfg, **extra_hz, **{name: v}))
-               for v in values]
-    V = np.stack([reduced_model.lift_covariance(s.steady_v3(phase), s.nbar0)
-                  for s in systems])
+    points = [_params(cfg, **extra_hz, **{name: v}) for v in values]
+    systems = [reduced_model.build_system(p) for p in points]
+    V = np.stack([reduced_model.steady_covariance(s, s.steady_parts(), p.r, phase)
+                  for s, p in zip(systems, points)])
     return reduced_model.criterion(V, np.array([s.nbar0 for s in systems]))
 
 
@@ -319,27 +292,29 @@ def _guarded_rows(values, point, n_out: int) -> list[tuple]:
     return rows
 
 
-def _r_sweep_rows(cfg: ScenarioConfig, model: str, values, phase) -> list[tuple]:
-    """Rows of a custom r sweep of one model, from one build per curve.
+def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
+                phase) -> list[tuple]:
+    """Rows of a custom sweep of one model along one parameter field.
 
-    Each point is guarded as in _guarded_rows and fails in the order a
-    per-point build would: its parameters first (PhysicalParams refuses
-    r < 0), then the build's error (a non-Hurwitz drift, the same text in
-    every such row), then the reduced models' criterion check at that r.
+    The build does not read r, so an r sweep is one build per curve
+    (_steady_along_r) and any other field one per value. Each point is
+    guarded as in _guarded_rows and fails in the order a per-point build
+    would: its parameters first (PhysicalParams refuses r < 0), then the
+    build's error (a non-Hurwitz drift; a build that failed is tried again,
+    with the same text, at the next point), then the reduced models'
+    criterion check.
     """
-    try:
-        at = _steady_along_r(model, _params(cfg), phase)
-    except SimulationError as exc:
-        def at(r: float, exc: SimulationError = exc):
-            raise exc
+    curves = {}
 
-    return _guarded_rows(values, lambda val: _sweep_cells(at(_params(cfg, r=val).r)), 4)
+    def point(val: float) -> tuple:
+        params = _params(cfg, **{name: val})
+        key = None if name == "r" else val
+        if key not in curves:
+            curves[key] = _steady_along_r(model, params, phase)
+        obs = quadrature_observables(curves[key](params.r))
+        return obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta
 
-
-def _sweep_cells(V: np.ndarray) -> tuple:
-    """The custom sweep's outputs of a steady covariance."""
-    obs = quadrature_observables(V)
-    return obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta
+    return _guarded_rows(values, point, 4)
 
 
 def _label(x: float) -> str:
@@ -473,14 +448,10 @@ def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
         phase = PHASES[cfg.phase]
         curves: list[Curve] = []
         for model in models:
-            if name == "r":
-                rows = _r_sweep_rows(cfg, model, values, phase)
-            else:
-                rows = _guarded_rows(values, lambda val: _sweep_cells(
-                    _steady_covariance(model, _params(cfg, **{name: val}), phase)), 4)
             curves.append(
                 (f"custom_sweep_{model}",
-                 (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error"), rows)
+                 (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error"),
+                 _sweep_rows(cfg, model, name, values, phase))
             )
         return curves
     params = _params(cfg)

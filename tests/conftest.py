@@ -31,16 +31,21 @@ def random_physical_cov(rng, n_modes: int) -> np.ndarray:
     return 0.5 * np.eye(dim) + A @ A.T
 
 
-def random_point(rng):
-    """A point of the benchmark's figure ranges (perfbench/inputs.py), r unset."""
+def random_point_hz(rng) -> dict[str, float]:
+    """The config fields of random_point, in their config units."""
     def log_uniform(lo, hi):
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-    return baseline_params(
+    return dict(
         power_w=log_uniform(*inputs.POWER_W),
         temperature_k=rng.uniform(*inputs.TEMPERATURE_K),
         gamma_m_hz=inputs.KAPPA_HZ * log_uniform(*inputs.GAMMA_OVER_KAPPA),
     )
+
+
+def random_point(rng):
+    """A point of the benchmark's figure ranges (perfbench/inputs.py), r unset."""
+    return baseline_params(**random_point_hz(rng))
 
 
 @pytest.fixture

@@ -240,7 +240,7 @@ def test_r_sweep_criterion_failure_fails_its_own_row(tmp_path, monkeypatch):
 def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
     """An r sweep builds each model once, as one spec whose three members
     are the reservoir injections, and compiles it once; any other axis
-    builds and compiles once per point."""
+    builds and compiles the same three-member spec once per point."""
     models = ["reduced3", "reduced10", "full6"]
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
@@ -250,7 +250,7 @@ def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
     run(ScenarioConfig(scenario="custom", models=["reduced10", "full6"],
                        sweep=("power_w", [1e-6, 2e-6, 3e-6]),
                        output_dir=str(tmp_path / "power")))
-    assert builds == {"model": 6, "compile": 6, "members": 6}
+    assert builds == {"model": 6, "compile": 6, "members": 18}
 
 
 def test_empty_sweep_rejected(tmp_path):

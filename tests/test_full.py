@@ -8,6 +8,7 @@ from sqzmirror.dynamics import (
     TimeGrid,
     normalize_phase,
     periodic_steady_state,
+    reservoir_parts,
     steady_at_phase,
 )
 from sqzmirror.full import (
@@ -18,7 +19,7 @@ from sqzmirror.full import (
     steady_full,
 )
 from sqzmirror.gaussian import mean_phonon, quadrature_observables
-from sqzmirror.generator import compile_generator, full_generator
+from sqzmirror.generator import compile_generator, compile_injections, full_generator
 from sqzmirror.params import baseline_params, derive
 from sqzmirror.reduced import evolve as evolve_reduced, steady_state
 
@@ -189,15 +190,19 @@ def test_phase_has_one_meaning_in_every_model(phase):
     """A reservoir phase means the same point of the orbit in both models.
 
     The full model reads it through the same normalizer as the reduced one:
-    a real number other than +/-1 is an angle, "average" is the dc part.
+    a real number other than +/-1 is an angle, "average" is the dc part
+    x0 + N x1, which equals the dc part of a compile and solve at the point.
     """
     p = baseline_params(gamma_m_hz=1e3)
     V = steady_full(p, phase)
     assert np.allclose(V, steady_full(p, normalize_phase(phase)), rtol=1e-12, atol=0)
     assert symplectic_spectrum(V)[0] >= 0.5 - 1e-6
     if isinstance(phase, str):
-        V_dc, _ = periodic_steady_state(compile_generator(full_generator(derive(p))))
-        assert np.array_equal(V, V_dc)
+        c = derive(p)
+        x0, x1, _ = reservoir_parts(compile_injections(full_generator, c))
+        assert np.array_equal(V, x0 + c.N * x1)
+        V_dc, _ = periodic_steady_state(compile_generator(full_generator(c)))
+        assert np.abs(V - V_dc).max() <= 1e-12 * np.abs(V_dc).max()
     _, report = steady_state(p, phase)
     comp = compare_adiabatic(p, phase=phase)
     assert comp.steady_dp2_reduced == pytest.approx(report.dP2_minus, rel=1e-12)

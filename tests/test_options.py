@@ -32,7 +32,6 @@ OPTIONS = [
     "scenarios.ScenarioConfig(sweep=None)",
     "scenarios.ScenarioConfig(t_end_s=None)",
     "scenarios._parse_number(integer=False)",
-    "scenarios._r_sweep_rows.at(exc=exc)",
     "scenarios._trajectory_curve(damping_times=10.0)",
 ]
 

@@ -5,7 +5,7 @@ import pytest
 
 import inputs
 from _periodic import at_time
-from conftest import random_point
+from conftest import random_point, random_point_hz
 from sqzmirror.dynamics import (
     TimeGrid,
     linear_steady,
@@ -21,7 +21,7 @@ from sqzmirror.errors import (
     SimulationError,
     StabilityError,
 )
-from sqzmirror.full import mirror_block
+from sqzmirror.full import compare_adiabatic, mirror_block, steady_full
 from sqzmirror.gaussian import (
     quadrature_observables,
     rotate_local,
@@ -43,7 +43,7 @@ from sqzmirror.reduced import (
     steady_curve,
     steady_state,
 )
-from sqzmirror.scenarios import _steady_along_r
+from sqzmirror.scenarios import ScenarioConfig, _steady_along_r, _sweep_rows
 
 # frozen regressions (phase +1 resolvent steady state at the baseline, r = 1)
 BASELINE_EN_STEADY = 1.023152226440142
@@ -241,15 +241,39 @@ def solved_at_point(model, p, phase):
 
 @pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
 def test_r_curve_equals_per_point_solve(rng, phase):
-    """x0 + N x1 + M x2(z) from one build equals a compile and solve per point."""
+    """x0 + N x1 + M x2(z) from one build equals a compile and solve per
+    point: along an r curve, at the single-point entry points (steady_full,
+    steady_state, compare_adiabatic) and in a custom power-sweep row."""
+    def assert_close(value, ref, V_ref):
+        assert np.abs(np.asarray(value) - ref).max() <= 1e-12 * np.abs(V_ref).max()
+
     for _ in range(6):
-        p = random_point(rng)
+        hz = random_point_hz(rng)
+        p = baseline_params(**hz)
         r_values = rng.uniform(*inputs.R_RANGE, size=3)
+        refs = {}
         for model in ("reduced3", "reduced10", "full6"):
             at = _steady_along_r(model, p, phase)
             for r in r_values:
-                ref = solved_at_point(model, p.with_(r=r), phase)
-                assert np.abs(at(r) - ref).max() <= 1e-12 * np.abs(ref).max(), (model, r)
+                ref = refs[model, r] = solved_at_point(model, p.with_(r=r), phase)
+                assert_close(at(r), ref, ref)
+        for r in r_values:
+            p_r = p.with_(r=r)
+            ref3, ref6 = refs["reduced3", r], refs["full6", r]
+            assert_close(mirror_block(steady_full(p_r, phase)), ref6, ref6)
+            assert_close(steady_state(p_r, phase)[0], ref3, ref3)
+            comp = compare_adiabatic(p_r, phase)
+            assert_close(comp.steady_dp2_full, quadrature_observables(ref6).dP2_minus,
+                         ref6)
+            assert_close(comp.steady_dp2_reduced,
+                         quadrature_observables(ref3).dP2_minus, ref3)
+            cfg = ScenarioConfig(scenario="custom", params_hz={**hz, "r": r})
+            for model in ("reduced10", "full6"):
+                row = _sweep_rows(cfg, model, "power_w", [hz["power_w"]], phase)[0]
+                obs = quadrature_observables(refs[model, r])
+                assert row[-1] == ""
+                assert_close(row[1:-1], [obs.E_N, obs.dP2_minus, obs.dQ2_minus,
+                                         obs.theta], refs[model, r])
 
 
 @pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
@@ -552,12 +576,12 @@ def test_squeezing_formula_domain_guard():
         N=0.0,
         M=0.0,
     )
-    assert squeezing_formula(sys_, theta=0.0) is None
+    assert squeezing_formula(sys_.steady_parts(), theta=0.0) is None
     small = ReducedSystem(
         m3=sys_.m3, b0=sys_.b0, b1=sys_.b1,
         b2=np.array([0.0, 0.5 + 0.0j, 0.0]),
         delta=1.0, nbar0=0.0, N=0.0, M=0.0,
     )
     require_hurwitz(small.m3)
-    val = squeezing_formula(small, theta=0.0)
+    val = squeezing_formula(small.steady_parts(), theta=0.0)
     assert val is not None
