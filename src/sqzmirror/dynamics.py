@@ -439,43 +439,66 @@ def reservoir_steady(
     parts = (x0, x1, x2) are the steady responses to the static drive, to
     unit N and to the e^{2i Delta t} sideband of unit M, as covariance
     matrices (reservoir_parts) or vectors (reduced.ReducedSystem.steady_parts);
-    x2(z) = x2 z + c.c. at z = normalize_phase(phase). Arrays N, M give a
-    stack along their axes, so one set of parts serves a whole r curve.
+    x2(z) = x2 z + c.c. at z = normalize_phase(phase). N and M broadcast
+    against the parts as they are: arrays of them carry one trailing unit
+    axis per axis of a response, so one set of parts serves a whole r curve,
+    and parts stacked along leading axes pair with N, M entry by entry.
     """
     x0, x1, x2 = parts
-    N, M = (np.reshape(c, np.shape(c) + (1,) * x0.ndim) for c in (N, M))
     return steady_at_phase(x0 + N * x1, M * x2, phase)
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Floats for one search, arrays over the lanes of many."""
+
     x: float
     boundary: bool  # no interior decrease detected; minimum sits at an edge
 
 
 def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResult:
-    """Golden-section minimizer of a continuous scalar function.
+    """Golden-section minimizer of continuous scalar functions, as lanes.
 
-    Flags `boundary` when the minimizer lands within 10*tol of a bracket
-    edge (monotone f converges there).
+    A float bracket (a, b) minimizes one function: f takes a float and
+    returns a float. Arrays a, b (broadcast together) give one lane per
+    entry: f takes an array of every lane's point and returns an array of
+    the values. The steps depend only on the bracket and tol (Kiefer, Proc.
+    AMS 4, 502 (1953)), so the lanes advance together; each makes its own
+    comparison and stops when its bracket is within tol, after which f
+    sees NaN at its entry and the value there is ignored. Each lane's x and
+    boundary equal those of a search over it alone. Flags `boundary` when
+    the minimizer lands within 10*tol of a bracket edge (monotone f
+    converges there).
     """
-    a0, b0 = float(bracket[0]), float(bracket[1])
-    if b0 <= a0:
+    a0, b0 = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in bracket))
+    if not (b0 > a0).all():
         raise DimensionError("bracket must satisfy a < b")
+    lanes = a0.ndim > 0
+
+    def at(x, active):
+        if not lanes:
+            return np.asarray(f(float(x)), dtype=float)
+        return np.asarray(f(np.where(active, x, np.nan)), dtype=float)
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = a0, b0
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * invphi
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * invphi
-            fd = f(d)
+    fc, fd = at(c, True), at(d, True)
+    active = np.abs(b - a) > tol
+    while active.any():
+        left = active & (fc < fd)  # the minimum is in [a, d]: d becomes b
+        right = active & ~(fc < fd)  # in [c, b]: c becomes a
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        x = np.where(left, b - (b - a) * invphi, a + (b - a) * invphi)
+        fx = at(x, active)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        active = np.abs(b - a) > tol
     x = 0.5 * (a + b)
-    boundary = (x - a0 <= 10.0 * tol) or (b0 - x <= 10.0 * tol)
+    boundary = (x - a0 <= 10.0 * tol) | (b0 - x <= 10.0 * tol)
+    if not lanes:
+        return MinimizeResult(x=float(x), boundary=bool(boundary))
     return MinimizeResult(x=x, boundary=boundary)

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the rule by
+which one failing entry of a stacked evaluation fails only itself."""
 
 
 class SimulationError(Exception):
@@ -47,3 +48,29 @@ class PhysicalityWarning(UserWarning):
 
 class DegenerateAngleWarning(UserWarning):
     """Rotation angle undefined (zero anomalous moment); defaulting to 0."""
+
+
+def per_entry(evaluate, entries):
+    """evaluate(entries) over a stack, with each failing entry left out.
+
+    entries is an integer index array. The stack is evaluated first. Only
+    if that raises SimulationError is each entry evaluated alone, as
+    evaluate(k) for an int k (a single matrix, not a stack of one), to find
+    which entries fail and with what error. Returns (value, kept, failures):
+    value is evaluate(kept) (None when no entry is kept) and failures maps
+    each failing entry to the error its single evaluation raised.
+    """
+    if not len(entries):
+        return None, entries, {}
+    try:
+        return evaluate(entries), entries, {}
+    except SimulationError:
+        pass
+    failures = {}
+    for k in entries.tolist():
+        try:
+            evaluate(k)
+        except SimulationError as exc:
+            failures[k] = exc
+    kept = entries[[k not in failures for k in entries.tolist()]]
+    return (evaluate(kept) if len(kept) else None), kept, failures

@@ -88,7 +88,7 @@ def compare_adiabatic(
     """
     V_f = mirror_block(steady_full(params, phase))
     system = build_system(params)
-    V_r = steady_covariance(system, system.steady_parts(), params.r, phase)
+    V_r = steady_covariance(system.steady_parts(), system.nbar0, params.r, phase)
     dp2_f, dp2_r = quadrature_observables(np.stack([V_f, V_r])).dP2_minus.tolist()
     return AdiabaticComparison(
         steady_dp2_full=dp2_f,

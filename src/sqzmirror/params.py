@@ -85,6 +85,45 @@ class Harmonic:
         return bool(np.asarray((abs(self.cp) <= bound) & (abs(self.cm) <= bound)).all())
 
 
+def _not_finite(name: str, value: float) -> str:
+    return f"{name} must be finite, got {value!r}"
+
+
+_NEGATIVE = "gamma_m, power, temperature, r must be >= 0"
+# sinh(r)**2 is finite up to r = 355.6; only larger r need the exact test
+_R_SAFE = 355.0
+
+
+def _overflow(r: float) -> str:
+    return f"r = {r!r} overflows N = sinh^2 r"
+
+
+def _overflows(r: float) -> bool:
+    """derive's N = sinh^2 r overflows (M = cosh r sinh r rounds to N where
+    N is large). A float overflow raises OverflowError, numpy's only warns."""
+    try:
+        math.sinh(r) ** 2
+    except OverflowError:
+        return True
+    return False
+
+
+def check_r(r) -> None:
+    """The checks PhysicalParams makes on r, for a float or every entry of an
+    array: the first entry that fails raises its ParameterError, with the
+    text PhysicalParams gives.
+    """
+    flat = np.ravel(np.asarray(r, dtype=float))
+    suspect = ~np.isfinite(flat) | (flat < 0.0) | (flat > _R_SAFE)
+    for r_k in flat[suspect].tolist():
+        if not math.isfinite(r_k):
+            raise ParameterError(_not_finite("r", r_k))
+        if r_k < 0.0:
+            raise ParameterError(_NEGATIVE)
+        if _overflows(r_k):
+            raise ParameterError(_overflow(r_k))
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Experiment-level inputs; every rate is angular (rad/s).
@@ -107,17 +146,13 @@ class PhysicalParams:
     def __post_init__(self):
         for name, value in vars(self).items():
             if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
+                raise ParameterError(_not_finite(name, value))
         if self.omega_c <= 0 or self.kappa <= 0 or self.omega_m <= 0:
             raise ParameterError("omega_c, kappa, omega_m must be positive")
         if self.gamma_m < 0 or self.power < 0 or self.temperature < 0 or self.r < 0:
-            raise ParameterError("gamma_m, power, temperature, r must be >= 0")
-        # derive's N = sinh^2 r; M = cosh r sinh r rounds to N where N is
-        # large. A float overflow raises OverflowError, numpy's only warns.
-        try:
-            math.sinh(self.r) ** 2
-        except OverflowError:
-            raise ParameterError(f"r = {self.r!r} overflows N = sinh^2 r") from None
+            raise ParameterError(_NEGATIVE)
+        if _overflows(self.r):
+            raise ParameterError(_overflow(self.r))
 
     @property
     def omega_laser(self) -> float:

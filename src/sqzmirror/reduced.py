@@ -11,9 +11,8 @@ source of truth for the model matrices.
 
 from __future__ import annotations
 
-import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .dynamics import (
     reservoir_steady,
     steady_at_phase,
 )
-from .errors import DivergenceError, PhysicalityWarning, SimulationError
+from .errors import DivergenceError, PhysicalityWarning, SimulationError, per_entry
 from .gaussian import (
     PHYSICALITY_TOL,
     quadrature_observables,
@@ -47,7 +46,7 @@ from .generator import (
     compile_injections,
     reduced_generator,
 )
-from .params import PhysicalParams, derive, reservoir_correlations
+from .params import PhysicalParams, check_r, derive, reservoir_correlations
 
 CRITERION_BAND = 1e-9
 
@@ -56,13 +55,14 @@ CRITERION_BAND = 1e-9
 _LIFT_INDEX = np.array([[0, 2, 3, 5], [2, 1, 5, 4], [3, 5, 0, 2], [5, 4, 2, 1]])
 
 
-def lift_covariance(v3: NDArray, nbar0: float) -> NDArray[np.float64]:
+def lift_covariance(v3: NDArray, nbar0: float | NDArray) -> NDArray[np.float64]:
     """Assemble the full symmetric 4x4 covariance from (V11, V22, V12).
 
-    v3 may be a stack (..., 3); the result is then a stack (..., 4, 4).
+    v3 may be a stack (..., 3); the result is then a stack (..., 4, 4), and
+    nbar0 may be an array along its leading axes.
     """
     v3 = np.asarray(v3, dtype=float)
-    c = nbar0 + 0.5
+    c = np.asarray(nbar0, dtype=float)[..., None] + 0.5
     entries = np.concatenate([v3, c - v3[..., :2], -v3[..., 2:]], axis=-1)
     return entries[..., _LIFT_INDEX]
 
@@ -276,16 +276,19 @@ def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:
 
 
 def steady_covariance(
-    system: ReducedSystem, parts: tuple[NDArray, NDArray, NDArray], r, phase
+    parts: tuple[NDArray, NDArray, NDArray], nbar0, r, phase
 ) -> NDArray[np.float64]:
     """Lifted steady covariance x0 + N x1 + M x2(z) at squeezing degree(s) r.
 
-    parts is system.steady_parts(); N = sinh^2 r and M = cosh r sinh r, and
-    phase is read by dynamics.normalize_phase. An array of r gives a stack
-    (..., 4, 4). No criterion check and no range check on r.
+    parts are ReducedSystem.steady_parts() and nbar0 its system's thermal
+    occupation; N = sinh^2 r and M = cosh r sinh r, and phase is read by
+    dynamics.normalize_phase. An array of r gives a stack (..., 4, 4). parts
+    stacked along leading axes (..., 3), with nbar0 and r along the same
+    axes, give one covariance per entry: the lanes of optimal_squeezings.
+    No criterion check and no range check on r.
     """
-    v3 = reservoir_steady(parts, *reservoir_correlations(r), phase)
-    return lift_covariance(v3, system.nbar0)
+    N, M = reservoir_correlations(np.asarray(r, dtype=float)[..., None])
+    return lift_covariance(reservoir_steady(parts, N, M, phase), nbar0)
 
 
 def steady_curve(
@@ -297,16 +300,15 @@ def steady_curve(
     non-Hurwitz drift is refused here, once. curve(r) evaluates
     steady_covariance and runs criterion on it: a float r gives (V, report)
     as steady_state does, an array of r a covariance stack (n, 4, 4) and one
-    report whose fields are arrays. Each r goes through PhysicalParams
-    first, so r < 0 raises its ParameterError.
+    report whose fields are arrays. r goes through params.check_r first, so
+    r < 0 raises the ParameterError PhysicalParams would.
     """
     system = build_system(params)
     parts = system.steady_parts()
 
     def curve(r) -> tuple[NDArray[np.float64], CriterionReport]:
-        for r_k in np.ravel(r):
-            params.with_(r=float(r_k))  # the range check a build at r would make
-        V = steady_covariance(system, parts, r, phase)
+        check_r(r)
+        V = steady_covariance(parts, system.nbar0, r, phase)
         return V, criterion(V, system.nbar0)
 
     return curve
@@ -337,9 +339,9 @@ class OptimalSqueezing:
 
 def squeezing_formula(
     parts: tuple[NDArray, NDArray, NDArray],
-    theta: float,
+    theta,
     phase: complex | float | str = 1.0,
-) -> float | None:
+) -> float | NDArray[np.float64] | None:
     """Stationary squeezing degree from the closed-form artanh expression.
 
     parts are ReducedSystem.steady_parts(), of which it reads x1 and x2.
@@ -347,16 +349,109 @@ def squeezing_formula(
     the steady state x0 + N x1 + M x2(z) directly (dN/dr = sinh 2r,
     dM/dr = cosh 2r), which the numeric minimizer confirms. phase is read
     by dynamics.normalize_phase. Returns None when the argument leaves
-    (-1, 1).
+    (-1, 1). parts stacked along leading axes, with theta an array along
+    them, give an array with NaN where the argument leaves (-1, 1).
     """
-    th = np.array(
-        [math.sin(theta / 2.0) ** 2, math.cos(theta / 2.0) ** 2, -math.sin(theta)]
-    )
+    theta = np.asarray(theta, dtype=float)
+    th = np.stack([np.sin(theta / 2.0) ** 2, np.cos(theta / 2.0) ** 2, -np.sin(theta)],
+                  axis=-1)
     _, x1, x2 = parts
-    x = -2.0 * (th @ np.real(x2 * normalize_phase(phase))) / (th @ x1)
-    if not -1.0 < x < 1.0:
-        return None
-    return 0.5 * float(np.arctanh(x))
+    v = np.real(x2 * normalize_phase(phase))
+    row = th[..., None, :]
+    x = (-2.0 * (row @ v[..., :, None]) / (row @ x1[..., :, None]))[..., 0, 0]
+    inside = (-1.0 < x) & (x < 1.0)
+    # arctanh warns outside (-1, 1), so it never sees those entries
+    r = 0.5 * np.arctanh(np.where(inside, x, 0.0))
+    if x.ndim == 0:
+        return float(r) if inside else None
+    return np.where(inside, r, np.nan)
+
+
+def optimal_squeezings(
+    points: Sequence[PhysicalParams], phase: complex | float | str
+) -> list[OptimalSqueezing | SimulationError]:
+    """optimal_squeezing at every point, all searches in lockstep.
+
+    One build_system per point. The points' steady parts are stacked, so
+    each golden-section step (the lanes of dynamics.minimize_scalar) and
+    each step of the r_formula fixed points is one steady_covariance and
+    one criterion over every point still searching. Entry k is point k's
+    OptimalSqueezing, or the SimulationError its one-point call raises: a
+    point whose build or any evaluation fails leaves the lanes
+    (errors.per_entry), and the others keep their values.
+    """
+    z = normalize_phase(phase)
+    n = len(points)
+    failures: dict[int, SimulationError] = {}
+    nbar0 = np.zeros(n)
+    x0, x1, x2 = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex)
+    for k, p in enumerate(points):
+        try:
+            system = build_system(p)
+            x0[k], x1[k], x2[k] = system.steady_parts()
+        except SimulationError as exc:
+            failures[k] = exc
+        else:
+            nbar0[k] = system.nbar0
+    alive = np.array([k not in failures for k in range(n)])
+
+    def steady(k, r) -> tuple[NDArray[np.float64], CriterionReport]:
+        """Lanes k (an index array, or an int for one lane alone) at r."""
+        V = steady_covariance((x0[k], x1[k], x2[k]), nbar0[k], r, z)
+        return V, criterion(V, nbar0[k])
+
+    def evaluate(fn, lanes: NDArray[np.bool_]):
+        """fn over the live lanes of the mask; the lanes that fail leave."""
+        value, kept, failed = per_entry(fn, np.flatnonzero(lanes & alive))
+        failures.update(failed)
+        alive[list(failed)] = False
+        return value, kept
+
+    def dp2(r: NDArray) -> NDArray:
+        out = np.full(n, np.nan)
+        value, kept = evaluate(lambda k: steady(k, r[k])[1].dP2_minus, ~np.isnan(r))
+        if len(kept):
+            out[kept] = value
+        return out
+
+    res = minimize_scalar(dp2, (np.zeros(n), np.full(n, 3.0)), tol=1e-4)
+    dp2_opt, e_n_opt = np.full(n, np.nan), np.full(n, np.nan)
+    report, kept = evaluate(lambda k: steady(k, res.x[k])[1], np.ones(n, dtype=bool))
+    if len(kept):
+        dp2_opt[kept], e_n_opt[kept] = report.dP2_minus, report.E_N
+
+    # r_formula: squeezing_formula at the rotation angle of the steady state
+    # at its own last value
+    r_formula = np.full(n, np.nan)
+    if z == 0.0:
+        notes = ["formula undefined for the phase-averaged steady state"] * n
+    else:
+        notes = [""] * n
+        r_k = np.where(res.boundary, np.maximum(res.x, 0.1), 0.5)
+        going = np.ones(n, dtype=bool)
+        for _ in range(50):
+            theta, kept = evaluate(lambda k: rotation_angle(steady(k, r_k[k])[0]), going)
+            if not len(kept):
+                break
+            r_next = squeezing_formula((x0[kept], x1[kept], x2[kept]), theta, z)
+            out = np.isnan(r_next)
+            done = ~out & (np.abs(r_next - r_k[kept]) < 1e-10)
+            for k in kept[out].tolist():
+                notes[k] = "artanh argument out of (-1, 1)"
+            r_formula[kept[done]] = r_next[done]
+            going[kept[out | done]] = False
+            r_k[kept] = np.where(out, r_k[kept], r_next)
+        for k in np.flatnonzero(going & alive).tolist():
+            r_formula[k] = r_k[k]
+            notes[k] = "fixed point not fully converged after 50 iterations"
+    return [
+        failures[k] if k in failures else OptimalSqueezing(
+            r_numeric=float(res.x[k]),
+            r_formula=None if np.isnan(r_formula[k]) else float(r_formula[k]),
+            dP2_minus=float(dp2_opt[k]), E_N=float(e_n_opt[k]),
+            formula_note=notes[k])
+        for k in range(n)
+    ]
 
 
 def optimal_squeezing(
@@ -370,34 +465,10 @@ def optimal_squeezing(
     None when the artanh argument is out of range or the steady state is
     phase-averaged (the dc variance has no interior optimum). One
     build_system serves both: every evaluated r is the closed form
-    x0 + N x1 + M x2(z), read through criterion.
+    x0 + N x1 + M x2(z), read through criterion. It is the one-lane case of
+    optimal_squeezings, and raises the error of that lane.
     """
-    system = build_system(params)
-    parts = system.steady_parts()
-    z = normalize_phase(phase)
-
-    def steady(r: float) -> tuple[NDArray[np.float64], CriterionReport]:
-        V = steady_covariance(system, parts, r, z)
-        return V, criterion(V, system.nbar0)
-
-    def fixed_point(r_k: float) -> tuple[float | None, str]:
-        """r_formula and its note: squeezing_formula at the rotation angle of
-        the steady state at its own last value."""
-        if z == 0.0:
-            return None, "formula undefined for the phase-averaged steady state"
-        for _ in range(50):
-            V, _ = steady(r_k)
-            r_next = squeezing_formula(parts, rotation_angle(V), z)
-            if r_next is None:
-                return None, "artanh argument out of (-1, 1)"
-            if abs(r_next - r_k) < 1e-10:
-                return r_next, ""
-            r_k = r_next
-        return r_k, "fixed point not fully converged after 50 iterations"
-
-    res = minimize_scalar(lambda r: steady(r)[1].dP2_minus, (0.0, 3.0), tol=1e-4)
-    _, report = steady(res.x)
-    r_formula, note = fixed_point(max(res.x, 0.1) if res.boundary else 0.5)
-    return OptimalSqueezing(r_numeric=res.x, r_formula=r_formula,
-                            dP2_minus=report.dP2_minus, E_N=report.E_N,
-                            formula_note=note)
+    (result,) = optimal_squeezings([params], phase)
+    if isinstance(result, SimulationError):
+        raise result
+    return result

@@ -20,7 +20,7 @@ import numpy as np
 from . import full as full_model
 from . import reduced as reduced_model
 from .dynamics import TimeGrid, Trajectory, reservoir_parts, reservoir_steady
-from .errors import ConfigError, ParameterError, SimulationError
+from .errors import ConfigError, ParameterError, SimulationError, per_entry
 from .gaussian import quadrature_observables
 from .generator import compile_injections, full_generator, reduced_generator
 from .params import (
@@ -241,7 +241,8 @@ def _steady_along_r(model: str, params: PhysicalParams, phase):
     drift) belong to the whole curve: reduced3 and reduced_analytic through
     reduced.steady_curve, whose every point still goes through criterion,
     reduced10 and full6 through dynamics.reservoir_parts of their
-    compile_injections compiles. Each call is then x0 + N x1 + M x2(z).
+    compile_injections compiles. Each call is then x0 + N x1 + M x2(z): a
+    float r gives one covariance, an array of r a stack.
     """
     if model in ("reduced3", "reduced_analytic"):
         curve = reduced_model.steady_curve(params, phase)
@@ -249,8 +250,9 @@ def _steady_along_r(model: str, params: PhysicalParams, phase):
     generator = full_generator if model == "full6" else reduced_generator
     parts = reservoir_parts(compile_injections(generator, derive(params)))
 
-    def at(r: float) -> np.ndarray:
-        V = reservoir_steady(parts, *reservoir_correlations(r), phase)
+    def at(r) -> np.ndarray:
+        N, M = reservoir_correlations(np.asarray(r, dtype=float)[..., None, None])
+        V = reservoir_steady(parts, N, M, phase)
         return full_model.mirror_block(V) if model == "full6" else V
 
     return at
@@ -268,7 +270,7 @@ def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
         return curve(np.asarray(values))[1]
     points = [_params(cfg, **extra_hz, **{name: v}) for v in values]
     systems = [reduced_model.build_system(p) for p in points]
-    V = np.stack([reduced_model.steady_covariance(s, s.steady_parts(), p.r, phase)
+    V = np.stack([reduced_model.steady_covariance(s.steady_parts(), s.nbar0, p.r, phase)
                   for s, p in zip(systems, points)])
     return reduced_model.criterion(V, np.array([s.nbar0 for s in systems]))
 
@@ -277,18 +279,23 @@ def _err_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
 
 
-def _guarded_rows(values, point, n_out: int) -> list[tuple]:
-    """One row (value, *point(value), "") per value.
+def _row(val, cells: tuple | SimulationError, n_out: int) -> tuple:
+    """(value, *cells, ""), or n_out NaNs and the error's text."""
+    if isinstance(cells, SimulationError):
+        return (val, *[np.nan] * n_out, _err_text(cells))
+    return (val, *cells, "")
 
-    A point that raises SimulationError gets n_out NaNs and the error text,
-    and the sweep goes on.
-    """
+
+def _guarded_rows(values, point, n_out: int) -> list[tuple]:
+    """One _row per value, of point(value) or the SimulationError it raises:
+    a failing point fails its own row, and the sweep goes on."""
     rows = []
     for val in values:
         try:
-            rows.append((val, *point(val), ""))
+            cells = point(val)
         except SimulationError as exc:
-            rows.append((val, *[np.nan] * n_out, _err_text(exc)))
+            cells = exc
+        rows.append(_row(val, cells, n_out))
     return rows
 
 
@@ -296,25 +303,53 @@ def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
                 phase) -> list[tuple]:
     """Rows of a custom sweep of one model along one parameter field.
 
-    The build does not read r, so an r sweep is one build per curve
-    (_steady_along_r) and any other field one per value. Each point is
-    guarded as in _guarded_rows and fails in the order a per-point build
-    would: its parameters first (PhysicalParams refuses r < 0), then the
-    build's error (a non-Hurwitz drift; a build that failed is tried again,
-    with the same text, at the next point), then the reduced models'
-    criterion check.
+    An r sweep is _r_sweep_rows; any other field changes the build, so it
+    is one build per value, each point guarded as in _guarded_rows.
     """
-    curves = {}
+    if name == "r":
+        return _r_sweep_rows(cfg, model, values, phase)
 
     def point(val: float) -> tuple:
         params = _params(cfg, **{name: val})
-        key = None if name == "r" else val
-        if key not in curves:
-            curves[key] = _steady_along_r(model, params, phase)
-        obs = quadrature_observables(curves[key](params.r))
+        obs = quadrature_observables(_steady_along_r(model, params, phase)(params.r))
         return obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta
 
     return _guarded_rows(values, point, 4)
+
+
+def _r_sweep_rows(cfg: ScenarioConfig, model: str, values, phase) -> list[tuple]:
+    """Rows of a custom r sweep of one model: one evaluation per curve.
+
+    Each row fails in the order a per-point build would. Its parameters are
+    checked first, so r < 0 and an r whose N overflows fail their own rows.
+    Then one _steady_along_r build serves the rest; if it fails, every one
+    of them gets its text. Last, one stacked steady covariance and one
+    quadrature_observables call cover every remaining r, and
+    errors.per_entry fails only the rows whose own evaluation raises (the
+    reduced models' criterion check, lost precision at large r).
+    """
+    cells: dict[int, tuple | SimulationError] = {}
+    points = {}
+    for k, val in enumerate(values):
+        try:
+            points[k] = _params(cfg, r=val)
+        except SimulationError as exc:
+            cells[k] = exc
+    if points:
+        live = np.array(list(points))
+        try:
+            at = _steady_along_r(model, points[live[0]], phase)
+        except SimulationError as exc:
+            cells.update(dict.fromkeys(points, exc))
+        else:
+            r = np.array(values, dtype=float)
+            obs, kept, failures = per_entry(
+                lambda k: quadrature_observables(at(r[k])), live)
+            cells.update(failures)
+            if len(kept):
+                columns = (obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta)
+                cells.update(zip(kept.tolist(), zip(*(c.tolist() for c in columns))))
+    return [_row(val, cells[k], 4) for k, val in enumerate(values)]
 
 
 def _label(x: float) -> str:
@@ -372,14 +407,19 @@ def _scenario_fig3a(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _scenario_fig3b(cfg: ScenarioConfig) -> list[Curve]:
-    phase = PHASES[cfg.phase]
+    """One lockstep optimum search over all 25 powers; a power whose search
+    fails fails its own row."""
+    powers = np.geomspace(0.01e-6, 4e-6, 25)
+    results = reduced_model.optimal_squeezings(
+        [_params(cfg, power_w=P) for P in powers], PHASES[cfg.phase])
 
-    def point(P: float):
-        opt = reduced_model.optimal_squeezing(_params(cfg, power_w=P), phase=phase)
+    def cells(opt):
+        if isinstance(opt, SimulationError):
+            return opt
         r_formula = np.nan if opt.r_formula is None else opt.r_formula
         return opt.r_numeric, r_formula, opt.E_N
 
-    rows = _guarded_rows(np.geomspace(0.01e-6, 4e-6, 25), point, 3)
+    rows = [_row(P, cells(opt), 3) for P, opt in zip(powers, results)]
     return [
         ("fig3b_ropt",
          ("power_w", "r_opt_numeric", "r_opt_formula", "E_N_opt", "error"), rows)

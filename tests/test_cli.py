@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_point_hz
 from sqzmirror import reduced, scenarios
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
@@ -17,6 +18,7 @@ from sqzmirror.scenarios import (
     write_manifest,
 )
 from sqzmirror.errors import ConfigError, SimulationError
+from sqzmirror.params import baseline_params
 
 
 def read_csv(path):
@@ -218,23 +220,39 @@ def test_large_r_fails_as_lost_precision_in_every_model(tmp_path):
 
 
 def test_r_sweep_criterion_failure_fails_its_own_row(tmp_path, monkeypatch):
-    """A criterion cross-check that fails at one r fails that row only."""
-    criterion = reduced.criterion
-    calls = []
+    """A criterion cross-check that fails at one r fails that row only.
 
-    def failing_at_second_point(V, nbar0):
-        calls.append(V)
-        if len(calls) == 2:
+    The failure is injected where the covariance of r = 0.5 is evaluated,
+    in a stack or alone."""
+    criterion = reduced.criterion
+    V_half = reduced.steady_state(baseline_params().with_(r=0.5))[0]
+
+    def failing_at_half(V, nbar0):
+        if (V == V_half).all(axis=(-2, -1)).any():
             raise SimulationError("criterion/log-negativity disagreement")
         return criterion(V, nbar0)
 
-    monkeypatch.setattr(reduced, "criterion", failing_at_second_point)
+    monkeypatch.setattr(reduced, "criterion", failing_at_half)
     run(ScenarioConfig(scenario="custom", models=["reduced3"],
                        sweep=("r", [0.0, 0.5, 1.0]), output_dir=str(tmp_path)))
     rows = read_csv(tmp_path / "custom_sweep_reduced3.csv")
     assert [row["error"] for row in rows] == [
         "", "SimulationError: criterion/log-negativity disagreement", ""]
     assert [row["E_N"] == "nan" for row in rows] == [False, True, False]
+
+
+def test_r_sweep_row_fails_with_its_single_call_text(tmp_path, monkeypatch):
+    """A row that fails inside a stack gets the text its covariance raises
+    alone, not the stack's "at entry k" text. A negative band makes
+    criterion refuse the unentangled r = 0 only."""
+    monkeypatch.setattr(reduced, "CRITERION_BAND", -0.05)
+    with pytest.raises(SimulationError) as alone:
+        reduced.steady_state(baseline_params(r=0.0))
+    assert "at entry" not in str(alone.value)
+    run(ScenarioConfig(scenario="custom", models=["reduced3"],
+                       sweep=("r", [0.5, 0.0, 1.0]), output_dir=str(tmp_path)))
+    rows = read_csv(tmp_path / "custom_sweep_reduced3.csv")
+    assert [row["error"] for row in rows] == ["", scenarios._err_text(alone.value), ""]
 
 
 def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
@@ -251,6 +269,68 @@ def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
                        sweep=("power_w", [1e-6, 2e-6, 3e-6]),
                        output_dir=str(tmp_path / "power")))
     assert builds == {"model": 6, "compile": 6, "members": 18}
+
+
+@pytest.mark.parametrize("phase", ["+1", "-1", "average"])
+def test_r_sweep_rows_equal_one_value_sweeps(tmp_path, rng, phase):
+    """Each line of a stacked r sweep, of every model, equals the line of a
+    sweep over its value alone: good values, r < 0, r = 12 and 15 (lost
+    precision) and r = 400 (N overflows), in a random order."""
+    values = rng.permutation([-0.5, 0.0, 0.5, 1.3, 12.0, 15.0, 400.0]).tolist()
+    models = ["reduced3", "reduced10", "reduced_analytic", "full6"]
+    params_hz = random_point_hz(rng)
+
+    def sweep(out, vals):
+        run(ScenarioConfig(scenario="custom", models=models, phase=phase,
+                           params_hz=params_hz, sweep=("r", vals),
+                           output_dir=str(tmp_path / out)))
+        return {m: (tmp_path / out / f"custom_sweep_{m}.csv").read_text().splitlines()
+                for m in models}
+
+    stacked = sweep("all", values)
+    for k, val in enumerate(values):
+        alone = sweep(f"r{k}", [val])
+        for model in models:
+            assert stacked[model][0] == alone[model][0]
+            assert stacked[model][k + 1] == alone[model][1], (model, val)
+    for model in models:
+        errors = dict(zip(values, (line.split(",")[-1] for line in stacked[model][1:])))
+        assert [errors[r] for r in (0.0, 0.5, 1.3)] == ["", "", ""]
+        assert errors[-0.5].startswith("ParameterError") and errors[400.0].startswith(
+            "ParameterError")
+
+
+def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
+    """fig3b's 25 optimum searches share their criterion calls: one per
+    golden-section step, fixed-point step and the optima, not one per power."""
+    calls = []
+    criterion = reduced.criterion
+
+    def counting(V, nbar0):
+        calls.append(np.shape(V))
+        return criterion(V, nbar0)
+
+    monkeypatch.setattr(reduced, "criterion", counting)
+    run(ScenarioConfig(scenario="fig3b", output_dir=str(tmp_path)))
+    assert len(calls) <= 30
+    assert calls[0] == (25, 4, 4)
+
+
+def test_r_sweep_is_one_observables_call_per_curve(tmp_path, monkeypatch):
+    """A custom r sweep with no failing row reads its observables from one
+    stacked call per model."""
+    calls = []
+    observables = scenarios.quadrature_observables
+
+    def counting(V):
+        calls.append(np.shape(V))
+        return observables(V)
+
+    monkeypatch.setattr(scenarios, "quadrature_observables", counting)
+    run(ScenarioConfig(scenario="custom", models=["reduced3", "reduced10", "full6"],
+                       sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
+                       output_dir=str(tmp_path)))
+    assert calls == [(5, 4, 4)] * 3
 
 
 def test_empty_sweep_rejected(tmp_path):

@@ -378,3 +378,58 @@ def test_minimize_scalar_monotone_boundary_flag():
     res = minimize_scalar(np.exp, (0.0, 2.0), tol=1e-6)
     assert res.boundary
     assert res.x == pytest.approx(0.0, abs=1e-4)
+
+
+def random_lane_functions(rng, n):
+    """n scalar functions on [0, 3]: quadratics, cosh/sinh forms with an
+    interior or an edge minimum, and monotone ones."""
+    fns = []
+    for kind in rng.integers(0, 3, size=n):
+        if kind == 0:
+            x0, s = rng.uniform(-1.0, 4.0), rng.uniform(0.1, 10.0)
+            fns.append(lambda x, x0=x0, s=s: s * (x - x0) ** 2)
+        elif kind == 1:
+            c2, c1 = rng.uniform(0.5, 2.0), rng.uniform(-2.5, 0.5)
+            fns.append(lambda x, c1=c1, c2=c2: c2 * np.cosh(2 * x) + c1 * np.sinh(2 * x))
+        else:
+            s = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+            fns.append(lambda x, s=s: np.exp(s * x))
+    return fns
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_minimize_scalar_lanes_equal_one_lane_runs(rng, shared):
+    """Each lane's x and boundary are bit-equal to a search over it alone,
+    with a shared bracket and with one bracket per lane."""
+    for _ in range(5):
+        n = int(rng.integers(1, 30))
+        fns = random_lane_functions(rng, n)
+        if shared:
+            a, b = np.zeros(n), np.full(n, 3.0)
+        else:
+            a = rng.uniform(-1.0, 1.0, size=n)
+            b = a + rng.uniform(0.5, 4.0, size=n)
+        tol = float(rng.choice([1e-4, 1e-6, 1e-8]))
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.array([fn(x_k) for fn, x_k in zip(fns, x)])
+
+        res = minimize_scalar(f, (a, b), tol)
+        assert res.x.shape == res.boundary.shape == (n,)
+        for k, fn in enumerate(fns):
+            one = minimize_scalar(fn, (float(a[k]), float(b[k])), tol)
+            assert (res.x[k], bool(res.boundary[k])) == (one.x, one.boundary)
+            # the lane saw exactly the points of its own search, then NaN
+            points = [x[k] for x in seen]
+            evals = []
+            minimize_scalar(lambda x: evals.append(x) or fn(x),
+                            (float(a[k]), float(b[k])), tol)
+            assert points[:len(evals)] == evals
+            assert np.isnan(points[len(evals):]).all()
+
+
+def test_minimize_scalar_refuses_an_empty_bracket_in_any_lane():
+    with pytest.raises(DimensionError):
+        minimize_scalar(lambda x: x, (np.zeros(3), np.array([1.0, 0.0, 1.0])), 1e-4)

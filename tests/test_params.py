@@ -11,6 +11,7 @@ from sqzmirror.params import (
     KB,
     Harmonic,
     baseline_params,
+    check_r,
     derive,
     from_hz,
     thermal_occupation,
@@ -190,3 +191,27 @@ def test_stacked_harmonic_judges_each_member_on_its_own_scale():
                        match="^drive acquired a harmonic part; cannot compile$"):
         _require_static(Harmonic(np.array([1e12, 1.0]), 0.0, np.array([0.0, 1e-8])),
                         "drive")
+
+
+def test_check_r_refuses_as_physical_params_does(baseline, rng, recwarn):
+    """check_r over an array gives the error PhysicalParams gives for the
+    first failing entry, and passes what PhysicalParams accepts."""
+    special = [np.nan, np.inf, -np.inf, -0.5, -0.0, 355.0, 355.6, 355.7, 400.0, 1e300]
+    edge = 355.58 + 1e-3 * rng.standard_normal(20)  # where sinh(r)**2 overflows
+    for _ in range(20):
+        r = rng.choice(np.concatenate([special, edge, rng.uniform(0, 20, 20)]),
+                       size=int(rng.integers(1, 6)))
+        first = None
+        for r_k in r.tolist():
+            try:
+                baseline.with_(r=r_k)
+            except ParameterError as exc:
+                first = str(exc)
+                break
+        if first is None:
+            check_r(r)
+        else:
+            with pytest.raises(ParameterError) as err:
+                check_r(r)
+            assert str(err.value) == first
+    assert not recwarn.list

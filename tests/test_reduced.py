@@ -30,6 +30,7 @@ from sqzmirror.gaussian import (
 )
 from sqzmirror.generator import compile_generator, full_generator, reduced_generator
 from sqzmirror.params import baseline_params, derive
+from sqzmirror import reduced
 from sqzmirror.reduced import (
     ReducedSystem,
     build_system,
@@ -39,6 +40,7 @@ from sqzmirror.reduced import (
     evolve_full10,
     lift_covariance,
     optimal_squeezing,
+    optimal_squeezings,
     squeezing_formula,
     steady_curve,
     steady_state,
@@ -289,6 +291,65 @@ def test_optimal_squeezing_matches_per_point_objective(rng, phase):
 
         assert abs(minimize_scalar(objective, (0.0, 3.0), tol=1e-4).x
                    - opt.r_numeric) <= 1e-4
+
+
+def optimum_cells(opt):
+    return opt.r_numeric, opt.r_formula, opt.dP2_minus, opt.E_N, opt.formula_note
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
+def test_optimal_squeezings_equal_one_point_calls(rng, monkeypatch, phase):
+    """The lockstep searches give every point the optimum, or the exact
+    error, of its one-point call. Among random points one is blue-detuned
+    (it fails at its build); criterion refuses one covariance that a second
+    point's search evaluates partway through, and every covariance of a
+    third point past the one it evaluates k-th."""
+    points = [random_point(rng) for _ in range(6)]
+    once, past = (points[k] for k in rng.choice(6, size=2, replace=False))
+    points.insert(int(rng.integers(0, 7)), baseline_params(delta_hz=-32.1e6))
+    criterion_ = reduced.criterion
+
+    def v11_evaluated(p):
+        """V11 of every covariance p's search evaluates, in order."""
+        seen = []
+
+        def recording(V, nbar0):
+            seen.extend(np.ravel(V[..., 0, 0]).tolist())
+            return criterion_(V, nbar0)
+
+        monkeypatch.setattr(reduced, "criterion", recording)
+        optimal_squeezing(p, phase)
+        return derive(p).nbar0, seen
+
+    (nbar_once, seen_once), (nbar_past, seen_past) = map(v11_evaluated, (once, past))
+    v11_once, v11_past = (seen[int(rng.integers(3, 20))] for seen in (seen_once, seen_past))
+    # each fails at its first refused covariance, and stops there
+    expected = {id(once): f"refused V11 = {v11_once!r}",
+                id(past): f"refused V11 = {next(v for v in seen_past if v >= v11_past)!r}"}
+
+    def refusing(V, nbar0):
+        v11 = V[..., 0, 0]
+        bad = (((nbar0 == nbar_once) & (v11 == v11_once))
+               | ((nbar0 == nbar_past) & (v11 >= v11_past)))
+        if bad.any():
+            raise SimulationError(f"refused V11 = {float(v11[bad].flat[0])!r}")
+        return criterion_(V, nbar0)
+
+    monkeypatch.setattr(reduced, "criterion", refusing)
+    results = optimal_squeezings(points, phase)
+    assert len(results) == len(points)
+    kinds = []
+    for p, result in zip(points, results):
+        try:
+            one = optimal_squeezing(p, phase)
+        except SimulationError as exc:
+            assert type(result) is type(exc) and str(result) == str(exc)
+            assert str(exc) == expected.get(id(p), str(exc))
+            kinds.append(type(exc).__name__)
+            continue
+        assert optimum_cells(result) == optimum_cells(one)
+        kinds.append("ok")
+    assert sorted(kinds) == ["SimulationError"] * 2 + ["StabilityError"] + ["ok"] * 4
 
 
 def test_r_curve_is_one_build(baseline, builds):
