@@ -90,38 +90,24 @@ def _not_finite(name: str, value: float) -> str:
 
 
 _NEGATIVE = "gamma_m, power, temperature, r must be >= 0"
-# sinh(r)**2 is finite up to r = 355.6; only larger r need the exact test
-_R_SAFE = 355.0
-
-
-def _overflow(r: float) -> str:
-    return f"r = {r!r} overflows N = sinh^2 r"
-
-
-def _overflows(r: float) -> bool:
-    """derive's N = sinh^2 r overflows (M = cosh r sinh r rounds to N where
-    N is large). A float overflow raises OverflowError, numpy's only warns."""
-    try:
-        math.sinh(r) ** 2
-    except OverflowError:
-        return True
-    return False
 
 
 def check_r(r) -> None:
     """The checks PhysicalParams makes on r, for a float or every entry of an
-    array: the first entry that fails raises its ParameterError, with the
-    text PhysicalParams gives.
+    array: the first entry that fails raises its ParameterError. An r fails
+    when it is not finite, negative, or so large that derive's N = sinh^2 r
+    overflows (M = cosh r sinh r rounds to N there); a float overflow raises
+    OverflowError, where numpy's would only warn.
     """
-    flat = np.ravel(np.asarray(r, dtype=float))
-    suspect = ~np.isfinite(flat) | (flat < 0.0) | (flat > _R_SAFE)
-    for r_k in flat[suspect].tolist():
+    for r_k in np.ravel(r).tolist():
         if not math.isfinite(r_k):
             raise ParameterError(_not_finite("r", r_k))
         if r_k < 0.0:
             raise ParameterError(_NEGATIVE)
-        if _overflows(r_k):
-            raise ParameterError(_overflow(r_k))
+        try:
+            math.sinh(r_k) ** 2
+        except OverflowError:
+            raise ParameterError(f"r = {r_k!r} overflows N = sinh^2 r") from None
 
 
 @dataclass(frozen=True)
@@ -149,10 +135,9 @@ class PhysicalParams:
                 raise ParameterError(_not_finite(name, value))
         if self.omega_c <= 0 or self.kappa <= 0 or self.omega_m <= 0:
             raise ParameterError("omega_c, kappa, omega_m must be positive")
-        if self.gamma_m < 0 or self.power < 0 or self.temperature < 0 or self.r < 0:
+        if self.gamma_m < 0 or self.power < 0 or self.temperature < 0:
             raise ParameterError(_NEGATIVE)
-        if _overflows(self.r):
-            raise ParameterError(_overflow(self.r))
+        check_r(self.r)
 
     @property
     def omega_laser(self) -> float:

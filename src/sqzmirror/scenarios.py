@@ -27,6 +27,7 @@ from .params import (
     BASELINE_HZ,
     PhysicalParams,
     baseline_params,
+    check_r,
     derive,
     reservoir_correlations,
 )
@@ -234,45 +235,92 @@ def _trajectory_curve(cfg: ScenarioConfig, name: str, model: str,
     return name, TRAJECTORY_COLUMNS, rows
 
 
-def _steady_along_r(model: str, params: PhysicalParams, phase):
-    """One model's steady two-mirror covariance as a function of r.
+def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
+    """(builds, r) of the points of a sweep along one parameter field.
 
-    The r-independent build runs here, once, so its errors (a non-Hurwitz
-    drift) belong to the whole curve: reduced3 and reduced_analytic through
-    reduced.steady_curve, whose every point still goes through criterion,
-    reduced10 and full6 through dynamics.reservoir_parts of their
-    compile_injections compiles. Each call is then x0 + N x1 + M x2(z): a
-    float r gives one covariance, an array of r a stack.
+    builds[k] is point k's PhysicalParams, or the SimulationError its
+    parameters raise, and r[k] its squeezing degree. An r sweep makes one
+    PhysicalParams for every point (its r unread) and checks each r with
+    params.check_r, which refuses as PhysicalParams does; any other field
+    makes one PhysicalParams per value.
     """
-    if model in ("reduced3", "reduced_analytic"):
-        curve = reduced_model.steady_curve(params, phase)
-        return lambda r: curve(r)[0]
-    generator = full_generator if model == "full6" else reduced_generator
-    parts = reservoir_parts(compile_injections(generator, derive(params)))
+    if name == "r":
+        base = _params(cfg, **extra_hz)
+        r = np.asarray(values, dtype=float)
+        _, _, failures = per_entry(lambda k: check_r(r[k]), np.arange(len(r)))
+        return [failures.get(k, base) for k in range(len(r))], r
+    builds = []
+    for val in values:
+        try:
+            builds.append(_params(cfg, **extra_hz, **{name: val}))
+        except SimulationError as exc:
+            builds.append(exc)
+    return builds, np.array([b.r if isinstance(b, PhysicalParams) else np.nan
+                             for b in builds])
 
-    def at(r) -> np.ndarray:
-        N, M = reservoir_correlations(np.asarray(r, dtype=float)[..., None, None])
-        V = reservoir_steady(parts, N, M, phase)
-        return full_model.mirror_block(V) if model == "full6" else V
 
-    return at
+def _steady_points(model: str, builds, r, phase):
+    """One model's steady two-mirror covariances at many points, as one stack.
+
+    builds and r are _sweep_points'. Points that share one PhysicalParams
+    share one build of the r-independent parts (x0, x1, x2): ReducedSystem's
+    steady_parts for reduced3 and reduced_analytic, dynamics.reservoir_parts
+    of a compile_injections compile for reduced10 and full6, full6's cut to
+    the mirror block. A build that fails (a non-Hurwitz drift) fails all of
+    its points. Every other point is one entry of one x0 + N x1 + M x2(z).
+
+    Returns (V, nbar0, failures): V (n, 4, 4) and nbar0 (n,) are each
+    point's covariance and thermal occupation (zero where it failed), and
+    failures maps each failing point to its error, the parameter errors
+    first and then the build errors, each in point order.
+    """
+    reduced = model in ("reduced3", "reduced_analytic")
+    failures = {k: b for k, b in enumerate(builds) if isinstance(b, SimulationError)}
+    built = {}  # id of a PhysicalParams -> (x0, x1, x2, nbar0), or its build's error
+    for k, p in enumerate(builds):
+        if k in failures or id(p) in built:
+            continue
+        try:
+            if reduced:
+                system = reduced_model.build_system(p)
+                built[id(p)] = (*system.steady_parts(), system.nbar0)
+            else:
+                coeffs = derive(p)
+                generator = full_generator if model == "full6" else reduced_generator
+                parts = reservoir_parts(compile_injections(generator, coeffs))
+                if model == "full6":
+                    parts = [full_model.mirror_block(x) for x in parts]
+                built[id(p)] = (*parts, coeffs.nbar0)
+        except SimulationError as exc:
+            built[id(p)] = exc
+    points = {k: built[id(p)] for k, p in enumerate(builds) if k not in failures}
+    failures.update((k, b) for k, b in points.items() if isinstance(b, SimulationError))
+    live = [k for k in points if k not in failures]
+    V, nbar0 = np.zeros((len(builds), 4, 4)), np.zeros(len(builds))
+    if live:
+        x0, x1, x2, nbar0_live = map(np.array, zip(*(points[k] for k in live)))
+        nbar0[live] = nbar0_live
+        if reduced:
+            V[live] = reduced_model.steady_covariance((x0, x1, x2), nbar0_live,
+                                                      r[live], phase)
+        else:
+            N, M = reservoir_correlations(r[live][:, None, None])
+            V[live] = reservoir_steady((x0, x1, x2), N, M, phase)
+    return V, nbar0, failures
 
 
 def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
-    """Reduced-model steady criterion report along one parameter field.
+    """reduced3's steady criterion report along one parameter field.
 
-    One criterion call for the whole curve; its fields are arrays. An r
-    curve is one build (reduced.steady_curve), any other field one per value.
+    One criterion call reads the whole curve of _steady_points; the report's
+    fields are arrays. The first failure raises: a point's parameters, then
+    a build, then criterion's text "... at entry k".
     """
-    phase = PHASES[cfg.phase]
-    if name == "r":
-        curve = reduced_model.steady_curve(_params(cfg, **extra_hz), phase)
-        return curve(np.asarray(values))[1]
-    points = [_params(cfg, **extra_hz, **{name: v}) for v in values]
-    systems = [reduced_model.build_system(p) for p in points]
-    V = np.stack([reduced_model.steady_covariance(s.steady_parts(), s.nbar0, p.r, phase)
-                  for s, p in zip(systems, points)])
-    return reduced_model.criterion(V, np.array([s.nbar0 for s in systems]))
+    builds, r = _sweep_points(cfg, name, values, **extra_hz)
+    V, nbar0, failures = _steady_points("reduced3", builds, r, PHASES[cfg.phase])
+    if failures:
+        raise next(iter(failures.values()))
+    return reduced_model.criterion(V, nbar0)
 
 
 def _err_text(exc: Exception) -> str:
@@ -286,69 +334,32 @@ def _row(val, cells: tuple | SimulationError, n_out: int) -> tuple:
     return (val, *cells, "")
 
 
-def _guarded_rows(values, point, n_out: int) -> list[tuple]:
-    """One _row per value, of point(value) or the SimulationError it raises:
-    a failing point fails its own row, and the sweep goes on."""
-    rows = []
-    for val in values:
-        try:
-            cells = point(val)
-        except SimulationError as exc:
-            cells = exc
-        rows.append(_row(val, cells, n_out))
-    return rows
-
-
 def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
                 phase) -> list[tuple]:
     """Rows of a custom sweep of one model along one parameter field.
 
-    An r sweep is _r_sweep_rows; any other field changes the build, so it
-    is one build per value, each point guarded as in _guarded_rows.
+    The covariances are _steady_points', read by one errors.per_entry
+    evaluation per curve: criterion, then quadrature_observables, for
+    reduced3 and reduced_analytic, whose steady states are read through
+    criterion, and quadrature_observables alone for reduced10 and full6. A
+    row fails with the text of its parameters, its build or its own
+    evaluation (lost precision at large r, a criterion miss), and the
+    other rows keep their values.
     """
-    if name == "r":
-        return _r_sweep_rows(cfg, model, values, phase)
+    V, nbar0, cells = _steady_points(model, *_sweep_points(cfg, name, values), phase)
+    checked = model in ("reduced3", "reduced_analytic")
 
-    def point(val: float) -> tuple:
-        params = _params(cfg, **{name: val})
-        obs = quadrature_observables(_steady_along_r(model, params, phase)(params.r))
-        return obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta
+    def evaluate(k):
+        if checked:
+            reduced_model.criterion(V[k], nbar0[k])
+        return quadrature_observables(V[k])
 
-    return _guarded_rows(values, point, 4)
-
-
-def _r_sweep_rows(cfg: ScenarioConfig, model: str, values, phase) -> list[tuple]:
-    """Rows of a custom r sweep of one model: one evaluation per curve.
-
-    Each row fails in the order a per-point build would. Its parameters are
-    checked first, so r < 0 and an r whose N overflows fail their own rows.
-    Then one _steady_along_r build serves the rest; if it fails, every one
-    of them gets its text. Last, one stacked steady covariance and one
-    quadrature_observables call cover every remaining r, and
-    errors.per_entry fails only the rows whose own evaluation raises (the
-    reduced models' criterion check, lost precision at large r).
-    """
-    cells: dict[int, tuple | SimulationError] = {}
-    points = {}
-    for k, val in enumerate(values):
-        try:
-            points[k] = _params(cfg, r=val)
-        except SimulationError as exc:
-            cells[k] = exc
-    if points:
-        live = np.array(list(points))
-        try:
-            at = _steady_along_r(model, points[live[0]], phase)
-        except SimulationError as exc:
-            cells.update(dict.fromkeys(points, exc))
-        else:
-            r = np.array(values, dtype=float)
-            obs, kept, failures = per_entry(
-                lambda k: quadrature_observables(at(r[k])), live)
-            cells.update(failures)
-            if len(kept):
-                columns = (obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta)
-                cells.update(zip(kept.tolist(), zip(*(c.tolist() for c in columns))))
+    live = np.array([k for k in range(len(values)) if k not in cells], dtype=int)
+    obs, kept, failures = per_entry(evaluate, live)
+    cells.update(failures)
+    if len(kept):
+        columns = (obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta)
+        cells.update(zip(kept.tolist(), zip(*(c.tolist() for c in columns))))
     return [_row(val, cells[k], 4) for k, val in enumerate(values)]
 
 
@@ -427,14 +438,19 @@ def _scenario_fig3b(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _adiabatic_rows(cfg: ScenarioConfig, sweep_values, sweep_field: str):
+    """One compare_adiabatic per value; a failing point fails its own row."""
     phase = PHASES[cfg.phase]
-
-    def point(val: float):
-        comp = full_model.compare_adiabatic(_params(cfg, **{sweep_field: val}),
-                                            phase=phase)
-        return comp.steady_dp2_full, comp.steady_dp2_reduced, comp.steady_rel_deviation
-
-    return _guarded_rows(sweep_values, point, 3)
+    rows = []
+    for val in sweep_values:
+        try:
+            comp = full_model.compare_adiabatic(_params(cfg, **{sweep_field: val}),
+                                                phase=phase)
+            cells = (comp.steady_dp2_full, comp.steady_dp2_reduced,
+                     comp.steady_rel_deviation)
+        except SimulationError as exc:
+            cells = exc
+        rows.append(_row(val, cells, 3))
+    return rows
 
 
 def _scenario_fig4a(cfg: ScenarioConfig) -> list[Curve]:
@@ -485,15 +501,10 @@ def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
     models = cfg.models or ["reduced3"]
     if cfg.sweep is not None:
         name, values = cfg.sweep
-        phase = PHASES[cfg.phase]
-        curves: list[Curve] = []
-        for model in models:
-            curves.append(
-                (f"custom_sweep_{model}",
-                 (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error"),
-                 _sweep_rows(cfg, model, name, values, phase))
-            )
-        return curves
+        header = (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error")
+        return [(f"custom_sweep_{model}", header,
+                 _sweep_rows(cfg, model, name, values, PHASES[cfg.phase]))
+                for model in models]
     params = _params(cfg)
     return [_trajectory_curve(cfg, f"custom_{model}", model, params)
             for model in models]

@@ -271,33 +271,51 @@ def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
     assert builds == {"model": 6, "compile": 6, "members": 18}
 
 
-@pytest.mark.parametrize("phase", ["+1", "-1", "average"])
-def test_r_sweep_rows_equal_one_value_sweeps(tmp_path, rng, phase):
-    """Each line of a stacked r sweep, of every model, equals the line of a
-    sweep over its value alone: good values, r < 0, r = 12 and 15 (lost
-    precision) and r = 400 (N overflows), in a random order."""
-    values = rng.permutation([-0.5, 0.0, 0.5, 1.3, 12.0, 15.0, 400.0]).tolist()
+# per axis: values whose rows hold numbers, failing values with the start of
+# their error text, and values left unchecked (r = 12, 15 and 355.5 lose
+# precision; at 355.5, N = sinh^2 r is still finite)
+STACK_CASES = {
+    "r": ([0.0, 0.5, 1.3], {-0.5: "ParameterError", 400.0: "ParameterError"},
+          [12.0, 15.0, 355.5]),
+    "power_w": ([1e-8, 5e-7, 3e-6], {-1e-6: "ParameterError"}, []),
+    "delta_hz": ([32.1e6, 25e6], {-32.1e6: "StabilityError"}, []),
+    "temperature_k": ([0.0, 1e-3, 4e-3], {-1e-3: "ParameterError"}, []),
+}
+
+
+# an r sweep's id is its phase alone, any other axis's "axis-phase"
+@pytest.mark.parametrize("axis, phase", [
+    pytest.param(axis, phase, id=phase if axis == "r" else f"{axis}-{phase}")
+    for axis in STACK_CASES for phase in ("+1", "-1", "average")])
+def test_r_sweep_rows_equal_one_value_sweeps(tmp_path, rng, axis, phase):
+    """Each line of a stacked sweep, of every model and along every axis,
+    equals the line of a sweep over its value alone, in a random order of
+    good and failing values: r < 0, r = 12 and 15 (lost precision), r = 400
+    (N overflows), a negative power or temperature and a blue detuning
+    (non-Hurwitz drift)."""
+    good, failing, unchecked = STACK_CASES[axis]
+    values = rng.permutation([*good, *failing, *unchecked]).tolist()
     models = ["reduced3", "reduced10", "reduced_analytic", "full6"]
     params_hz = random_point_hz(rng)
 
     def sweep(out, vals):
         run(ScenarioConfig(scenario="custom", models=models, phase=phase,
-                           params_hz=params_hz, sweep=("r", vals),
+                           params_hz=params_hz, sweep=(axis, vals),
                            output_dir=str(tmp_path / out)))
         return {m: (tmp_path / out / f"custom_sweep_{m}.csv").read_text().splitlines()
                 for m in models}
 
     stacked = sweep("all", values)
     for k, val in enumerate(values):
-        alone = sweep(f"r{k}", [val])
+        alone = sweep(f"v{k}", [val])
         for model in models:
             assert stacked[model][0] == alone[model][0]
             assert stacked[model][k + 1] == alone[model][1], (model, val)
     for model in models:
         errors = dict(zip(values, (line.split(",")[-1] for line in stacked[model][1:])))
-        assert [errors[r] for r in (0.0, 0.5, 1.3)] == ["", "", ""]
-        assert errors[-0.5].startswith("ParameterError") and errors[400.0].startswith(
-            "ParameterError")
+        assert [errors[v] for v in good] == [""] * len(good), model
+        for val, start in failing.items():
+            assert errors[val].startswith(start), (model, val)
 
 
 def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
@@ -317,8 +335,8 @@ def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
 
 
 def test_r_sweep_is_one_observables_call_per_curve(tmp_path, monkeypatch):
-    """A custom r sweep with no failing row reads its observables from one
-    stacked call per model."""
+    """A custom r sweep, or power sweep, with no failing row reads its
+    observables from one stacked call per model."""
     calls = []
     observables = scenarios.quadrature_observables
 
@@ -329,7 +347,12 @@ def test_r_sweep_is_one_observables_call_per_curve(tmp_path, monkeypatch):
     monkeypatch.setattr(scenarios, "quadrature_observables", counting)
     run(ScenarioConfig(scenario="custom", models=["reduced3", "reduced10", "full6"],
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
-                       output_dir=str(tmp_path)))
+                       output_dir=str(tmp_path / "r")))
+    assert calls == [(5, 4, 4)] * 3
+    calls.clear()
+    run(ScenarioConfig(scenario="custom", models=["reduced3", "reduced10", "full6"],
+                       sweep=("power_w", [1e-8, 1e-7, 5e-7, 1e-6, 3e-6]),
+                       output_dir=str(tmp_path / "power")))
     assert calls == [(5, 4, 4)] * 3
 
 

@@ -45,7 +45,7 @@ from sqzmirror.reduced import (
     steady_curve,
     steady_state,
 )
-from sqzmirror.scenarios import ScenarioConfig, _steady_along_r, _sweep_rows
+from sqzmirror.scenarios import ScenarioConfig, _steady_points, _sweep_rows
 
 # frozen regressions (phase +1 resolvent steady state at the baseline, r = 1)
 BASELINE_EN_STEADY = 1.023152226440142
@@ -255,10 +255,11 @@ def test_r_curve_equals_per_point_solve(rng, phase):
         r_values = rng.uniform(*inputs.R_RANGE, size=3)
         refs = {}
         for model in ("reduced3", "reduced10", "full6"):
-            at = _steady_along_r(model, p, phase)
-            for r in r_values:
+            V, _, failures = _steady_points(model, [p] * len(r_values), r_values, phase)
+            assert failures == {}
+            for r, V_r in zip(r_values, V):
                 ref = refs[model, r] = solved_at_point(model, p.with_(r=r), phase)
-                assert_close(at(r), ref, ref)
+                assert_close(V_r, ref, ref)
         for r in r_values:
             p_r = p.with_(r=r)
             ref3, ref6 = refs["reduced3", r], refs["full6", r]
