@@ -91,13 +91,14 @@ class LinearHarmonicODE:
 
 
 @functools.cache
-def _vech_index(n: int) -> tuple[NDArray, NDArray, NDArray, NDArray]:
-    """Read-only index tables (upper, sym, flat, gather) for n x n matrices.
+def _vech_index(n: int) -> tuple[NDArray, NDArray, NDArray]:
+    """Read-only tables (upper, sym, lyap_t) for n x n matrices.
 
     vech(V) = V.ravel()[upper], the upper triangle in row-major order;
     sym[i, j] = sym[j, i] is the position of V_ij in vech(V); the matrix of
-    V -> A V + V A^T on vech(V) is bincount(flat, A.ravel()[gather]).
-    Cached: building them costs more than using them.
+    V -> A V + V A^T on vech(V), flattened, is A.ravel() @ lyap_t (entries
+    0, 1 or 2, each output a sum of at most two entries of A). Cached:
+    building them costs more than using them.
     """
     iu, ju = np.triu_indices(n)
     m = len(iu)
@@ -108,21 +109,25 @@ def _vech_index(n: int) -> tuple[NDArray, NDArray, NDArray, NDArray]:
     # (A V + V A^T)_ij = sum_k A_ik V_kj + A_jk V_ik, with V_kl = V_lk one unknown
     flat = np.concatenate([(row + sym[k, j]).ravel(), (row + sym[i, k]).ravel()])
     gather = np.concatenate([(i * n + k).ravel(), (j * n + k).ravel()])
-    tables = (iu * n + ju, sym, flat, gather)
+    lyap_t = np.zeros((n * n, m * m))
+    np.add.at(lyap_t, (gather, flat), 1.0)
+    tables = (iu * n + ju, sym, lyap_t)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
 def _vech(V: NDArray) -> NDArray:
-    """Upper triangle of a symmetric matrix, row-major: n(n+1)/2 entries."""
-    return V.ravel()[_vech_index(V.shape[0])[0]]
+    """Upper triangle of a symmetric matrix, row-major: n(n+1)/2 entries
+    (of every matrix of a stack)."""
+    n = V.shape[-1]
+    return V.reshape(V.shape[:-2] + (n * n,)).take(_vech_index(n)[0], axis=-1)
 
 
 def _unvech(x: NDArray) -> NDArray:
     """Exactly symmetric matrix from vech(V); a stack of them for rows of x."""
     n = (math.isqrt(8 * x.shape[-1] + 1) - 1) // 2
-    return x[..., _vech_index(n)[1]]
+    return x.take(_vech_index(n)[1], axis=-1)
 
 
 def moment_ode(eqs: MomentEquations) -> LinearHarmonicODE:
@@ -130,13 +135,14 @@ def moment_ode(eqs: MomentEquations) -> LinearHarmonicODE:
 
     The n(n+1)/2 unknowns are the independent entries of the symmetric
     covariance, so every solution is exactly symmetric by construction.
+    Moment equations whose fields carry leading axes give an ODE whose
+    fields carry them too.
     """
-    n = eqs.drift.shape[0]
+    n = eqs.drift.shape[-1]
     m = n * (n + 1) // 2
-    _, _, flat, gather = _vech_index(n)
-    drift = np.bincount(flat, weights=eqs.drift.ravel()[gather], minlength=m * m)
+    A = eqs.drift.reshape(eqs.drift.shape[:-2] + (n * n,))
     return LinearHarmonicODE(
-        drift=drift.reshape(m, m),
+        drift=(A @ _vech_index(n)[2]).reshape(A.shape[:-1] + (m, m)),
         drive_static=_vech(eqs.diffusion_static),
         drive_harmonic=_vech(eqs.diffusion_harmonic),
         omega=eqs.omega,
@@ -335,12 +341,24 @@ def _expm_squaring(B: NDArray) -> NDArray:
 
 
 def require_hurwitz(A: NDArray) -> None:
+    """Refuse a drift with an eigenvalue of non-negative real part.
+
+    A may be a stack (..., n, n): one batched eigvals covers it, and the
+    first matrix that fails raises the error it raises alone.
+    """
     ev = np.linalg.eigvals(A)
-    worst = ev[np.argmax(ev.real)]
-    if worst.real >= 0:
-        raise StabilityError(
-            f"drift is not Hurwitz: eigenvalue {worst:.6e} has non-negative real part"
-        )
+    unstable = ev.real.max(axis=-1) >= 0
+    if np.count_nonzero(unstable):
+        first = ev[unstable][0]
+        raise StabilityError(f"drift is not Hurwitz: eigenvalue "
+                             f"{first[np.argmax(first.real)]:.6e} has non-negative real part")
+
+
+def _solve(A: NDArray, b: NDArray) -> NDArray:
+    """A x = b for a matrix or a stack A, with b a vector per matrix or columns."""
+    if b.ndim == A.ndim - 1:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    return np.linalg.solve(A, b)
 
 
 def linear_steady(ode: LinearHarmonicODE) -> tuple[NDArray, NDArray]:
@@ -348,14 +366,16 @@ def linear_steady(ode: LinearHarmonicODE) -> tuple[NDArray, NDArray]:
 
     Returns (x_dc, x_2) with x(t) = x_dc + (x_2 e^{iwt} + c.c.), from the
     resolvent solves A x_dc = -b0 and (A - iw I) x_2 = -b2. A b0 with
-    columns solves for each of them (x_dc gets the same columns). Callers
-    check stability (require_hurwitz) on the drift they own.
+    columns solves for each of them (x_dc gets the same columns). The drift
+    may be a stack (..., m, m) with drives and omega along the same leading
+    axes: one batched solve each. Callers check stability (require_hurwitz)
+    on the drift they own, and pass only drifts that pass: a batched solve
+    fails as a whole on one singular matrix.
     """
-    x_dc = np.linalg.solve(ode.drift, -ode.drive_static)
-    eye = np.eye(ode.drift.shape[0])
-    x_2 = np.linalg.solve(
-        ode.drift.astype(complex) - 1j * ode.omega * eye, -ode.drive_harmonic
-    )
+    drift = ode.drift
+    x_dc = _solve(drift, -ode.drive_static)
+    shifted = drift - 1j * np.asarray(ode.omega)[..., None, None] * np.eye(drift.shape[-1])
+    x_2 = _solve(shifted, -ode.drive_harmonic)
     return x_dc, x_2
 
 
@@ -386,6 +406,8 @@ def reservoir_parts(
     A is the (0, 0) one's). x0 answers the static diffusion at (0, 0), x1
     unit N and x2 the e^{2i Delta t} sideband of unit M: one require_hurwitz
     on A and one linear_steady call, with the first two as static columns.
+    Injections whose fields carry an axis of points give parts along it,
+    from one batched Hurwitz check and one batched solve.
     reservoir_steady evaluates them at any (N, M).
     """
     eqs00, eqs10, eqs01 = injections
@@ -398,7 +420,7 @@ def reservoir_parts(
         drive_harmonic=_vech(eqs01.diffusion_harmonic),
         omega=eqs01.omega,
     ))
-    return _unvech(x_dc[:, 0]), _unvech(x_dc[:, 1]), _unvech(x_2)
+    return _unvech(x_dc[..., 0]), _unvech(x_dc[..., 1]), _unvech(x_2)
 
 
 def normalize_phase(phase: complex | float | str) -> complex:

@@ -21,7 +21,7 @@ from .dynamics import (
 )
 from .gaussian import quadrature_observables, thermal, vacuum
 from .generator import compile_generator, compile_injections, full_generator
-from .params import PhysicalParams, derive
+from .params import PhysicalParams, derive, stack_points
 from .reduced import build_system, steady_covariance
 
 
@@ -62,11 +62,12 @@ def steady_full(
     is an angle in radians, a complex value is scaled onto the unit circle
     and "average" gives the time-averaged covariance. It is x0 + N x1 +
     M x2(z) of dynamics.reservoir_parts, from one build of the three
-    reservoir injections, as every r curve is.
+    reservoir injections, as every r curve is: the build of a sweep at this
+    point alone.
     """
-    coeffs = derive(params)
+    coeffs = derive(stack_points([params]))
     parts = reservoir_parts(compile_injections(full_generator, coeffs))
-    return reservoir_steady(parts, coeffs.N, coeffs.M, phase)
+    return reservoir_steady([x[0] for x in parts], coeffs.N[0], coeffs.M[0], phase)
 
 
 @dataclass(frozen=True)

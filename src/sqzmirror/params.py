@@ -8,7 +8,8 @@ multiplies by 2*pi before constructing PhysicalParams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -20,7 +21,7 @@ KB = 1.380649e-23  # J / K
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Harmonic:
     """Scalar of the form c0 + cp e^{i w t} + cm e^{-i w t} (w = 2*Delta here).
 
@@ -82,7 +83,8 @@ class Harmonic:
         each on its own scale.
         """
         bound = 1e-9 * abs(self.c0)
-        return bool(np.asarray((abs(self.cp) <= bound) & (abs(self.cm) <= bound)).all())
+        static = (abs(self.cp) <= bound) & (abs(self.cm) <= bound)
+        return bool(np.count_nonzero(static) == np.size(static))
 
 
 def _not_finite(name: str, value: float) -> str:
@@ -199,16 +201,42 @@ def baseline_params(**overrides_hz) -> PhysicalParams:
     return from_hz(**cfg)
 
 
-def thermal_occupation(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1/[exp(hbar w / kB T) - 1]; 0 at T = 0."""
-    if omega <= 0:
-        raise ParameterError(f"omega must be positive, got {omega!r}")
-    if temperature < 0:
-        raise ParameterError(f"temperature must be >= 0, got {temperature!r}")
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega / (KB * temperature)
-    return float(1.0 / np.expm1(x))
+_FIELDS = [f.name for f in fields(PhysicalParams)]
+
+
+def stack_points(points: Sequence[PhysicalParams]) -> PhysicalParams:
+    """The points as one PhysicalParams whose fields are arrays (K,) along an
+    axis of points, for derive and the model builders to broadcast over.
+
+    Each point was checked when it was made; the stack is not checked again,
+    since PhysicalParams' checks read floats.
+    """
+    stack = object.__new__(PhysicalParams)
+    columns = np.array([list(vars(p).values()) for p in points]).T
+    vars(stack).update(zip(_FIELDS, columns))
+    return stack
+
+
+def _refuse(bad, values, message: str) -> None:
+    """Raise ParameterError(message.format(v)) at the first entry v where bad holds."""
+    if np.count_nonzero(bad):
+        raise ParameterError(message.format(float(values[bad][0])))
+
+
+def thermal_occupation(omega, temperature):
+    """Bose-Einstein occupation 1/[exp(hbar w / kB T) - 1]; 0 at T = 0.
+
+    omega and temperature may be arrays, broadcast together: each entry is
+    judged on its own, and the first entry that fails raises its
+    ParameterError. Where hbar w / kB T leaves the float range (T = 0, or a
+    few uK at MHz frequencies) the occupation is 0.
+    """
+    omega, temperature = np.asarray(omega, dtype=float), np.asarray(temperature, dtype=float)
+    _refuse(omega <= 0, omega, "omega must be positive, got {!r}")
+    _refuse(temperature < 0, temperature, "temperature must be >= 0, got {!r}")
+    with np.errstate(divide="ignore", over="ignore"):
+        nbar = 1.0 / np.expm1(HBAR * omega / (KB * temperature))
+    return float(nbar) if nbar.ndim == 0 else nbar
 
 
 def reservoir_correlations(r):
@@ -217,7 +245,8 @@ def reservoir_correlations(r):
     Floats for a scalar r; for an array r, arrays along its axes.
     """
     r = np.asarray(r, dtype=float)
-    N, M = np.sinh(r) ** 2, np.cosh(r) * np.sinh(r)
+    sinh = np.sinh(r)
+    N, M = sinh**2, np.cosh(r) * sinh
     return (float(N), float(M)) if r.ndim == 0 else (N, M)
 
 
@@ -229,8 +258,10 @@ class DerivedCoefficients:
     reservoir (M^2 = N(N+1) for a pure squeezed field); zeta_minus/zeta_plus
     and zeta_bar_* are the cavity-response combinations entering the reduced
     drift and drive; phi = gamma_m (2 nbar0 + 1) is the thermal diffusion rate.
-    derive sets N and M to floats; generator.compile_injections replaces
-    them by arrays along a member axis.
+    The model builders read none of these, so they are computed when read.
+    derive sets every field to floats, or to arrays along the axis of points
+    of a stacked PhysicalParams; generator.compile_injections replaces N and
+    M by arrays along a member axis of injections.
     """
 
     params: PhysicalParams
@@ -239,60 +270,57 @@ class DerivedCoefficients:
     nbar0: float
     N: float
     M: float
-    phi: float
-    zeta_minus: complex
-    zeta_plus: complex
-    zeta_bar_plus: complex
-    zeta_bar_minus: complex
 
-    def fluctuation_drive(self) -> Harmonic:
-        """F(t) = N |alpha|^2 + M alpha^2 e^{2i Delta t} as a Harmonic."""
-        a2 = abs(self.alpha) ** 2
-        return Harmonic(self.N * a2, self.M * self.alpha**2, 0.0)
+    @property
+    def phi(self) -> float:
+        return self.params.gamma_m * (2.0 * self.nbar0 + 1.0)
 
-    def xi_harmonic(self, omega_k: float, sign: int) -> Harmonic:
-        """Harmonic decomposition of xi_k^{+} (sign=+1) or xi_k^{-} (sign=-1)."""
+    def _zeta(self, bar: bool, sign: float) -> complex:
+        """The cavity responses at the two mirror sidebands, to |alpha|^2
+        (zeta) or alpha^2 (zeta_bar), summed (sign +1) or subtracted (-1)."""
         p = self.params
-        F = self.fluctuation_drive()
+        g = 2.0 * p.eta0**2 * (self.alpha**2 if bar else abs(self.alpha) ** 2)
+        upper = g / (p.kappa + (1j if bar else -1j) * (p.delta + p.omega_m))
+        return upper + sign * (g / (p.kappa + 1j * (p.delta - p.omega_m)))
+
+    zeta_minus = property(lambda self: self._zeta(False, -1.0))
+    zeta_plus = property(lambda self: self._zeta(False, 1.0))
+    zeta_bar_plus = property(lambda self: self._zeta(True, 1.0))
+    zeta_bar_minus = property(lambda self: self._zeta(True, -1.0))
+
+    def xi_harmonics(self, omega_k: float) -> tuple[Harmonic, Harmonic]:
+        """Harmonic decompositions of (xi_k^{+}, xi_k^{-}), from the fluctuation
+        drive F(t) = N |alpha|^2 + M alpha^2 e^{2i Delta t} and the cavity
+        resolvents at Delta + omega_k and Delta - omega_k (1/(kappa - i y) is
+        conj(1/(kappa + i y)), exactly)."""
+        p = self.params
         a2 = abs(self.alpha) ** 2
-        r1 = 1.0 / (p.kappa + 1j * (p.delta + sign * omega_k))
-        r2 = 1.0 / (p.kappa - 1j * (p.delta - sign * omega_k))
-        return F * r1 + (F.conj() + a2) * r2
+        F = Harmonic(self.N * a2, self.M * self.alpha**2, 0.0)
+        Fc = F.conj() + a2
+        upper = 1.0 / (p.kappa + 1j * (p.delta + omega_k))
+        lower = 1.0 / (p.kappa + 1j * (p.delta - omega_k))
+        return F * upper + Fc * np.conj(lower), F * lower + Fc * np.conj(upper)
 
     def xi_combined(self) -> Harmonic:
         """eta0^2 (xi_k^- + conj(xi_k^+)) at omega_k = omega_m: the drive xi^r + i xi^i."""
         p = self.params
-        h = self.xi_harmonic(p.omega_m, -1) + self.xi_harmonic(p.omega_m, +1).conj()
-        return h * p.eta0**2
+        xi_p, xi_m = self.xi_harmonics(p.omega_m)
+        return (xi_m + xi_p.conj()) * p.eta0**2
 
 
 def derive(params: PhysicalParams) -> DerivedCoefficients:
-    """Populate all derived coefficients for a parameter set."""
+    """Populate all derived coefficients for a parameter set.
+
+    The fields of params may be arrays along an axis of points
+    (stack_points); every coefficient then carries that axis, and the first
+    point whose laser frequency is not positive raises its ParameterError.
+    """
     p = params
-    omega_l = p.omega_laser
-    if omega_l <= 0:
-        raise ParameterError(f"laser frequency must be positive, got {omega_l!r}")
+    omega_l = np.asarray(p.omega_laser)
+    _refuse(omega_l <= 0, omega_l, "laser frequency must be positive, got {!r}")
     omega_drive = p.drive_prefactor * np.sqrt(p.power * p.kappa / (HBAR * omega_l))
     alpha = omega_drive / (1j * p.kappa - p.delta)
     nbar0 = thermal_occupation(p.omega_m, p.temperature)
     N, M = reservoir_correlations(p.r)
-    phi = p.gamma_m * (2.0 * nbar0 + 1.0)
-    a2 = abs(alpha) ** 2
-    rp = 2.0 * p.eta0**2 * a2 / (p.kappa - 1j * (p.delta + p.omega_m))
-    rm = 2.0 * p.eta0**2 * a2 / (p.kappa + 1j * (p.delta - p.omega_m))
-    bp = 2.0 * p.eta0**2 * alpha**2 / (p.kappa + 1j * (p.delta + p.omega_m))
-    bm = 2.0 * p.eta0**2 * alpha**2 / (p.kappa + 1j * (p.delta - p.omega_m))
-    return DerivedCoefficients(
-        params=p,
-        omega_drive=float(omega_drive),
-        alpha=complex(alpha),
-        nbar0=nbar0,
-        N=N,
-        M=M,
-        phi=float(phi),
-        zeta_minus=rp - rm,
-        zeta_plus=rp + rm,
-        zeta_bar_plus=bp + bm,
-        zeta_bar_minus=bp - bm,
-    )
-
+    return DerivedCoefficients(params=p, omega_drive=omega_drive, alpha=alpha,
+                               nbar0=nbar0, N=N, M=M)

@@ -36,6 +36,7 @@ from .dynamics import (
 from .errors import DivergenceError, PhysicalityWarning, SimulationError, per_entry
 from .gaussian import (
     PHYSICALITY_TOL,
+    QuadratureObservables,
     quadrature_observables,
     rotation_angle,
     symplectic_eigenvalues,
@@ -46,7 +47,7 @@ from .generator import (
     compile_injections,
     reduced_generator,
 )
-from .params import PhysicalParams, check_r, derive, reservoir_correlations
+from .params import PhysicalParams, check_r, derive, reservoir_correlations, stack_points
 
 CRITERION_BAND = 1e-9
 
@@ -67,8 +68,10 @@ def lift_covariance(v3: NDArray, nbar0: float | NDArray) -> NDArray[np.float64]:
     return entries[..., _LIFT_INDEX]
 
 
-# the lifts of the unit vectors e_k at nbar0 = -1/2, where c = nbar0 + 1/2 is 0
+# the lifts of the unit vectors e_k at nbar0 = -1/2, where c = nbar0 + 1/2 is 0,
+# and the lift of zero at c = 1 (at nbar0 it is c times this, exactly)
 _UNIT_LIFTS = lift_covariance(np.eye(3), -0.5)
+_ZERO_LIFT = lift_covariance(np.zeros(3), 0.5)
 
 
 def project_covariance(V: NDArray) -> NDArray[np.float64]:
@@ -80,13 +83,22 @@ def project_covariance(V: NDArray) -> NDArray[np.float64]:
 class CriterionReport:
     """Relative-momentum squeezing test against the thermal threshold.
 
-    Fields are floats (and a bool) for one covariance, arrays for a stack.
+    observables are the covariance's quadrature_observables, from which the
+    test reads dP2_minus and E_N. Fields are floats (and a bool) for one
+    covariance, arrays for a stack.
     """
 
-    dP2_minus: float
+    observables: QuadratureObservables
     threshold: float
     entangled: bool
-    E_N: float
+
+    @property
+    def dP2_minus(self) -> float:
+        return self.observables.dP2_minus
+
+    @property
+    def E_N(self) -> float:
+        return self.observables.E_N
 
 
 @dataclass(frozen=True)
@@ -98,7 +110,8 @@ class ReducedSystem:
     complex, all independent of the squeezing degree, and so is m3. The
     steady state is therefore affine in (N, M): a point and an r curve alike
     are one build plus x0 + N x1 + M x2(z) (steady_parts,
-    steady_covariance), with N = sinh^2 r and M = cosh r sinh r.
+    steady_covariance), with N = sinh^2 r and M = cosh r sinh r. The
+    systems of build_systems carry a leading axis of points on every field.
     """
 
     m3: NDArray[np.float64]
@@ -121,11 +134,16 @@ class ReducedSystem:
     def initial_state(self) -> NDArray[np.float64]:
         return np.array([self.nbar0 + 0.5, self.nbar0 + 0.5, 0.0])
 
+    def point(self, k: int) -> "ReducedSystem":
+        """Point k of a system of build_systems."""
+        return ReducedSystem(*(field[k] for field in vars(self).values()))
+
     def steady_parts(self) -> tuple[NDArray, NDArray, NDArray]:
         """Steady responses (x0, x1, x2) to the drive pieces b0, b1 and b2.
 
         m3 x0 = -b0, m3 x1 = -b1 and (m3 - 2i delta) x2 = -b2, from one
-        linear_steady call. Refuses non-Hurwitz drift.
+        linear_steady call, along the points of a stacked system too.
+        Refuses non-Hurwitz drift, at the first point that has one.
         """
         require_hurwitz(self.m3)
         x_dc, x2 = linear_steady(LinearHarmonicODE(
@@ -134,7 +152,7 @@ class ReducedSystem:
             drive_harmonic=self.b2,
             omega=2.0 * self.delta,
         ))
-        return x_dc[:, 0], x_dc[:, 1], x2
+        return x_dc[..., 0], x_dc[..., 1], x2
 
     def dynamical_solution(self, t) -> NDArray[np.float64]:
         """Closed form x_ss(t) + e^{m3 t} (x(0) - x_ss(0)) from the thermal state.
@@ -151,38 +169,44 @@ class ReducedSystem:
         return x_sst + expm_action(self.m3, t) @ (self.initial_state() - x_ss0)
 
 
-def build_system(params: PhysicalParams) -> ReducedSystem:
-    """Extract the 3-variable system from the compiled generator.
+def build_systems(points: Sequence[PhysicalParams]) -> ReducedSystem:
+    """Extract the 3-variable system of every point from one compiled build.
 
-    The b0/b1/b2 decomposition comes from compile_injections, one build
-    with the reservoir correlations (N, M) injected as (0,0), (1,0), (0,1);
-    it refuses a drift that differs between them. The shared drift gives
-    m3 once, and one projection of the three members' diffusions gives the
-    static drives at (0,0) and (1,0) and the sideband at (0,1).
+    derive runs once over the stacked points (params.stack_points), and the
+    b0/b1/b2 decomposition comes from compile_injections: one model build
+    whose members are the points times the reservoir correlations (N, M)
+    injected as (0,0), (1,0), (0,1). It refuses a drift that differs
+    between a point's injections. Each point's shared drift gives its m3,
+    and one projection of the diffusions gives the static drives at (0,0)
+    and (1,0) and the sideband at (0,1). Every field of the result carries
+    a leading axis of points; nothing here checks stability.
     """
-    coeffs = derive(params)
+    coeffs = derive(stack_points(points))
     eqs00, eqs10, eqs01 = compile_injections(reduced_generator, coeffs)
     A = eqs00.drift
-
-    def lyap(V):
-        return A @ V + V @ A.T
-
-    # column k is the image of the lifted unit vector e_k
-    m3 = project_covariance(lyap(_UNIT_LIFTS)).T
-    base = project_covariance(lyap(lift_covariance(np.zeros(3), coeffs.nbar0)))
+    At = A.swapaxes(-1, -2)
+    # column k of m3 is the image of the lifted unit vector e_k
+    m3 = project_covariance(A[:, None] @ _UNIT_LIFTS + _UNIT_LIFTS @ At[:, None])
+    V = (coeffs.nbar0 + 0.5)[:, None, None] * _ZERO_LIFT  # the lift of zero
+    base = project_covariance(A @ V + V @ At)
     d00, d10, b2 = project_covariance(np.array([
         eqs00.diffusion_static, eqs10.diffusion_static, eqs01.diffusion_harmonic]))
     b0 = base + d00.real
     return ReducedSystem(
-        m3=m3,
+        m3=m3.swapaxes(-1, -2),
         b0=b0,
         b1=(base + d10.real) - b0,
         b2=b2,
-        delta=params.delta,
+        delta=coeffs.params.delta,
         nbar0=coeffs.nbar0,
         N=coeffs.N,
         M=coeffs.M,
     )
+
+
+def build_system(params: PhysicalParams) -> ReducedSystem:
+    """The 3-variable system of one point: build_systems of that point alone."""
+    return build_systems([params]).point(0)
 
 
 def evolve(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
@@ -269,10 +293,8 @@ def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:
         )
     entangled = dp2 < threshold
     if entangled.ndim == 0:
-        return CriterionReport(dP2_minus=obs.dP2_minus, threshold=float(threshold),
-                               entangled=bool(entangled), E_N=obs.E_N)
-    return CriterionReport(dP2_minus=dp2, threshold=threshold,
-                           entangled=entangled, E_N=e_n)
+        return CriterionReport(obs, float(threshold), bool(entangled))
+    return CriterionReport(obs, threshold, entangled)
 
 
 def steady_covariance(
@@ -372,27 +394,35 @@ def optimal_squeezings(
 ) -> list[OptimalSqueezing | SimulationError]:
     """optimal_squeezing at every point, all searches in lockstep.
 
-    One build_system per point. The points' steady parts are stacked, so
-    each golden-section step (the lanes of dynamics.minimize_scalar) and
-    each step of the r_formula fixed points is one steady_covariance and
-    one criterion over every point still searching. Entry k is point k's
-    OptimalSqueezing, or the SimulationError its one-point call raises: a
-    point whose build or any evaluation fails leaves the lanes
-    (errors.per_entry), and the others keep their values.
+    One build_systems for all points, and one batched steady_parts: one
+    errors.per_entry evaluation, so a point whose build fails leaves with
+    the error its own build raises. The points' steady parts are stacked,
+    and each golden-section step (the lanes of dynamics.minimize_scalar)
+    and each step of the r_formula fixed points is one steady_covariance
+    and one criterion over every point still searching. Entry k is point
+    k's OptimalSqueezing, or the SimulationError its one-point call raises:
+    a point whose build or any evaluation fails leaves the lanes, and the
+    others keep their values.
     """
-    z = normalize_phase(phase)
+    def built(k):
+        system = build_systems([points[j] for j in np.atleast_1d(k)])
+        return (*system.steady_parts(), system.nbar0)
+
     n = len(points)
-    failures: dict[int, SimulationError] = {}
-    nbar0 = np.zeros(n)
-    x0, x1, x2 = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex)
-    for k, p in enumerate(points):
-        try:
-            system = build_system(p)
-            x0[k], x1[k], x2[k] = system.steady_parts()
-        except SimulationError as exc:
-            failures[k] = exc
-        else:
-            nbar0[k] = system.nbar0
+    parts, kept, failures = per_entry(built, np.arange(n))
+    lanes = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex), np.zeros(n)
+    if len(kept):
+        for lane, part in zip(lanes, parts):
+            lane[kept] = part
+    return _optimal_lanes(*lanes, failures, phase)
+
+
+def _optimal_lanes(x0, x1, x2, nbar0, failures, phase):
+    """The lockstep searches of optimal_squeezings over the steady parts
+    (x0, x1, x2) (n, 3) and nbar0 (n,) of n points; the lanes in failures
+    (index -> error) do not search."""
+    z = normalize_phase(phase)
+    n = len(nbar0)
     alive = np.array([k not in failures for k in range(n)])
 
     def steady(k, r) -> tuple[NDArray[np.float64], CriterionReport]:
@@ -466,9 +496,11 @@ def optimal_squeezing(
     phase-averaged (the dc variance has no interior optimum). One
     build_system serves both: every evaluated r is the closed form
     x0 + N x1 + M x2(z), read through criterion. It is the one-lane case of
-    optimal_squeezings, and raises the error of that lane.
+    optimal_squeezings' search, and raises the error of that lane.
     """
-    (result,) = optimal_squeezings([params], phase)
+    system = build_system(params)
+    parts = (*system.steady_parts(), system.nbar0)
+    (result,) = _optimal_lanes(*(np.asarray(x)[None] for x in parts), {}, phase)
     if isinstance(result, SimulationError):
         raise result
     return result

@@ -30,6 +30,7 @@ from .params import (
     check_r,
     derive,
     reservoir_correlations,
+    stack_points,
 )
 
 OUTPUT_DIR_ENV = "SQZ_OUTPUT_DIR"
@@ -259,48 +260,57 @@ def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
                              for b in builds])
 
 
+def _build_parts(model: str, points) -> tuple:
+    """(x0, x1, x2, nbar0) of one model at the points, from one build.
+
+    The r-independent steady parts, each with a leading axis of points:
+    ReducedSystem's steady_parts of reduced.build_systems for reduced3 and
+    reduced_analytic, dynamics.reservoir_parts of one compile_injections
+    build for reduced10 and full6, full6's cut to the mirror block.
+    """
+    if model in ("reduced3", "reduced_analytic"):
+        system = reduced_model.build_systems(points)
+        return (*system.steady_parts(), system.nbar0)
+    coeffs = derive(stack_points(points))
+    generator = full_generator if model == "full6" else reduced_generator
+    parts = reservoir_parts(compile_injections(generator, coeffs))
+    if model == "full6":
+        parts = [full_model.mirror_block(x) for x in parts]
+    return (*parts, coeffs.nbar0)
+
+
 def _steady_points(model: str, builds, r, phase):
     """One model's steady two-mirror covariances at many points, as one stack.
 
-    builds and r are _sweep_points'. Points that share one PhysicalParams
-    share one build of the r-independent parts (x0, x1, x2): ReducedSystem's
-    steady_parts for reduced3 and reduced_analytic, dynamics.reservoir_parts
-    of a compile_injections compile for reduced10 and full6, full6's cut to
-    the mirror block. A build that fails (a non-Hurwitz drift) fails all of
-    its points. Every other point is one entry of one x0 + N x1 + M x2(z).
+    builds and r are _sweep_points'. The distinct PhysicalParams among the
+    points (one for an r curve, one per value on any other axis) are built
+    together, by one errors.per_entry evaluation of _build_parts: one model
+    build, one Hurwitz check and one solve for all of them, and a build
+    that fails (a non-Hurwitz drift, say) fails all of its points with the
+    error its own build raises. Every other point is one entry of one
+    x0 + N x1 + M x2(z).
 
     Returns (V, nbar0, failures): V (n, 4, 4) and nbar0 (n,) are each
     point's covariance and thermal occupation (zero where it failed), and
     failures maps each failing point to its error, the parameter errors
     first and then the build errors, each in point order.
     """
-    reduced = model in ("reduced3", "reduced_analytic")
     failures = {k: b for k, b in enumerate(builds) if isinstance(b, SimulationError)}
-    built = {}  # id of a PhysicalParams -> (x0, x1, x2, nbar0), or its build's error
-    for k, p in enumerate(builds):
-        if k in failures or id(p) in built:
-            continue
-        try:
-            if reduced:
-                system = reduced_model.build_system(p)
-                built[id(p)] = (*system.steady_parts(), system.nbar0)
-            else:
-                coeffs = derive(p)
-                generator = full_generator if model == "full6" else reduced_generator
-                parts = reservoir_parts(compile_injections(generator, coeffs))
-                if model == "full6":
-                    parts = [full_model.mirror_block(x) for x in parts]
-                built[id(p)] = (*parts, coeffs.nbar0)
-        except SimulationError as exc:
-            built[id(p)] = exc
-    points = {k: built[id(p)] for k, p in enumerate(builds) if k not in failures}
-    failures.update((k, b) for k, b in points.items() if isinstance(b, SimulationError))
-    live = [k for k in points if k not in failures]
+    slot = {}  # id of a distinct PhysicalParams -> its index among them
+    index = {k: slot.setdefault(id(b), len(slot))
+             for k, b in enumerate(builds) if k not in failures}
+    distinct = list({id(builds[k]): builds[k] for k in index}.values())
+    parts, built, failed = per_entry(
+        lambda j: _build_parts(model, [distinct[i] for i in np.atleast_1d(j)]),
+        np.arange(len(distinct)))
+    failures.update((k, failed[j]) for k, j in index.items() if j in failed)
+    row = dict(zip(built.tolist(), range(len(built))))  # a built point's row in parts
+    live = [k for k, j in index.items() if j in row]
     V, nbar0 = np.zeros((len(builds), 4, 4)), np.zeros(len(builds))
     if live:
-        x0, x1, x2, nbar0_live = map(np.array, zip(*(points[k] for k in live)))
+        x0, x1, x2, nbar0_live = (x[[row[index[k]] for k in live]] for x in parts)
         nbar0[live] = nbar0_live
-        if reduced:
+        if model in ("reduced3", "reduced_analytic"):
             V[live] = reduced_model.steady_covariance((x0, x1, x2), nbar0_live,
                                                       r[live], phase)
         else:
@@ -339,11 +349,11 @@ def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
     """Rows of a custom sweep of one model along one parameter field.
 
     The covariances are _steady_points', read by one errors.per_entry
-    evaluation per curve: criterion, then quadrature_observables, for
-    reduced3 and reduced_analytic, whose steady states are read through
-    criterion, and quadrature_observables alone for reduced10 and full6. A
-    row fails with the text of its parameters, its build or its own
-    evaluation (lost precision at large r, a criterion miss), and the
+    evaluation per curve: criterion for reduced3 and reduced_analytic,
+    whose steady states are read through it and whose rows take the
+    observables it read, and quadrature_observables for reduced10 and
+    full6. A row fails with the text of its parameters, its build or its
+    own evaluation (lost precision at large r, a criterion miss), and the
     other rows keep their values.
     """
     V, nbar0, cells = _steady_points(model, *_sweep_points(cfg, name, values), phase)
@@ -351,7 +361,7 @@ def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
 
     def evaluate(k):
         if checked:
-            reduced_model.criterion(V[k], nbar0[k])
+            return reduced_model.criterion(V[k], nbar0[k]).observables
         return quadrature_observables(V[k])
 
     live = np.array([k for k in range(len(values)) if k not in cells], dtype=int)

@@ -256,19 +256,54 @@ def test_r_sweep_row_fails_with_its_single_call_text(tmp_path, monkeypatch):
 
 
 def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
-    """An r sweep builds each model once, as one spec whose three members
-    are the reservoir injections, and compiles it once; any other axis
-    builds and compiles the same three-member spec once per point."""
+    """A sweep builds each model once per curve, along any axis: one spec
+    whose members are the curve's distinct points times the three reservoir
+    injections, compiled once. An r curve has one distinct point; a power
+    sweep of three values is one spec of nine members per model."""
     models = ["reduced3", "reduced10", "full6"]
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
                        output_dir=str(tmp_path / "r")))
-    assert builds == {"model": 3, "build_system": 1, "compile": 3, "members": 9}
+    assert builds == {"model": 3, "compile": 3, "members": 9}
     builds.clear()
     run(ScenarioConfig(scenario="custom", models=["reduced10", "full6"],
                        sweep=("power_w", [1e-6, 2e-6, 3e-6]),
                        output_dir=str(tmp_path / "power")))
-    assert builds == {"model": 6, "compile": 6, "members": 18}
+    assert builds == {"model": 2, "compile": 2, "members": 18}
+
+
+def test_fig2d_is_one_build(tmp_path, builds):
+    """fig2d's 101 temperatures are the members of one reduced_generator
+    spec: one model call and one compile of 101 x 3 members."""
+    run(ScenarioConfig(scenario="fig2d", output_dir=str(tmp_path)))
+    assert builds == {"model": 1, "compile": 1, "members": 303}
+
+
+def test_delta_sweep_is_one_build_per_model(tmp_path, builds):
+    """Points that differ in the detuning share one build too: delta is
+    per member, down to each member's sideband frequency."""
+    models = ["reduced3", "reduced10", "reduced_analytic", "full6"]
+    run(ScenarioConfig(scenario="custom", models=models,
+                       sweep=("delta_hz", [25e6, 32.1e6, 40e6]),
+                       output_dir=str(tmp_path)))
+    assert builds == {"model": 4, "compile": 4, "members": 36}
+    for model in models:
+        rows = read_csv(tmp_path / f"custom_sweep_{model}.csv")
+        assert [row["error"] for row in rows] == ["", "", ""], model
+
+
+def test_sweep_near_zero_temperature_writes_every_row(tmp_path):
+    """Temperatures of a few uK put hbar w / kB T beyond the float range of
+    exp: the occupation is 0 there, with no overflow warning, and every
+    model writes every row."""
+    models = ["reduced3", "reduced10", "reduced_analytic", "full6"]
+    run(ScenarioConfig(scenario="custom", models=models,
+                       sweep=("temperature_k", [0.0, 1e-6, 1e-3]),
+                       output_dir=str(tmp_path)))
+    for model in models:
+        rows = read_csv(tmp_path / f"custom_sweep_{model}.csv")
+        assert [row["error"] for row in rows] == ["", "", ""], model
+        assert rows[0]["E_N"] == rows[1]["E_N"] != rows[2]["E_N"], model
 
 
 # per axis: values whose rows hold numbers, failing values with the start of
@@ -336,7 +371,8 @@ def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
 
 def test_r_sweep_is_one_observables_call_per_curve(tmp_path, monkeypatch):
     """A custom r sweep, or power sweep, with no failing row reads its
-    observables from one stacked call per model."""
+    observables from one stacked call per model, in total: reduced3's rows
+    take the observables its criterion check read."""
     calls = []
     observables = scenarios.quadrature_observables
 
@@ -344,7 +380,8 @@ def test_r_sweep_is_one_observables_call_per_curve(tmp_path, monkeypatch):
         calls.append(np.shape(V))
         return observables(V)
 
-    monkeypatch.setattr(scenarios, "quadrature_observables", counting)
+    for module in (scenarios, reduced):
+        monkeypatch.setattr(module, "quadrature_observables", counting)
     run(ScenarioConfig(scenario="custom", models=["reduced3", "reduced10", "full6"],
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
                        output_dir=str(tmp_path / "r")))

@@ -127,7 +127,7 @@ def xi_pm(params, omega_k, t):
     """(xi_k^+, xi_k^-) at time t, from the harmonic decompositions."""
     c = derive(params)
     phase = np.exp(2j * params.delta * t)
-    return c.xi_harmonic(omega_k, +1)(phase), c.xi_harmonic(omega_k, -1)(phase)
+    return tuple(xi(phase) for xi in c.xi_harmonics(omega_k))
 
 
 def test_xi_pm_vacuum_reservoir(baseline):

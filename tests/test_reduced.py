@@ -279,6 +279,63 @@ def test_r_curve_equals_per_point_solve(rng, phase):
                                          obs.theta], refs[model, r])
 
 
+# one failing point per refusal a sweep point meets: a non-Hurwitz drift at
+# its build, a laser frequency derive refuses, and parameters PhysicalParams
+# refuses
+FAILING_POINTS_HZ = ({"delta_hz": -32.1e6}, {"delta_hz": 7e9}, {"temperature_k": -1e-3},
+                     {"power_w": -1e-6})
+
+
+def axis_values(rng, axis, n):
+    """n random values of one sweep axis inside the benchmark's ranges (a
+    red detuning near the mirror frequency for delta_hz)."""
+    if axis == "delta_hz":
+        return rng.uniform(25e6, 40e6, size=n).tolist()
+    return [random_point_hz(rng)[axis] for _ in range(n)]
+
+
+@pytest.mark.parametrize("axis", ["power_w", "gamma_m_hz", "temperature_k", "delta_hz"])
+def test_stacked_points_equal_one_point_builds(rng, axis):
+    """A stack of random points along one axis, with failing points mixed in,
+    gives each point what it gives alone: every surviving covariance is
+    bit-equal to its one-point _steady_points call and within 1e-12 of a
+    compile and solve at that point alone, and every failing point carries
+    its one-point error. optimal_squeezings over the points equals one
+    optimal_squeezing per point, cell for cell."""
+    base = random_point_hz(rng)
+    points_hz = [{**base, axis: v} for v in axis_values(rng, axis, 5)]
+    points_hz += [{**base, **bad} for bad in FAILING_POINTS_HZ]
+    points_hz = [points_hz[k] for k in rng.permutation(len(points_hz))]
+    builds = []
+    for hz in points_hz:
+        try:
+            builds.append(baseline_params(**hz))
+        except SimulationError as exc:
+            builds.append(exc)
+    r = rng.uniform(*inputs.R_RANGE, size=len(builds))
+    phase = [1.0, -1.0, "average"][int(rng.integers(3))]
+    for model in ("reduced3", "reduced10", "reduced_analytic", "full6"):
+        V, nbar0, failures = _steady_points(model, builds, r, phase)
+        assert len(failures) == len(FAILING_POINTS_HZ), model
+        for k, b in enumerate(builds):
+            V_1, nbar0_1, failures_1 = _steady_points(model, [b], r[k:k + 1], phase)
+            if failures_1:
+                assert type(failures[k]) is type(failures_1[0])
+                assert str(failures[k]) == str(failures_1[0])
+                continue
+            assert np.array_equal(V[k], V_1[0]) and nbar0[k] == nbar0_1[0], (model, k)
+            ref = solved_at_point(model.replace("_analytic", "3"), b.with_(r=r[k]), phase)
+            assert np.abs(V[k] - ref).max() <= 1e-12 * np.abs(ref).max(), (model, k)
+    points = [b for b in builds if not isinstance(b, SimulationError)]
+    for p, result in zip(points, optimal_squeezings(points, phase)):
+        try:
+            one = optimal_squeezing(p, phase)
+        except SimulationError as exc:
+            assert type(result) is type(exc) and str(result) == str(exc)
+            continue
+        assert optimum_cells(result) == optimum_cells(one)
+
+
 @pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
 def test_optimal_squeezing_matches_per_point_objective(rng, phase):
     """The closed-form objective finds the optimum of the per-point one."""
