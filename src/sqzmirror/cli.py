@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric instability,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -37,7 +38,10 @@ EXIT_UNSTABLE = 3
 EXIT_INTERNAL = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged (the
+    append actions copy their list defaults before appending)."""
     parser = argparse.ArgumentParser(
         prog="sqzmirror",
         description="Reproduce squeezed-reservoir mirror-entanglement scenarios as CSV data.",

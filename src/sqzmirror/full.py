@@ -19,7 +19,7 @@ from .dynamics import (
     reservoir_parts,
     reservoir_steady,
 )
-from .gaussian import quadrature_observables, thermal, vacuum
+from .gaussian import frame_variances, quadrature_observables, thermal, vacuum
 from .generator import compile_generator, compile_injections, full_generator
 from .params import PhysicalParams, derive, stack_points
 from .reduced import build_system, steady_covariance
@@ -84,13 +84,15 @@ def compare_adiabatic(
 ) -> AdiabaticComparison:
     """Quantify how well the eliminated model tracks the full one.
 
-    Compares the steady states, each x0 + N x1 + M x2(z) from one build.
-    phase is read by dynamics.normalize_phase, the same for both models.
+    Compares the steady states, each x0 + N x1 + M x2(z) from one build,
+    by the dP2_minus quadrature_observables reads (gaussian.frame_variances,
+    one call for both). phase is read by dynamics.normalize_phase, the same
+    for both models.
     """
     V_f = mirror_block(steady_full(params, phase))
     system = build_system(params)
     V_r = steady_covariance(system.steady_parts(), system.nbar0, params.r, phase)
-    dp2_f, dp2_r = quadrature_observables(np.stack([V_f, V_r])).dP2_minus.tolist()
+    dp2_f, dp2_r = frame_variances(np.stack([V_f, V_r]))[1].tolist()
     return AdiabaticComparison(
         steady_dp2_full=dp2_f,
         steady_dp2_reduced=dp2_r,

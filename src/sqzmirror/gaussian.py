@@ -45,27 +45,49 @@ def _out(x, V: NDArray):
     return float(x) if V.ndim == 2 else x
 
 
+def _flat(V: NDArray) -> NDArray:
+    """Each matrix of a stack (..., m, m) as a row of its m^2 entries."""
+    return V.reshape(V.shape[:-2] + (V.shape[-1] ** 2,))
+
+
+def _scale(V: NDArray) -> NDArray[np.float64]:
+    """Largest entry modulus of each matrix, at least 1."""
+    return np.abs(_flat(V)).max(axis=-1, initial=1.0)
+
+
 def _check_covariance(V: NDArray) -> NDArray[np.float64]:
     V = np.asarray(V, dtype=float)
     if V.ndim < 2 or V.shape[-1] != V.shape[-2] or V.shape[-1] % 2 != 0:
         raise DimensionError(f"V must be square of even dimension, got shape {V.shape}")
-    scale = np.abs(V).max(axis=(-2, -1), initial=1.0)
-    asymmetry = np.abs(V - V.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (asymmetry > SYMMETRY_RTOL * scale * 100).any():
-        raise DimensionError("V is not symmetric")
+    Vt = V.swapaxes(-1, -2)
+    # an exactly symmetric V, as the package's solves give, needs no tolerance
+    if not (V == Vt).all():
+        asymmetry = np.abs(_flat(V - Vt)).max(axis=-1)
+        if (asymmetry > SYMMETRY_RTOL * 100 * _scale(V)).any():
+            raise DimensionError("V is not symmetric")
     # entries of size scale round at scale * eps: past PHYSICALITY_TOL no
     # uncertainty bound or variance read from them can be trusted
+    scale = np.abs(V).max(initial=1.0)
     rounding = scale * np.finfo(float).eps
-    if (rounding > PHYSICALITY_TOL).any():
+    if rounding > PHYSICALITY_TOL:
         raise PhysicalityError(
-            f"covariance entries up to {scale.max():.3e} round at "
-            f"{rounding.max():.1e}: precision lost beyond the physicality "
+            f"covariance entries up to {scale:.3e} round at "
+            f"{rounding:.1e}: precision lost beyond the physicality "
             f"tolerance {PHYSICALITY_TOL}"
         )
     return V
 
 
-def _symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
+# U V for U = symplectic_form(2) is a signed row swap: rows (V_1, -V_0, V_3,
+# -V_2), each mode's pair of rows reversed and the second negated
+_SIGN = np.array([[1.0], [-1.0]])
+_EYE4 = np.eye(4)
+for _table in (_SIGN, _EYE4):
+    _table.setflags(write=False)
+
+
+def _symplectic_pair(V: NDArray) -> tuple[NDArray, NDArray]:
+    """(nu_-, nu_+) of every matrix of a checked stack, as two arrays."""
     if V.shape[-1] != 4:
         raise DimensionError(
             f"symplectic spectrum implemented for 2 modes only, got dim {V.shape[-1]}"
@@ -78,16 +100,17 @@ def _symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
     # N vanishes entrywise at a double root (a pure state), where
     # delta^2 - 4 det V would cancel to its rounding and its root keep half
     # the digits.
-    W = symplectic_form(2) @ V
+    W = (V.reshape(V.shape[:-2] + (2, 2, 4))[..., ::-1, :] * _SIGN).reshape(V.shape)
     M = W @ W
-    delta = -0.5 * np.trace(M, axis1=-2, axis2=-1)
-    N = M + (0.5 * delta)[..., None, None] * np.eye(4)
-    disc = (N * N.swapaxes(-1, -2)).sum(axis=(-2, -1))
+    delta = -0.5 * _flat(M)[..., ::5].sum(axis=-1)
+    N = M + (0.5 * delta)[..., None, None] * _EYE4
+    disc = _flat(N * N.swapaxes(-1, -2)).sum(axis=-1)
     det = np.linalg.det(V)
     # a positive definite V has real roots; a negative discriminant is rounding
     # only up to PAIRING_RTOL of the size its entries allow
-    scale = np.abs(V).max(axis=(-2, -1), initial=1.0)
-    bad = (det <= 0.0) | (delta <= 0.0) | (disc < -PAIRING_RTOL * scale**4)
+    bad = np.minimum(det, delta) <= 0.0
+    if (disc < 0.0).any():
+        bad |= disc < -PAIRING_RTOL * _scale(V) ** 4
     if bad.any():
         k = int(np.argmax(bad.ravel()))
         raise DimensionError(
@@ -97,7 +120,7 @@ def _symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
     nu2_plus = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
     # the small root as det V / nu_+^2 keeps its digits when the state is
     # strongly entangled, where delta - sqrt(disc) would cancel
-    return np.sqrt(np.stack([det / nu2_plus, nu2_plus], axis=-1))
+    return np.sqrt(det / nu2_plus), np.sqrt(nu2_plus)
 
 
 def symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
@@ -109,7 +132,16 @@ def symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
     Refuses (DimensionError) any other mode count and a matrix that is not
     positive definite: det V <= 0, delta <= 0 or complex roots.
     """
-    return _symplectic_eigenvalues(_check_covariance(V))
+    return np.stack(_symplectic_pair(_check_covariance(V)), axis=-1)
+
+
+# Lambda V Lambda for Lambda = diag(1, 1, 1, -1) flips the signs of row and
+# column 3 but not of their common entry
+_PT_SIGN = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+# the signs that give V and its partial transpose as one stack
+_BOTH_SIGNS = np.array([np.ones((4, 4)), _PT_SIGN])
+for _table in (_PT_SIGN, _BOTH_SIGNS):
+    _table.setflags(write=False)
 
 
 def _partial_transpose(V: NDArray) -> NDArray[np.float64]:
@@ -117,8 +149,7 @@ def _partial_transpose(V: NDArray) -> NDArray[np.float64]:
         raise DimensionError(
             f"partial transpose implemented for 2 modes only, got dim {V.shape[-1]}"
         )
-    flip = np.array([1.0, 1.0, 1.0, -1.0])  # Lambda = diag(flip)
-    return V * flip[:, None] * flip
+    return V * _PT_SIGN
 
 
 def partial_transpose(V: NDArray) -> NDArray[np.float64]:
@@ -132,6 +163,19 @@ def _negativity(nu_min: NDArray) -> NDArray[np.float64]:
     return np.where(x > 0.0, x, 0.0)
 
 
+def _spectra(V: NDArray) -> tuple[NDArray, tuple[NDArray, NDArray]]:
+    """(nu_-, (nu~_-, nu~_+)): the least symplectic eigenvalue of each matrix
+    of a checked stack and the spectrum of its partial transpose, from one
+    pass over both."""
+    if V.shape[-1] != 4:
+        raise DimensionError(
+            f"symplectic spectrum implemented for 2 modes only, got dim {V.shape[-1]}"
+        )
+    both = V * _BOTH_SIGNS.reshape((2,) + (1,) * (V.ndim - 2) + (4, 4))
+    nu_minus, nu_plus = _symplectic_pair(both)
+    return nu_minus[0], (nu_minus[1], nu_plus[1])
+
+
 def log_negativity(V: NDArray) -> float:
     """Logarithmic negativity E_N = max{0, -log2[2 min nu~]} of a 2-mode state.
 
@@ -139,20 +183,22 @@ def log_negativity(V: NDArray) -> float:
     any matrix of a stack, violates the uncertainty bound beyond PHYSICALITY_TOL.
     """
     V = _check_covariance(V)
-    if (_symplectic_eigenvalues(V)[..., 0] < 0.5 - PHYSICALITY_TOL).any():
+    nu_minus, nu_tilde = _spectra(V)
+    if (nu_minus < 0.5 - PHYSICALITY_TOL).any():
         warnings.warn(
             "covariance violates the uncertainty bound; E_N is unreliable",
             PhysicalityWarning,
             stacklevel=2,
         )
-    return _out(_negativity(_symplectic_eigenvalues(_partial_transpose(V))[..., 0]), V)
+    return _out(_negativity(nu_tilde[0]), V)
 
 
 def _rotation_angle(V: NDArray) -> tuple[NDArray, NDArray[np.bool_]]:
     """(theta, degenerate): the angle, set to 0 where <a1 a1> vanishes."""
-    re, im = V[..., 0, 0] - V[..., 1, 1], 2.0 * V[..., 0, 1]
-    bound = 1e-14 * np.maximum(np.maximum(abs(V[..., 0, 0]), abs(V[..., 1, 1])), 1e-300)
-    degenerate = (abs(re) <= bound) & (abs(im) <= bound)
+    v00, v11 = V[..., 0, 0], V[..., 1, 1]
+    re, im = v00 - v11, 2.0 * V[..., 0, 1]
+    bound = 1e-14 * np.maximum(np.maximum(abs(v00), abs(v11)), 1e-300)
+    degenerate = np.maximum(abs(re), abs(im)) <= bound
     return np.where(degenerate, 0.0, np.arctan2(im, re)), degenerate
 
 
@@ -192,15 +238,46 @@ def rotate_local(V: NDArray, theta: float) -> NDArray[np.float64]:
     return _rotate_local(_check_covariance(V), theta)
 
 
+_MINUS_PLUS = np.array([-1.0, 1.0])
+_MINUS_PLUS.setflags(write=False)
+
+
+def _checked_variances(x: NDArray, y: NDArray) -> tuple:
+    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) from x = (V00, V02) and
+    y = (V11, V13) along a last axis; refuses a negative variance."""
+    dq = x[..., :1] + _MINUS_PLUS * x[..., 1:]
+    dp = y[..., :1] + _MINUS_PLUS * y[..., 1:]
+    variances = dq[..., 0], dp[..., 0], dq[..., 1], dp[..., 1]
+    if (np.minimum(dq, dp) < -PHYSICALITY_TOL).any():
+        val = next(v for v in variances if (v < -PHYSICALITY_TOL).any())
+        raise PhysicalityError(f"negative quadrature variance {np.min(val)!r}")
+    return variances
+
+
 def _relative_mode_variances(V: NDArray) -> tuple:
     if V.shape[-1] != 4:
         raise DimensionError("relative-mode variances need exactly 2 modes")
-    dq_m, dq_p = V[..., 0, 0] - V[..., 0, 2], V[..., 0, 0] + V[..., 0, 2]
-    dp_m, dp_p = V[..., 1, 1] - V[..., 1, 3], V[..., 1, 1] + V[..., 1, 3]
-    for val in (dq_m, dp_m, dq_p, dp_p):
-        if (val < -PHYSICALITY_TOL).any():
-            raise PhysicalityError(f"negative quadrature variance {np.min(val)!r}")
-    return dq_m, dp_m, dq_p, dp_p
+    return _checked_variances(V[..., 0, ::2], V[..., 1, 1::2])
+
+
+def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
+    """_relative_mode_variances of rotate_local(V, theta), in closed form.
+
+    With c = cos(theta/2) and s = sin(theta/2), the rotated entries read are
+    Vbar00 = c^2 V00 + cs (V01 + V10) + s^2 V11 and Vbar02 = c^2 V02 +
+    cs (V03 + V12) + s^2 V13, and Vbar11, Vbar13 the same with c^2 and s^2
+    exchanged and cs negated. With a = (V00, V02), b = (V11, V13) and
+    r = (V01 + V10, V03 + V12), and c^2 = 1 - s^2, that is
+    (Vbar00, Vbar02) = a - u and (Vbar11, Vbar13) = b + u for
+    u = s^2 (a - b) - cs r: exactly a and b at theta = 0.
+    """
+    if V.shape[-1] != 4:
+        raise DimensionError("relative-mode variances need exactly 2 modes")
+    half = 0.5 * theta
+    c, s = np.cos(half), np.sin(half)
+    a, b = V[..., 0, ::2], V[..., 1, 1::2]
+    u = (s * s)[..., None] * (a - b) - (c * s)[..., None] * (V[..., 0, 1::2] + V[..., 1, ::2])
+    return _checked_variances(a - u, b + u)
 
 
 def relative_mode_variances(V: NDArray) -> tuple[float, ...]:
@@ -214,19 +291,25 @@ def relative_mode_variances(V: NDArray) -> tuple[float, ...]:
     return tuple(_out(val, V) for val in _relative_mode_variances(V))
 
 
-def _mean_phonon(V: NDArray, mode: int) -> NDArray[np.float64]:
-    if not 0 <= mode < V.shape[-1] // 2:
-        raise DimensionError(f"mode {mode} out of range for {V.shape[-1] // 2} modes")
-    val = 0.5 * (V[..., 2 * mode, 2 * mode] + V[..., 2 * mode + 1, 2 * mode + 1] - 1.0)
+def _mean_phonons(V: NDArray, modes: slice) -> NDArray[np.float64]:
+    """The mean phonon numbers of a slice of the modes, along a last axis."""
+    n = V.shape[-1] // 2
+    # the diagonal summed in pairs, V_2m,2m + V_2m+1,2m+1 for each mode m
+    val = 0.5 * (_flat(V)[..., ::2 * n + 1].reshape(V.shape[:-2] + (n, 2))[..., modes, :]
+                 .sum(axis=-1) - 1.0)
     if (val < -PHYSICALITY_TOL).any():
-        raise PhysicalityError(f"negative phonon number {np.min(val)!r} for mode {mode}")
+        k = next(k for k in range(val.shape[-1]) if (val[..., k] < -PHYSICALITY_TOL).any())
+        raise PhysicalityError(f"negative phonon number {np.min(val[..., k])!r} "
+                               f"for mode {range(n)[modes][k]}")
     return np.where(val < 0.0, 0.0, val)
 
 
 def mean_phonon(V: NDArray, mode: int) -> float:
     """Mean excitation number of one mode of a zero-mean Gaussian state."""
     V = _check_covariance(V)
-    return _out(_mean_phonon(V, mode), V)
+    if not 0 <= mode < V.shape[-1] // 2:
+        raise DimensionError(f"mode {mode} out of range for {V.shape[-1] // 2} modes")
+    return _out(_mean_phonons(V, slice(mode, mode + 1))[..., 0], V)
 
 
 @dataclass(frozen=True)
@@ -248,23 +331,57 @@ class QuadratureObservables:
     phonon: tuple[float, float]
 
 
-def quadrature_observables(V: NDArray) -> QuadratureObservables:
-    """Compute all mirror-block observables from a 2-mode covariance or a stack."""
-    V = _check_covariance(V)
+def _frame(V: NDArray) -> tuple:
+    """(theta, the rotated-frame variances, the phonon numbers) of a checked V."""
     theta, _ = _rotation_angle(V)
-    Vbar = _rotate_local(V, theta)
-    dq_m, dp_m, dq_p, dp_p = _relative_mode_variances(Vbar)
-    nu = _symplectic_eigenvalues(_partial_transpose(V))
+    return theta, _rotated_variances(V, theta), _mean_phonons(V, slice(None))
+
+
+def _observables(V: NDArray, frame: tuple, nu_tilde: tuple) -> QuadratureObservables:
+    """quadrature_observables of a checked V from its _frame and the
+    symplectic spectrum nu_tilde of its partial transpose."""
+    theta, (dq_m, dp_m, dq_p, dp_p), phonon = frame
     return QuadratureObservables(
         dP2_minus=_out(dp_m, V),
         dQ2_minus=_out(dq_m, V),
         dP2_plus=_out(dp_p, V),
         dQ2_plus=_out(dq_p, V),
         theta=_out(theta, V),
-        E_N=_out(_negativity(nu[..., 0]), V),
-        nu_tilde=(_out(nu[..., 0], V), _out(nu[..., 1], V)),
-        phonon=tuple(_out(_mean_phonon(V, m), V) for m in (0, 1)),
+        E_N=_out(_negativity(nu_tilde[0]), V),
+        nu_tilde=(_out(nu_tilde[0], V), _out(nu_tilde[1], V)),
+        phonon=(_out(phonon[..., 0], V), _out(phonon[..., 1], V)),
     )
+
+
+def quadrature_observables(V: NDArray) -> QuadratureObservables:
+    """Compute all mirror-block observables from a 2-mode covariance or a stack."""
+    V = _check_covariance(V)
+    frame = _frame(V)
+    return _observables(V, frame, _symplectic_pair(_partial_transpose(V)))
+
+
+def frame_variances(V: NDArray) -> tuple[float, ...]:
+    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) of quadrature_observables(V)
+    alone: the relative-mode variances in the frame that kills the anomalous
+    moment phase, with the same checks, without the spectrum and the phonon
+    numbers. Floats for one covariance, arrays for a stack.
+    """
+    V = _check_covariance(V)
+    theta, _ = _rotation_angle(V)
+    return tuple(_out(val, V) for val in _rotated_variances(V, theta))
+
+
+def observables_and_nu_minus(V: NDArray) -> tuple[QuadratureObservables, float]:
+    """quadrature_observables(V) and the least symplectic eigenvalue nu_- of V
+    itself (an array for a stack).
+
+    V is checked once, and one spectrum pass covers V and its partial
+    transpose, as in log_negativity.
+    """
+    V = _check_covariance(V)
+    frame = _frame(V)
+    nu_minus, nu_tilde = _spectra(V)
+    return _observables(V, frame, nu_tilde), _out(nu_minus, V)
 
 
 def vacuum(n_modes: int) -> NDArray[np.float64]:

@@ -59,7 +59,14 @@ def hermitian_form(
     X = w o p^T, G = K + K^T for K = X + X^dagger, which is real for every
     w, o and p: G = 2 (Re X + Re X^T).
     """
-    X = (np.asarray(w)[..., None, None] * (o[..., :, None] * p[..., None, :])).real
+    return _real_form(w, o[..., :, None] * p[..., None, :])
+
+
+def _real_form(w: complex | NDArray, op: NDArray) -> NDArray[np.float64]:
+    """hermitian_form(w, o, p) from the outer product op = o p^T."""
+    if isinstance(w, np.ndarray):
+        w = w[..., None, None]
+    X = (w * op).real
     X = X + X.swapaxes(-1, -2)
     return X + X
 
@@ -89,15 +96,17 @@ class GeneratorSpec:
 
     def add_dissipator(self, rate, left, right, harmonic: int = 0) -> None:
         # an array rate carries the member axis
-        rate = np.asarray(rate, complex) if isinstance(rate, np.ndarray) else complex(rate)
+        if not isinstance(rate, np.ndarray):
+            rate = complex(rate)
         self.dissipators.append(DissipatorTerm(rate, left, right, harmonic))
 
     def add_harmonic_dissipator(self, rate: Harmonic, left, right) -> None:
         """Expand a Harmonic rate into tagged static-amplitude terms, each
         kept when it is nonzero at any member."""
-        for amp, h in ((rate.c0, 0), (rate.cp, +1), (rate.cm, -1)):
-            if np.count_nonzero(amp):
-                self.add_dissipator(amp, left, right, h)
+        live = rate.parts.reshape(-1, 3).any(axis=0).tolist()
+        for h in (0, +1, -1):
+            if live[h + 1]:
+                self.add_dissipator(rate.parts[..., h + 1], left, right, h)
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,21 @@ _REFUSALS = (
     "harmonic terms produce a time-dependent drift",
     "term list is not self-adjoint (sidebands not conjugate)",
 )
+# the refusal of each defect column of compile_stack: Im A0, Im D0, A_-1,
+# A_+1, the sideband mismatch
+_DEFECT_REFUSAL = (0, 0, 1, 1, 2)
+# appended to the term vectors, so that an empty term list concatenates
+_NO_ENTRIES = np.zeros(0, dtype=complex)
+_NO_ENTRIES.setflags(write=False)
+
+
+@functools.cache
+def _complex_form(n_modes: int) -> NDArray[np.complex128]:
+    """symplectic_form(n_modes) as a complex array, for products with complex
+    arrays (read-only, cached)."""
+    U = symplectic_form(n_modes).astype(complex)
+    U.setflags(write=False)
+    return U
 
 
 def compile_stack(spec: GeneratorSpec) -> MomentStack:
@@ -141,13 +165,15 @@ def compile_stack(spec: GeneratorSpec) -> MomentStack:
 
     The Hamiltonian (..., dim, dim), the rates and delta broadcast to one
     member shape, whose S members are compiled in row-major order (one
-    member without member axes). The terms are stacked into L, R (T, 2n)
-    and their rates into W[h, t, s], nonzero only where term t carries tag
-    h. One einsum over all terms and tags gives, per member and tag,
-    K_h = sum_t W[h, t, s] (U l_t)(U m_t)^T, which is U k_h U^T for
-    k_h = sum_t W[h, t, s] l_t m_t^T. Since U is a signed permutation
+    member without member axes). The terms, ordered by tag, give the rates
+    W[s, t] and the products P[s, t] = (W[s, t] U l_t)(U m_t)^T; their sum
+    over the terms of tag h is, per member,
+    K_h = sum_t W[s, t] (U l_t)(U m_t)^T, which is U k_h U^T for
+    k_h = sum_t W[s, t] l_t m_t^T. Since U is a signed permutation
     (U^T U = 1), A_h = i U (k_h - k_h^T) = i (K_h - K_h^T) U (plus U G at
-    h = 0) and D_h = U (k_h + k_h^T) U^T = K_h + K_h^T.
+    h = 0) and D_h = U (k_h + k_h^T) U^T = K_h + K_h^T. Each member's K_h
+    adds its terms' products one after another, in term order, so it does
+    not depend on the other members.
 
     The structure (shape, symmetry, tags) is checked once; the numeric
     refusals member by member, in order, each against that member's own
@@ -155,45 +181,54 @@ def compile_stack(spec: GeneratorSpec) -> MomentStack:
     """
     dim = 2 * spec.n_modes
     G = np.asarray(spec.hamiltonian, dtype=float)
-    if G.shape[-2:] != (dim, dim) or np.count_nonzero(
-            _amax(G - G.swapaxes(-1, -2)) > 1e-12 * np.maximum(_amax(G), 1.0)):
+    # an exactly symmetric G, as hermitian_form gives, needs no tolerance
+    if G.shape[-2:] != (dim, dim) or not (G == G.swapaxes(-1, -2)).all() and (
+            _amax(G - G.swapaxes(-1, -2)) > 1e-12 * np.maximum(_amax(G), 1.0)).any():
         raise GeneratorError("hamiltonian must be a symmetric 2n x 2n matrix")
-    terms = spec.dissipators
-    tag = next((t.harmonic for t in terms if t.harmonic not in HARMONICS), None)
-    if tag is not None:
-        raise GeneratorError(f"unsupported harmonic tag {tag}")
+    by_tag = ([], [], [])
+    for t in spec.dissipators:
+        if t.harmonic not in HARMONICS:
+            raise GeneratorError(f"unsupported harmonic tag {t.harmonic}")
+        by_tag[t.harmonic + 1].append(t)
+    terms = [*by_tag[0], *by_tag[1], *by_tag[2]]
 
     # the member shape; distinct shapes are few, however many the terms
-    shape = np.broadcast_shapes(*{G.shape[:-2], np.shape(spec.delta),
-                                  *(getattr(t.rate, "shape", ()) for t in terms)})
-    S = math.prod(shape)
-    W = np.zeros((len(HARMONICS), len(terms)) + shape, dtype=complex)
+    shape = np.broadcast_shapes(*{G.shape[:-2], *(
+        getattr(x, "shape", ()) for x in [spec.delta] + [t.rate for t in terms])})
+    T, S = len(terms), math.prod(shape)
+    rates = np.zeros((T,) + shape, dtype=complex)
     for k, t in enumerate(terms):
-        W[t.harmonic + 1, k] = t.rate
-    U = symplectic_form(spec.n_modes)
-    UL, UR = (np.array([t.left for t in terms] + [t.right for t in terms])
-              .reshape(2, -1, dim) @ U.T)
-    K = np.einsum("hts,ti,tj->shij", W.reshape(len(HARMONICS), len(terms), S), UL, UR)
+        rates[k] = t.rate
+    U = _complex_form(spec.n_modes)
+    UL, UR = np.concatenate([t.left for t in terms] + [t.right for t in terms]
+                            + [_NO_ENTRIES]).reshape(2, T, dim) @ U.T
+    # the products P[t, j, i, s] = (W[s, t] (U l_t)_i) (U m_t)_j, laid out
+    # with the members innermost, and their sums over the terms of each tag,
+    # in order
+    P = UR[:, :, None, None] * (UL[:, :, None] * rates.reshape(T, 1, S))[:, None]
+    K = np.empty((len(HARMONICS), dim, dim, S), dtype=complex)
+    end = 0
+    for h, ts in enumerate(by_tag):
+        P[end:end + len(ts)].sum(axis=0, out=K[h])
+        end += len(ts)
+    K = K.transpose(0, 3, 2, 1)  # K[h, s, i, j]
     Kt = K.swapaxes(-1, -2)
-    D = K + Kt
-    A0 = 1j * ((K[:, 1] - Kt[:, 1]) @ U)
-    A0.reshape(shape + (dim, dim))[...] += U @ G
+    Kd, D = K - Kt, K + Kt
+    A0 = 1j * (Kd[1] @ U)
+    A0.reshape(shape + (dim, dim))[...] += symplectic_form(spec.n_modes) @ G
 
-    D0, D2 = D[:, 1], D[:, 2]
-    # per member: |A0|, |D0|, |Im A0|, |Im D0|, |A_-1|, |A_+1|, the sideband
-    # mismatch and |D2|; |A_h| = |K_h - K_h^T| entry for entry, U being a
-    # signed permutation
-    big = _amax(np.concatenate([A0[:, None], D0[:, None], A0.imag[:, None],
-                                D0.imag[:, None], K[:, ::2] - Kt[:, ::2],
-                                (D[:, 0] - np.conj(D2))[:, None], D2[:, None]], axis=1))
-    scale = DRIFT_RTOL * np.maximum(big[:, :2].max(axis=1), 1.0)
-    # columns: complex static moments, harmonic drift, unpaired sidebands
-    defect = np.maximum.reduceat(big[:, 2:7], [0, 2, 4], axis=1) > scale[:, None]
-    if np.count_nonzero(defect):
-        raise GeneratorError(_REFUSALS[np.argwhere(defect)[0, 1]])
+    # per member: |A0|, |D0| and |D_+1|, then the defects in the order of
+    # _DEFECT_REFUSAL: |Im A0|, |Im D0|, |A_-1| and |A_+1| (|K_h - K_h^T|
+    # entry for entry, U being a signed permutation), the sideband mismatch
+    big = _amax(np.concatenate([A0[None], D[1:], A0.imag[None], D[1:2].imag, Kd[::2],
+                                D[:1] - np.conj(D[2:])]))
+    defect = big[3:] > DRIFT_RTOL * np.maximum(big[:2].max(axis=0), 1.0)
+    if defect.any():
+        # the first member with a defect, and its first defect, decide
+        raise GeneratorError(_REFUSALS[_DEFECT_REFUSAL[np.argwhere(defect.T)[0, 1]]])
 
-    omega = np.where((big[:, 7] > 0).reshape(shape), 2.0 * spec.delta, 0.0).ravel()
-    return MomentStack(A0.real, D0.real, D2, omega)
+    omega = np.where((big[2] > 0).reshape(shape), 2.0 * spec.delta, 0.0).ravel()
+    return MomentStack(A0.real, D[1].real, D[2], omega)
 
 
 def compile_generator(spec: GeneratorSpec) -> MomentEquations:
@@ -240,14 +275,16 @@ def compile_injections(
     return [MomentEquations(drift[j], d0[j], d2[j], omega[j]) for j in range(3)]
 
 
-def _thermal_terms(spec: GeneratorSpec, mode: int, gamma, nbar) -> None:
-    """Thermal damping of one mode; the heating term is kept when any
-    member's occupation is nonzero."""
-    a = annihilation_vector(spec.n_modes, mode)
-    ac = np.conj(a)
-    spec.add_dissipator(gamma * (nbar + 1.0), a, ac)
-    if np.count_nonzero(nbar):
-        spec.add_dissipator(gamma * nbar, ac, a)
+def _thermal_terms(spec: GeneratorSpec, modes, gamma, nbar) -> None:
+    """Thermal damping of each mode (a, a conjugated) of modes at one rate
+    and occupation; the heating terms are kept when any member's occupation
+    is nonzero."""
+    cooling = gamma * (nbar + 1.0)
+    heating = gamma * nbar if np.count_nonzero(nbar) else None
+    for a, ac in modes:
+        spec.add_dissipator(cooling, a, ac)
+        if heating is not None:
+            spec.add_dissipator(heating, ac, a)
 
 
 def _require_static(h: Harmonic, what: str) -> complex:
@@ -256,10 +293,38 @@ def _require_static(h: Harmonic, what: str) -> complex:
     return h.c0
 
 
+def _read_only(*vectors) -> tuple[NDArray, ...]:
+    for v in vectors:
+        v.setflags(write=False)
+    return vectors
+
+
 # the two mirrors' annihilation vectors and the relative mode (a1 - a2)/sqrt(2)
-_MIRROR_VECTORS = np.array([annihilation_vector(2, 0), annihilation_vector(2, 1), (
-    annihilation_vector(2, 0) - annihilation_vector(2, 1)) / np.sqrt(2.0)])
-_MIRROR_VECTORS.setflags(write=False)
+_MIRROR_VECTORS = _read_only(annihilation_vector(2, 0), annihilation_vector(2, 1), (
+    annihilation_vector(2, 0) - annihilation_vector(2, 1)) / np.sqrt(2.0))
+# the cavity's and the mirrors' annihilation vectors in the three-mode model
+_FULL_VECTORS = tuple(annihilation_vector(3, mode) for mode in range(3))
+_MIRROR_CONJ = _read_only(*np.conj(_MIRROR_VECTORS))
+_FULL_CONJ = _read_only(*np.conj(_FULL_VECTORS))
+
+
+def _outer(o: NDArray, p: NDArray) -> NDArray:
+    return o[:, None] * p[None, :]
+
+
+# the outer products of the models' Hamiltonian forms; a sum of forms on
+# disjoint entries is each form's entry exactly. Reduced model: the mirrors'
+# number forms (a1^dag a1 + a2^dag a2), the relative mode's number and pair
+# forms; full model: the cavity's number form, the mirrors' number forms, and
+# the relative mirror position x1 - x2 (xj = aj + aj^dag) the cavity drives
+_REDUCED_FORMS = _read_only(
+    _outer(_MIRROR_CONJ[0], _MIRROR_VECTORS[0]) + _outer(_MIRROR_CONJ[1], _MIRROR_VECTORS[1]),
+    _outer(_MIRROR_CONJ[2], _MIRROR_VECTORS[2]),
+    _outer(_MIRROR_VECTORS[2], _MIRROR_VECTORS[2]))
+_FULL_FORMS = _read_only(
+    _outer(_FULL_CONJ[0], _FULL_VECTORS[0]),
+    _outer(_FULL_CONJ[1], _FULL_VECTORS[1]) + _outer(_FULL_CONJ[2], _FULL_VECTORS[2]),
+    (_FULL_VECTORS[1] + _FULL_CONJ[1]) - (_FULL_VECTORS[2] + _FULL_CONJ[2]))
 
 
 def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
@@ -273,31 +338,35 @@ def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     p = coeffs.params
     eta2 = p.eta0**2
     a1, a2, am = _MIRROR_VECTORS
-    a1c, a2c, amc = np.conj(_MIRROR_VECTORS)
+    a1c, a2c, amc = _MIRROR_CONJ
 
-    xi_p, xi_m = coeffs.xi_harmonics(p.omega_m)
+    xi = coeffs.xi_pair(p.omega_m)  # (xi+, xi-)
+    xi_c = xi.conj()
 
     # effective Hamiltonian pieces; their harmonic parts cancel identically
     squeeze_w = _require_static(
-        (xi_m - xi_p.conj()) * (1j * eta2), "relative-mode squeezing drive"
+        (xi[1] - xi_c[0]) * (1j * eta2), "relative-mode squeezing drive"
     )
     shift = _require_static(
-        (xi_p + xi_m).im() * (-2.0 * eta2), "relative-mode frequency shift"
+        (xi[0] + xi[1]).im() * (-2.0 * eta2), "relative-mode frequency shift"
     ).real
 
-    G = hermitian_form(p.omega_m / 2.0, a1c, a1)
-    G += hermitian_form(p.omega_m / 2.0, a2c, a2)
+    mirrors, relative_number, relative_pair = _REDUCED_FORMS
+    G = _real_form(p.omega_m / 2.0, mirrors)
     # the two below carry the member axis of array (N, M)
-    G = G + hermitian_form(shift / 2.0, amc, am)
-    G = G + hermitian_form(squeeze_w, am, am)
+    G = G + _real_form(shift / 2.0, relative_number)
+    G = G + _real_form(squeeze_w, relative_pair)
 
     spec = GeneratorSpec(n_modes=2, hamiltonian=G, delta=p.delta)
-    for mode in (0, 1):
-        _thermal_terms(spec, mode, p.gamma_m, coeffs.nbar0)
-    spec.add_harmonic_dissipator(xi_p.re() * (2.0 * eta2), am, amc)
-    spec.add_harmonic_dissipator(xi_m.re() * (2.0 * eta2), amc, am)
-    spec.add_harmonic_dissipator((xi_p.conj() + xi_m) * eta2, am, am)
-    spec.add_harmonic_dissipator((xi_m.conj() + xi_p) * eta2, amc, amc)
+    _thermal_terms(spec, ((a1, a1c), (a2, a2c)), p.gamma_m, coeffs.nbar0)
+    # the rates of (am, amc) and (amc, am), (Re xi+, Re xi-) 2 eta2, and of
+    # (am, am) and (amc, amc), (conj xi+ + xi-, conj xi- + xi+) eta2
+    damping = xi.re() * (2.0 * eta2)
+    squeezing = (xi_c + xi[::-1]) * eta2
+    spec.add_harmonic_dissipator(damping[0], am, amc)
+    spec.add_harmonic_dissipator(damping[1], amc, am)
+    spec.add_harmonic_dissipator(squeezing[0], am, am)
+    spec.add_harmonic_dissipator(squeezing[1], amc, amc)
     return spec
 
 
@@ -309,18 +378,17 @@ def full_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     and phase-tagged anomalous (M) cavity dissipators.
     """
     p = coeffs.params
-    c = annihilation_vector(3, 0)
-    cc = np.conj(c)
-    mirrors = [annihilation_vector(3, 1), annihilation_vector(3, 2)]
-    etas = (p.eta0, -p.eta0)
+    c, *mirrors = _FULL_VECTORS
+    cc, *mirrors_c = _FULL_CONJ
+    cavity, mirror_numbers, relative_x = _FULL_FORMS
 
-    G = hermitian_form(p.delta / 2.0, cc, c)
+    G = _real_form(p.delta / 2.0, cavity)
+    G = G + _real_form(p.omega_m / 2.0, mirror_numbers)
     # (alpha c^dag + alpha* c) as a real quadrature form, one per point
-    alpha = np.asarray(coeffs.alpha)[..., None]
+    alpha = coeffs.alpha[..., None] if isinstance(coeffs.alpha, np.ndarray) else coeffs.alpha
     w = alpha * cc + np.conj(alpha) * c
-    for a_j, eta_j in zip(mirrors, etas):
-        G = G + hermitian_form(p.omega_m / 2.0, np.conj(a_j), a_j)
-        G = G + hermitian_form(eta_j / 2.0, a_j + np.conj(a_j), w)
+    # the two mirrors couple with opposite signs, eta1 = -eta2 = eta0
+    G = G + hermitian_form(p.eta0 / 2.0, relative_x, w)
 
     spec = GeneratorSpec(n_modes=3, hamiltonian=G, delta=p.delta)
     spec.add_dissipator(p.kappa * (coeffs.N + 1.0), c, cc)
@@ -329,6 +397,5 @@ def full_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     if np.count_nonzero(coeffs.M):
         spec.add_dissipator(-p.kappa * coeffs.M, c, c, harmonic=+1)
         spec.add_dissipator(-p.kappa * np.conj(coeffs.M), cc, cc, harmonic=-1)
-    for mode in (1, 2):
-        _thermal_terms(spec, mode, p.gamma_m, coeffs.nbar0)
+    _thermal_terms(spec, zip(mirrors, mirrors_c), p.gamma_m, coeffs.nbar0)
     return spec

@@ -21,59 +21,74 @@ KB = 1.380649e-23  # J / K
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(slots=True)
+# a static value as Harmonic parts: (0, x, 0) along the last axis
+_STATIC = np.array([0.0, 1.0, 0.0])
+_STATIC.setflags(write=False)
+
+
+@dataclass
 class Harmonic:
     """Scalar of the form c0 + cp e^{i w t} + cm e^{-i w t} (w = 2*Delta here).
 
     Small closed arithmetic used to carry time-periodic coefficients around
     exactly instead of sampling them. The parts may be arrays along a member
-    axis; the arithmetic broadcasts over it.
+    axis; the arithmetic broadcasts over it. They are kept as one array,
+    parts = (cm, c0, cp) along its last axis (the amplitude of e^{i h w t}
+    at h + 1), so each operation is one array operation; c0, cp and cm are
+    views of it.
     """
 
     c0: complex = 0.0
     cp: complex = 0.0
     cm: complex = 0.0
 
+    # arrays combine with a Harmonic through its own arithmetic
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        given = self.cm, self.c0, self.cp
+        parts = np.empty(np.broadcast_shapes(*(getattr(c, "shape", ()) for c in given))
+                         + (3,), dtype=complex)
+        for h, part in enumerate(given):
+            parts[..., h] = part
+        _set_parts(self, parts)
+
     def __call__(self, phase: complex) -> complex:
         """Evaluate at e^{i w t} = phase (a unit-modulus complex number)."""
         return self.c0 + self.cp * phase + self.cm / phase
 
     def conj(self) -> "Harmonic":
-        return Harmonic(np.conj(self.c0), np.conj(self.cm), np.conj(self.cp))
+        # conj(c e^{i h w t}) = conj(c) e^{-i h w t}: the parts in reverse
+        return _harmonic(np.conj(self.parts[..., ::-1]))
 
     def re(self) -> "Harmonic":
-        c0, cp, cm = self.c0, self.cp, self.cm
-        return Harmonic(
-            0.5 * (c0 + np.conj(c0)), 0.5 * (cp + np.conj(cm)), 0.5 * (cm + np.conj(cp))
-        )
+        return _harmonic(0.5 * (self.parts + np.conj(self.parts[..., ::-1])))
 
     def im(self) -> "Harmonic":
-        c0, cp, cm = self.c0, self.cp, self.cm
-        return Harmonic(
-            (c0 - np.conj(c0)) / 2j, (cp - np.conj(cm)) / 2j, (cm - np.conj(cp)) / 2j
-        )
+        return _harmonic((self.parts - np.conj(self.parts[..., ::-1])) / 2j)
 
     def __add__(self, other):
-        if isinstance(other, Harmonic):
-            return Harmonic(self.c0 + other.c0, self.cp + other.cp, self.cm + other.cm)
-        return Harmonic(self.c0 + other, self.cp, self.cm)
+        return _harmonic(self.parts + _parts(other))
 
     __radd__ = __add__
 
     def __mul__(self, z):
         if isinstance(z, Harmonic):
             raise TypeError("product of two Harmonics leaves the harmonic space")
-        return Harmonic(self.c0 * z, self.cp * z, self.cm * z)
+        # an array z carries member axes only
+        return _harmonic(self.parts * (z[..., None] if isinstance(z, np.ndarray) else z))
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        if isinstance(other, Harmonic):
-            return Harmonic(self.c0 - other.c0, self.cp - other.cp, self.cm - other.cm)
-        return Harmonic(self.c0 - other, self.cp, self.cm)
+        return _harmonic(self.parts - _parts(other))
 
     def __rsub__(self, other):
-        return Harmonic(other) + (-1.0) * self
+        return _harmonic(_parts(other) - self.parts)
+
+    def __getitem__(self, k) -> "Harmonic":
+        """The Harmonic at index k of the leading member axis."""
+        return _harmonic(self.parts[k])
 
     def is_static(self) -> bool:
         """True when the oscillating parts are at most 1e-9 of the static part
@@ -82,9 +97,31 @@ class Harmonic:
         Parts that are arrays (a member axis) are judged member by member,
         each on its own scale.
         """
-        bound = 1e-9 * abs(self.c0)
-        static = (abs(self.cp) <= bound) & (abs(self.cm) <= bound)
-        return bool(np.count_nonzero(static) == np.size(static))
+        size = np.abs(self.parts)
+        return bool((np.maximum(size[..., 0], size[..., 2]) <= 1e-9 * size[..., 1]).all())
+
+
+def _set_parts(h: Harmonic, parts) -> Harmonic:
+    h.parts = parts
+    h.cm, h.c0, h.cp = parts[..., 0], parts[..., 1], parts[..., 2]
+    return h
+
+
+def _harmonic(parts) -> Harmonic:
+    """The Harmonic whose parts (cm, c0, cp) are the last axis of parts."""
+    return _set_parts(object.__new__(Harmonic), parts)
+
+
+def _parts(x):
+    """The parts of a Harmonic, or of a static value x: (0, x, 0)."""
+    if isinstance(x, Harmonic):
+        return x.parts
+    return np.multiply.outer(x, _STATIC)
+
+
+_RAISING = Harmonic(cp=1.0)  # e^{i w t}
+_PLUS_MINUS = np.array([1.0, -1.0])
+_PLUS_MINUS.setflags(write=False)
 
 
 def _not_finite(name: str, value: float) -> str:
@@ -288,18 +325,26 @@ class DerivedCoefficients:
     zeta_bar_plus = property(lambda self: self._zeta(True, 1.0))
     zeta_bar_minus = property(lambda self: self._zeta(True, -1.0))
 
-    def xi_harmonics(self, omega_k: float) -> tuple[Harmonic, Harmonic]:
-        """Harmonic decompositions of (xi_k^{+}, xi_k^{-}), from the fluctuation
-        drive F(t) = N |alpha|^2 + M alpha^2 e^{2i Delta t} and the cavity
-        resolvents at Delta + omega_k and Delta - omega_k (1/(kappa - i y) is
-        conj(1/(kappa + i y)), exactly)."""
+    def xi_pair(self, omega_k: float) -> Harmonic:
+        """Harmonic decompositions of (xi_k^{+}, xi_k^{-}) as one Harmonic with
+        a leading axis of the two, from the fluctuation drive
+        F(t) = N |alpha|^2 + M alpha^2 e^{2i Delta t} and the cavity resolvents
+        R = (upper, lower) at Delta + omega_k and Delta - omega_k:
+        xi^{+-} = F R + (conj(F) + |alpha|^2) conj(R reversed)
+        (1/(kappa - i y) is conj(1/(kappa + i y)), exactly)."""
         p = self.params
         a2 = abs(self.alpha) ** 2
-        F = Harmonic(self.N * a2, self.M * self.alpha**2, 0.0)
+        F = self.N * a2 + self.M * self.alpha**2 * _RAISING
         Fc = F.conj() + a2
-        upper = 1.0 / (p.kappa + 1j * (p.delta + omega_k))
-        lower = 1.0 / (p.kappa + 1j * (p.delta - omega_k))
-        return F * upper + Fc * np.conj(lower), F * lower + Fc * np.conj(upper)
+        R = 1.0 / (p.kappa + 1j * (p.delta + np.multiply.outer(_PLUS_MINUS, omega_k)))
+        # the pair leads, in front of every member axis of F
+        R = R.reshape(R.shape[:1] + (1,) * (F.parts.ndim - R.ndim) + R.shape[1:])
+        return F * R + Fc * np.conj(R[::-1])
+
+    def xi_harmonics(self, omega_k: float) -> tuple[Harmonic, Harmonic]:
+        """(xi_k^{+}, xi_k^{-}) of xi_pair as two Harmonics."""
+        xi = self.xi_pair(omega_k)
+        return xi[0], xi[1]
 
     def xi_combined(self) -> Harmonic:
         """eta0^2 (xi_k^- + conj(xi_k^+)) at omega_k = omega_m: the drive xi^r + i xi^i."""

@@ -37,9 +37,9 @@ from .errors import DivergenceError, PhysicalityWarning, SimulationError, per_en
 from .gaussian import (
     PHYSICALITY_TOL,
     QuadratureObservables,
+    observables_and_nu_minus,
     quadrature_observables,
     rotation_angle,
-    symplectic_eigenvalues,
     thermal,
 )
 from .generator import (
@@ -262,15 +262,15 @@ def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:
     removes the anomalous-moment phase. The threshold 1/[2(2 nbar0 + 1)]
     encodes the thermal robustness of the relative-momentum squeezing.
     V may be a stack (..., 4, 4), with nbar0 a float or an array that
-    broadcasts against its leading axes: one observables call and one
-    symplectic spectrum cover it, and the report's fields are arrays. The
-    CRITERION_BAND cross-check against E_N holds for every entry; the error
-    names the first entry that fails. Emits one PhysicalityWarning when V,
-    or any entry, breaks the uncertainty bound.
+    broadcasts against its leading axes: one gaussian.observables_and_nu_minus
+    call covers it, V's own spectrum included, and the report's fields are
+    arrays. The CRITERION_BAND cross-check against E_N holds for every
+    entry; the error names the first entry that fails. Emits one
+    PhysicalityWarning when V, or any entry, breaks the uncertainty bound.
     """
-    obs = quadrature_observables(V)
-    # log_negativity(V) would warn the same way, but also redo obs.E_N's spectrum
-    if (symplectic_eigenvalues(V)[..., 0] < 0.5 - PHYSICALITY_TOL).any():
+    obs, nu_minus = observables_and_nu_minus(V)
+    # the warning log_negativity(V) gives
+    if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
         warnings.warn(
             "covariance violates the uncertainty bound; E_N is unreliable",
             PhysicalityWarning,

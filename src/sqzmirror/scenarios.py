@@ -346,7 +346,13 @@ def _row(val, cells: tuple | SimulationError, n_out: int) -> tuple:
 
 def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
                 phase) -> list[tuple]:
-    """Rows of a custom sweep of one model along one parameter field.
+    """Rows of a custom sweep of one model along one parameter field: the
+    _model_rows of its own _sweep_points."""
+    return _model_rows(model, _sweep_points(cfg, name, values), values, phase)
+
+
+def _model_rows(model: str, points, values, phase) -> list[tuple]:
+    """Rows of one model at the points of a sweep, _sweep_points' (builds, r).
 
     The covariances are _steady_points', read by one errors.per_entry
     evaluation per curve: criterion for reduced3 and reduced_analytic,
@@ -356,7 +362,7 @@ def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
     own evaluation (lost precision at large r, a criterion miss), and the
     other rows keep their values.
     """
-    V, nbar0, cells = _steady_points(model, *_sweep_points(cfg, name, values), phase)
+    V, nbar0, cells = _steady_points(model, *points, phase)
     checked = model in ("reduced3", "reduced_analytic")
 
     def evaluate(k):
@@ -512,8 +518,10 @@ def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
     if cfg.sweep is not None:
         name, values = cfg.sweep
         header = (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error")
+        # the points are made and checked once, for every model
+        points = _sweep_points(cfg, name, values)
         return [(f"custom_sweep_{model}", header,
-                 _sweep_rows(cfg, model, name, values, PHASES[cfg.phase]))
+                 _model_rows(model, points, values, PHASES[cfg.phase]))
                 for model in models]
     params = _params(cfg)
     return [_trajectory_curve(cfg, f"custom_{model}", model, params)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_point_hz
-from sqzmirror import reduced, scenarios
+from sqzmirror import cli, reduced, scenarios
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
     OUTPUT_DIR_ENV,
@@ -372,16 +372,20 @@ def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
 def test_r_sweep_is_one_observables_call_per_curve(tmp_path, monkeypatch):
     """A custom r sweep, or power sweep, with no failing row reads its
     observables from one stacked call per model, in total: reduced3's rows
-    take the observables its criterion check read."""
+    take the observables its criterion check read (observables_and_nu_minus,
+    which also gives the criterion's uncertainty-bound check)."""
     calls = []
-    observables = scenarios.quadrature_observables
 
-    def counting(V):
-        calls.append(np.shape(V))
-        return observables(V)
+    def counting(observables):
+        def wrapper(V):
+            calls.append(np.shape(V))
+            return observables(V)
+        return wrapper
 
     for module in (scenarios, reduced):
-        monkeypatch.setattr(module, "quadrature_observables", counting)
+        for name in ("quadrature_observables", "observables_and_nu_minus"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     run(ScenarioConfig(scenario="custom", models=["reduced3", "reduced10", "full6"],
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
                        output_dir=str(tmp_path / "r")))
@@ -408,6 +412,19 @@ def test_unknown_scenario_exit_code(tmp_path, capsys):
 
 def test_bad_set_key_exit_code(tmp_path):
     assert main(["run", "fig2c", "--set", "bogus=1", "--out", str(tmp_path)]) == 2
+
+
+def test_second_main_sees_no_list_of_the_first(tmp_path, monkeypatch):
+    """The argument parser is built once per process: a second main without
+    --set or --model runs with neither list of the first call."""
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda cfg: configs.append(cfg) or [])
+    assert main(["run", "custom", "--set", "power_w=2e-6", "--model", "full6",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["run", "custom", "--out", str(tmp_path)]) == 0
+    assert main(["run", "custom", "--model", "reduced10", "--out", str(tmp_path)]) == 0
+    assert [(cfg.params_hz, cfg.models) for cfg in configs] == [
+        ({"power_w": 2e-6}, ["full6"]), ({}, []), ({}, ["reduced10"])]
 
 
 def test_non_numeric_set_value_exit_code(tmp_path):

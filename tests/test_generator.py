@@ -30,7 +30,7 @@ from sqzmirror.generator import (
     hermitian_form,
     reduced_generator,
 )
-from sqzmirror.params import baseline_params, derive
+from sqzmirror.params import baseline_params, derive, stack_points
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -464,6 +464,48 @@ def test_hand_built_specs_match_term_loop(rng, n_modes):
     for eqs, spec in zip(compile_stack(member_spec(*specs)), specs):
         assert_matches_loop(eqs, spec)
         assert np.abs(eqs.diffusion_harmonic).max() > 0
+
+
+def member_of(spec, k):
+    """Member k (row-major over the member shape) of a spec with member
+    axes, as a spec of its own."""
+    H = np.asarray(spec.hamiltonian)
+    shape = np.broadcast_shapes(H.shape[:-2], np.shape(spec.delta),
+                                *(np.shape(t.rate) for t in spec.dissipators))
+
+    def at(x):
+        return np.broadcast_to(x, shape).reshape(-1)[k]
+
+    alone = GeneratorSpec(spec.n_modes, np.broadcast_to(H, shape + H.shape[-2:])
+                          .reshape((-1,) + H.shape[-2:])[k], delta=float(at(spec.delta)))
+    for t in spec.dissipators:
+        alone.add_dissipator(at(t.rate), t.left, t.right, t.harmonic)
+    return alone
+
+
+@pytest.mark.parametrize("model", [reduced_generator, full_generator])
+@pytest.mark.parametrize("members", [1, 3, 75, 303])
+def test_contraction_at_every_stack_size(rng, model, members):
+    """A model build of 1 member (a point alone), or of random points times
+    the three reservoir injections: every member of its compile_stack is
+    within 1e-13 of the term loop and bit-equal to a compile of that member
+    alone."""
+    points = [random_point(rng).with_(r=rng.uniform(*inputs.R_RANGE))
+              for _ in range(max(members // 3, 1))]
+    if members == 1:
+        coeffs = derive(points[0])
+    else:
+        N, M = np.array(RESERVOIR_INJECTIONS).T.reshape(2, 3, 1)
+        coeffs = replace(derive(stack_points(points)), N=N, M=M)
+    spec = model(coeffs)
+    stack = compile_stack(spec)
+    assert len(stack) == members
+    for k, eqs in enumerate(stack):
+        alone = member_of(spec, k)
+        assert_matches_loop(eqs, alone)
+        one = compile_generator(alone)
+        for name in ("drift", "diffusion_static", "diffusion_harmonic", "omega"):
+            assert np.array_equal(getattr(eqs, name), getattr(one, name)), (k, name)
 
 
 def one_mode_spec(*terms, hamiltonian=None):
