@@ -276,7 +276,8 @@ def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
     half = 0.5 * theta
     c, s = np.cos(half), np.sin(half)
     a, b = V[..., 0, ::2], V[..., 1, 1::2]
-    u = (s * s)[..., None] * (a - b) - (c * s)[..., None] * (V[..., 0, 1::2] + V[..., 1, ::2])
+    r = V[..., 0, 1::2] + V[..., 1, ::2]
+    u = (s * s)[..., None] * (a - b) - (c * s)[..., None] * r
     return _checked_variances(a - u, b + u)
 
 

@@ -166,14 +166,15 @@ def compile_stack(spec: GeneratorSpec) -> MomentStack:
     The Hamiltonian (..., dim, dim), the rates and delta broadcast to one
     member shape, whose S members are compiled in row-major order (one
     member without member axes). The terms, ordered by tag, give the rates
-    W[s, t] and the products P[s, t] = (W[s, t] U l_t)(U m_t)^T; their sum
+    W[t, s] and the products P[t, s] = (W[t, s] U l_t)(U m_t)^T; their sum
     over the terms of tag h is, per member,
-    K_h = sum_t W[s, t] (U l_t)(U m_t)^T, which is U k_h U^T for
-    k_h = sum_t W[s, t] l_t m_t^T. Since U is a signed permutation
+    K_h = sum_t W[t, s] (U l_t)(U m_t)^T, which is U k_h U^T for
+    k_h = sum_t W[t, s] l_t m_t^T. Since U is a signed permutation
     (U^T U = 1), A_h = i U (k_h - k_h^T) = i (K_h - K_h^T) U (plus U G at
     h = 0) and D_h = U (k_h + k_h^T) U^T = K_h + K_h^T. Each member's K_h
-    adds its terms' products one after another, in term order, so it does
-    not depend on the other members.
+    adds its terms' products one after another, in term order: it does not
+    depend on the other members, and it rounds as a term-by-term sum does
+    (a matrix product of W with the outer products would round differently).
 
     The structure (shape, symmetry, tags) is checked once; the numeric
     refusals member by member, in order, each against that member's own
@@ -202,7 +203,7 @@ def compile_stack(spec: GeneratorSpec) -> MomentStack:
     U = _complex_form(spec.n_modes)
     UL, UR = np.concatenate([t.left for t in terms] + [t.right for t in terms]
                             + [_NO_ENTRIES]).reshape(2, T, dim) @ U.T
-    # the products P[t, j, i, s] = (W[s, t] (U l_t)_i) (U m_t)_j, laid out
+    # the products P[t, j, i, s] = (W[t, s] (U l_t)_i) (U m_t)_j, laid out
     # with the members innermost, and their sums over the terms of each tag,
     # in order
     P = UR[:, :, None, None] * (UL[:, :, None] * rates.reshape(T, 1, S))[:, None]
@@ -308,22 +309,19 @@ _MIRROR_CONJ = _read_only(*np.conj(_MIRROR_VECTORS))
 _FULL_CONJ = _read_only(*np.conj(_FULL_VECTORS))
 
 
-def _outer(o: NDArray, p: NDArray) -> NDArray:
-    return o[:, None] * p[None, :]
-
-
 # the outer products of the models' Hamiltonian forms; a sum of forms on
 # disjoint entries is each form's entry exactly. Reduced model: the mirrors'
 # number forms (a1^dag a1 + a2^dag a2), the relative mode's number and pair
 # forms; full model: the cavity's number form, the mirrors' number forms, and
 # the relative mirror position x1 - x2 (xj = aj + aj^dag) the cavity drives
 _REDUCED_FORMS = _read_only(
-    _outer(_MIRROR_CONJ[0], _MIRROR_VECTORS[0]) + _outer(_MIRROR_CONJ[1], _MIRROR_VECTORS[1]),
-    _outer(_MIRROR_CONJ[2], _MIRROR_VECTORS[2]),
-    _outer(_MIRROR_VECTORS[2], _MIRROR_VECTORS[2]))
+    np.outer(_MIRROR_CONJ[0], _MIRROR_VECTORS[0])
+    + np.outer(_MIRROR_CONJ[1], _MIRROR_VECTORS[1]),
+    np.outer(_MIRROR_CONJ[2], _MIRROR_VECTORS[2]),
+    np.outer(_MIRROR_VECTORS[2], _MIRROR_VECTORS[2]))
 _FULL_FORMS = _read_only(
-    _outer(_FULL_CONJ[0], _FULL_VECTORS[0]),
-    _outer(_FULL_CONJ[1], _FULL_VECTORS[1]) + _outer(_FULL_CONJ[2], _FULL_VECTORS[2]),
+    np.outer(_FULL_CONJ[0], _FULL_VECTORS[0]),
+    np.outer(_FULL_CONJ[1], _FULL_VECTORS[1]) + np.outer(_FULL_CONJ[2], _FULL_VECTORS[2]),
     (_FULL_VECTORS[1] + _FULL_CONJ[1]) - (_FULL_VECTORS[2] + _FULL_CONJ[2]))
 
 
