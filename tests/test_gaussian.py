@@ -14,8 +14,10 @@ from sqzmirror.errors import (
     PhysicalityWarning,
 )
 from sqzmirror.gaussian import (
+    frame_variances,
     log_negativity,
     mean_phonon,
+    observables_and_nu_minus,
     partial_transpose,
     quadrature_observables,
     relative_mode_variances,
@@ -263,6 +265,12 @@ def test_quadrature_observables_consistency(rng):
         assert obs.nu_tilde[0] <= obs.nu_tilde[1]
         assert obs.dP2_minus * obs.dQ2_minus >= 0.25 - 1e-9
         assert obs.E_N == pytest.approx(log_negativity(V), abs=1e-12)
+        # the rotated frame's variances, and the observables with V's own
+        # spectrum, are quadrature_observables' numbers
+        assert frame_variances(V) == (obs.dQ2_minus, obs.dP2_minus, obs.dQ2_plus,
+                                      obs.dP2_plus)
+        both, nu_minus = observables_and_nu_minus(V)
+        assert both == obs and nu_minus == symplectic_eigenvalues(V)[0]
 
 
 def _per_matrix_results(V, theta, n_modes):
@@ -279,6 +287,8 @@ def _per_matrix_results(V, theta, n_modes):
             partial_transpose=partial_transpose(V),
             log_negativity=log_negativity(V),
             relative_mode_variances=relative_mode_variances(V),
+            frame_variances=frame_variances(V),
+            observables_and_nu_minus=[observables_and_nu_minus(V)[1]],
             quadrature_observables=[obs.dP2_minus, obs.dQ2_minus, obs.dP2_plus,
                                     obs.dQ2_plus, obs.theta, obs.E_N, *obs.nu_tilde,
                                     *obs.phonon],
