@@ -3,11 +3,11 @@
 Everything here works on the vector form dx/dt = A x + b0 + (b2 e^{iwt}
 + c.c.); covariance equations enter it as x = vech(V) (see moment_ode).
 The integrator is classic RK4. The one-step map of a linear ODE is an affine
-map that is identical at every step, so the steps between two samples are
-composed exactly by binary doubling, and the samples x_k = P x_{k-1} + f_k
-come from all the forcings f_k at once by a prefix scan of log2(n) levels
-(Blelloch, CMU-CS-90-190, 1990): trajectories spanning 1e8 steps stay cheap
-without changing the method.
+map that is identical at every step, so the spans between samples come from
+one doubling ladder per integration, and the samples x_k = P x_{k-1} + f_k
+from all the forcings f_k at once by a Brent-Kung prefix scan (Blelloch,
+CMU-CS-90-190, 1990): 1e8 steps stay cheap, and an r family of trajectories,
+its drives as columns, is one integration.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class Trajectory:
     """Sampled covariance evolution plus derived observables, one column per field."""
 
     times: NDArray[np.float64]
-    covariances: NDArray[np.float64]  # (n_samples, 2n, 2n)
+    covariances: NDArray[np.float64]  # (..., n_samples, 2n, 2n), an r family's (K, ...)
     observables: QuadratureObservables | None = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.covariances):
+        if len(self.times) != self.covariances.shape[-3]:
             raise DimensionError("times and covariances must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise DimensionError("times must be strictly increasing")
@@ -172,7 +172,7 @@ class _AffineSpan:
 
 
 def _rk4_step_span(ode: LinearHarmonicODE, h: float) -> _AffineSpan:
-    """The affine map of one RK4 step for the linear harmonic ODE."""
+    """The affine map of one RK4 step, with u0 and u2 as columns (m, K)."""
     L = ode.drift
     eye = np.eye(L.shape[0])
     hL = h * L
@@ -181,51 +181,54 @@ def _rk4_step_span(ode: LinearHarmonicODE, h: float) -> _AffineSpan:
     S = eye + hL + hL2 / 2.0 + hL3 / 6.0 + (hL3 @ hL) / 24.0
     op_start = eye + hL + hL2 / 2.0 + hL3 / 4.0
     op_mid = 4.0 * eye + 2.0 * hL + hL2 / 2.0
-    w0 = (h / 6.0) * (op_start + op_mid + eye) @ ode.drive_static
+    b0, b2 = (np.reshape(b, (len(L), -1)) for b in (ode.drive_static, ode.drive_harmonic))
+    w0 = (h / 6.0) * (op_start + op_mid + eye) @ b0
     zh = np.exp(1j * ode.omega * h)
     zmid = np.exp(1j * ode.omega * h / 2.0)
-    w2 = (h / 6.0) * (op_start + zmid * op_mid + zh * eye) @ ode.drive_harmonic.astype(
-        complex
-    )
+    w2 = (h / 6.0) * (op_start + zmid * op_mid + zh * eye) @ b2.astype(complex)
     return _AffineSpan(P=S, u0=w0, u2=w2, zf=zh)
 
 
-def _span_power(step: _AffineSpan, m: int) -> _AffineSpan:
-    """Compose m identical steps by binary doubling."""
-    dim = step.P.shape[0]
-    result = _AffineSpan(
-        P=np.eye(dim), u0=np.zeros(dim), u2=np.zeros(dim, dtype=complex), zf=1.0
-    )
-    base = step
-    while m > 0:
-        if m & 1:
-            result = result.then(base)
-        m >>= 1
-        if m:
-            base = base.then(base)
-    return result
+def _span_powers(step: _AffineSpan, *ms: int) -> list[_AffineSpan]:
+    """step composed m >= 1 times, for each m of ms, by binary doubling on one
+    shared ladder step, step^2, step^4, ...: each power composes the rungs of
+    its set bits, lowest first, as a doubling of m alone does."""
+    ladder = [step]
+    while 1 << len(ladder) <= max(ms):
+        ladder.append(ladder[-1].then(ladder[-1]))
+    return [functools.reduce(_AffineSpan.then, [rung for j, rung in enumerate(ladder)
+                                                if m >> j & 1]) for m in ms]
 
 
-def _affine_scan(P: NDArray, x: NDArray, f: NDArray) -> NDArray:
-    """Every state of x_k = P x_{k-1} + f_k, k = 1..len(f), from x_0 = x.
+def _affine_scan(P: NDArray, x: NDArray, f: NDArray) -> None:
+    """Every state of x_k = P x_{k-1} + f_k, k = 1..n, from x_0 = x, in place
+    of the forcings f (..., n, m); columns ride along the leading axes.
 
-    Hillis-Steele scan: after the level with shift s, row k holds
-    sum_{j=k-2s+1..k} P^{k-j} f_j (with P x_0 folded into f_1), so
-    log2(len(f)) levels of one GEMM each give every state.
+    A Brent-Kung scan (Brent & Kung, IEEE Trans. Computers C-31, 1982): with
+    P x_0 folded into f_1, the up-sweep at stride s = 1, 2, 4, ... adds
+    P^s times row k - s to rows k = 2s-1, 4s-1, ..., the down-sweep, from the
+    largest stride down, the finished row k - s to rows k = 3s-1, 5s-1, ...:
+    about 2n matrix-vector products in 2 log2(n) levels of one GEMM each.
     """
-    out = f.copy()
-    if len(out):
-        out[0] += P @ x
-    Ps, shift = P, 1
-    while shift < len(out):
-        out[shift:] += out[:-shift] @ Ps.T
-        Ps, shift = Ps @ Ps, 2 * shift
-    return out
+    n, m = f.shape[-2:]
+    f[..., :1, :] += (x @ P.T)[..., None, :]
+
+    def level(rows, prior, Ps):
+        rows += (prior[..., :rows.shape[-2], :].reshape(-1, m) @ Ps.T).reshape(rows.shape)
+
+    powers, s = [], 1
+    while 2 * s <= n:
+        powers.append(powers[-1] @ powers[-1] if powers else P)
+        level(f[..., 2 * s - 1::2 * s, :], f[..., s - 1::2 * s, :], powers[-1])
+        s *= 2
+    for Ps in reversed(powers):
+        s //= 2
+        level(f[..., 3 * s - 1::2 * s, :], f[..., 2 * s - 1::2 * s, :], Ps)
 
 
 def _diverged(x: NDArray) -> NDArray[np.bool_]:
     """Per state (last axis): a non-finite entry or one beyond DIVERGENCE_LIMIT."""
-    return ~np.isfinite(x).all(axis=-1) | (np.abs(x).max(axis=-1) > DIVERGENCE_LIMIT)
+    return ~(np.abs(x).max(axis=-1) <= DIVERGENCE_LIMIT)  # NaN compares False
 
 
 def integrate_linear(
@@ -235,10 +238,12 @@ def integrate_linear(
 ) -> tuple[NDArray, NDArray]:
     """RK4-integrate the linear harmonic ODE, returning (times, states).
 
-    States are sampled at grid.sample_indices(). Raises StepSizeError when
-    the step does not resolve the fastest rate, DivergenceError on blow-up
-    at the first sample (after the initial one) that is not finite or
-    exceeds DIVERGENCE_LIMIT.
+    States are sampled at grid.sample_indices(). Drives with columns (m, K),
+    as linear_steady takes, are an r family: K trajectories from x0 (m,) or
+    (m, K), whose states (K, n_samples, m) share one step map, one ladder and
+    one scan. Raises StepSizeError when the step does not resolve the fastest
+    rate, DivergenceError on blow-up at the first sample (after the initial
+    one) at which a column is not finite or exceeds DIVERGENCE_LIMIT.
     """
     h = grid.h
     rate = ode.fastest_rate()
@@ -247,39 +252,40 @@ def integrate_linear(
             f"step {h:.3e} too coarse for fastest rate {rate:.3e} "
             f"(h*rate = {h * rate:.3f} > {STEP_SAFETY})"
         )
-    step = _rk4_step_span(ode, h)
+    m, columns = len(ode.drift), np.shape(ode.drive_static)[1:]
     idx = grid.sample_indices()
     times = grid.t0 + idx * h
     spans = np.diff(idx)
+    n = len(spans)
     # every span between samples is the same map, except a ragged last one
-    block = _span_power(step, int(spans[0]))
-    last = block if spans[-1] == spans[0] else _span_power(step, int(spans[-1]))
+    block, last = _span_powers(_rk4_step_span(ode, h), int(spans[0]), int(spans[-1]))
     phi = np.exp(1j * ode.omega * times[:-1])  # e^{iwt} at each span's start
-    f = block.u0 + 2.0 * np.real(phi[:, None] * block.u2)
-    f[-1] = last.u0 + 2.0 * np.real(last.u2 * phi[-1])
-    xs = np.empty((len(idx), len(x0)))
-    xs[0] = x0
+    f = np.real(phi[:, None] * block.u2.T[:, None]) * 2.0
+    f += block.u0.T[:, None]  # the forcings (K, n, m), a row of spans per column
+    f[:, -1] = last.u0.T + 2.0 * np.real(last.u2.T * phi[-1])
+    xs = np.empty((len(f), n + 1, m))
+    xs[:, 0] = np.asarray(x0, dtype=float).T
     # overflow is detected on the states, not reported per operation
     with np.errstate(over="ignore", invalid="ignore"):
         start = 0
-        while start < len(f):
-            xs[start + 1:-1] = _affine_scan(block.P, xs[start], f[start:-1])
-            xs[-1] = last.P @ xs[-2] + f[-1]
-            bad = _diverged(xs[start + 1:])
-            if not bad.any():
+        while start < n:
+            xs[:, start + 1:-1] = f[:, start:-1]
+            _affine_scan(block.P, xs[:, start], xs[:, start + 1:-1])
+            xs[:, -1] = xs[:, -2] @ last.P.T + f[:, -1]
+            if np.abs(xs[:, start + 1:]).max() <= DIVERGENCE_LIMIT:  # False on NaN
                 break
-            k = start + 1 + int(bad.argmax())
+            k = start + 1 + int(_diverged(xs[:, start + 1:]).any(axis=0).argmax())
             # the scan's own overflow (a power P^(2^l) against a zero entry, a
             # partial sum) can mark a state that one span from the last good
             # one keeps: that span decides, and the scan restarts from it
-            xs[k] = (last.P if k == len(f) else block.P) @ xs[k - 1] + f[k - 1]
-            if _diverged(xs[k]):
+            xs[:, k] = xs[:, k - 1] @ (last if k == n else block).P.T + f[:, k - 1]
+            if _diverged(xs[:, k]).any():
                 raise DivergenceError(
                     f"integration diverged at t = {times[k]:.6e}",
                     last_valid_time=times[k - 1],
                 )
             start = k
-    return times, xs
+    return times, xs.reshape(columns + (n + 1, m))
 
 
 def integrate(
@@ -290,13 +296,18 @@ def integrate(
     """Integrate dV/dt = A V + V A^T + D(t) from V0 over the grid.
 
     The integrated state is vech(V) (see moment_ode), so every sampled V
-    is exactly symmetric. The trajectory carries no observables.
+    is exactly symmetric. Diffusions with a leading axis of curves sharing the
+    drift and omega (an r family) are drive columns of one integrate_linear,
+    and the covariances carry that axis. No observables are attached.
     """
     dim = eqs.drift.shape[0]
     V0 = np.asarray(V0, dtype=float)
     if V0.shape != (dim, dim):
         raise DimensionError(f"V0 shape {V0.shape} does not match drift {dim}")
-    times, xs = integrate_linear(moment_ode(eqs), _vech(0.5 * (V0 + V0.T)), grid)
+    ode = moment_ode(eqs)
+    times, xs = integrate_linear(
+        LinearHarmonicODE(ode.drift, ode.drive_static.T, ode.drive_harmonic.T, ode.omega),
+        _vech(0.5 * (V0 + V0.T)), grid)
     return Trajectory(times=times, covariances=_unvech(xs))
 
 

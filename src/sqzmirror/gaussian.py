@@ -243,10 +243,11 @@ _MINUS_PLUS.setflags(write=False)
 
 
 def _checked_variances(x: NDArray, y: NDArray) -> tuple:
-    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) from x = (V00, V02) and
-    y = (V11, V13) along a last axis; refuses a negative variance."""
-    dq = x[..., :1] + _MINUS_PLUS * x[..., 1:]
-    dp = y[..., :1] + _MINUS_PLUS * y[..., 1:]
+    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) from the q block x = V[::2, ::2]
+    and the p block y = V[1::2, 1::2], (V00 + V22)/2 -+ V02 and
+    (V11 + V33)/2 -+ V13; refuses a negative variance."""
+    dq = 0.5 * (x[..., 0, :1] + x[..., 1, 1:]) + _MINUS_PLUS * x[..., 0, 1:]
+    dp = 0.5 * (y[..., 0, :1] + y[..., 1, 1:]) + _MINUS_PLUS * y[..., 0, 1:]
     variances = dq[..., 0], dp[..., 0], dq[..., 1], dp[..., 1]
     if (np.minimum(dq, dp) < -PHYSICALITY_TOL).any():
         val = next(v for v in variances if (v < -PHYSICALITY_TOL).any())
@@ -257,35 +258,35 @@ def _checked_variances(x: NDArray, y: NDArray) -> tuple:
 def _relative_mode_variances(V: NDArray) -> tuple:
     if V.shape[-1] != 4:
         raise DimensionError("relative-mode variances need exactly 2 modes")
-    return _checked_variances(V[..., 0, ::2], V[..., 1, 1::2])
+    return _checked_variances(V[..., ::2, ::2], V[..., 1::2, 1::2])
 
 
 def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
     """_relative_mode_variances of rotate_local(V, theta), in closed form.
 
-    With c = cos(theta/2) and s = sin(theta/2), the rotated entries read are
-    Vbar00 = c^2 V00 + cs (V01 + V10) + s^2 V11 and Vbar02 = c^2 V02 +
-    cs (V03 + V12) + s^2 V13, and Vbar11, Vbar13 the same with c^2 and s^2
-    exchanged and cs negated. With a = (V00, V02), b = (V11, V13) and
-    r = (V01 + V10, V03 + V12), and c^2 = 1 - s^2, that is
-    (Vbar00, Vbar02) = a - u and (Vbar11, Vbar13) = b + u for
+    With c = cos(theta/2) and s = sin(theta/2), the rotated q block is
+    Vbar_ij = c^2 V_ij + cs (V_i,j+1 + V_i+1,j) + s^2 V_i+1,j+1 for even i, j,
+    and the p block Vbar_i+1,j+1 the same with c^2 and s^2 exchanged and cs
+    negated. With a = V[::2, ::2], b = V[1::2, 1::2], r = V[::2, 1::2] +
+    V[1::2, ::2] and c^2 = 1 - s^2, that is a - u and b + u for
     u = s^2 (a - b) - cs r: exactly a and b at theta = 0.
     """
     if V.shape[-1] != 4:
         raise DimensionError("relative-mode variances need exactly 2 modes")
     half = 0.5 * theta
-    c, s = np.cos(half), np.sin(half)
-    a, b = V[..., 0, ::2], V[..., 1, 1::2]
-    r = V[..., 0, 1::2] + V[..., 1, ::2]
-    u = (s * s)[..., None] * (a - b) - (c * s)[..., None] * r
+    c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    a, b = V[..., ::2, ::2], V[..., 1::2, 1::2]
+    r = V[..., ::2, 1::2] + V[..., 1::2, ::2]
+    u = (s * s) * (a - b) - (c * s) * r
     return _checked_variances(a - u, b + u)
 
 
 def relative_mode_variances(V: NDArray) -> tuple[float, ...]:
     """Center-of-mass / relative quadrature variances of a 2-mode covariance.
 
-    Returns (dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) where
-    dQ2_pm = V11 +/- V13 and dP2_pm = V22 +/- V24. Meaningful in whatever
+    Returns (dQ2_minus, dP2_minus, dQ2_plus, dP2_plus), the variances of
+    (q1 -+ q2)/sqrt(2) and (p1 -+ p2)/sqrt(2): dQ2_pm = (V11 + V33)/2 +/- V13
+    and dP2_pm = (V22 + V44)/2 +/- V24 (1-based). Meaningful in whatever
     frame V is expressed; pass a rotated covariance for the barred variances.
     """
     V = _check_covariance(V)

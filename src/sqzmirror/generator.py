@@ -270,10 +270,16 @@ def compile_injections(
     drift, d0, d2 = (x.reshape((3,) + points + x.shape[-2:])
                      for x in (eqs.drift, eqs.diffusion_static, eqs.diffusion_harmonic))
     omega = eqs.omega.reshape((3,) + points)
-    moved = np.abs(drift[1:] - drift[0]).max(axis=(0, -2, -1)) > 1e-9 * _amax(drift[0])
-    if np.count_nonzero(moved):
-        raise SimulationError("drift acquired reservoir dependence")
+    require_shared_drift(drift)
     return [MomentEquations(drift[j], d0[j], d2[j], omega[j]) for j in range(3)]
+
+
+def require_shared_drift(drift: NDArray) -> None:
+    """Refuse members (leading axis) whose drifts differ by more than 1e-9 of
+    the first one's scale, at any point (further axes)."""
+    moved = np.abs(drift[1:] - drift[0]).max(axis=(0, -2, -1), initial=0.0)
+    if np.count_nonzero(moved > 1e-9 * _amax(drift[0])):
+        raise SimulationError("drift acquired reservoir dependence")
 
 
 def _thermal_terms(spec: GeneratorSpec, modes, gamma, nbar) -> None:

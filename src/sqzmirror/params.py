@@ -341,16 +341,11 @@ class DerivedCoefficients:
         R = R.reshape(R.shape[:1] + (1,) * (F.parts.ndim - R.ndim) + R.shape[1:])
         return F * R + Fc * np.conj(R[::-1])
 
-    def xi_harmonics(self, omega_k: float) -> tuple[Harmonic, Harmonic]:
-        """(xi_k^{+}, xi_k^{-}) of xi_pair as two Harmonics."""
-        xi = self.xi_pair(omega_k)
-        return xi[0], xi[1]
-
     def xi_combined(self) -> Harmonic:
         """eta0^2 (xi_k^- + conj(xi_k^+)) at omega_k = omega_m: the drive xi^r + i xi^i."""
         p = self.params
-        xi_p, xi_m = self.xi_harmonics(p.omega_m)
-        return (xi_m + xi_p.conj()) * p.eta0**2
+        xi = self.xi_pair(p.omega_m)
+        return (xi[1] + xi[0].conj()) * p.eta0**2
 
 
 def derive(params: PhysicalParams) -> DerivedCoefficients:

@@ -126,8 +126,8 @@ class ReducedSystem:
     def ode(self) -> LinearHarmonicODE:
         return LinearHarmonicODE(
             drift=self.m3,
-            drive_static=self.b0 + self.N * self.b1,
-            drive_harmonic=self.M * self.b2,
+            drive_static=(self.b0 + np.multiply.outer(self.N, self.b1)).T,
+            drive_harmonic=np.multiply.outer(self.M, self.b2).T,
             omega=2.0 * self.delta,
         )
 
@@ -213,13 +213,20 @@ def evolve(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     """Integrate the 3-variable model from the thermal initial state.
 
     Covariances in the returned trajectory are the symmetry-assembled 4x4
-    matrices with observables attached.
+    matrices with observables attached: evolve_r's family of one.
     """
-    system = build_system(params)
+    return evolve_r(params, [params.r], grid)[0]
+
+
+def evolve_r(params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]:
+    """evolve at each squeezing degree of r (params.r unread), as one r family:
+    one build_system (m3, b0, b1, b2 do not depend on r), whose ode at arrays
+    N, M gives the drive columns of one integrate_linear."""
+    N, M = reservoir_correlations(np.asarray(r, dtype=float))
+    system = replace(build_system(params), N=N, M=M)
     times, xs = integrate_linear(system.ode(), system.initial_state(), grid)
-    covs = lift_covariance(xs, system.nbar0)
-    return Trajectory(times=times, covariances=covs,
-                      observables=quadrature_observables(covs))
+    return [Trajectory(times=times, covariances=covs, observables=quadrature_observables(covs))
+            for covs in lift_covariance(xs, system.nbar0)]
 
 
 def evolve_analytic(params: PhysicalParams, grid: TimeGrid) -> Trajectory:

@@ -213,27 +213,46 @@ def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
 Curve = tuple[str, tuple[str, ...], list[tuple]]
 
 
-def _evolve_model(model: str, params: PhysicalParams, grid: TimeGrid) -> Trajectory:
-    """One model's trajectory; ScenarioConfig.validate has refused unknown names."""
+def _evolve_model(model: str, params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]:
+    """One model's trajectories at the squeezing degrees r (params.r unread), an
+    r family for reduced3 and full6; validate has refused unknown names."""
     if model == "reduced3":
-        return reduced_model.evolve(params, grid)
+        return reduced_model.evolve_r(params, r, grid)
+    if model == "full6":
+        return full_model.evolve_full_r(params, r, grid)
     if model == "reduced10":
-        return reduced_model.evolve_full10(params, grid)
-    if model == "reduced_analytic":
-        return reduced_model.evolve_analytic(params, grid)
-    return full_model.evolve_full(params, grid)
+        return [reduced_model.evolve_full10(params.with_(r=x), grid) for x in r]
+    return [reduced_model.evolve_analytic(params.with_(r=x), grid) for x in r]
 
 
-def _trajectory_curve(cfg: ScenarioConfig, name: str, model: str,
-                      params: PhysicalParams, damping_times: float = 10.0) -> Curve:
-    """One trajectory curve up to cfg.t_end_s, or damping_times / gamma_m."""
-    t_end = cfg.t_end_s or default_t_end(params, damping_times)
-    grid = trajectory_grid(params, t_end, cfg.n_samples)
-    traj = _evolve_model(model, params, grid)
-    o = traj.observables
-    columns = (traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, *o.phonon)
-    rows = list(zip(*(column.tolist() for column in columns)))
-    return name, TRAJECTORY_COLUMNS, rows
+def _trajectory_curves(cfg: ScenarioConfig, models, params: PhysicalParams, r, names,
+                       damping_times: float = 10.0) -> list[Curve]:
+    """Trajectory curves up to cfg.t_end_s, or damping_times / gamma_m: at each
+    squeezing degree of r (params.r unread) one per model, named by names in
+    that order. A model's curves are one r family, evaluated by per_entry:
+    the first curve to fail raises the error it raises alone."""
+    r = np.asarray(r, dtype=float)
+
+    def rows(model, k):
+        check_r(r[k])
+        t_end = cfg.t_end_s or default_t_end(params, damping_times)
+        grid = trajectory_grid(params, t_end, cfg.n_samples)
+        curves = []
+        for traj in _evolve_model(model, params, r[np.atleast_1d(k)], grid):
+            o = traj.observables
+            columns = (traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, *o.phonon)
+            curves.append(list(zip(*(column.tolist() for column in columns))))
+        return curves
+
+    cells = {}
+    for j, model in enumerate(models):
+        value, kept, failures = per_entry(lambda k, m=model: rows(m, k), np.arange(len(r)))
+        cells.update(((k, j), exc) for k, exc in failures.items())
+        cells.update(((k, j), rows_k) for k, rows_k in zip(kept.tolist(), value or ()))
+    ordered = [cell for _, cell in sorted(cells.items())]
+    if failed := [cell for cell in ordered if isinstance(cell, SimulationError)]:
+        raise failed[0]
+    return [(name, TRAJECTORY_COLUMNS, cell) for name, cell in zip(names, ordered)]
 
 
 def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
@@ -344,13 +363,6 @@ def _row(val, cells: tuple | SimulationError, n_out: int) -> tuple:
     return (val, *cells, "")
 
 
-def _sweep_rows(cfg: ScenarioConfig, model: str, name: str, values,
-                phase) -> list[tuple]:
-    """Rows of a custom sweep of one model along one parameter field: the
-    _model_rows of its own _sweep_points."""
-    return _model_rows(model, _sweep_points(cfg, name, values), values, phase)
-
-
 def _model_rows(model: str, points, values, phase) -> list[tuple]:
     """Rows of one model at the points of a sweep, _sweep_points' (builds, r).
 
@@ -384,17 +396,18 @@ def _label(x: float) -> str:
 
 
 def _scenario_fig2a(cfg: ScenarioConfig) -> list[Curve]:
-    return [_trajectory_curve(cfg, f"fig2a_r{_label(r)}", "reduced3", _params(cfg, r=r))
-            for r in (0.0, 0.5, 1.0, 2.0)]
+    r = (0.0, 0.5, 1.0, 2.0)
+    return _trajectory_curves(cfg, ("reduced3",), _params(cfg), r,
+                              [f"fig2a_r{_label(x)}" for x in r])
 
 
 def _scenario_fig2b(cfg: ScenarioConfig) -> list[Curve]:
     omega_m_hz = resolved_params_hz(cfg)["omega_m_hz"]
     ratios = (0.5, 1.0, 1.5)
     deltas_hz = [ratio * omega_m_hz for ratio in ratios]
-    curves = [_trajectory_curve(cfg, f"fig2b_delta{_label(ratio)}", "reduced3",
-                                _params(cfg, delta_hz=delta_hz))
-              for ratio, delta_hz in zip(ratios, deltas_hz)]
+    r = [resolved_params_hz(cfg)["r"]]
+    curves = [curve for ratio, delta in zip(ratios, deltas_hz) for curve in _trajectory_curves(
+        cfg, ("reduced3",), _params(cfg, delta_hz=delta), r, [f"fig2b_delta{_label(ratio)}"])]
     rep = _steady_reports(cfg, "delta_hz", deltas_hz)
     curves.append(
         ("fig2b_steady", ("delta_over_omega_m", "E_N", "dP2_minus"),
@@ -495,22 +508,23 @@ def _scenario_fig4b(cfg: ScenarioConfig) -> list[Curve]:
     ]
 
 
-def _full_vs_reduced(cfg: ScenarioConfig, prefix: str, r: float) -> list[Curve]:
-    """Full and reduced trajectories at the supplement's temperature and damping."""
+def _full_vs_reduced(cfg: ScenarioConfig, prefixes, r) -> list[Curve]:
+    """Full and reduced trajectories at the supplement's temperature and
+    damping, at each squeezing degree of r, each model's an r family."""
     kappa_hz = resolved_params_hz(cfg)["kappa_hz"]
     params = baseline_params(**{"temperature_k": 2.5e-3, "gamma_m_hz": 1.5e-3 * kappa_hz,
-                                **cfg.params_hz, "r": r})
-    return [_trajectory_curve(cfg, f"{prefix}_{label}", model, params, 5.0)
-            for model, label in (("full6", "full"), ("reduced3", "reduced"))]
+                                **cfg.params_hz})
+    names = [f"{prefix}_{label}" for prefix in prefixes for label in ("full", "reduced")]
+    return _trajectory_curves(cfg, ("full6", "reduced3"), params, r, names, 5.0)
 
 
 def _scenario_figS1(cfg: ScenarioConfig) -> list[Curve]:
-    return [curve for r in (0.0, 1.0, 2.0)
-            for curve in _full_vs_reduced(cfg, f"figS1_r{_label(r)}", r)]
+    r = (0.0, 1.0, 2.0)
+    return _full_vs_reduced(cfg, [f"figS1_r{_label(x)}" for x in r], r)
 
 
 def _scenario_figS2(cfg: ScenarioConfig) -> list[Curve]:
-    return _full_vs_reduced(cfg, "figS2", 1.0)
+    return _full_vs_reduced(cfg, ["figS2"], (1.0,))
 
 
 def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
@@ -524,8 +538,8 @@ def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
                  _model_rows(model, points, values, PHASES[cfg.phase]))
                 for model in models]
     params = _params(cfg)
-    return [_trajectory_curve(cfg, f"custom_{model}", model, params)
-            for model in models]
+    return _trajectory_curves(cfg, models, params, [params.r],
+                              [f"custom_{model}" for model in models])
 
 
 _SCENARIO_FNS = {

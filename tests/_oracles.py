@@ -1,9 +1,11 @@
 """Reference implementations that the package's fast paths are checked against.
 
-The package integrates by a prefix scan over the samples, reads two-mode
+The package integrates by a prefix scan over the samples, composing its
+spans from one doubling ladder, reads two-mode
 symplectic spectra from a closed form and compiles generators as one array
 program over every term. These are the direct versions: the sequential loop
-that applies one affine span per sample, the spectrum of any mode count as
+that applies one affine span per sample, each span composed by its own
+binary doubling, the spectrum of any mode count as
 the moduli of the eigenvalues of i U V, the compiler that adds up the
 drift and diffusion of one dissipator term at a time, and the three scalar
 model builds that one build with a member axis replaces.
@@ -17,7 +19,6 @@ from sqzmirror.dynamics import (
     DIVERGENCE_LIMIT,
     STEP_SAFETY,
     _rk4_step_span,
-    _span_power,
 )
 from sqzmirror.errors import (
     DimensionError,
@@ -50,6 +51,29 @@ def symplectic_spectrum(V):
     return 0.5 * (a + b)
 
 
+def span_power(step, m):
+    """m identical RK4 steps as one affine span, by binary doubling: the
+    rungs step^(2^j) of the set bits of m composed lowest first, each rung
+    the square of the one before."""
+    power, rung = None, step
+    while m:
+        if m & 1:
+            power = rung if power is None else power.then(rung)
+        m >>= 1
+        if m:
+            rung = rung.then(rung)
+    return power
+
+
+def scan_loop(P, x, f):
+    """dynamics._affine_scan as a loop: x_k = P x_{k-1} + f_k, one row of
+    f (..., n, m) after another, into a new array."""
+    out = np.empty_like(f)
+    for k in range(f.shape[-2]):
+        x = out[..., k, :] = x @ P.T + f[..., k, :]
+    return out
+
+
 def integrate_loop(ode, x0, grid):
     """dynamics.integrate_linear as one affine span per sample, in order.
 
@@ -73,12 +97,12 @@ def integrate_loop(ode, x0, grid):
     for k in range(1, len(idx)):
         m = int(idx[k] - idx[k - 1])
         if m not in spans:
-            spans[m] = _span_power(step, m)
+            spans[m] = span_power(step, m)
         blk = spans[m]
         t_start = grid.t0 + idx[k - 1] * h
         phi = np.exp(1j * ode.omega * t_start)
         with np.errstate(over="ignore", invalid="ignore"):
-            x = blk.P @ x + blk.u0 + 2.0 * np.real(blk.u2 * phi)
+            x = blk.P @ x + (blk.u0 + 2.0 * np.real(blk.u2 * phi))[:, 0]
             bad = not np.all(np.isfinite(x)) or np.abs(x).max() > DIVERGENCE_LIMIT
         if bad:
             raise DivergenceError(

@@ -1,3 +1,4 @@
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,9 +20,13 @@ def baseline():
     return baseline_params()
 
 
+# every randomized test draws from one seed; set SQZMIRROR_TEST_SEED to draw others
+TEST_SEED = int(os.environ.get("SQZMIRROR_TEST_SEED", "12345"))
+
+
 @pytest.fixture
 def rng():
-    return np.random.default_rng(12345)
+    return np.random.default_rng(TEST_SEED)
 
 
 def random_physical_cov(rng, n_modes: int) -> np.ndarray:
@@ -54,8 +59,8 @@ def builds(monkeypatch):
 
     "model" counts model-builder calls (reduced_generator, full_generator)
     from every module that makes them, "build_system" reduced.build_system
-    calls, "compile" generator.compile_stack calls and "members" the
-    MomentEquations those return.
+    calls, "compile" generator.compile_stack calls (from generator and full)
+    and "members" the MomentEquations those return.
     """
     counts = Counter()
 
@@ -76,5 +81,6 @@ def builds(monkeypatch):
             if hasattr(module, name):
                 count(module, name, "model")
     count(reduced, "build_system", "build_system")
-    count(generator, "compile_stack", "compile")
+    for module in (generator, full):
+        count(module, "compile_stack", "compile")
     return counts

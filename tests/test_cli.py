@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import random_point_hz
-from sqzmirror import cli, reduced, scenarios
+from sqzmirror import cli, full, reduced, scenarios
+from sqzmirror.dynamics import moment_ode
+from sqzmirror.generator import MomentEquations, compile_stack, full_generator
+from sqzmirror.params import derive, stack_points
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
     OUTPUT_DIR_ENV,
@@ -107,6 +110,105 @@ def test_trajectory_columns_and_monotone_time(tmp_path):
     for name in rows[0]:
         vals = column(tmp_path / "custom_reduced3.csv", name)
         assert np.all(np.isfinite(vals))
+
+
+def family_gap_bound(grid, m, V, drift_gap=0.0):
+    """How far an r family's curve may sit from the same curve run alone.
+
+    Both sum the same products in another order (K drive columns against
+    one): a state depends on about 2 log2(stride) ladder and composition
+    levels, 2 log2(n_samples) scan levels and a few RK4 operator products,
+    each a sum of m products, so it may move by m * levels * eps * max|V|.
+    A family that integrates with its first member's drift where the curve
+    compiled its own moves, to first order, by up to t_end * drift_gap *
+    max|V| more (drift_gap the infinity norm of the difference of the vech
+    operators, for a flow that does not grow). Never below one ulp.
+    """
+    levels = (2 * grid.sample_stride.bit_length()
+              + 2 * (grid.n_steps // grid.sample_stride).bit_length() + 4)
+    eps = np.finfo(float).eps
+    return max(m * levels * eps + (grid.t1 - grid.t0) * drift_gap, eps) * np.abs(V).max()
+
+
+def vech_drift(drift):
+    zero = np.zeros_like(drift)
+    return moment_ode(MomentEquations(drift, zero, zero, 0.0)).drift
+
+
+def test_figure_families_equal_their_one_curve_runs():
+    """Each fig2a and figS1 curve, integrated as an r family, is its model's
+    one-curve run within family_gap_bound, and the CSV rows are the family's."""
+    fig2a = ScenarioConfig(scenario="fig2a")
+    p = scenarios._params(fig2a)
+    grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 10.0), 800)
+    r = (0.0, 0.5, 1.0, 2.0)
+    family = reduced.evolve_r(p, r, grid)
+    for (name, _, rows), x, traj in zip(scenarios._scenario_fig2a(fig2a), r, family):
+        one = reduced.evolve(p.with_(r=x), grid)
+        assert np.array_equal(traj.times, one.times)
+        gap = np.abs(traj.covariances - one.covariances).max()
+        assert gap <= family_gap_bound(grid, 3, one.covariances), name
+        o = traj.observables
+        assert rows == list(zip(*(c.tolist() for c in (
+            traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, *o.phonon))))
+
+    p = baseline_params(temperature_k=2.5e-3, gamma_m_hz=1.5e-3 * 6.2e6)
+    grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 5.0), 800)
+    r = (0.0, 1.0, 2.0)
+    members = compile_stack(full_generator(derive(stack_points([p.with_(r=x) for x in r]))))
+    families = zip(r, full.evolve_full_r(p, r, grid), reduced.evolve_r(p, r, grid))
+    for x, traj_f, traj_r in families:
+        own = compile_stack(full_generator(derive(stack_points([p.with_(r=x)])))).drift[0]
+        drift_gap = np.abs(vech_drift(own - members.drift[0])).sum(axis=1).max()
+        one = full.evolve_full(p.with_(r=x), grid)
+        gap = np.abs(traj_f.covariances - one.covariances).max()
+        assert gap <= family_gap_bound(grid, 21, one.covariances, drift_gap)
+        one = reduced.evolve(p.with_(r=x), grid)
+        gap = np.abs(traj_r.covariances - one.covariances).max()
+        assert gap <= family_gap_bound(grid, 3, one.covariances)
+
+
+def test_figure_families_are_one_build(tmp_path, builds):
+    run(ScenarioConfig(scenario="fig2a", output_dir=str(tmp_path)))
+    assert builds["build_system"] == 1
+    builds.clear()
+    run(ScenarioConfig(scenario="figS1", output_dir=str(tmp_path)))
+    # reduced3's build compiles its injections once, full6's points once
+    assert (builds["build_system"], builds["compile"]) == (1, 2)
+
+
+def error_of(f, *args):
+    with pytest.raises(SimulationError) as err:
+        f(*args)
+    return type(err.value), str(err.value), getattr(err.value, "last_valid_time", None)
+
+
+def test_failing_family_raises_its_first_curves_own_error(tmp_path):
+    """Blue-detuned fig2a diverges at every r, on this grid at a sample of
+    its own, the largest r first. The figure raises what its first curve
+    (r = 0) raises alone, not the family's first divergence."""
+    cfg = ScenarioConfig(scenario="fig2a", params_hz={"delta_hz": -32.1e6},
+                         t_end_s=2.5e-6, n_samples=50, output_dir=str(tmp_path))
+    p = scenarios._params(cfg)
+    grid = scenarios.trajectory_grid(p, cfg.t_end_s, cfg.n_samples)
+    alone = error_of(reduced.evolve, p.with_(r=0.0), grid)
+    assert error_of(run, cfg) == alone
+    assert error_of(reduced.evolve_r, p, (0.0, 0.5, 1.0, 2.0), grid) != alone
+
+
+@pytest.mark.parametrize("bad", [-1.0, 1e3, np.nan])
+def test_family_with_a_bad_r_raises_that_curves_error(tmp_path, bad):
+    """A bad r fails its own curves of both models with the error PhysicalParams
+    raises for it, in figure order after the good curves before it."""
+    cfg = ScenarioConfig(scenario="figS1", output_dir=str(tmp_path))
+    models, r = ("full6", "reduced3"), (0.5, bad, 1.0)
+    names = [f"c{k}_{model}" for k in range(len(r)) for model in models]
+    err = error_of(scenarios._trajectory_curves, cfg, models, baseline_params(), r, names)
+    with pytest.raises(SimulationError) as alone:
+        baseline_params(r=bad)
+    assert err == (type(alone.value), str(alone.value), None)
+    assert err == error_of(scenarios._trajectory_curves, cfg, models[1:], baseline_params(),
+                           (bad,), names[:1])
 
 
 def test_sweep_rows_in_input_order(tmp_path):

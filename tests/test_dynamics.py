@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import inputs
-from _oracles import integrate_loop
+from _oracles import integrate_loop, scan_loop
 from conftest import random_point
 from sqzmirror.dynamics import (
     LinearHarmonicODE,
@@ -12,7 +12,7 @@ from sqzmirror.dynamics import (
     _affine_scan,
     _diverged,
     _rk4_step_span,
-    _span_power,
+    _span_powers,
     _unvech,
     _vech,
     expm_action,
@@ -306,6 +306,35 @@ def test_scan_matches_sequential_loop_on_edge_grids(rng, grid):
     assert np.array_equal(xs[0], x0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 13, 800])
+@pytest.mark.parametrize("K", [1, 3])
+def test_scan_matches_loop_for_any_length_and_columns(rng, n, K):
+    """The up- and down-sweeps leave every row a full prefix, at lengths
+    that are and are not powers of two, with K columns along a leading axis."""
+    P = np.linalg.qr(rng.normal(size=(4, 4)))[0] * 0.99 + 0.01 * rng.normal(size=(4, 4))
+    x, f = rng.normal(size=(K, 4)), rng.normal(size=(K, n, 4))
+    ref = scan_loop(P, x, f)
+    _affine_scan(P, x, f)
+    assert np.abs(f - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=1.0)
+
+
+def test_drive_columns_are_the_loop_of_each_column(rng):
+    """Drives with K columns (m, K), one x0 or one per column: each column's
+    states are its own loop's, on a grid with a ragged last span."""
+    ode = random_ode(rng)
+    columns = LinearHarmonicODE(ode.drift, rng.normal(size=(3, 4)),
+                                rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)), 2.7)
+    grid = TimeGrid(0.0, 1.5, 1000, sample_stride=7)
+    for x0 in (rng.normal(size=3), rng.normal(size=(3, 4))):
+        times, xs = integrate_linear(columns, x0, grid)
+        assert xs.shape == (4, len(times), 3)
+        for k in range(4):
+            one = LinearHarmonicODE(ode.drift, columns.drive_static[:, k],
+                                    columns.drive_harmonic[:, k], 2.7)
+            _, ref = integrate_loop(one, x0 if x0.ndim == 1 else x0[:, k], grid)
+            assert_columns_close(xs[k], ref)
+
+
 def divergence_of(f, *args):
     with pytest.raises(DivergenceError) as err:
         f(*args)
@@ -331,19 +360,21 @@ def diagonal_ode(rates):
 def test_scan_overflow_before_the_first_bad_sample_matches_loop():
     """A mode growing e^3 per sample from exactly zero stays zero in the
     loop, but its power P^256 overflows and 0 * inf poisons the scan from
-    sample 257 on; the real blow-up (the mode at rate 0.05) comes at t ~ 553.
-    The error names the loop's sample, and a stable second mode keeps every
-    state equal to the loop's."""
+    sample 512 on (the up-sweep's row 511 is the first to use P^256); the
+    real blow-up (the mode at rate 0.05) comes at t ~ 553. The error names
+    the loop's sample, and a stable second mode keeps every state equal to
+    the loop's."""
     grid = TimeGrid(0.0, 800.0, 80_000, sample_stride=100)
     x0 = np.array([0.0, 1.0])
     ode = diagonal_ode([3.0, 0.05])
-    block = _span_power(_rk4_step_span(ode, grid.h), grid.sample_stride)
+    block = _span_powers(_rk4_step_span(ode, grid.h), grid.sample_stride)[0]
+    one_scan = np.zeros((800, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        one_scan = _affine_scan(block.P, x0, np.zeros((800, 2)))
+        _affine_scan(block.P, x0, one_scan)
     first_bad_of_one_scan = 1 + int(_diverged(one_scan).argmax())
     message, last_valid = divergence_of(integrate_linear, ode, x0, grid)
     assert (message, last_valid) == divergence_of(integrate_loop, ode, x0, grid)
-    assert first_bad_of_one_scan == 257 < last_valid
+    assert first_bad_of_one_scan == 512 < last_valid
     assert message == "integration diverged at t = 5.530000e+02"
 
     ode = diagonal_ode([3.0, -0.05])

@@ -224,6 +224,44 @@ def test_relative_mode_variances_tmsv():
     assert dp_p == pytest.approx(0.5 * np.exp(-2 * s), rel=1e-12)
 
 
+def asymmetric_physical_cov(rng):
+    """A random physical two-mode covariance whose modes differ (V00 != V22)."""
+    V = random_physical_cov(rng, 2)
+    V[:2, :2] += np.diag(rng.uniform(0.5, 3.0, size=2))
+    return V
+
+
+def relative_quadrature_variances(V):
+    """w^T V w for w = (e_1 -+ e_2)/sqrt(2) on the q, then the p, entries."""
+    e = np.eye(4)
+    ws = (e[0] - e[2], e[1] - e[3], e[0] + e[2], e[1] + e[3])
+    return np.array([w @ V @ w / 2.0 for w in ws])
+
+
+def test_relative_mode_variances_of_asymmetric_states(rng):
+    """Each variance is that of (q1 -+ q2)/sqrt(2) or (p1 -+ p2)/sqrt(2), also
+    when the state is not exchange-symmetric: relative_mode_variances of V, and
+    frame_variances of V against the same variances of rotate_local(V, theta)
+    at V's rotation angle. Within 8 ulps of max|V|."""
+    for _ in range(50):
+        V = asymmetric_physical_cov(rng)
+        ulps = 8 * np.finfo(float).eps * np.abs(V).max()
+        want = relative_quadrature_variances(V)
+        assert np.abs(np.array(relative_mode_variances(V)) - want).max() <= ulps
+        want = relative_quadrature_variances(rotate_local(V, rotation_angle(V)))
+        assert np.abs(np.array(frame_variances(V)) - want).max() <= ulps
+
+
+def test_relative_mode_variances_keep_the_uncertainty_bound():
+    """The seed-0 draw of test_quadrature_observables_consistency: reading
+    dQ2_minus as V00 - V02, valid only for exchange-symmetric states, gave
+    dP2_minus * dQ2_minus = 0.1275 < 1/4 on a physical V."""
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        obs = quadrature_observables(random_physical_cov(rng, 2))
+        assert obs.dP2_minus * obs.dQ2_minus >= 0.25
+
+
 def test_relative_mode_variances_rejects_negative(rng):
     V = vacuum(2)
     V[1, 3] = V[3, 1] = -0.8  # dP2_plus would be -0.3

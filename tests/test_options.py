@@ -32,7 +32,7 @@ OPTIONS = [
     "scenarios.ScenarioConfig(sweep=None)",
     "scenarios.ScenarioConfig(t_end_s=None)",
     "scenarios._parse_number(integer=False)",
-    "scenarios._trajectory_curve(damping_times=10.0)",
+    "scenarios._trajectory_curves(damping_times=10.0)",
 ]
 
 

@@ -127,7 +127,8 @@ def xi_pm(params, omega_k, t):
     """(xi_k^+, xi_k^-) at time t, from the harmonic decompositions."""
     c = derive(params)
     phase = np.exp(2j * params.delta * t)
-    return tuple(xi(phase) for xi in c.xi_harmonics(omega_k))
+    xi = c.xi_pair(omega_k)
+    return xi[0](phase), xi[1](phase)
 
 
 def test_xi_pm_vacuum_reservoir(baseline):

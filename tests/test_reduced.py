@@ -45,7 +45,7 @@ from sqzmirror.reduced import (
     steady_curve,
     steady_state,
 )
-from sqzmirror.scenarios import ScenarioConfig, _steady_points, _sweep_rows
+from sqzmirror.scenarios import ScenarioConfig, _model_rows, _steady_points, _sweep_points
 
 # frozen regressions (phase +1 resolvent steady state at the baseline, r = 1)
 BASELINE_EN_STEADY = 1.023152226440142
@@ -272,7 +272,9 @@ def test_r_curve_equals_per_point_solve(rng, phase):
                          quadrature_observables(ref3).dP2_minus, ref3)
             cfg = ScenarioConfig(scenario="custom", params_hz={**hz, "r": r})
             for model in ("reduced10", "full6"):
-                row = _sweep_rows(cfg, model, "power_w", [hz["power_w"]], phase)[0]
+                values = [hz["power_w"]]
+                points = _sweep_points(cfg, "power_w", values)
+                row = _model_rows(model, points, values, phase)[0]
                 obs = quadrature_observables(refs[model, r])
                 assert row[-1] == ""
                 assert_close(row[1:-1], [obs.E_N, obs.dP2_minus, obs.dQ2_minus,
