@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,7 @@ class Trajectory:
 
     times: NDArray[np.float64]
     covariances: NDArray[np.float64]  # (..., n_samples, 2n, 2n), an r family's (K, ...)
-    observables: QuadratureObservables | None = None
+    observables: QuadratureObservables
 
     def __post_init__(self):
         if len(self.times) != self.covariances.shape[-3]:
@@ -292,13 +291,13 @@ def integrate(
     eqs: MomentEquations,
     V0: NDArray,
     grid: TimeGrid,
-) -> Trajectory:
+) -> tuple[NDArray, NDArray]:
     """Integrate dV/dt = A V + V A^T + D(t) from V0 over the grid.
 
     The integrated state is vech(V) (see moment_ode), so every sampled V
     is exactly symmetric. Diffusions with a leading axis of curves sharing the
     drift and omega (an r family) are drive columns of one integrate_linear,
-    and the covariances carry that axis. No observables are attached.
+    and the covariances carry that axis. Returns (times, covariances).
     """
     dim = eqs.drift.shape[0]
     V0 = np.asarray(V0, dtype=float)
@@ -308,7 +307,7 @@ def integrate(
     times, xs = integrate_linear(
         LinearHarmonicODE(ode.drift, ode.drive_static.T, ode.drive_harmonic.T, ode.omega),
         _vech(0.5 * (V0 + V0.T)), grid)
-    return Trajectory(times=times, covariances=_unvech(xs))
+    return times, _unvech(xs)
 
 
 def expm_action(A: NDArray, t) -> NDArray:
@@ -406,30 +405,27 @@ def periodic_steady_state(eqs: MomentEquations) -> tuple[NDArray, NDArray]:
     return _unvech(x_dc), _unvech(x_2)
 
 
-def reservoir_parts(
-    injections: Sequence[MomentEquations],
-) -> tuple[NDArray, NDArray, NDArray]:
+def reservoir_parts(injections: MomentEquations) -> tuple[NDArray, NDArray, NDArray]:
     """Steady covariance responses (x0, x1, x2) of a model affine in the
     reservoir correlations (N, M).
 
-    injections are the model compiled at (N, M) = (0, 0), (1, 0) and (0, 1)
-    (generator.compile_injections, which checks that they share one drift;
-    A is the (0, 0) one's). x0 answers the static diffusion at (0, 0), x1
-    unit N and x2 the e^{2i Delta t} sideband of unit M: one require_hurwitz
-    on A and one linear_steady call, with the first two as static columns.
-    Injections whose fields carry an axis of points give parts along it,
-    from one batched Hurwitz check and one batched solve.
+    injections is the model compiled at (N, M) = (0, 0), (1, 0) and (0, 1)
+    along its first axis (generator.compile_injections, which checks that
+    they share one drift; A is the (0, 0) one's). x0 answers the static
+    diffusion at (0, 0), x1 unit N and x2 the e^{2i Delta t} sideband of
+    unit M: one require_hurwitz on A and one linear_steady call, with the
+    first two as static columns. A further axis of points gives parts
+    along it, from one batched Hurwitz check and one batched solve.
     reservoir_steady evaluates them at any (N, M).
     """
-    eqs00, eqs10, eqs01 = injections
-    require_hurwitz(eqs00.drift)
-    unit_n = eqs10.diffusion_static - eqs00.diffusion_static
-    ode = moment_ode(eqs00)
+    require_hurwitz(injections.drift[0])
+    unit_n = injections.diffusion_static[1] - injections.diffusion_static[0]
+    ode = moment_ode(injections[0])
     x_dc, x_2 = linear_steady(LinearHarmonicODE(
         drift=ode.drift,
         drive_static=np.stack([ode.drive_static, _vech(unit_n)], axis=-1),
-        drive_harmonic=_vech(eqs01.diffusion_harmonic),
-        omega=eqs01.omega,
+        drive_harmonic=_vech(injections.diffusion_harmonic[2]),
+        omega=injections.omega[2],
     ))
     return _unvech(x_dc[..., 0]), _unvech(x_dc[..., 1]), _unvech(x_2)
 

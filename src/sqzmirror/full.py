@@ -20,7 +20,7 @@ from .dynamics import (
     reservoir_steady,
 )
 from .gaussian import frame_variances, quadrature_observables, thermal, vacuum
-from .generator import (MomentEquations, compile_injections, compile_stack, full_generator,
+from .generator import (MomentEquations, compile_generator, compile_injections, full_generator,
                         require_shared_drift)
 from .params import PhysicalParams, derive, stack_points
 from .reduced import build_system, steady_covariance
@@ -55,14 +55,13 @@ def evolve_full_r(params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]
     """evolve_full at each squeezing degree of r (params.r unread), as one r
     family: one stacked compile of the points, whose drifts must agree, and
     their diffusions as the drive columns of one dynamics.integrate."""
-    eqs = compile_stack(full_generator(derive(stack_points([params.with_(r=x) for x in r]))))
+    eqs = compile_generator(full_generator(derive(stack_points([params.with_(r=x) for x in r]))))
     require_shared_drift(eqs.drift)
     # a member without squeezing has no sideband, and omega 0 there
     family = MomentEquations(eqs.drift[0], eqs.diffusion_static, eqs.diffusion_harmonic,
                              max(eqs.omega, key=abs))
-    traj = integrate(family, initial_covariance(params), grid)
-    return [Trajectory(traj.times, V, quadrature_observables(mirror_block(V)))
-            for V in traj.covariances]
+    times, covariances = integrate(family, initial_covariance(params), grid)
+    return [Trajectory(times, V, quadrature_observables(mirror_block(V))) for V in covariances]
 
 
 def steady_full(

@@ -176,6 +176,18 @@ def _spectra(V: NDArray) -> tuple[NDArray, tuple[NDArray, NDArray]]:
     return nu_minus[0], (nu_minus[1], nu_plus[1])
 
 
+def warn_uncertainty(nu_minus) -> None:
+    """One PhysicalityWarning, raised at the caller's caller, when a least
+    symplectic eigenvalue (of a matrix, or of any matrix of a stack) breaks
+    the uncertainty bound beyond PHYSICALITY_TOL."""
+    if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
+        warnings.warn(
+            "covariance violates the uncertainty bound; E_N is unreliable",
+            PhysicalityWarning,
+            stacklevel=3,
+        )
+
+
 def log_negativity(V: NDArray) -> float:
     """Logarithmic negativity E_N = max{0, -log2[2 min nu~]} of a 2-mode state.
 
@@ -184,12 +196,7 @@ def log_negativity(V: NDArray) -> float:
     """
     V = _check_covariance(V)
     nu_minus, nu_tilde = _spectra(V)
-    if (nu_minus < 0.5 - PHYSICALITY_TOL).any():
-        warnings.warn(
-            "covariance violates the uncertainty bound; E_N is unreliable",
-            PhysicalityWarning,
-            stacklevel=2,
-        )
+    warn_uncertainty(nu_minus)
     return _out(_negativity(nu_tilde[0]), V)
 
 
@@ -219,7 +226,13 @@ def rotation_angle(V: NDArray) -> float:
     return _out(theta, V)
 
 
-def _rotate_local(V: NDArray, theta) -> NDArray[np.float64]:
+def rotate_local(V: NDArray, theta: float) -> NDArray[np.float64]:
+    """Identical phase-space rotation of both modes by theta/2: R V R^T.
+
+    A local symplectic operation: it changes neither the symplectic spectrum
+    nor the logarithmic negativity. theta broadcasts against a stack.
+    """
+    V = _check_covariance(V)
     n = V.shape[-1] // 2
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     R2 = np.array([[c, s], [-s, c]])
@@ -227,15 +240,6 @@ def _rotate_local(V: NDArray, theta) -> NDArray[np.float64]:
     R = np.eye(n)[:, None, :, None] * R2[..., None, :, None, :]  # kron(I_n, R2)
     R = R.reshape(R.shape[:-4] + (2 * n, 2 * n))
     return R @ V @ R.swapaxes(-1, -2)
-
-
-def rotate_local(V: NDArray, theta: float) -> NDArray[np.float64]:
-    """Identical phase-space rotation of both modes by theta/2: R V R^T.
-
-    A local symplectic operation: it changes neither the symplectic spectrum
-    nor the logarithmic negativity. theta broadcasts against a stack.
-    """
-    return _rotate_local(_check_covariance(V), theta)
 
 
 _MINUS_PLUS = np.array([-1.0, 1.0])
@@ -255,14 +259,8 @@ def _checked_variances(x: NDArray, y: NDArray) -> tuple:
     return variances
 
 
-def _relative_mode_variances(V: NDArray) -> tuple:
-    if V.shape[-1] != 4:
-        raise DimensionError("relative-mode variances need exactly 2 modes")
-    return _checked_variances(V[..., ::2, ::2], V[..., 1::2, 1::2])
-
-
 def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
-    """_relative_mode_variances of rotate_local(V, theta), in closed form.
+    """relative_mode_variances of rotate_local(V, theta), in closed form.
 
     With c = cos(theta/2) and s = sin(theta/2), the rotated q block is
     Vbar_ij = c^2 V_ij + cs (V_i,j+1 + V_i+1,j) + s^2 V_i+1,j+1 for even i, j,
@@ -290,7 +288,7 @@ def relative_mode_variances(V: NDArray) -> tuple[float, ...]:
     frame V is expressed; pass a rotated covariance for the barred variances.
     """
     V = _check_covariance(V)
-    return tuple(_out(val, V) for val in _relative_mode_variances(V))
+    return tuple(_out(val, V) for val in _rotated_variances(V, 0.0))
 
 
 def _mean_phonons(V: NDArray, modes: slice) -> NDArray[np.float64]:

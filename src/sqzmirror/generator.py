@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -86,7 +86,7 @@ class GeneratorSpec:
     """Quadratic Hamiltonian plus bilinear dissipators for n modes.
 
     The Hamiltonian, the rates and delta may carry leading member axes: the
-    spec then describes one model at several points (compile_stack).
+    spec then describes one model at several points (compile_generator).
     """
 
     n_modes: int
@@ -111,28 +111,17 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class MomentEquations:
-    """dV/dt = A V + V A^T + D(t), with D(t) = D0 + (D2 e^{i omega t} + c.c.)."""
+    """dV/dt = A V + V A^T + D(t), with D(t) = D0 + (D2 e^{i omega t} + c.c.).
+
+    Every field may carry leading axes (members, points or injections), omega
+    them alone; eqs[k] is entry k of the first axis."""
 
     drift: NDArray[np.float64]
     diffusion_static: NDArray[np.float64]
     diffusion_harmonic: NDArray[np.complex128]  # e^{+i omega t} amplitude
     omega: float  # 2*Delta; 0 when the diffusion is static
 
-
-@dataclass(frozen=True)
-class MomentStack(Sequence):
-    """The MomentEquations of the S members of one compile, as arrays along a
-    leading member axis; member k is self[k]."""
-
-    drift: NDArray[np.float64]  # (S, dim, dim)
-    diffusion_static: NDArray[np.float64]
-    diffusion_harmonic: NDArray[np.complex128]
-    omega: NDArray[np.float64]  # (S,)
-
-    def __len__(self) -> int:
-        return len(self.omega)
-
-    def __getitem__(self, k) -> MomentEquations:
+    def __getitem__(self, k) -> "MomentEquations":
         return MomentEquations(self.drift[k], self.diffusion_static[k],
                                self.diffusion_harmonic[k], self.omega[k])
 
@@ -143,7 +132,7 @@ _REFUSALS = (
     "harmonic terms produce a time-dependent drift",
     "term list is not self-adjoint (sidebands not conjugate)",
 )
-# the refusal of each defect column of compile_stack: Im A0, Im D0, A_-1,
+# the refusal of each defect column of compile_generator: Im A0, Im D0, A_-1,
 # A_+1, the sideband mismatch
 _DEFECT_REFUSAL = (0, 0, 1, 1, 2)
 # appended to the term vectors, so that an empty term list concatenates
@@ -160,8 +149,8 @@ def _complex_form(n_modes: int) -> NDArray[np.complex128]:
     return U
 
 
-def compile_stack(spec: GeneratorSpec) -> MomentStack:
-    """Compile a spec whose Hamiltonian, rates and delta may carry member axes.
+def compile_generator(spec: GeneratorSpec) -> MomentEquations:
+    """Derive the first/second-moment evolution from a generator description.
 
     The Hamiltonian (..., dim, dim), the rates and delta broadcast to one
     member shape, whose S members are compiled in row-major order (one
@@ -177,8 +166,11 @@ def compile_stack(spec: GeneratorSpec) -> MomentStack:
     (a matrix product of W with the outer products would round differently).
 
     The structure (shape, symmetry, tags) is checked once; the numeric
-    refusals member by member, in order, each against that member's own
-    scale. Returns the members' MomentEquations, stacked.
+    refusals (GeneratorError: a term list that is not self-adjoint, with
+    complex residues in A or D, or that would produce a time-dependent
+    drift) member by member, in order, each against that member's own
+    scale. The fields are member_shape + (dim, dim), omega member_shape:
+    a float for a spec without member axes.
     """
     dim = 2 * spec.n_modes
     G = np.asarray(spec.hamiltonian, dtype=float)
@@ -228,18 +220,9 @@ def compile_stack(spec: GeneratorSpec) -> MomentStack:
         # the first member with a defect, and its first defect, decide
         raise GeneratorError(_REFUSALS[_DEFECT_REFUSAL[np.argwhere(defect.T)[0, 1]]])
 
-    omega = np.where((big[2] > 0).reshape(shape), 2.0 * spec.delta, 0.0).ravel()
-    return MomentStack(A0.real, D[1].real, D[2], omega)
-
-
-def compile_generator(spec: GeneratorSpec) -> MomentEquations:
-    """Derive the first/second-moment evolution from a generator description.
-
-    compile_stack of a spec without a member axis. Raises GeneratorError
-    when the term list is not self-adjoint (complex residues in A or D) or
-    would produce a time-dependent drift.
-    """
-    return compile_stack(spec)[0]
+    omega = np.where((big[2] > 0).reshape(shape), 2.0 * spec.delta, 0.0)
+    return MomentEquations(*(x.reshape(shape + (dim, dim)) for x in (A0.real, D[1].real, D[2])),
+                           omega=omega if shape else float(omega))
 
 
 # the reservoir correlations (N, M) at which compile_injections compiles
@@ -250,7 +233,7 @@ _INJECTED.setflags(write=False)
 
 def compile_injections(
     model: Callable[[DerivedCoefficients], GeneratorSpec], coeffs: DerivedCoefficients
-) -> list[MomentEquations]:
+) -> MomentEquations:
     """Compile model(coeffs) at each of RESERVOIR_INJECTIONS, in one build.
 
     The moment equations are affine in the reservoir correlations (N, M)
@@ -259,19 +242,15 @@ def compile_injections(
     N [D(1,0) - D(0,0)] plus M times the sideband of D(0,1). model is
     called once, with N and M arrays over the three injections in front of
     the axis of points of coeffs (derive of params.stack_points), and must
-    broadcast over them; compile_stack compiles the resulting member axes.
-    The fields of each injection's MomentEquations carry the axis of points
-    of coeffs. Raises SimulationError when, at any point, the drift differs
-    between the injections.
+    broadcast over them; compile_generator compiles the resulting member
+    axes. The result's leading axes are (3, *points): eqs[j] is injection
+    j. Raises SimulationError when, at any point, the drift differs between
+    the injections.
     """
-    points = np.shape(coeffs.nbar0)
-    N, M = _INJECTED.reshape((2, 3) + (1,) * len(points))
-    eqs = compile_stack(model(replace(coeffs, N=N, M=M)))
-    drift, d0, d2 = (x.reshape((3,) + points + x.shape[-2:])
-                     for x in (eqs.drift, eqs.diffusion_static, eqs.diffusion_harmonic))
-    omega = eqs.omega.reshape((3,) + points)
-    require_shared_drift(drift)
-    return [MomentEquations(drift[j], d0[j], d2[j], omega[j]) for j in range(3)]
+    N, M = _INJECTED.reshape((2, 3) + (1,) * np.ndim(coeffs.nbar0))
+    eqs = compile_generator(model(replace(coeffs, N=N, M=M)))
+    require_shared_drift(eqs.drift)
+    return eqs
 
 
 def require_shared_drift(drift: NDArray) -> None:

@@ -11,7 +11,6 @@ source of truth for the model matrices.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
@@ -33,14 +32,14 @@ from .dynamics import (
     reservoir_steady,
     steady_at_phase,
 )
-from .errors import DivergenceError, PhysicalityWarning, SimulationError, per_entry
+from .errors import DivergenceError, SimulationError, per_entry
 from .gaussian import (
-    PHYSICALITY_TOL,
     QuadratureObservables,
     observables_and_nu_minus,
     quadrature_observables,
     rotation_angle,
     thermal,
+    warn_uncertainty,
 )
 from .generator import (
     compile_generator,
@@ -182,15 +181,15 @@ def build_systems(points: Sequence[PhysicalParams]) -> ReducedSystem:
     a leading axis of points; nothing here checks stability.
     """
     coeffs = derive(stack_points(points))
-    eqs00, eqs10, eqs01 = compile_injections(reduced_generator, coeffs)
-    A = eqs00.drift
+    eqs = compile_injections(reduced_generator, coeffs)
+    A = eqs.drift[0]
     At = A.swapaxes(-1, -2)
     # column k of m3 is the image of the lifted unit vector e_k
     m3 = project_covariance(A[:, None] @ _UNIT_LIFTS + _UNIT_LIFTS @ At[:, None])
     V = (coeffs.nbar0 + 0.5)[:, None, None] * _ZERO_LIFT  # the lift of zero
     base = project_covariance(A @ V + V @ At)
     d00, d10, b2 = project_covariance(np.array([
-        eqs00.diffusion_static, eqs10.diffusion_static, eqs01.diffusion_harmonic]))
+        eqs.diffusion_static[0], eqs.diffusion_static[1], eqs.diffusion_harmonic[2]]))
     b0 = base + d00.real
     return ReducedSystem(
         m3=m3.swapaxes(-1, -2),
@@ -257,8 +256,8 @@ def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     """
     coeffs = derive(params)
     eqs = compile_generator(reduced_generator(coeffs))
-    traj = integrate(eqs, thermal(coeffs.nbar0, 2), grid)
-    return replace(traj, observables=quadrature_observables(traj.covariances))
+    times, covariances = integrate(eqs, thermal(coeffs.nbar0, 2), grid)
+    return Trajectory(times, covariances, quadrature_observables(covariances))
 
 
 def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:
@@ -276,13 +275,7 @@ def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:
     PhysicalityWarning when V, or any entry, breaks the uncertainty bound.
     """
     obs, nu_minus = observables_and_nu_minus(V)
-    # the warning log_negativity(V) gives
-    if np.any(nu_minus < 0.5 - PHYSICALITY_TOL):
-        warnings.warn(
-            "covariance violates the uncertainty bound; E_N is unreliable",
-            PhysicalityWarning,
-            stacklevel=2,
-        )
+    warn_uncertainty(nu_minus)  # as log_negativity(V) warns
     dp2, e_n = np.asarray(obs.dP2_minus), np.asarray(obs.E_N)
     threshold = 1.0 / (2.0 * (2.0 * np.asarray(nbar0, dtype=float) + 1.0))
     below = dp2 < threshold - CRITERION_BAND
@@ -417,19 +410,12 @@ def optimal_squeezings(
 
     n = len(points)
     parts, kept, failures = per_entry(built, np.arange(n))
-    lanes = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex), np.zeros(n)
+    x0, x1, x2, nbar0 = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex),
+                         np.zeros(n))
     if len(kept):
-        for lane, part in zip(lanes, parts):
+        for lane, part in zip((x0, x1, x2, nbar0), parts):
             lane[kept] = part
-    return _optimal_lanes(*lanes, failures, phase)
-
-
-def _optimal_lanes(x0, x1, x2, nbar0, failures, phase):
-    """The lockstep searches of optimal_squeezings over the steady parts
-    (x0, x1, x2) (n, 3) and nbar0 (n,) of n points; the lanes in failures
-    (index -> error) do not search."""
     z = normalize_phase(phase)
-    n = len(nbar0)
     alive = np.array([k not in failures for k in range(n)])
 
     def steady(k, r) -> tuple[NDArray[np.float64], CriterionReport]:
@@ -501,13 +487,11 @@ def optimal_squeezing(
     expression with the rotation angle solved self-consistently, and is
     None when the artanh argument is out of range or the steady state is
     phase-averaged (the dc variance has no interior optimum). One
-    build_system serves both: every evaluated r is the closed form
-    x0 + N x1 + M x2(z), read through criterion. It is the one-lane case of
-    optimal_squeezings' search, and raises the error of that lane.
+    build serves both: every evaluated r is the closed form
+    x0 + N x1 + M x2(z), read through criterion. It is optimal_squeezings
+    of this point alone, and raises the error of its lane.
     """
-    system = build_system(params)
-    parts = (*system.steady_parts(), system.nbar0)
-    (result,) = _optimal_lanes(*(np.asarray(x)[None] for x in parts), {}, phase)
+    (result,) = optimal_squeezings([params], phase)
     if isinstance(result, SimulationError):
         raise result
     return result

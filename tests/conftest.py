@@ -58,9 +58,11 @@ def builds(monkeypatch):
     """Counts of the calls that make and compile models, as they happen.
 
     "model" counts model-builder calls (reduced_generator, full_generator)
-    from every module that makes them, "build_system" reduced.build_system
-    calls, "compile" generator.compile_stack calls (from generator and full)
-    and "members" the MomentEquations those return.
+    and "compile" generator.compile_generator calls, each from every module
+    that makes them; "members" the members those compile (the size of the
+    returned omega, 1 for a spec without member axes); "build_system"
+    reduced.build_system calls and "build_systems" reduced.build_systems
+    calls.
     """
     counts = Counter()
 
@@ -69,18 +71,18 @@ def builds(monkeypatch):
             result = fn(*args, **kwargs)
             counts[key] += 1
             if key == "compile":
-                counts["members"] += len(result)
+                counts["members"] += np.size(result.omega)
             return result
         return wrapper
 
     def count(module, name, key):
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
 
-    for module in (reduced, scenarios, full):
-        for name in ("reduced_generator", "full_generator"):
+    for module in (generator, reduced, scenarios, full):
+        for name, key in (("reduced_generator", "model"), ("full_generator", "model"),
+                          ("compile_generator", "compile")):
             if hasattr(module, name):
-                count(module, name, "model")
+                count(module, name, key)
     count(reduced, "build_system", "build_system")
-    for module in (generator, full):
-        count(module, "compile_stack", "compile")
+    count(reduced, "build_systems", "build_systems")
     return counts

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_point_hz
 from sqzmirror import cli, full, reduced, scenarios
 from sqzmirror.dynamics import moment_ode
-from sqzmirror.generator import MomentEquations, compile_stack, full_generator
+from sqzmirror.generator import MomentEquations, compile_generator, full_generator
 from sqzmirror.params import derive, stack_points
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
@@ -155,10 +155,10 @@ def test_figure_families_equal_their_one_curve_runs():
     p = baseline_params(temperature_k=2.5e-3, gamma_m_hz=1.5e-3 * 6.2e6)
     grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 5.0), 800)
     r = (0.0, 1.0, 2.0)
-    members = compile_stack(full_generator(derive(stack_points([p.with_(r=x) for x in r]))))
+    members = compile_generator(full_generator(derive(stack_points([p.with_(r=x) for x in r]))))
     families = zip(r, full.evolve_full_r(p, r, grid), reduced.evolve_r(p, r, grid))
     for x, traj_f, traj_r in families:
-        own = compile_stack(full_generator(derive(stack_points([p.with_(r=x)])))).drift[0]
+        own = compile_generator(full_generator(derive(stack_points([p.with_(r=x)])))).drift[0]
         drift_gap = np.abs(vech_drift(own - members.drift[0])).sum(axis=1).max()
         one = full.evolve_full(p.with_(r=x), grid)
         gap = np.abs(traj_f.covariances - one.covariances).max()
@@ -366,7 +366,7 @@ def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
                        output_dir=str(tmp_path / "r")))
-    assert builds == {"model": 3, "compile": 3, "members": 9}
+    assert builds == {"model": 3, "compile": 3, "members": 9, "build_systems": 1}
     builds.clear()
     run(ScenarioConfig(scenario="custom", models=["reduced10", "full6"],
                        sweep=("power_w", [1e-6, 2e-6, 3e-6]),
@@ -378,7 +378,7 @@ def test_fig2d_is_one_build(tmp_path, builds):
     """fig2d's 101 temperatures are the members of one reduced_generator
     spec: one model call and one compile of 101 x 3 members."""
     run(ScenarioConfig(scenario="fig2d", output_dir=str(tmp_path)))
-    assert builds == {"model": 1, "compile": 1, "members": 303}
+    assert builds == {"model": 1, "compile": 1, "members": 303, "build_systems": 1}
 
 
 def test_delta_sweep_is_one_build_per_model(tmp_path, builds):
@@ -388,7 +388,7 @@ def test_delta_sweep_is_one_build_per_model(tmp_path, builds):
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("delta_hz", [25e6, 32.1e6, 40e6]),
                        output_dir=str(tmp_path)))
-    assert builds == {"model": 4, "compile": 4, "members": 36}
+    assert builds == {"model": 4, "compile": 4, "members": 36, "build_systems": 2}
     for model in models:
         rows = read_csv(tmp_path / f"custom_sweep_{model}.csv")
         assert [row["error"] for row in rows] == ["", "", ""], model

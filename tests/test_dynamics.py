@@ -68,8 +68,8 @@ def test_pure_rotation_over_100_periods():
     V0 = np.array([[1.3, 0.2], [0.2, 0.4]])
     t_end = 100 * 2 * np.pi / omega
     n = 400_000
-    traj = integrate(eqs, V0, TimeGrid(0.0, t_end, n, sample_stride=n // 25))
-    for t, V in zip(traj.times, traj.covariances):
+    times, covs = integrate(eqs, V0, TimeGrid(0.0, t_end, n, sample_stride=n // 25))
+    for t, V in zip(times, covs):
         c, s = np.cos(omega * t), np.sin(omega * t)
         R = np.array([[c, s], [-s, c]])
         assert np.abs(V - R @ V0 @ R.T).max() < 1e-8
@@ -78,8 +78,8 @@ def test_pure_rotation_over_100_periods():
 def test_thermal_relaxation_monotone_trace():
     eqs = thermal_eqs(0.8, 2.0)
     grid = TimeGrid(0.0, 6.0, 4000, sample_stride=100)
-    traj = integrate(eqs, vacuum(1), grid)
-    traces = np.trace(traj.covariances, axis1=1, axis2=2)
+    _, covs = integrate(eqs, vacuum(1), grid)
+    traces = np.trace(covs, axis1=1, axis2=2)
     assert np.all(np.diff(traces) > 0)
     assert traces[-1] == pytest.approx(2 * 2.5, rel=1e-4)
 
@@ -145,11 +145,11 @@ def test_integrate_value_against_exact_rotation_solution():
     eqs = rotation_eqs(2.0)
     V0 = np.array([[0.9, 0.0], [0.0, 0.5]])
     grid = TimeGrid(0.0, 3.0, 60_000, sample_stride=12_345)  # ragged last block
-    traj = integrate(eqs, V0, grid)
-    assert traj.times[-1] == pytest.approx(3.0)
+    times, covs = integrate(eqs, V0, grid)
+    assert times[-1] == pytest.approx(3.0)
     c, s = np.cos(2.0 * 3.0), np.sin(2.0 * 3.0)
     R = np.array([[c, s], [-s, c]])
-    assert np.abs(traj.covariances[-1] - R @ V0 @ R.T).max() < 1e-10
+    assert np.abs(covs[-1] - R @ V0 @ R.T).max() < 1e-10
 
 
 def test_expm_action_basic():
@@ -229,10 +229,10 @@ def test_periodic_steady_state_matches_long_time_integration(baseline):
     # commensurate sampling: land on a reservoir-phase multiple
     t_end = np.ceil(t_end * 2 * baseline.delta / np.pi) * np.pi / (2 * baseline.delta)
     n = int(np.ceil(t_end * 2 * baseline.omega_m / 0.02))
-    traj = integrate(eqs, (derive(baseline).nbar0 + 0.5) * np.eye(4),
-                     TimeGrid(0.0, t_end, n, sample_stride=n))
+    _, covs = integrate(eqs, (derive(baseline).nbar0 + 0.5) * np.eye(4),
+                        TimeGrid(0.0, t_end, n, sample_stride=n))
     V_ref = steady_at_phase(V_dc, V_2, np.exp(2j * baseline.delta * t_end))
-    rel = np.abs(traj.covariances[-1] - V_ref).max() / np.abs(V_ref).max()
+    rel = np.abs(covs[-1] - V_ref).max() / np.abs(V_ref).max()
     assert rel < 1e-6
 
 
@@ -385,10 +385,13 @@ def test_scan_overflow_before_the_first_bad_sample_matches_loop():
 
 
 def test_trajectory_invariants():
+    # the sample checks refuse before any observable is read
     with pytest.raises(DimensionError):
-        Trajectory(times=np.array([0.0, 1.0]), covariances=np.zeros((3, 2, 2)))
+        Trajectory(times=np.array([0.0, 1.0]), covariances=np.zeros((3, 2, 2)),
+                   observables=None)
     with pytest.raises(DimensionError):
-        Trajectory(times=np.array([0.0, 0.0]), covariances=np.zeros((2, 2, 2)))
+        Trajectory(times=np.array([0.0, 0.0]), covariances=np.zeros((2, 2, 2)),
+                   observables=None)
 
 
 def test_minimize_scalar_quadratic():

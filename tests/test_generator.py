@@ -25,7 +25,6 @@ from sqzmirror.generator import (
     annihilation_vector,
     compile_generator,
     compile_injections,
-    compile_stack,
     full_generator,
     hermitian_form,
     reduced_generator,
@@ -87,10 +86,10 @@ def test_thermal_decay_matches_fock_oracle():
     eqs = compile_generator(spec)
     n_steps = 2500
     grid = TimeGrid(0.0, times[-1], n_steps, sample_stride=n_steps // 20)
-    traj = integrate(eqs, vacuum(1), grid)
-    assert np.allclose(traj.times[1:], times, rtol=1e-12)
-    x2 = traj.covariances[1:, 0, 0]
-    p2 = traj.covariances[1:, 1, 1]
+    sampled, covs = integrate(eqs, vacuum(1), grid)
+    assert np.allclose(sampled[1:], times, rtol=1e-12)
+    x2 = covs[1:, 0, 0]
+    p2 = covs[1:, 1, 1]
     assert np.abs(x2 - x2_ref).max() < 1e-4
     assert np.abs(p2 - p2_ref).max() < 1e-4
 
@@ -235,7 +234,8 @@ def test_full_generator_drift_entrywise(baseline):
 def test_compile_injections_span_every_reservoir(baseline, model):
     """The three injections give the moment equations at any (N, M)."""
     coeffs = derive(baseline)
-    eqs00, eqs10, eqs01 = compile_injections(model, coeffs)
+    eqs = compile_injections(model, coeffs)
+    eqs00, eqs10, eqs01 = eqs[0], eqs[1], eqs[2]
     direct = compile_generator(model(coeffs))
     scale = np.abs(direct.diffusion_static).max()
     D0 = eqs00.diffusion_static + coeffs.N * (eqs10.diffusion_static
@@ -292,8 +292,7 @@ def test_compiled_squeeze_generator_vs_mode_moments():
     m_ss = -np.conj(s) / (1j * w + gamma)
     n_steps = 4000
     grid = TimeGrid(0.0, 6.0, n_steps, sample_stride=n_steps // 10)
-    traj = integrate(eqs, vacuum(1), grid)
-    for t, V in zip(traj.times, traj.covariances):
+    for t, V in zip(*integrate(eqs, vacuum(1), grid)):
         n_t = nbar + (n0 - nbar) * np.exp(-2 * gamma * t)
         m_t = m_ss + (m0 - m_ss) * np.exp(-(2j * w + 2 * gamma) * t)
         V_ref = np.array(
@@ -405,9 +404,9 @@ def test_one_build_injections_match_loop(rng, model, cold):
     for _ in range(5):
         c = random_coeffs(rng, cold)
         got, want = compile_injections(model, c), compile_injections_loop(model, c)
-        assert len(got) == len(want) == 3
-        for eqs, ref in zip(got, want):
-            assert_close(eqs, ref)
+        assert got.omega.shape == (len(want),) == (3,)
+        for j, ref in enumerate(want):
+            assert_close(got[j], ref)
         if cold:
             # zero rates are skipped per build, so the scalar builds differ
             # in their live terms
@@ -461,9 +460,10 @@ def test_hand_built_specs_match_term_loop(rng, n_modes):
         assert_matches_loop(compile_generator(spec), spec)
     # the members of one spec share its delta
     specs = [replace(spec, delta=specs[0].delta) for spec in specs]
-    for eqs, spec in zip(compile_stack(member_spec(*specs)), specs):
-        assert_matches_loop(eqs, spec)
-        assert np.abs(eqs.diffusion_harmonic).max() > 0
+    stack = compile_generator(member_spec(*specs))
+    for k, spec in enumerate(specs):
+        assert_matches_loop(stack[k], spec)
+        assert np.abs(stack[k].diffusion_harmonic).max() > 0
 
 
 def member_of(spec, k):
@@ -487,9 +487,9 @@ def member_of(spec, k):
 @pytest.mark.parametrize("members", [1, 3, 75, 303])
 def test_contraction_at_every_stack_size(rng, model, members):
     """A model build of 1 member (a point alone), or of random points times
-    the three reservoir injections: every member of its compile_stack is
-    within 1e-13 of the term loop and bit-equal to a compile of that member
-    alone."""
+    the three reservoir injections: every member of its compile_generator
+    is within 1e-13 of the term loop and bit-equal to a compile of that
+    member alone."""
     points = [random_point(rng).with_(r=rng.uniform(*inputs.R_RANGE))
               for _ in range(max(members // 3, 1))]
     if members == 1:
@@ -498,14 +498,49 @@ def test_contraction_at_every_stack_size(rng, model, members):
         N, M = np.array(RESERVOIR_INJECTIONS).T.reshape(2, 3, 1)
         coeffs = replace(derive(stack_points(points)), N=N, M=M)
     spec = model(coeffs)
-    stack = compile_stack(spec)
-    assert len(stack) == members
-    for k, eqs in enumerate(stack):
+    stack = compile_generator(spec)
+    assert np.size(stack.omega) == members
+    for k in range(members):
+        # a member shape (3, K) is indexed as one row-major position
+        eqs = stack[np.unravel_index(k, stack.omega.shape)] if members > 1 else stack
         alone = member_of(spec, k)
         assert_matches_loop(eqs, alone)
         one = compile_generator(alone)
         for name in ("drift", "diffusion_static", "diffusion_harmonic", "omega"):
             assert np.array_equal(getattr(eqs, name), getattr(one, name)), (k, name)
+
+
+def test_one_type_for_every_member_shape(rng):
+    """compile_generator returns one MomentEquations for any member shape: a
+    spec without member axes gives (dim, dim) fields and a float omega, a
+    member shape (a, b) gives (a, b, dim, dim) fields and omega (a, b), and
+    eqs[i][j] is bit-equal to compiling member (i, j) alone.
+    compile_injections puts the injection axis first: (3, *points)."""
+    spec = random_spec(rng, 2)
+    one = compile_generator(spec)
+    for name in ("drift", "diffusion_static", "diffusion_harmonic"):
+        assert getattr(one, name).shape == (4, 4), name
+    assert isinstance(one.omega, float)
+
+    flat = member_spec(*(replace(random_spec(rng, 2), delta=spec.delta) for _ in range(6)))
+    grid = GeneratorSpec(2, flat.hamiltonian.reshape(2, 3, 4, 4), delta=flat.delta)
+    for t in flat.dissipators:
+        grid.add_dissipator(t.rate.reshape(2, 3), t.left, t.right, t.harmonic)
+    eqs = compile_generator(grid)
+    for name in ("drift", "diffusion_static", "diffusion_harmonic"):
+        assert getattr(eqs, name).shape == (2, 3, 4, 4), name
+    assert eqs.omega.shape == (2, 3)
+    for k in range(6):
+        member, alone = eqs[k // 3][k % 3], compile_generator(member_of(grid, k))
+        for name in ("drift", "diffusion_static", "diffusion_harmonic", "omega"):
+            assert np.array_equal(getattr(member, name), getattr(alone, name)), (k, name)
+
+    points = [random_point(rng) for _ in range(4)]
+    for model, dim in ((reduced_generator, 4), (full_generator, 6)):
+        stacked = compile_injections(model, derive(stack_points(points)))
+        assert stacked.drift.shape == (3, 4, dim, dim) and stacked.omega.shape == (3, 4)
+        alone = compile_injections(model, derive(points[0]))
+        assert alone.drift.shape == (3, dim, dim) and alone.omega.shape == (3,)
 
 
 def one_mode_spec(*terms, hamiltonian=None):
@@ -557,7 +592,7 @@ def test_every_refusal_keeps_its_text(case):
     good = one_mode_spec((0.7, A1, AD1, 0))
     for members in ([build(), good], [good, build()], [good, build(), good]):
         with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
-            compile_stack(member_spec(*members))
+            compile_generator(member_spec(*members))
 
 
 @pytest.mark.parametrize("first", BAD_SPECS)
@@ -570,7 +605,7 @@ def test_stack_raises_what_compiling_in_order_raises(first, second):
         with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
             compile_generator(BAD_SPECS[first][0]())
     with pytest.raises(GeneratorError, match=f"^{re.escape(text)}$"):
-        compile_stack(member_spec(BAD_SPECS[first][0](), BAD_SPECS[second][0]()))
+        compile_generator(member_spec(BAD_SPECS[first][0](), BAD_SPECS[second][0]()))
 
 
 @pytest.mark.parametrize("defect", ["tag", "complex"])
@@ -605,9 +640,10 @@ def test_stack_checks_each_member_against_its_own_scale():
     compile_generator(loud)  # 1e-2 is 1e-14 of its own scale
     for members in ([loud, quiet], [quiet, loud]):
         with pytest.raises(GeneratorError, match=re.escape(COMPLEX_STATIC)):
-            compile_stack(member_spec(*members))
-    for eqs, spec in zip(compile_stack(member_spec(loud, sound)), [loud, sound]):
-        assert_matches_loop(eqs, spec)
+            compile_generator(member_spec(*members))
+    stack = compile_generator(member_spec(loud, sound))
+    for k, spec in enumerate([loud, sound]):
+        assert_matches_loop(stack[k], spec)
 
 
 def test_stacked_weight_checks_each_member_on_its_own_scale():
@@ -624,9 +660,9 @@ def test_stacked_weight_checks_each_member_on_its_own_scale():
         spec.add_dissipator(np.array([0.0, size * quiet_scale]), A1, A1)
         if refused:
             with pytest.raises(GeneratorError, match=f"^{re.escape(COMPLEX_STATIC)}$"):
-                compile_stack(spec)
+                compile_generator(spec)
         else:
-            assert len(compile_stack(spec)) == 2
+            assert compile_generator(spec).omega.shape == (2,)
 
 
 def test_empty_term_list_compiles(rng):
@@ -639,9 +675,11 @@ def test_empty_term_list_compiles(rng):
     assert eqs.omega == 0.0
     stacked = replace(empty, hamiltonian=np.array([1.0, 2.0])[:, None, None]
                       * empty.hamiltonian)
-    for k, eqs in enumerate(compile_stack(stacked)):
-        assert_matches_loop(eqs, replace(empty, hamiltonian=stacked.hamiltonian[k]))
+    stack = compile_generator(stacked)
+    for k in range(2):
+        assert_matches_loop(stack[k], replace(empty, hamiltonian=stacked.hamiltonian[k]))
     full_spec = replace(random_spec(rng, 2), delta=empty.delta)
     for members in ([empty, full_spec], [full_spec, empty]):
-        for eqs, spec in zip(compile_stack(member_spec(*members)), members):
-            assert_matches_loop(eqs, spec)
+        stack = compile_generator(member_spec(*members))
+        for k, spec in enumerate(members):
+            assert_matches_loop(stack[k], spec)

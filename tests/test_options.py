@@ -9,7 +9,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sqzmirror"
 OPTIONS = [
     "cli.main(argv=None)",
     "dynamics.TimeGrid(sample_stride=1)",
-    "dynamics.Trajectory(observables=None)",
     "errors.DivergenceError.__init__(last_valid_time=None)",
     "full.compare_adiabatic(phase=1.0)",
     "full.steady_full(phase=1.0)",
