@@ -129,6 +129,14 @@ def _unvech(x: NDArray) -> NDArray:
     return x.take(_vech_index(n)[1], axis=-1)
 
 
+def _lyapunov(A: NDArray) -> NDArray:
+    """The matrix of V -> A V + V A^T on vech(V), of every matrix of a stack."""
+    n = A.shape[-1]
+    m = n * (n + 1) // 2
+    A = A.reshape(A.shape[:-2] + (n * n,))
+    return (A @ _vech_index(n)[2]).reshape(A.shape[:-1] + (m, m))
+
+
 def moment_ode(eqs: MomentEquations) -> LinearHarmonicODE:
     """dV/dt = A V + V A^T + D(t) as a linear ODE on vech(V).
 
@@ -137,11 +145,8 @@ def moment_ode(eqs: MomentEquations) -> LinearHarmonicODE:
     Moment equations whose fields carry leading axes give an ODE whose
     fields carry them too.
     """
-    n = eqs.drift.shape[-1]
-    m = n * (n + 1) // 2
-    A = eqs.drift.reshape(eqs.drift.shape[:-2] + (n * n,))
     return LinearHarmonicODE(
-        drift=(A @ _vech_index(n)[2]).reshape(A.shape[:-1] + (m, m)),
+        drift=_lyapunov(eqs.drift),
         drive_static=_vech(eqs.diffusion_static),
         drive_harmonic=_vech(eqs.diffusion_harmonic),
         omega=eqs.omega,
@@ -418,16 +423,16 @@ def reservoir_parts(injections: MomentEquations) -> tuple[NDArray, NDArray, NDAr
     along it, from one batched Hurwitz check and one batched solve.
     reservoir_steady evaluates them at any (N, M).
     """
-    require_hurwitz(injections.drift[0])
-    unit_n = injections.diffusion_static[1] - injections.diffusion_static[0]
-    ode = moment_ode(injections[0])
+    A = injections.drift[0]
+    require_hurwitz(A)
+    # the static drives at (0, 0) and (1, 0); vech(D10 - D00) = vech(D10) - vech(D00)
+    b = _vech(injections.diffusion_static[:2])
+    b[1] -= b[0]
     x_dc, x_2 = linear_steady(LinearHarmonicODE(
-        drift=ode.drift,
-        drive_static=np.stack([ode.drive_static, _vech(unit_n)], axis=-1),
-        drive_harmonic=_vech(injections.diffusion_harmonic[2]),
-        omega=injections.omega[2],
-    ))
-    return _unvech(x_dc[..., 0]), _unvech(x_dc[..., 1]), _unvech(x_2)
+        _lyapunov(A), b.transpose(*range(1, b.ndim), 0),
+        _vech(injections.diffusion_harmonic[2]), injections.omega[2]))
+    x_dc = _unvech(x_dc.swapaxes(-1, -2))
+    return x_dc[..., 0, :, :], x_dc[..., 1, :, :], _unvech(x_2)
 
 
 def normalize_phase(phase: complex | float | str) -> complex:

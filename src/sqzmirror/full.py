@@ -99,12 +99,16 @@ def compare_adiabatic(
     Compares the steady states, each x0 + N x1 + M x2(z) from one build,
     by the dP2_minus quadrature_observables reads (gaussian.frame_variances,
     one call for both). phase is read by dynamics.normalize_phase, the same
-    for both models.
+    for both models. fig4 calls it once per point, although the same rows
+    come from one stacked sweep (scenarios._steady_points): the benchmark's
+    trace pins 25 steady_full calls per fig4 figure. For the same reason
+    the point is derived twice, once by steady_full and once by
+    build_system: sharing one derive would need a new argument or a cache.
     """
     V_f = mirror_block(steady_full(params, phase))
     system = build_system(params)
     V_r = steady_covariance(system.steady_parts(), system.nbar0, params.r, phase)
-    dp2_f, dp2_r = frame_variances(np.stack([V_f, V_r]))[1].tolist()
+    dp2_f, dp2_r = frame_variances(np.array([V_f, V_r]))[1].tolist()
     return AdiabaticComparison(
         steady_dp2_full=dp2_f,
         steady_dp2_reduced=dp2_r,

@@ -246,14 +246,14 @@ _MINUS_PLUS = np.array([-1.0, 1.0])
 _MINUS_PLUS.setflags(write=False)
 
 
-def _checked_variances(x: NDArray, y: NDArray) -> tuple:
-    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) from the q block x = V[::2, ::2]
-    and the p block y = V[1::2, 1::2], (V00 + V22)/2 -+ V02 and
-    (V11 + V33)/2 -+ V13; refuses a negative variance."""
-    dq = 0.5 * (x[..., 0, :1] + x[..., 1, 1:]) + _MINUS_PLUS * x[..., 0, 1:]
-    dp = 0.5 * (y[..., 0, :1] + y[..., 1, 1:]) + _MINUS_PLUS * y[..., 0, 1:]
-    variances = dq[..., 0], dp[..., 0], dq[..., 1], dp[..., 1]
-    if (np.minimum(dq, dp) < -PHYSICALITY_TOL).any():
+def _checked_variances(xy: NDArray) -> tuple:
+    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) from the q and p blocks
+    V[::2, ::2] and V[1::2, 1::2], xy[..., 0] and xy[..., 1]: (V00 + V22)/2
+    -+ V02 and (V11 + V33)/2 -+ V13; refuses a negative variance."""
+    d = ((0.5 * (xy[..., 0, 0, :] + xy[..., 1, 1, :]))[..., None]
+         + _MINUS_PLUS * xy[..., 0, 1, :, None])
+    variances = d[..., 0, 0], d[..., 1, 0], d[..., 0, 1], d[..., 1, 1]
+    if (d < -PHYSICALITY_TOL).any():
         val = next(v for v in variances if (v < -PHYSICALITY_TOL).any())
         raise PhysicalityError(f"negative quadrature variance {np.min(val)!r}")
     return variances
@@ -267,16 +267,18 @@ def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
     and the p block Vbar_i+1,j+1 the same with c^2 and s^2 exchanged and cs
     negated. With a = V[::2, ::2], b = V[1::2, 1::2], r = V[::2, 1::2] +
     V[1::2, ::2] and c^2 = 1 - s^2, that is a - u and b + u for
-    u = s^2 (a - b) - cs r: exactly a and b at theta = 0.
+    u = s^2 (a - b) - cs r: exactly a and b at theta = 0, as a + (-u) and
+    b + u side by side.
     """
     if V.shape[-1] != 4:
         raise DimensionError("relative-mode variances need exactly 2 modes")
     half = 0.5 * theta
     c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
-    a, b = V[..., ::2, ::2], V[..., 1::2, 1::2]
-    r = V[..., ::2, 1::2] + V[..., 1::2, ::2]
-    u = (s * s) * (a - b) - (c * s) * r
-    return _checked_variances(a - u, b + u)
+    # V[2i + k, 2j + l] at [..., i, k, j, l]; ab[..., i, j, k] is a (k = 0) or b
+    V4 = V.reshape(V.shape[:-2] + (2, 2, 2, 2))
+    ab = V4.diagonal(axis1=-3, axis2=-1)
+    u = (s * s) * (ab[..., 0] - ab[..., 1]) - (c * s) * (V4[..., 0, :, 1] + V4[..., 1, :, 0])
+    return _checked_variances(ab + u[..., None] * _MINUS_PLUS)
 
 
 def relative_mode_variances(V: NDArray) -> tuple[float, ...]:

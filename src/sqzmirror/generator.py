@@ -21,14 +21,14 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import GeneratorError, SimulationError
 from .gaussian import symplectic_form
-from .params import DerivedCoefficients, Harmonic
+from .params import DerivedCoefficients, Harmonic, _conj, _factor, _harmonic, _im
 
 DRIFT_RTOL = 1e-9
 
@@ -100,13 +100,15 @@ class GeneratorSpec:
             rate = complex(rate)
         self.dissipators.append(DissipatorTerm(rate, left, right, harmonic))
 
-    def add_harmonic_dissipator(self, rate: Harmonic, left, right) -> None:
-        """Expand a Harmonic rate into tagged static-amplitude terms, each
-        kept when it is nonzero at any member."""
-        live = rate.parts.reshape(-1, 3).any(axis=0).tolist()
-        for h in (0, +1, -1):
-            if live[h + 1]:
-                self.add_dissipator(rate.parts[..., h + 1], left, right, h)
+    def add_harmonic_dissipators(self, rates: NDArray, vectors) -> None:
+        """Expand Harmonic rates, given by their parts (Harmonic.parts, one
+        rate per leading entry), into tagged static-amplitude terms on their
+        (left, right) vectors, each kept when it is nonzero at any member."""
+        live = rates.reshape(len(vectors), -1, 3).any(axis=1).tolist()
+        for rate, (left, right), tags in zip(rates, vectors, live):
+            for h in (0, +1, -1):
+                if tags[h + 1]:
+                    self.add_dissipator(rate[..., h + 1], left, right, h)
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,8 @@ _REFUSALS = (
 # the refusal of each defect column of compile_generator: Im A0, Im D0, A_-1,
 # A_+1, the sideband mismatch
 _DEFECT_REFUSAL = (0, 0, 1, 1, 2)
+# the most members compile_generator evaluates at once
+_BLOCK = 96
 # appended to the term vectors, so that an empty term list concatenates
 _NO_ENTRIES = np.zeros(0, dtype=complex)
 _NO_ENTRIES.setflags(write=False)
@@ -164,6 +168,11 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
     adds its terms' products one after another, in term order: it does not
     depend on the other members, and it rounds as a term-by-term sum does
     (a matrix product of W with the outer products would round differently).
+    The members are evaluated in blocks of about equal size, at most _BLOCK
+    each, into the fields' arrays (A0 and the three D_h, complex); besides
+    those and the rates (T, S) a compile holds one block's temporaries, the
+    largest its products P (16 T dim^2 bytes per member): under 8 times the
+    fields' bytes at 101 points times the injections (all at once: 20 times).
 
     The structure (shape, symmetry, tags) is checked once; the numeric
     refusals (GeneratorError: a term list that is not self-adjoint, with
@@ -186,8 +195,8 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
     terms = [*by_tag[0], *by_tag[1], *by_tag[2]]
 
     # the member shape; distinct shapes are few, however many the terms
-    shape = np.broadcast_shapes(*{G.shape[:-2], *(
-        getattr(x, "shape", ()) for x in [spec.delta] + [t.rate for t in terms])})
+    shape = np.broadcast_shapes(G.shape[:-2], getattr(spec.delta, "shape", ()),
+                                *{getattr(t.rate, "shape", ()) for t in terms})
     T, S = len(terms), math.prod(shape)
     rates = np.zeros((T,) + shape, dtype=complex)
     for k, t in enumerate(terms):
@@ -195,27 +204,36 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
     U = _complex_form(spec.n_modes)
     UL, UR = np.concatenate([t.left for t in terms] + [t.right for t in terms]
                             + [_NO_ENTRIES]).reshape(2, T, dim) @ U.T
-    # the products P[t, j, i, s] = (W[t, s] (U l_t)_i) (U m_t)_j, laid out
-    # with the members innermost, and their sums over the terms of each tag,
-    # in order
-    P = UR[:, :, None, None] * (UL[:, :, None] * rates.reshape(T, 1, S))[:, None]
-    K = np.empty((len(HARMONICS), dim, dim, S), dtype=complex)
-    end = 0
-    for h, ts in enumerate(by_tag):
-        P[end:end + len(ts)].sum(axis=0, out=K[h])
-        end += len(ts)
-    K = K.transpose(0, 3, 2, 1)  # K[h, s, i, j]
-    Kt = K.swapaxes(-1, -2)
-    Kd, D = K - Kt, K + Kt
-    A0 = 1j * (Kd[1] @ U)
-    A0.reshape(shape + (dim, dim))[...] += symplectic_form(spec.n_modes) @ G
-
-    # per member: |A0|, |D0| and |D_+1|, then the defects in the order of
-    # _DEFECT_REFUSAL: |Im A0|, |Im D0|, |A_-1| and |A_+1| (|K_h - K_h^T|
-    # entry for entry, U being a signed permutation), the sideband mismatch
-    big = _amax(np.concatenate([A0[None], D[1:], A0.imag[None], D[1:2].imag, Kd[::2],
-                                D[:1] - np.conj(D[2:])]))
-    defect = big[3:] > DRIFT_RTOL * np.maximum(big[:2].max(axis=0), 1.0)
+    UL, UR, rates = UL[:, :, None], UR[:, :, None, None], rates.reshape(T, 1, S)
+    # the drift A0 (U G, plus each block's i (K_0 - K_0^T) U), the D_h, and per
+    # member |A0|, |D0|, |D_+1| and the defects in the order of _DEFECT_REFUSAL:
+    # |Im A0|, |Im D0|, |A_-1| and |A_+1| (|K_h - K_h^T| entry for entry, U
+    # being a signed permutation), the sideband mismatch
+    A0 = np.empty((S, dim, dim), dtype=complex)
+    D = np.empty((len(HARMONICS), dim, dim, S), dtype=complex).transpose(0, 3, 2, 1)
+    A0.reshape(shape + (dim, dim))[...] = symplectic_form(spec.n_modes) @ G
+    big = np.empty((8, S))
+    step = -(-S // -(-S // _BLOCK)) if S else 1  # blocks of about equal size
+    for lo in range(0, S, step):
+        block = slice(lo, lo + step)
+        # the products P[t, j, i, s] = (W[t, s] (U l_t)_i) (U m_t)_j, laid
+        # out with the block's members innermost, and their sums over the
+        # terms of each tag, in order
+        P = UR * (UL * rates[..., block])[:, None]
+        K = np.empty((len(HARMONICS),) + P.shape[1:], dtype=complex)
+        end = 0
+        for h, ts in enumerate(by_tag):
+            P[end:end + len(ts)].sum(axis=0, out=K[h])
+            end += len(ts)
+        del P  # each temporary is freed once read, for the next to reuse
+        K = K.transpose(0, 3, 2, 1)  # K[h, s, i, j]
+        Kt = K.swapaxes(-1, -2)
+        Kd, Dk, Ak = K - Kt, np.add(K, Kt, out=D[:, block]), A0[block]
+        del K, Kt
+        Ak += 1j * (Kd[1] @ U)
+        np.abs(np.concatenate([Ak[None], Dk[1:], Ak.imag[None], Dk[1:2].imag, Kd[::2],
+                               Dk[:1] - np.conj(Dk[2:])])).max(axis=(-2, -1), out=big[:, block])
+    defect = big[3:] > DRIFT_RTOL * big[:2].max(axis=0, initial=1.0)
     if defect.any():
         # the first member with a defect, and its first defect, decide
         raise GeneratorError(_REFUSALS[_DEFECT_REFUSAL[np.argwhere(defect.T)[0, 1]]])
@@ -248,7 +266,8 @@ def compile_injections(
     the injections.
     """
     N, M = _INJECTED.reshape((2, 3) + (1,) * np.ndim(coeffs.nbar0))
-    eqs = compile_generator(model(replace(coeffs, N=N, M=M)))
+    eqs = compile_generator(model(DerivedCoefficients(
+        coeffs.params, coeffs.omega_drive, coeffs.alpha, coeffs.nbar0, N, M)))
     require_shared_drift(eqs.drift)
     return eqs
 
@@ -323,16 +342,15 @@ def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     a1, a2, am = _MIRROR_VECTORS
     a1c, a2c, amc = _MIRROR_CONJ
 
-    xi = coeffs.xi_pair(p.omega_m)  # (xi+, xi-)
-    xi_c = xi.conj()
+    # Harmonic's arithmetic on the parts of (xi+, xi-) and their conjugates
+    xi = coeffs.xi_pair(p.omega_m).parts
+    xi_c = _conj(xi)
 
     # effective Hamiltonian pieces; their harmonic parts cancel identically
-    squeeze_w = _require_static(
-        (xi[1] - xi_c[0]) * (1j * eta2), "relative-mode squeezing drive"
-    )
-    shift = _require_static(
-        (xi[0] + xi[1]).im() * (-2.0 * eta2), "relative-mode frequency shift"
-    ).real
+    squeeze_w = _require_static(_harmonic((xi[1] - xi_c[0]) * _factor(1j * eta2)),
+                                "relative-mode squeezing drive")
+    shift = _require_static(_harmonic(_im(xi[0] + xi[1]) * _factor(-2.0 * eta2)),
+                            "relative-mode frequency shift").real
 
     mirrors, relative_number, relative_pair = _REDUCED_FORMS
     G = _real_form(p.omega_m / 2.0, mirrors)
@@ -344,12 +362,10 @@ def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     _thermal_terms(spec, ((a1, a1c), (a2, a2c)), p.gamma_m, coeffs.nbar0)
     # the rates of (am, amc) and (amc, am), (Re xi+, Re xi-) 2 eta2, and of
     # (am, am) and (amc, amc), (conj xi+ + xi-, conj xi- + xi+) eta2
-    damping = xi.re() * (2.0 * eta2)
-    squeezing = (xi_c + xi[::-1]) * eta2
-    spec.add_harmonic_dissipator(damping[0], am, amc)
-    spec.add_harmonic_dissipator(damping[1], amc, am)
-    spec.add_harmonic_dissipator(squeezing[0], am, am)
-    spec.add_harmonic_dissipator(squeezing[1], amc, amc)
+    damping = 0.5 * (xi + xi_c) * _factor(2.0 * eta2)
+    squeezing = (xi_c + xi[::-1]) * _factor(eta2)
+    spec.add_harmonic_dissipators(np.concatenate([damping, squeezing]),
+                                  ((am, amc), (amc, am), (am, am), (amc, amc)))
     return spec
 
 
@@ -368,7 +384,7 @@ def full_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     G = _real_form(p.delta / 2.0, cavity)
     G = G + _real_form(p.omega_m / 2.0, mirror_numbers)
     # (alpha c^dag + alpha* c) as a real quadrature form, one per point
-    alpha = coeffs.alpha[..., None] if isinstance(coeffs.alpha, np.ndarray) else coeffs.alpha
+    alpha = _factor(coeffs.alpha)
     w = alpha * cc + np.conj(alpha) * c
     # the two mirrors couple with opposite signs, eta1 = -eta2 = eta0
     G = G + hermitian_form(p.eta0 / 2.0, relative_x, w)

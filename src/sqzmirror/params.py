@@ -58,14 +58,13 @@ class Harmonic:
         return self.c0 + self.cp * phase + self.cm / phase
 
     def conj(self) -> "Harmonic":
-        # conj(c e^{i h w t}) = conj(c) e^{-i h w t}: the parts in reverse
-        return _harmonic(np.conj(self.parts[..., ::-1]))
+        return _harmonic(_conj(self.parts))
 
     def re(self) -> "Harmonic":
-        return _harmonic(0.5 * (self.parts + np.conj(self.parts[..., ::-1])))
+        return _harmonic(0.5 * (self.parts + _conj(self.parts)))
 
     def im(self) -> "Harmonic":
-        return _harmonic((self.parts - np.conj(self.parts[..., ::-1])) / 2j)
+        return _harmonic(_im(self.parts))
 
     def __add__(self, other):
         return _harmonic(self.parts + _parts(other))
@@ -75,8 +74,7 @@ class Harmonic:
     def __mul__(self, z):
         if isinstance(z, Harmonic):
             raise TypeError("product of two Harmonics leaves the harmonic space")
-        # an array z carries member axes only
-        return _harmonic(self.parts * (z[..., None] if isinstance(z, np.ndarray) else z))
+        return _harmonic(self.parts * _factor(z))
 
     __rmul__ = __mul__
 
@@ -110,6 +108,21 @@ def _set_parts(h: Harmonic, parts) -> Harmonic:
 def _harmonic(parts) -> Harmonic:
     """The Harmonic whose parts (cm, c0, cp) are the last axis of parts."""
     return _set_parts(object.__new__(Harmonic), parts)
+
+
+def _factor(z):
+    """z as a factor of parts: an array z carries member axes only."""
+    return z[..., None] if isinstance(z, np.ndarray) else z
+
+
+def _conj(parts):
+    """conj(c e^{i h w t}) = conj(c) e^{-i h w t}: the parts conjugated, reversed."""
+    return np.conj(parts[..., ::-1])
+
+
+def _im(parts):
+    """The parts of the imaginary part, (h - conj(h)) / 2i."""
+    return (parts - _conj(parts)) / 2j
 
 
 def _parts(x):
@@ -334,12 +347,13 @@ class DerivedCoefficients:
         (1/(kappa - i y) is conj(1/(kappa + i y)), exactly)."""
         p = self.params
         a2 = abs(self.alpha) ** 2
-        F = self.N * a2 + self.M * self.alpha**2 * _RAISING
-        Fc = F.conj() + a2
+        # the parts of F and of conj(F) + |alpha|^2, by Harmonic's arithmetic
+        F = _RAISING.parts * _factor(self.M * self.alpha**2) + _parts(self.N * a2)
+        Fc = _conj(F) + _parts(a2)
         R = 1.0 / (p.kappa + 1j * (p.delta + np.multiply.outer(_PLUS_MINUS, omega_k)))
         # the pair leads, in front of every member axis of F
-        R = R.reshape(R.shape[:1] + (1,) * (F.parts.ndim - R.ndim) + R.shape[1:])
-        return F * R + Fc * np.conj(R[::-1])
+        R = R.reshape(R.shape[:1] + (1,) * (F.ndim - R.ndim) + R.shape[1:])
+        return _harmonic(F * R[..., None] + Fc * np.conj(R[::-1])[..., None])
 
     def xi_combined(self) -> Harmonic:
         """eta0^2 (xi_k^- + conj(xi_k^+)) at omega_k = omega_m: the drive xi^r + i xi^i."""

@@ -147,7 +147,7 @@ class ReducedSystem:
         require_hurwitz(self.m3)
         x_dc, x2 = linear_steady(LinearHarmonicODE(
             drift=self.m3,
-            drive_static=np.stack([self.b0, self.b1], axis=-1),
+            drive_static=np.concatenate([self.b0[..., None], self.b1[..., None]], axis=-1),
             drive_harmonic=self.b2,
             omega=2.0 * self.delta,
         ))
@@ -188,14 +188,13 @@ def build_systems(points: Sequence[PhysicalParams]) -> ReducedSystem:
     m3 = project_covariance(A[:, None] @ _UNIT_LIFTS + _UNIT_LIFTS @ At[:, None])
     V = (coeffs.nbar0 + 0.5)[:, None, None] * _ZERO_LIFT  # the lift of zero
     base = project_covariance(A @ V + V @ At)
-    d00, d10, b2 = project_covariance(np.array([
-        eqs.diffusion_static[0], eqs.diffusion_static[1], eqs.diffusion_harmonic[2]]))
-    b0 = base + d00.real
+    d00, d10 = project_covariance(eqs.diffusion_static[:2])
+    b0 = base + d00
     return ReducedSystem(
         m3=m3.swapaxes(-1, -2),
         b0=b0,
-        b1=(base + d10.real) - b0,
-        b2=b2,
+        b1=(base + d10) - b0,
+        b2=project_covariance(eqs.diffusion_harmonic[2]),
         delta=coeffs.params.delta,
         nbar0=coeffs.nbar0,
         N=coeffs.N,

@@ -18,7 +18,8 @@ from sqzmirror.full import (
     mirror_block,
     steady_full,
 )
-from sqzmirror.gaussian import mean_phonon, quadrature_observables
+from sqzmirror import scenarios
+from sqzmirror.gaussian import frame_variances, mean_phonon, quadrature_observables
 from sqzmirror.generator import compile_generator, compile_injections, full_generator
 from sqzmirror.params import baseline_params, derive
 from sqzmirror.reduced import evolve as evolve_reduced, steady_state
@@ -208,3 +209,28 @@ def test_phase_has_one_meaning_in_every_model(phase):
     assert comp.steady_dp2_reduced == pytest.approx(report.dP2_minus, rel=1e-12)
     # at gamma_m << kappa the eliminated model tracks the full one closely
     assert comp.steady_rel_deviation < 0.1
+
+
+@pytest.mark.parametrize("figure, name, column", [("fig4a", "gamma_m_hz", 1),
+                                                   ("fig4b", "power_w", 0)])
+def test_fig4_rows_equal_their_stacked_sweep(figure, name, column):
+    """fig4's rows are one compare_adiabatic per point, 25 per figure (a
+    traced fig4a makes 25 full.steady_full calls). The same points as one
+    sweep, _sweep_points, then _steady_points of full6 and of reduced3 and
+    one frame_variances over the 50 covariances, give the rows' three
+    value columns exactly: the stacked path could replace the per-point one
+    without changing a digit."""
+    cfg = scenarios.ScenarioConfig(scenario=figure)
+    ((_, _, rows),) = getattr(scenarios, f"_scenario_{figure}")(cfg)
+    if figure == "fig4b":  # at gamma_m = kappa
+        cfg.params_hz["gamma_m_hz"] = scenarios.resolved_params_hz(cfg)["kappa_hz"]
+    builds, r = scenarios._sweep_points(cfg, name, [row[column] for row in rows])
+    covariances = []
+    for model in ("full6", "reduced3"):
+        V, _, failures = scenarios._steady_points(model, builds, r, scenarios.PHASES[cfg.phase])
+        assert not failures
+        covariances.append(V)
+    dp2 = frame_variances(np.concatenate(covariances))[1]
+    dp2_f, dp2_r = dp2[:25], dp2[25:]
+    stacked = np.stack([dp2_f, dp2_r, abs(dp2_f - dp2_r) / abs(dp2_f)], axis=1)
+    assert np.array_equal(np.array([row[column + 1:column + 4] for row in rows]), stacked)

@@ -1,6 +1,7 @@
 """Generator compiler: moment equations from Hamiltonian + dissipator terms."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import inputs
@@ -508,6 +509,26 @@ def test_contraction_at_every_stack_size(rng, model, members):
         one = compile_generator(alone)
         for name in ("drift", "diffusion_static", "diffusion_harmonic", "omega"):
             assert np.array_equal(getattr(eqs, name), getattr(one, name)), (k, name)
+
+
+@pytest.mark.parametrize("model", [reduced_generator, full_generator])
+def test_compile_temporaries_stay_within_eight_outputs(rng, model):
+    """tracemalloc's peak while compile_generator compiles 101 points times
+    the three reservoir injections is at most 8 times the bytes of its three
+    output fields: the members are evaluated in blocks, so the products of
+    all of them, (T, dim, dim, S), are never built at once."""
+    N, M = np.array(RESERVOIR_INJECTIONS).T.reshape(2, 3, 1)
+    points = [random_point(rng) for _ in range(101)]
+    spec = model(replace(derive(stack_points(points)), N=N, M=M))
+    tracemalloc.start()
+    try:
+        eqs = compile_generator(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(getattr(eqs, name).nbytes
+                  for name in ("drift", "diffusion_static", "diffusion_harmonic"))
+    assert peak <= 8 * outputs, peak / outputs
 
 
 def test_one_type_for_every_member_shape(rng):
