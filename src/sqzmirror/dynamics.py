@@ -491,18 +491,26 @@ class MinimizeResult:
 
 
 def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResult:
-    """Golden-section minimizer of continuous scalar functions, as lanes.
+    """Brent's minimizer of continuous scalar functions, as lanes.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5:
+    a parabola through the three best points so far gives the next point,
+    and a golden-section step into the larger side of the bracket replaces
+    it when the parabola's step falls outside the bracket or fails to halve
+    the step before last. A search stops when its best point x is within
+    2*tol1 - (b - a)/2 of the bracket's midpoint, tol1 = sqrt(eps)|x| +
+    tol/3, and returns that best point.
 
     A float bracket (a, b) minimizes one function: f takes a float and
     returns a float. Arrays a, b (broadcast together) give one lane per
     entry: f takes an array of every lane's point and returns an array of
-    the values. The steps depend only on the bracket and tol (Kiefer, Proc.
-    AMS 4, 502 (1953)), so the lanes advance together; each makes its own
-    comparison and stops when its bracket is within tol, after which f
-    sees NaN at its entry and the value there is ignored. Each lane's x and
-    boundary equal those of a search over it alone. Flags `boundary` when
-    the minimizer lands within 10*tol of a bracket edge (monotone f
-    converges there).
+    the values. Each lane chooses its own step under masks and stops on its
+    own, after which f sees NaN at its entry and the value there is ignored;
+    each lane's x and boundary equal those of a search over it alone. A NaN
+    value compares as no better: the parabola is refused and the bracket
+    shrinks by golden steps, so a lane whose points fail still stops. Flags
+    `boundary` when the minimizer lands within 10*tol of a bracket edge
+    (monotone f converges there).
     """
     a0, b0 = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in bracket))
     if not (b0 > a0).all():
@@ -514,24 +522,41 @@ def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResu
             return np.asarray(f(float(x)), dtype=float)
         return np.asarray(f(np.where(active, x, np.nan)), dtype=float)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    sqrt_eps = math.sqrt(np.finfo(float).eps)
     a, b = a0, b0
-    c = b - (b - a) * invphi
-    d = a + (b - a) * invphi
-    fc, fd = at(c, True), at(d, True)
-    active = np.abs(b - a) > tol
-    while active.any():
-        left = active & (fc < fd)  # the minimum is in [a, d]: d becomes b
-        right = active & ~(fc < fd)  # in [c, b]: c becomes a
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        x = np.where(left, b - (b - a) * invphi, a + (b - a) * invphi)
-        fx = at(x, active)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-        active = np.abs(b - a) > tol
-    x = 0.5 * (a + b)
+    x = w = v = a + golden * (b - a)  # best point, second best, the one before
+    fx = fw = fv = at(x, True)
+    d = e = np.zeros_like(x)  # the last step and the one before it
+    while True:
+        m, tol1 = 0.5 * (a + b), sqrt_eps * np.abs(x) + tol / 3.0
+        active = np.abs(x - m) > 2.0 * tol1 - 0.5 * (b - a)
+        if not active.any():
+            break
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        p, q = np.where(q > 0.0, -p, p), np.abs(q)
+        parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - x)) & (p < q * (b - x)))
+        step = p / np.where(parabolic, q, 1.0)
+        u = x + step  # a parabolic step within 2*tol1 of an edge turns to the midpoint
+        step = np.where((u - a < 2.0 * tol1) | (b - u < 2.0 * tol1),
+                        np.where(m >= x, tol1, -tol1), step)
+        e = np.where(parabolic, d, np.where(x >= m, a - x, b - x))
+        d = np.where(parabolic, step, golden * e)
+        u = x + np.where(d >= 0.0, 1.0, -1.0) * np.maximum(np.abs(d), tol1)
+        fu = at(u, active)
+        better, worse = active & (fu <= fx), active & ~(fu <= fx)
+        # the bracket closes on the new best point, or on u past the old one
+        a = np.where(better & (u >= x), x, np.where(worse & (u < x), u, a))
+        b = np.where(better & (u < x), x, np.where(worse & (u >= x), u, b))
+        second = worse & ((fu <= fw) | (w == x))
+        third = worse & ~second & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = (np.where(better | second, w, np.where(third, u, v)),
+                 np.where(better | second, fw, np.where(third, fu, fv)))
+        w, fw = (np.where(better, x, np.where(second, u, w)),
+                 np.where(better, fx, np.where(second, fu, fw)))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
     boundary = (x - a0 <= 10.0 * tol) | (b0 - x <= 10.0 * tol)
     if not lanes:
         return MinimizeResult(x=float(x), boundary=bool(boundary))

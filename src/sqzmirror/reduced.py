@@ -396,12 +396,12 @@ def optimal_squeezings(
     One build_systems for all points, and one batched steady_parts: one
     errors.per_entry evaluation, so a point whose build fails leaves with
     the error its own build raises. The points' steady parts are stacked,
-    and each golden-section step (the lanes of dynamics.minimize_scalar)
-    and each step of the r_formula fixed points is one steady_covariance
-    and one criterion over every point still searching. Entry k is point
-    k's OptimalSqueezing, or the SimulationError its one-point call raises:
-    a point whose build or any evaluation fails leaves the lanes, and the
-    others keep their values.
+    and each Brent step (the lanes of dynamics.minimize_scalar, each
+    choosing its own step), the optima and each step of the r_formula fixed
+    points are one steady_covariance and one criterion over every point
+    still searching. Entry k is point k's OptimalSqueezing, or the
+    SimulationError its one-point call raises: a point whose build or any
+    evaluation fails leaves the lanes, and the others keep their values.
     """
     def built(k):
         system = build_systems([points[j] for j in np.atleast_1d(k)])
@@ -481,12 +481,12 @@ def optimal_squeezing(
 ) -> OptimalSqueezing:
     """Squeezing degree minimizing the steady relative-momentum variance.
 
-    r_numeric is the golden-section minimum (to 1e-4) of dP2_minus(infinity)(r)
-    over [0, 3] (the governing oracle); r_formula evaluates the closed-form
-    expression with the rotation angle solved self-consistently, and is
-    None when the artanh argument is out of range or the steady state is
-    phase-averaged (the dc variance has no interior optimum). One
-    build serves both: every evaluated r is the closed form
+    r_numeric is the best point of a Brent search (tol 1e-4) for the minimum
+    of dP2_minus(infinity)(r) over [0, 3] (the governing oracle); r_formula
+    evaluates the closed-form expression with the rotation angle solved
+    self-consistently, and is None when the artanh argument is out of range
+    or the steady state is phase-averaged (the dc variance has no interior
+    optimum). One build serves both: every evaluated r is the closed form
     x0 + N x1 + M x2(z), read through criterion. It is optimal_squeezings
     of this point alone, and raises the error of its lane.
     """

@@ -89,7 +89,7 @@ class ScenarioConfig:
                 raise ConfigError(f"sweep.name: {name!r} is not a parameter field")
             if len(values) == 0:
                 raise ConfigError("sweep.values: empty value list")
-            if not all(np.isfinite(v) for v in values):
+            if not all(math.isfinite(v) for v in values):
                 raise ConfigError("sweep.values: values must be finite")
         if self.t_end_s is not None and not (math.isfinite(self.t_end_s)
                                              and self.t_end_s > 0):
@@ -437,10 +437,21 @@ def _scenario_fig2d(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _scenario_fig3a(cfg: ScenarioConfig) -> list[Curve]:
+    """The three power curves are one _steady_points, so one build of their
+    three points. Curve by curve, its first failure raises (parameters, then
+    build), or one criterion reads it: what _steady_reports of each gives."""
     curves: list[Curve] = []
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
-    for p_uw in (0.01, 0.1, 2.0):
-        rep = _steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
+    powers_uw = (0.01, 0.1, 2.0)
+    points = [_sweep_points(cfg, "r", r_values, power_w=p_uw * 1e-6) for p_uw in powers_uw]
+    V, nbar0, failures = _steady_points(
+        "reduced3", [b for builds, _ in points for b in builds],
+        np.concatenate([r for _, r in points]), PHASES[cfg.phase])
+    for c, p_uw in enumerate(powers_uw):
+        curve = range(c * len(r_values), (c + 1) * len(r_values))
+        if failed := [exc for k, exc in failures.items() if k in curve]:
+            raise failed[0]
+        rep = reduced_model.criterion(V[curve], nbar0[curve])
         curves.append((f"fig3a_dP2_P{_label(p_uw)}uW", ("r", "dP2_minus"),
                        list(zip(r_values, rep.dP2_minus.tolist()))))
     return curves

@@ -381,6 +381,39 @@ def test_fig2d_is_one_build(tmp_path, builds):
     assert builds == {"model": 1, "compile": 1, "members": 303, "build_systems": 1}
 
 
+def test_fig3a_is_one_build(tmp_path, builds):
+    """fig3a's three power curves are one build of their three points, and
+    write what three _steady_reports curves write, byte for byte."""
+    cfg = ScenarioConfig(scenario="fig3a", output_dir=str(tmp_path / "fig"))
+    run(cfg)
+    assert builds == {"model": 1, "compile": 1, "members": 9, "build_systems": 1}
+    r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
+    for p_uw in (0.01, 0.1, 2.0):
+        name = f"fig3a_dP2_P{p_uw:g}uW.csv"
+        rep = scenarios._steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
+        scenarios.write_csv(tmp_path / name, ("r", "dP2_minus"),
+                            list(zip(r_values, rep.dP2_minus.tolist())))
+        assert (tmp_path / "fig" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("delta_hz", [-32.1e6, -1e5])
+def test_failing_fig3a_raises_its_first_failing_curves_error(tmp_path, delta_hz):
+    """Blue-detuned by 32.1 MHz every power fails its build, each with its
+    own eigenvalue, and fig3a raises the first curve's; by 0.1 MHz only the
+    2 uW curve fails, and fig3a raises that."""
+    cfg = ScenarioConfig(scenario="fig3a", params_hz={"delta_hz": delta_hz},
+                         output_dir=str(tmp_path))
+    r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
+    errors = []
+    for p_uw in (0.01, 0.1, 2.0):
+        try:
+            scenarios._steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
+        except SimulationError as exc:
+            errors.append((type(exc), str(exc), None))
+    assert len(set(errors)) == (3 if delta_hz == -32.1e6 else 1)
+    assert error_of(run, cfg) == errors[0]
+
+
 def test_delta_sweep_is_one_build_per_model(tmp_path, builds):
     """Points that differ in the detuning share one build too: delta is
     per member, down to each member's sideband frequency."""
@@ -456,8 +489,8 @@ def test_r_sweep_rows_equal_one_value_sweeps(tmp_path, rng, axis, phase):
 
 
 def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
-    """fig3b's 25 optimum searches share their criterion calls: one per
-    golden-section step, fixed-point step and the optima, not one per power."""
+    """fig3b's 25 optimum searches share their criterion calls, not one per
+    power: 8 Brent steps, the optima and 3 fixed-point steps."""
     calls = []
     criterion = reduced.criterion
 
@@ -467,7 +500,7 @@ def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
 
     monkeypatch.setattr(reduced, "criterion", counting)
     run(ScenarioConfig(scenario="fig3b", output_dir=str(tmp_path)))
-    assert len(calls) <= 30
+    assert len(calls) == 12
     assert calls[0] == (25, 4, 4)
 
 

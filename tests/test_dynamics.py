@@ -1,4 +1,4 @@
-"""Integrator, resolvent steady states, matrix exponential, golden section."""
+"""Integrator, resolvent steady states, matrix exponential, Brent's minimizer."""
 
 import numpy as np
 import pytest
@@ -401,11 +401,31 @@ def test_minimize_scalar_quadratic():
 
 
 def test_minimize_scalar_cosh_closed_form():
+    """Within tol of artanh's minimizer at each tol. At 1e-8 this is near the
+    floor that rounding sets for any search of this form: f'' = 4f, so values
+    within eps*f of the minimum span about sqrt(eps/2) = 1.05e-8 (these
+    constants land 6.2e-9 away)."""
     c1, c2 = -0.7, 1.9
-    res = minimize_scalar(
-        lambda x: c2 * np.cosh(2 * x) + c1 * np.sinh(2 * x), (0.0, 3.0), tol=1e-8
-    )
-    assert res.x == pytest.approx(0.5 * np.arctanh(-c1 / c2), abs=1e-6)
+    for tol in (1e-4, 1e-6, 1e-8):
+        res = minimize_scalar(
+            lambda x: c2 * np.cosh(2 * x) + c1 * np.sinh(2 * x), (0.0, 3.0), tol=tol
+        )
+        assert abs(res.x - 0.5 * np.arctanh(-c1 / c2)) <= tol
+
+
+def test_minimize_scalar_interior_minimum_in_twelve_evaluations(rng):
+    """Quadratics and cosh/sinh forms with an interior minimum on [0, 3] take
+    at most 12 evaluations at tol 1e-4 (golden section takes 24 on any f)."""
+    for _ in range(20):
+        x0, s = rng.uniform(0.05, 2.5), rng.uniform(0.1, 10.0)
+        c2 = rng.uniform(0.5, 2.0)
+        c1 = -c2 * np.tanh(2 * x0)
+        for fn in (lambda x: s * (x - x0) ** 2,
+                   lambda x: c2 * np.cosh(2 * x) + c1 * np.sinh(2 * x)):
+            evals = []
+            res = minimize_scalar(lambda x: evals.append(x) or fn(x), (0.0, 3.0), 1e-4)
+            assert len(evals) <= 12
+            assert abs(res.x - x0) <= 1e-4
 
 
 def test_minimize_scalar_monotone_boundary_flag():
@@ -462,6 +482,32 @@ def test_minimize_scalar_lanes_equal_one_lane_runs(rng, shared):
                             (float(a[k]), float(b[k])), tol)
             assert points[:len(evals)] == evals
             assert np.isnan(points[len(evals):]).all()
+
+
+def test_minimize_scalar_lane_of_nan_values_terminates(rng):
+    """A lane whose values turn NaN from its k-th point on (a failed point)
+    still stops, by golden steps that shrink its bracket, and every lane,
+    that one included, is bit-equal to its search alone."""
+    for _ in range(5):
+        n = int(rng.integers(2, 12))
+        fns = random_lane_functions(rng, n)
+        bad, k_nan = int(rng.integers(0, n)), int(rng.integers(0, 6))
+
+        def failing(fn):
+            calls = []
+
+            def g(x):
+                calls.append(x)
+                return np.nan if len(calls) > k_nan else fn(x)
+            return g
+
+        lane_fns = [failing(fn) if k == bad else fn for k, fn in enumerate(fns)]
+        res = minimize_scalar(lambda x: np.array([fn(x_k) for fn, x_k in zip(lane_fns, x)]),
+                              (np.zeros(n), np.full(n, 3.0)), 1e-4)
+        assert 0.0 < res.x[bad] < 3.0
+        for k, fn in enumerate(fns):
+            one = minimize_scalar(failing(fn) if k == bad else fn, (0.0, 3.0), 1e-4)
+            assert (res.x[k], bool(res.boundary[k])) == (one.x, one.boundary)
 
 
 def test_minimize_scalar_refuses_an_empty_bracket_in_any_lane():

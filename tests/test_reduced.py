@@ -434,7 +434,7 @@ def test_optimal_squeezings_equal_one_point_calls(rng, monkeypatch, phase):
         return derive(p).nbar0, seen
 
     (nbar_once, seen_once), (nbar_past, seen_past) = map(v11_evaluated, (once, past))
-    v11_once, v11_past = (seen[int(rng.integers(3, 20))] for seen in (seen_once, seen_past))
+    v11_once, v11_past = (seen[int(rng.integers(3, len(seen)))] for seen in (seen_once, seen_past))
     # each fails at its first refused covariance, and stops there
     expected = {id(once): f"refused V11 = {v11_once!r}",
                 id(past): f"refused V11 = {next(v for v in seen_past if v >= v11_past)!r}"}
