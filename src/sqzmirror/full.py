@@ -7,6 +7,7 @@ for Gaussian states is just the mirror rows/columns of the covariance.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,12 @@ from .dynamics import (
     reservoir_parts,
     reservoir_steady,
 )
+from .errors import SimulationError, per_entry
 from .gaussian import frame_variances, quadrature_observables, thermal, vacuum
 from .generator import (MomentEquations, compile_generator, compile_injections, full_generator,
                         require_shared_drift)
 from .params import PhysicalParams, derive, stack_points
-from .reduced import build_system, steady_covariance
+from .reduced import ReducedSystem, build_system, steady_covariance
 
 
 def mirror_block(V6: NDArray) -> NDArray[np.float64]:
@@ -91,26 +93,73 @@ class AdiabaticComparison:
     steady_rel_deviation: float
 
 
+def compare_adiabatics(
+    points: Sequence[PhysicalParams], phase: complex | float | str
+) -> list[AdiabaticComparison | SimulationError]:
+    """compare_adiabatic at every point, one model at a time.
+
+    The builds stay per point: one steady_full and one build_system each,
+    since the benchmark's trace pins 25 of each per fig4 figure (and so
+    each point is derived twice; sharing one derive would need a new
+    argument or a cache). The reduced systems are then stacked: one Hurwitz
+    check and one solve (ReducedSystem.steady_parts), one steady_covariance
+    at the points' r and one gaussian.frame_variances over the (L, 2, 4, 4)
+    pairs of full and reduced covariances, whose dP2_minus are compared.
+    phase is read by dynamics.normalize_phase, the same for both models.
+    The stacked steps go through errors.per_entry, so entry k is point k's
+    AdiabaticComparison or the first SimulationError its one-point call
+    raises: the full6 build, the reduced3 build, its Hurwitz check and
+    solve, then the variance check.
+    """
+    n = len(points)
+    entries: dict[int, AdiabaticComparison | SimulationError] = {}
+    V = np.zeros((n, 2, 4, 4))  # each point's full and reduced mirror covariances
+    # one build chain over every point, then the other: interleaving the two
+    # chains point by point made a fig4 figure's builds about 10% slower
+    for k, params in enumerate(points):
+        try:
+            V[k, 0] = mirror_block(steady_full(params, phase))
+        except SimulationError as exc:
+            entries[k] = exc
+    systems = []
+    for k, params in enumerate(points):
+        if k not in entries:
+            try:
+                systems.append(build_system(params))
+            except SimulationError as exc:
+                entries[k] = exc
+    live = np.array([k for k in range(n) if k not in entries], dtype=int)
+    if not len(live):
+        return [entries[k] for k in range(n)]
+    stack = ReducedSystem(*map(np.stack, zip(*(vars(system).values() for system in systems))))
+    row = np.zeros(n, dtype=int)
+    row[live] = np.arange(len(live))  # a live point's row of the stack
+    parts, solved, failed = per_entry(lambda k: stack.point(row[k]).steady_parts(), live)
+    entries.update(failed)
+    if len(solved):
+        r = np.array([points[k].r for k in solved.tolist()])
+        V[solved, 1] = steady_covariance(parts, stack.nbar0[row[solved]], r, phase)
+    dp2, kept, failed = per_entry(lambda k: frame_variances(V[k])[1], solved)
+    entries.update(failed)
+    for k, (dp2_f, dp2_r) in zip(kept.tolist(), dp2.tolist() if len(kept) else ()):
+        entries[k] = AdiabaticComparison(
+            steady_dp2_full=dp2_f,
+            steady_dp2_reduced=dp2_r,
+            steady_rel_deviation=abs(dp2_f - dp2_r) / abs(dp2_f),
+        )
+    return [entries[k] for k in range(n)]
+
+
 def compare_adiabatic(
     params: PhysicalParams, phase: complex | float | str = 1.0
 ) -> AdiabaticComparison:
     """Quantify how well the eliminated model tracks the full one.
 
     Compares the steady states, each x0 + N x1 + M x2(z) from one build,
-    by the dP2_minus quadrature_observables reads (gaussian.frame_variances,
-    one call for both). phase is read by dynamics.normalize_phase, the same
-    for both models. fig4 calls it once per point, although the same rows
-    come from one stacked sweep (scenarios._steady_points): the benchmark's
-    trace pins 25 steady_full calls per fig4 figure. For the same reason
-    the point is derived twice, once by steady_full and once by
-    build_system: sharing one derive would need a new argument or a cache.
+    by the dP2_minus quadrature_observables reads. It is compare_adiabatics
+    of this point alone, and raises the error of its entry.
     """
-    V_f = mirror_block(steady_full(params, phase))
-    system = build_system(params)
-    V_r = steady_covariance(system.steady_parts(), system.nbar0, params.r, phase)
-    dp2_f, dp2_r = frame_variances(np.array([V_f, V_r]))[1].tolist()
-    return AdiabaticComparison(
-        steady_dp2_full=dp2_f,
-        steady_dp2_reduced=dp2_r,
-        steady_rel_deviation=abs(dp2_f - dp2_r) / abs(dp2_f),
-    )
+    (result,) = compare_adiabatics([params], phase)
+    if isinstance(result, SimulationError):
+        raise result
+    return result

@@ -133,8 +133,8 @@ class ReducedSystem:
     def initial_state(self) -> NDArray[np.float64]:
         return np.array([self.nbar0 + 0.5, self.nbar0 + 0.5, 0.0])
 
-    def point(self, k: int) -> "ReducedSystem":
-        """Point k of a system of build_systems."""
+    def point(self, k) -> "ReducedSystem":
+        """Point k of a stacked system, or its points k for an index array."""
         return ReducedSystem(*(field[k] for field in vars(self).values()))
 
     def steady_parts(self) -> tuple[NDArray, NDArray, NDArray]:
@@ -395,13 +395,14 @@ def optimal_squeezings(
 
     One build_systems for all points, and one batched steady_parts: one
     errors.per_entry evaluation, so a point whose build fails leaves with
-    the error its own build raises. The points' steady parts are stacked,
-    and each Brent step (the lanes of dynamics.minimize_scalar, each
-    choosing its own step), the optima and each step of the r_formula fixed
-    points are one steady_covariance and one criterion over every point
-    still searching. Entry k is point k's OptimalSqueezing, or the
-    SimulationError its one-point call raises: a point whose build or any
-    evaluation fails leaves the lanes, and the others keep their values.
+    the error its own build raises, and only the built points search. The
+    points' steady parts are stacked, and each Brent step (the lanes of
+    dynamics.minimize_scalar, each choosing its own step), the optima and
+    each step of the r_formula fixed points are one steady_covariance and
+    one criterion over every point still searching. Entry k is point k's
+    OptimalSqueezing, or the SimulationError its one-point call raises: a
+    point whose build or any evaluation fails leaves the lanes, and the
+    others keep their values.
     """
     def built(k):
         system = build_systems([points[j] for j in np.atleast_1d(k)])
@@ -429,16 +430,22 @@ def optimal_squeezings(
         alive[list(failed)] = False
         return value, kept
 
+    # the search's lanes are the built points: a failed build starts as done
+    searched = np.flatnonzero(alive)
+
     def dp2(r: NDArray) -> NDArray:
-        out = np.full(n, np.nan)
-        value, kept = evaluate(lambda k: steady(k, r[k])[1].dP2_minus, ~np.isnan(r))
+        out, r_n = np.full(n, np.nan), np.full(n, np.nan)
+        r_n[searched] = r
+        value, kept = evaluate(lambda k: steady(k, r_n[k])[1].dP2_minus, ~np.isnan(r_n))
         if len(kept):
             out[kept] = value
-        return out
+        return out[searched]
 
-    res = minimize_scalar(dp2, (np.zeros(n), np.full(n, 3.0)), tol=1e-4)
+    res = minimize_scalar(dp2, (np.zeros(len(searched)), np.full(len(searched), 3.0)), tol=1e-4)
+    r_opt, boundary = np.full(n, np.nan), np.zeros(n, dtype=bool)
+    r_opt[searched], boundary[searched] = res.x, res.boundary
     dp2_opt, e_n_opt = np.full(n, np.nan), np.full(n, np.nan)
-    report, kept = evaluate(lambda k: steady(k, res.x[k])[1], np.ones(n, dtype=bool))
+    report, kept = evaluate(lambda k: steady(k, r_opt[k])[1], np.ones(n, dtype=bool))
     if len(kept):
         dp2_opt[kept], e_n_opt[kept] = report.dP2_minus, report.E_N
 
@@ -449,7 +456,7 @@ def optimal_squeezings(
         notes = ["formula undefined for the phase-averaged steady state"] * n
     else:
         notes = [""] * n
-        r_k = np.where(res.boundary, np.maximum(res.x, 0.1), 0.5)
+        r_k = np.where(boundary, np.maximum(r_opt, 0.1), 0.5)
         going = np.ones(n, dtype=bool)
         for _ in range(50):
             theta, kept = evaluate(lambda k: rotation_angle(steady(k, r_k[k])[0]), going)
@@ -468,7 +475,7 @@ def optimal_squeezings(
             notes[k] = "fixed point not fully converged after 50 iterations"
     return [
         failures[k] if k in failures else OptimalSqueezing(
-            r_numeric=float(res.x[k]),
+            r_numeric=float(r_opt[k]),
             r_formula=None if np.isnan(r_formula[k]) else float(r_formula[k]),
             dP2_minus=float(dp2_opt[k]), E_N=float(e_n_opt[k]),
             formula_note=notes[k])

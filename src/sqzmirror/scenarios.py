@@ -478,19 +478,18 @@ def _scenario_fig3b(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _adiabatic_rows(cfg: ScenarioConfig, sweep_values, sweep_field: str):
-    """One compare_adiabatic per value; a failing point fails its own row."""
-    phase = PHASES[cfg.phase]
-    rows = []
-    for val in sweep_values:
-        try:
-            comp = full_model.compare_adiabatic(_params(cfg, **{sweep_field: val}),
-                                                phase=phase)
-            cells = (comp.steady_dp2_full, comp.steady_dp2_reduced,
-                     comp.steady_rel_deviation)
-        except SimulationError as exc:
-            cells = exc
-        rows.append(_row(val, cells, 3))
-    return rows
+    """fig4's rows: one full.compare_adiabatics over the points whose
+    parameters pass, so each point's full6 and reduced3 builds stay its own
+    while the reduced3 solve and the variance read are one each. A failing
+    point fails its own row, with its parameters' error or its entry's."""
+    builds, _ = _sweep_points(cfg, sweep_field, sweep_values)
+    live = [k for k, b in enumerate(builds) if isinstance(b, PhysicalParams)]
+    cells = dict(enumerate(builds))
+    for k, comp in zip(live, full_model.compare_adiabatics([builds[k] for k in live],
+                                                           PHASES[cfg.phase])):
+        cells[k] = comp if isinstance(comp, SimulationError) else (
+            comp.steady_dp2_full, comp.steady_dp2_reduced, comp.steady_rel_deviation)
+    return [_row(val, cells[k], 3) for k, val in enumerate(sweep_values)]
 
 
 def _scenario_fig4a(cfg: ScenarioConfig) -> list[Curve]:

@@ -27,8 +27,10 @@ from sqzmirror.errors import (
     SimulationError,
     StepSizeError,
 )
-from sqzmirror.gaussian import _check_covariance, symplectic_form
+from sqzmirror.full import AdiabaticComparison, mirror_block, steady_full
+from sqzmirror.gaussian import _check_covariance, frame_variances, symplectic_form
 from sqzmirror.generator import DRIFT_RTOL, RESERVOIR_INJECTIONS, MomentEquations
+from sqzmirror.reduced import build_system, steady_covariance
 
 PAIRING_RTOL = 1e-9
 
@@ -170,3 +172,15 @@ def compile_injections_loop(model, coeffs):
     if max(np.abs(e.drift - drift).max() for e in eqs[1:]) > 1e-9 * np.abs(drift).max():
         raise SimulationError("drift acquired reservoir dependence")
     return eqs
+
+
+def compare_adiabatic_loop(params, phase):
+    """full.compare_adiabatic as one chain per point: steady_full, then
+    build_system, its steady_parts and steady_covariance, then one
+    frame_variances of the two mirror covariances. The first step to fail
+    raises its SimulationError."""
+    V_f = mirror_block(steady_full(params, phase))
+    system = build_system(params)
+    V_r = steady_covariance(system.steady_parts(), system.nbar0, params.r, phase)
+    dp2_f, dp2_r = frame_variances(np.array([V_f, V_r]))[1].tolist()
+    return AdiabaticComparison(dp2_f, dp2_r, abs(dp2_f - dp2_r) / abs(dp2_f))

@@ -7,10 +7,11 @@ For every stage it prints the minimum over N calls in microseconds and the
 minor page faults per call (resource.getrusage); the stages take turns,
 ten calls at a time. The stages are the chain
 derive -> model builder -> compile_generator -> reservoir_parts /
-steady_parts -> frame_variances at one point, as fig4's compare_adiabatic
-runs it, and compile_generator of 1, 25 and 101 points times the three
-reservoir injections (reduced and full), the sizes of a point, a fig4
-curve and fig2d. With --against, each round runs this script once per tree,
+steady_parts -> frame_variances at one point, as compare_adiabatic runs
+it, compile_generator of 1, 25 and 101 points times the three reservoir
+injections (reduced and full), the sizes of a point, a fig4 curve and
+fig2d, and compare_adiabatics over fig4a's 25 points (in a tree without
+it, one compare_adiabatic per point, as fig4 ran there). With --against, each round runs this script once per tree,
 one subprocess at a time, alternating which tree goes first; it prints
 each stage's median over the rounds for both trees and their ratio
 (this tree / the other). The file name keeps pytest from collecting it.
@@ -77,6 +78,13 @@ def stages() -> list[tuple[str, object]]:
         ("frame_variances, 2 matrices", lambda: gaussian.frame_variances(np.stack([V, V]))),
         ("compare_adiabatic", lambda: full.compare_adiabatic(point)),
     ]
+    kappa_hz = params.BASELINE_HZ["kappa_hz"]
+    fig4a = [params.baseline_params(gamma_m_hz=x * kappa_hz)
+             for x in np.geomspace(1.5e-5, 1.0, 25)]
+    compare_adiabatics = getattr(full, "compare_adiabatics", lambda points, phase: [
+        full.compare_adiabatic(p, phase) for p in points])
+    table.append(("compare_adiabatics, 25 fig4a points",
+                  lambda: compare_adiabatics(fig4a, 1.0)))
     return table
 
 

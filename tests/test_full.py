@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import symplectic_spectrum
+from _oracles import compare_adiabatic_loop, symplectic_spectrum
 from sqzmirror.dynamics import (
     TimeGrid,
     normalize_phase,
@@ -11,6 +11,7 @@ from sqzmirror.dynamics import (
     reservoir_parts,
     steady_at_phase,
 )
+from sqzmirror.errors import SimulationError
 from sqzmirror.full import (
     compare_adiabatic,
     evolve_full,
@@ -18,11 +19,11 @@ from sqzmirror.full import (
     mirror_block,
     steady_full,
 )
-from sqzmirror import scenarios
+from sqzmirror import full, scenarios
 from sqzmirror.gaussian import frame_variances, mean_phonon, quadrature_observables
 from sqzmirror.generator import compile_generator, compile_injections, full_generator
 from sqzmirror.params import baseline_params, derive
-from sqzmirror.reduced import evolve as evolve_reduced, steady_state
+from sqzmirror.reduced import ReducedSystem, evolve as evolve_reduced, steady_state
 
 KAPPA_HZ = 6.2e6
 
@@ -214,12 +215,13 @@ def test_phase_has_one_meaning_in_every_model(phase):
 @pytest.mark.parametrize("figure, name, column", [("fig4a", "gamma_m_hz", 1),
                                                    ("fig4b", "power_w", 0)])
 def test_fig4_rows_equal_their_stacked_sweep(figure, name, column):
-    """fig4's rows are one compare_adiabatic per point, 25 per figure (a
-    traced fig4a makes 25 full.steady_full calls). The same points as one
-    sweep, _sweep_points, then _steady_points of full6 and of reduced3 and
-    one frame_variances over the 50 covariances, give the rows' three
-    value columns exactly: the stacked path could replace the per-point one
-    without changing a digit."""
+    """fig4's rows come from full.compare_adiabatics, whose builds stay per
+    point (a traced fig4a makes 25 full.steady_full calls) while its
+    reduced3 solve and its variance read are one each. The same points as
+    one sweep, _sweep_points, then _steady_points of full6 and of reduced3
+    (one stacked build each) and one frame_variances over the 50
+    covariances, give the rows' three value columns exactly: stacking the
+    builds too would not change a digit."""
     cfg = scenarios.ScenarioConfig(scenario=figure)
     ((_, _, rows),) = getattr(scenarios, f"_scenario_{figure}")(cfg)
     if figure == "fig4b":  # at gamma_m = kappa
@@ -234,3 +236,68 @@ def test_fig4_rows_equal_their_stacked_sweep(figure, name, column):
     dp2_f, dp2_r = dp2[:25], dp2[25:]
     stacked = np.stack([dp2_f, dp2_r, abs(dp2_f - dp2_r) / abs(dp2_f)], axis=1)
     assert np.array_equal(np.array([row[column + 1:column + 4] for row in rows]), stacked)
+
+
+@pytest.mark.parametrize("figure, params_hz, n_failing", [
+    ("fig4b", {"delta_hz": -32.1e6}, 3),
+    ("fig4a", {"delta_hz": -32.1e6, "power_w": 32e-6}, 25),
+], ids=["fig4b", "fig4a"])
+def test_failing_fig4_rows_equal_per_point_chains(tmp_path, monkeypatch, figure, params_hz,
+                                                  n_failing):
+    """Blue-detuned fig4 runs, where some or all full6 drifts are not
+    Hurwitz, write the CSV that one compare_adiabatic_loop per point writes:
+    every value and every error text, row by row."""
+    def per_point(points, phase):
+        results = []
+        for p in points:
+            try:
+                results.append(compare_adiabatic_loop(p, phase))
+            except SimulationError as exc:
+                results.append(exc)
+        return results
+
+    def csv(out):
+        cfg = scenarios.ScenarioConfig(scenario=figure, params_hz=dict(params_hz),
+                                       output_dir=str(tmp_path / out))
+        (path, _) = scenarios.run(cfg)
+        return path.read_text()
+
+    stacked = csv("stacked")
+    monkeypatch.setattr(full, "compare_adiabatics", per_point)
+    assert stacked == csv("per_point")
+    assert stacked.count("StabilityError: drift is not Hurwitz") == n_failing
+
+
+def test_fig4a_builds_per_point_and_solves_once(monkeypatch):
+    """A fig4a run makes one steady_full per point, then one build_system
+    per point, 25 distinct points each (what the benchmark's trace pins),
+    then one stacked reduced3 steady_parts and one frame_variances over the
+    25 pairs of covariances. compare_adiabatic of one point equals its row."""
+    calls = {name: [] for name in ("steady_full", "build_system", "frame_variances",
+                                   "steady_parts")}
+    order = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            order.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("steady_full", "build_system", "frame_variances"):
+        monkeypatch.setattr(full, name, counted(name, getattr(full, name)))
+    monkeypatch.setattr(ReducedSystem, "steady_parts",
+                        counted("steady_parts", ReducedSystem.steady_parts))
+    ((_, _, rows),) = scenarios._scenario_fig4a(scenarios.ScenarioConfig(scenario="fig4a"))
+    assert order == ["steady_full"] * 25 + ["build_system"] * 25 + ["steady_parts",
+                                                                   "frame_variances"]
+    points = calls["steady_full"]
+    assert len(set(points)) == 25
+    assert calls["build_system"] == points
+    (system,) = calls["steady_parts"]
+    assert system.m3.shape == (25, 3, 3)
+    (V,) = calls["frame_variances"]
+    assert V.shape == (25, 2, 4, 4)
+    comp = compare_adiabatic(points[7])
+    assert (comp.steady_dp2_full, comp.steady_dp2_reduced,
+            comp.steady_rel_deviation) == rows[7][2:5]

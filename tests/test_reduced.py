@@ -464,6 +464,41 @@ def test_optimal_squeezings_equal_one_point_calls(rng, monkeypatch, phase):
     assert sorted(kinds) == ["SimulationError"] * 2 + ["StabilityError"] + ["ok"] * 4
 
 
+@pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
+def test_failed_build_starts_its_lane_as_done(monkeypatch, phase):
+    """A point whose build fails does not search: fig3b's 25 powers plus one
+    blue-detuned point take as many Brent steps and make as many stacked
+    criterion calls as the powers alone, and every other lane's cells are
+    bit-equal."""
+    powers = [baseline_params(power_w=P) for P in np.geomspace(0.01e-6, 4e-6, 25)]
+    criterion_, minimize_scalar_ = reduced.criterion, reduced.minimize_scalar
+
+    def counted(points):
+        """optimal_squeezings at the points, the Brent steps it took and
+        whether each criterion call read a stack."""
+        steps, stacked = [], []
+
+        def counting_criterion(V, nbar0):
+            stacked.append(np.ndim(V) == 3)
+            return criterion_(V, nbar0)
+
+        def counting_minimize(f, bracket, tol):
+            return minimize_scalar_(lambda x: steps.append(x) or f(x), bracket, tol)
+
+        monkeypatch.setattr(reduced, "criterion", counting_criterion)
+        monkeypatch.setattr(reduced, "minimize_scalar", counting_minimize)
+        return optimal_squeezings(points, phase), len(steps), stacked
+
+    alone, steps_alone, stacked_alone = counted(powers)
+    mixed, steps_mixed, stacked_mixed = counted(
+        powers[:9] + [baseline_params(delta_hz=-32.1e6)] + powers[9:])
+    assert steps_mixed == steps_alone
+    assert all(stacked_alone) and all(stacked_mixed)
+    assert len(stacked_mixed) == len(stacked_alone)
+    assert isinstance(mixed.pop(9), StabilityError)
+    assert [optimum_cells(o) for o in mixed] == [optimum_cells(o) for o in alone]
+
+
 def test_r_curve_is_one_build(baseline, builds):
     """A whole r curve is one build_system, and an optimum search one
     build_systems of its point alone: each one reduced_generator call and
