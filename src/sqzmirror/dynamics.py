@@ -507,8 +507,8 @@ def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResu
     the values. Each lane chooses its own step under masks and stops on its
     own, after which f sees NaN at its entry and the value there is ignored;
     each lane's x and boundary equal those of a search over it alone. A NaN
-    value compares as no better: the parabola is refused and the bracket
-    shrinks by golden steps, so a lane whose points fail still stops. Flags
+    value (a point that failed) ends its search at once, at the best point
+    before it (the first point, if that one's value is NaN). Flags
     `boundary` when the minimizer lands within 10*tol of a bracket edge
     (monotone f converges there).
     """
@@ -527,10 +527,11 @@ def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResu
     a, b = a0, b0
     x = w = v = a + golden * (b - a)  # best point, second best, the one before
     fx = fw = fv = at(x, True)
+    failed = np.isnan(fx)
     d = e = np.zeros_like(x)  # the last step and the one before it
     while True:
         m, tol1 = 0.5 * (a + b), sqrt_eps * np.abs(x) + tol / 3.0
-        active = np.abs(x - m) > 2.0 * tol1 - 0.5 * (b - a)
+        active = ~failed & (np.abs(x - m) > 2.0 * tol1 - 0.5 * (b - a))
         if not active.any():
             break
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
@@ -546,6 +547,7 @@ def minimize_scalar(f, bracket: tuple[float, float], tol: float) -> MinimizeResu
         d = np.where(parabolic, step, golden * e)
         u = x + np.where(d >= 0.0, 1.0, -1.0) * np.maximum(np.abs(d), tol1)
         fu = at(u, active)
+        failed = failed | (active & np.isnan(fu))
         better, worse = active & (fu <= fx), active & ~(fu <= fx)
         # the bracket closes on the new best point, or on u past the old one
         a = np.where(better & (u >= x), x, np.where(worse & (u < x), u, a))

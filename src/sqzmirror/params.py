@@ -261,9 +261,14 @@ def stack_points(points: Sequence[PhysicalParams]) -> PhysicalParams:
     Each point was checked when it was made; the stack is not checked again,
     since PhysicalParams' checks read floats.
     """
-    stack = object.__new__(PhysicalParams)
     columns = np.array([list(vars(p).values()) for p in points]).T
-    vars(stack).update(zip(_FIELDS, columns))
+    return _unchecked(zip(_FIELDS, columns))
+
+
+def _unchecked(fields) -> PhysicalParams:
+    """A PhysicalParams of the (name, value) pairs fields, not checked."""
+    stack = object.__new__(PhysicalParams)
+    vars(stack).update(fields)
     return stack
 
 
@@ -337,6 +342,12 @@ class DerivedCoefficients:
     zeta_plus = property(lambda self: self._zeta(False, 1.0))
     zeta_bar_plus = property(lambda self: self._zeta(True, 1.0))
     zeta_bar_minus = property(lambda self: self._zeta(True, -1.0))
+
+    def point(self, k) -> "DerivedCoefficients":
+        """The points k (an index array) of a derive of stacked points."""
+        return DerivedCoefficients(
+            _unchecked((name, value[k]) for name, value in vars(self.params).items()),
+            self.omega_drive[k], self.alpha[k], self.nbar0[k], self.N[k], self.M[k])
 
     def xi_pair(self, omega_k: float) -> Harmonic:
         """Harmonic decompositions of (xi_k^{+}, xi_k^{-}) as one Harmonic with

@@ -35,6 +35,7 @@ from .dynamics import (
 from .errors import DivergenceError, SimulationError, per_entry
 from .gaussian import (
     QuadratureObservables,
+    frame_variances,
     observables_and_nu_minus,
     quadrature_observables,
     rotation_angle,
@@ -42,11 +43,19 @@ from .gaussian import (
     warn_uncertainty,
 )
 from .generator import (
+    MomentEquations,
     compile_generator,
     compile_injections,
     reduced_generator,
 )
-from .params import PhysicalParams, check_r, derive, reservoir_correlations, stack_points
+from .params import (
+    DerivedCoefficients,
+    PhysicalParams,
+    check_r,
+    derive,
+    reservoir_correlations,
+    stack_points,
+)
 
 CRITERION_BAND = 1e-9
 
@@ -171,30 +180,36 @@ class ReducedSystem:
 def build_systems(points: Sequence[PhysicalParams]) -> ReducedSystem:
     """Extract the 3-variable system of every point from one compiled build.
 
-    derive runs once over the stacked points (params.stack_points), and the
-    b0/b1/b2 decomposition comes from compile_injections: one model build
-    whose members are the points times the reservoir correlations (N, M)
-    injected as (0,0), (1,0), (0,1). It refuses a drift that differs
-    between a point's injections. Each point's shared drift gives its m3,
-    and one projection of the diffusions gives the static drives at (0,0)
-    and (1,0) and the sideband at (0,1). Every field of the result carries
-    a leading axis of points; nothing here checks stability.
+    derive runs once over the stacked points (params.stack_points), then
+    compile_injections builds reduced_generator at the points times the
+    reservoir correlations (N, M) injected as (0,0), (1,0), (0,1), and
+    project_system reads the system from that build. Every field of the
+    result carries a leading axis of points; nothing here checks stability.
     """
     coeffs = derive(stack_points(points))
-    eqs = compile_injections(reduced_generator, coeffs)
-    A = eqs.drift[0]
+    return project_system(coeffs, compile_injections(reduced_generator, coeffs))
+
+
+def project_system(coeffs: DerivedCoefficients, injections: MomentEquations) -> ReducedSystem:
+    """The 3-variable systems of compile_injections(reduced_generator, coeffs).
+
+    coeffs is derive of stacked points. Each point's shared drift gives its
+    m3, and one projection of the diffusions gives the static drives at
+    (0,0) and (1,0) and the sideband at (0,1).
+    """
+    A = injections.drift[0]
     At = A.swapaxes(-1, -2)
     # column k of m3 is the image of the lifted unit vector e_k
     m3 = project_covariance(A[:, None] @ _UNIT_LIFTS + _UNIT_LIFTS @ At[:, None])
     V = (coeffs.nbar0 + 0.5)[:, None, None] * _ZERO_LIFT  # the lift of zero
     base = project_covariance(A @ V + V @ At)
-    d00, d10 = project_covariance(eqs.diffusion_static[:2])
+    d00, d10 = project_covariance(injections.diffusion_static[:2])
     b0 = base + d00
     return ReducedSystem(
         m3=m3.swapaxes(-1, -2),
         b0=b0,
         b1=(base + d10) - b0,
-        b2=project_covariance(eqs.diffusion_harmonic[2]),
+        b2=project_covariance(injections.diffusion_harmonic[2]),
         delta=coeffs.params.delta,
         nbar0=coeffs.nbar0,
         N=coeffs.N,
@@ -396,13 +411,17 @@ def optimal_squeezings(
     One build_systems for all points, and one batched steady_parts: one
     errors.per_entry evaluation, so a point whose build fails leaves with
     the error its own build raises, and only the built points search. The
-    points' steady parts are stacked, and each Brent step (the lanes of
-    dynamics.minimize_scalar, each choosing its own step), the optima and
-    each step of the r_formula fixed points are one steady_covariance and
-    one criterion over every point still searching. Entry k is point k's
-    OptimalSqueezing, or the SimulationError its one-point call raises: a
-    point whose build or any evaluation fails leaves the lanes, and the
-    others keep their values.
+    points' steady parts are stacked. Each step reads one steady_covariance
+    over every point still searching: a Brent step (the lanes of
+    dynamics.minimize_scalar, each choosing its own step) reads its
+    dP2_minus by gaussian.frame_variances, a step of the r_formula fixed
+    points its rotation_angle. One criterion call then checks every
+    covariance evaluated, the optima's included, and its rows at the optima
+    give dP2_minus and E_N; only if it refuses one are the evaluations
+    checked one by one, each by errors.per_entry. Entry k is point k's OptimalSqueezing, or the
+    SimulationError its one-point call raises: that of its first evaluation
+    to fail, in evaluation order. A point whose read fails leaves the lanes
+    at once, and the others keep their values.
     """
     def built(k):
         system = build_systems([points[j] for j in np.atleast_1d(k)])
@@ -417,18 +436,19 @@ def optimal_squeezings(
             lane[kept] = part
     z = normalize_phase(phase)
     alive = np.array([k not in failures for k in range(n)])
+    evaluated = []  # (lanes, covariances) of every evaluation, in order
 
-    def steady(k, r) -> tuple[NDArray[np.float64], CriterionReport]:
-        """Lanes k (an index array, or an int for one lane alone) at r."""
-        V = steady_covariance((x0[k], x1[k], x2[k]), nbar0[k], r, z)
-        return V, criterion(V, nbar0[k])
-
-    def evaluate(fn, lanes: NDArray[np.bool_]):
-        """fn over the live lanes of the mask; the lanes that fail leave."""
-        value, kept, failed = per_entry(fn, np.flatnonzero(lanes & alive))
-        failures.update(failed)
-        alive[list(failed)] = False
-        return value, kept
+    def evaluate(read, lanes: NDArray[np.bool_], r: NDArray):
+        """read of the covariance at r of each live lane of the mask; the
+        lanes whose read fails leave. Returns (value, the lanes read)."""
+        k = np.flatnonzero(lanes & alive)
+        V = steady_covariance((x0[k], x1[k], x2[k]), nbar0[k], r[k], z)
+        value, ok, failed = per_entry(lambda j: read(V[j]), np.arange(len(k)))
+        for j, exc in failed.items():
+            failures[int(k[j])] = exc
+        alive[k[list(failed)]] = False
+        evaluated.append((k[ok], V[ok]))
+        return value, k[ok]
 
     # the search's lanes are the built points: a failed build starts as done
     searched = np.flatnonzero(alive)
@@ -436,18 +456,18 @@ def optimal_squeezings(
     def dp2(r: NDArray) -> NDArray:
         out, r_n = np.full(n, np.nan), np.full(n, np.nan)
         r_n[searched] = r
-        value, kept = evaluate(lambda k: steady(k, r_n[k])[1].dP2_minus, ~np.isnan(r_n))
-        if len(kept):
-            out[kept] = value
+        value, read = evaluate(lambda V: frame_variances(V)[1], ~np.isnan(r_n), r_n)
+        if len(read):
+            out[read] = value
         return out[searched]
 
     res = minimize_scalar(dp2, (np.zeros(len(searched)), np.full(len(searched), 3.0)), tol=1e-4)
     r_opt, boundary = np.full(n, np.nan), np.zeros(n, dtype=bool)
     r_opt[searched], boundary[searched] = res.x, res.boundary
-    dp2_opt, e_n_opt = np.full(n, np.nan), np.full(n, np.nan)
-    report, kept = evaluate(lambda k: steady(k, r_opt[k])[1], np.ones(n, dtype=bool))
-    if len(kept):
-        dp2_opt[kept], e_n_opt[kept] = report.dP2_minus, report.E_N
+    optima = np.flatnonzero(alive)
+    first_optimum = sum(len(k) for k, _ in evaluated)
+    evaluated.append((optima, steady_covariance(
+        (x0[optima], x1[optima], x2[optima]), nbar0[optima], r_opt[optima], z)))
 
     # r_formula: squeezing_formula at the rotation angle of the steady state
     # at its own last value
@@ -459,20 +479,45 @@ def optimal_squeezings(
         r_k = np.where(boundary, np.maximum(r_opt, 0.1), 0.5)
         going = np.ones(n, dtype=bool)
         for _ in range(50):
-            theta, kept = evaluate(lambda k: rotation_angle(steady(k, r_k[k])[0]), going)
-            if not len(kept):
+            theta, read = evaluate(rotation_angle, going, r_k)
+            if not len(read):
                 break
-            r_next = squeezing_formula((x0[kept], x1[kept], x2[kept]), theta, z)
+            r_next = squeezing_formula((x0[read], x1[read], x2[read]), theta, z)
             out = np.isnan(r_next)
-            done = ~out & (np.abs(r_next - r_k[kept]) < 1e-10)
-            for k in kept[out].tolist():
+            done = ~out & (np.abs(r_next - r_k[read]) < 1e-10)
+            for k in read[out].tolist():
                 notes[k] = "artanh argument out of (-1, 1)"
-            r_formula[kept[done]] = r_next[done]
-            going[kept[out | done]] = False
-            r_k[kept] = np.where(out, r_k[kept], r_next)
+            r_formula[read[done]] = r_next[done]
+            going[read[out | done]] = False
+            r_k[read] = np.where(out, r_k[read], r_next)
         for k in np.flatnonzero(going & alive).tolist():
             r_formula[k] = r_k[k]
             notes[k] = "fixed point not fully converged after 50 iterations"
+
+    # every covariance evaluated, checked by one criterion call; if it
+    # refuses any, evaluation by evaluation, each one errors.per_entry
+    lanes = np.concatenate([k for k, _ in evaluated])
+    V = np.concatenate([V for _, V in evaluated])
+    entries = np.arange(len(lanes))
+
+    def check(e):
+        return criterion(V[e], nbar0[lanes[e]])
+
+    try:
+        checks = [(check(entries), entries, {})]
+    except SimulationError:
+        bounds = np.cumsum([len(k) for k, _ in evaluated[:-1]], dtype=int)
+        checks = [per_entry(check, span) for span in np.split(entries, bounds)]
+    dp2_opt, e_n_opt = np.full(n, np.nan), np.full(n, np.nan)
+    # latest first: a lane's first refused covariance precedes any read of it
+    # that failed, and any later refusal
+    for report, checked, refused in reversed(checks):
+        for e, exc in reversed(refused.items()):
+            failures[int(lanes[e])] = exc
+        at_optimum = (first_optimum <= checked) & (checked < first_optimum + len(optima))
+        if at_optimum.any():
+            k = lanes[checked[at_optimum]]
+            dp2_opt[k], e_n_opt[k] = report.dP2_minus[at_optimum], report.E_N[at_optimum]
     return [
         failures[k] if k in failures else OptimalSqueezing(
             r_numeric=float(r_opt[k]),

@@ -279,63 +279,104 @@ def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
                              for b in builds])
 
 
-def _build_parts(model: str, points) -> tuple:
-    """(x0, x1, x2, nbar0) of one model at the points, from one build.
+# the steady solve each model reads: reduced3 and reduced_analytic share one
+# system, one solve and the same rows
+_SOLVES = {"reduced3": "reduced3", "reduced_analytic": "reduced3",
+           "reduced10": "reduced10", "full6": "full6"}
 
-    The r-independent steady parts, each with a leading axis of points:
-    ReducedSystem's steady_parts of reduced.build_systems for reduced3 and
-    reduced_analytic, dynamics.reservoir_parts of one compile_injections
-    build for reduced10 and full6, full6's cut to the mirror block.
+
+def _build_parts(solves, points) -> dict[str, tuple]:
+    """{solve: (parts, solved, errors)} of each of the solves at the points.
+
+    parts are (x0, x1, x2, nbar0), the r-independent steady parts with a
+    leading axis of the points solved (an index array), and errors maps
+    every other point to the error its own build raises. The build is three
+    stages, each one errors.per_entry evaluation shared by the solves that
+    read it: one derive of every point, one compile_injections per
+    generator (reduced_generator for reduced3 and reduced10, full_generator
+    for full6), then per solve one Hurwitz check and one solve:
+    ReducedSystem.steady_parts of reduced.project_system for reduced3, and
+    dynamics.reservoir_parts for reduced10 and full6, full6's cut to the
+    mirror block. A point fails at its first stage to fail, as a build of
+    that point alone does.
     """
-    if model in ("reduced3", "reduced_analytic"):
-        system = reduced_model.build_systems(points)
-        return (*system.steady_parts(), system.nbar0)
-    coeffs = derive(stack_points(points))
-    generator = full_generator if model == "full6" else reduced_generator
-    parts = reservoir_parts(compile_injections(generator, coeffs))
-    if model == "full6":
-        parts = [full_model.mirror_block(x) for x in parts]
-    return (*parts, coeffs.nbar0)
+    n = len(points)
+    coeffs, derived, derive_errors = per_entry(
+        lambda j: derive(stack_points([points[i] for i in np.atleast_1d(j)])), np.arange(n))
+    row = np.zeros(n, dtype=int)
+    row[derived] = np.arange(len(derived))  # a derived point's row of coeffs
+    compiled, built = {}, {}
+    for solve in solves:
+        generator = full_generator if solve == "full6" else reduced_generator
+        if generator not in compiled:
+            compiled[generator] = per_entry(
+                lambda j: compile_injections(generator, coeffs.point(row[np.atleast_1d(j)])),
+                derived)
+        eqs, points_compiled, compile_errors = compiled[generator]
+        at = np.zeros(n, dtype=int)
+        at[points_compiled] = np.arange(len(points_compiled))  # a compiled point's row of eqs
+
+        def solved(j):
+            k = np.atleast_1d(j)
+            if solve == "reduced3":
+                system = reduced_model.project_system(coeffs.point(row[k]), eqs[:, at[k]])
+                return (*system.steady_parts(), system.nbar0)
+            parts = reservoir_parts(eqs[:, at[k]])
+            if solve == "full6":
+                parts = [full_model.mirror_block(x) for x in parts]
+            return (*parts, coeffs.nbar0[row[k]])
+
+        parts, points_solved, solve_errors = per_entry(solved, points_compiled)
+        built[solve] = (parts, points_solved, {**derive_errors, **compile_errors, **solve_errors})
+    return built
 
 
-def _steady_points(model: str, builds, r, phase):
-    """One model's steady two-mirror covariances at many points, as one stack.
+def _steady_points(models, builds, r, phase) -> dict[str, tuple]:
+    """Each model's steady two-mirror covariances at many points, as stacks.
 
-    builds and r are _sweep_points'. The distinct PhysicalParams among the
-    points (one for an r curve, one per value on any other axis) are built
-    together, by one errors.per_entry evaluation of _build_parts: one model
-    build, one Hurwitz check and one solve for all of them, and a build
-    that fails (a non-Hurwitz drift, say) fails all of its points with the
-    error its own build raises. Every other point is one entry of one
-    x0 + N x1 + M x2(z).
+    builds and r are _sweep_points'. Consecutive points of one
+    PhysicalParams (an r curve) are one distinct point, any other point is
+    its own, and _build_parts builds the distinct points of every model
+    together: one derive, one compile per generator, and one Hurwitz check
+    and one solve per solve, and a build that fails (a non-Hurwitz drift,
+    say) fails all of its points with the error its own build raises. Every
+    other point is one entry of one x0 + N x1 + M x2(z) per solve.
 
-    Returns (V, nbar0, failures): V (n, 4, 4) and nbar0 (n,) are each
-    point's covariance and thermal occupation (zero where it failed), and
-    failures maps each failing point to its error, the parameter errors
-    first and then the build errors, each in point order.
+    Returns {model: (V, nbar0, failures)}, one tuple for the models that
+    share a solve. V (n, 4, 4) and nbar0 (n,) are each point's covariance
+    and thermal occupation (zero where it failed), and failures maps each
+    failing point to its error, the parameter errors first and then the
+    build errors, each in point order.
     """
-    failures = {k: b for k, b in enumerate(builds) if isinstance(b, SimulationError)}
-    slot = {}  # id of a distinct PhysicalParams -> its index among them
-    index = {k: slot.setdefault(id(b), len(slot))
-             for k, b in enumerate(builds) if k not in failures}
-    distinct = list({id(builds[k]): builds[k] for k in index}.values())
-    parts, built, failed = per_entry(
-        lambda j: _build_parts(model, [distinct[i] for i in np.atleast_1d(j)]),
-        np.arange(len(distinct)))
-    failures.update((k, failed[j]) for k, j in index.items() if j in failed)
-    row = dict(zip(built.tolist(), range(len(built))))  # a built point's row in parts
-    live = [k for k, j in index.items() if j in row]
-    V, nbar0 = np.zeros((len(builds), 4, 4)), np.zeros(len(builds))
-    if live:
-        x0, x1, x2, nbar0_live = (x[[row[index[k]] for k in live]] for x in parts)
-        nbar0[live] = nbar0_live
-        if model in ("reduced3", "reduced_analytic"):
-            V[live] = reduced_model.steady_covariance((x0, x1, x2), nbar0_live,
-                                                      r[live], phase)
-        else:
-            N, M = reservoir_correlations(r[live][:, None, None])
-            V[live] = reservoir_steady((x0, x1, x2), N, M, phase)
-    return V, nbar0, failures
+    errors = {k: b for k, b in enumerate(builds) if isinstance(b, SimulationError)}
+    params = [k for k in range(len(builds)) if k not in errors]
+    live = np.array(params, dtype=int)
+    first = np.ones(len(live), dtype=bool)
+    first[1:] = [builds[k] is not builds[j] for j, k in zip(params, params[1:])]
+    index = np.cumsum(first) - 1  # each live point's distinct point
+    distinct = [builds[k] for k in live[first].tolist()]
+    solves = {_SOLVES[model]: None for model in models}
+    steady = {}
+    for solve, (parts, solved, build_errors) in _build_parts(solves, distinct).items():
+        at = np.full(len(distinct), -1)
+        at[solved] = np.arange(len(solved))
+        at = at[index]  # each live point's row of parts, -1 where its build failed
+        ok = at >= 0
+        failures = dict(errors)
+        failures.update((k, build_errors[j]) for k, j in zip(live[~ok].tolist(),
+                                                             index[~ok].tolist()))
+        V, nbar0 = np.zeros((len(builds), 4, 4)), np.zeros(len(builds))
+        k = live[ok]
+        if len(k):
+            x0, x1, x2, nbar0_k = (x[at[ok]] for x in parts)
+            nbar0[k] = nbar0_k
+            if solve == "reduced3":
+                V[k] = reduced_model.steady_covariance((x0, x1, x2), nbar0_k, r[k], phase)
+            else:
+                N, M = reservoir_correlations(r[k][:, None, None])
+                V[k] = reservoir_steady((x0, x1, x2), N, M, phase)
+        steady[solve] = (V, nbar0, failures)
+    return {model: steady[_SOLVES[model]] for model in models}
 
 
 def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
@@ -346,7 +387,7 @@ def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
     a build, then criterion's text "... at entry k".
     """
     builds, r = _sweep_points(cfg, name, values, **extra_hz)
-    V, nbar0, failures = _steady_points("reduced3", builds, r, PHASES[cfg.phase])
+    V, nbar0, failures = _steady_points(["reduced3"], builds, r, PHASES[cfg.phase])["reduced3"]
     if failures:
         raise next(iter(failures.values()))
     return reduced_model.criterion(V, nbar0)
@@ -363,32 +404,40 @@ def _row(val, cells: tuple | SimulationError, n_out: int) -> tuple:
     return (val, *cells, "")
 
 
-def _model_rows(model: str, points, values, phase) -> list[tuple]:
-    """Rows of one model at the points of a sweep, _sweep_points' (builds, r).
+def _sweep_rows(models, points, values, phase) -> dict[str, list[tuple]]:
+    """{model: rows} of the models at the points of a sweep, _sweep_points'
+    (builds, r).
 
     The covariances are _steady_points', read by one errors.per_entry
-    evaluation per curve: criterion for reduced3 and reduced_analytic,
-    whose steady states are read through it and whose rows take the
-    observables it read, and quadrature_observables for reduced10 and
-    full6. A row fails with the text of its parameters, its build or its
+    evaluation per solve: criterion for reduced3 and reduced_analytic,
+    whose steady states are read through it and whose rows (one list for
+    both) take the observables it read, and quadrature_observables for
+    reduced10 and full6. A row fails with the text of its parameters, its build or its
     own evaluation (lost precision at large r, a criterion miss), and the
     other rows keep their values.
     """
-    V, nbar0, cells = _steady_points(model, *points, phase)
-    checked = model in ("reduced3", "reduced_analytic")
+    steady = _steady_points(models, *points, phase)
+    rows = {}
+    for model in models:
+        solve = _SOLVES[model]
+        if solve in rows:
+            continue
+        V, nbar0, cells = steady[model]
+        cells = dict(cells)
 
-    def evaluate(k):
-        if checked:
-            return reduced_model.criterion(V[k], nbar0[k]).observables
-        return quadrature_observables(V[k])
+        def evaluate(k):
+            if solve == "reduced3":
+                return reduced_model.criterion(V[k], nbar0[k]).observables
+            return quadrature_observables(V[k])
 
-    live = np.array([k for k in range(len(values)) if k not in cells], dtype=int)
-    obs, kept, failures = per_entry(evaluate, live)
-    cells.update(failures)
-    if len(kept):
-        columns = (obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta)
-        cells.update(zip(kept.tolist(), zip(*(c.tolist() for c in columns))))
-    return [_row(val, cells[k], 4) for k, val in enumerate(values)]
+        live = np.array([k for k in range(len(values)) if k not in cells], dtype=int)
+        obs, kept, failures = per_entry(evaluate, live)
+        cells.update(failures)
+        if len(kept):
+            columns = (obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta)
+            cells.update(zip(kept.tolist(), zip(*(c.tolist() for c in columns))))
+        rows[solve] = [_row(val, cells[k], 4) for k, val in enumerate(values)]
+    return {model: rows[_SOLVES[model]] for model in models}
 
 
 def _label(x: float) -> str:
@@ -445,8 +494,8 @@ def _scenario_fig3a(cfg: ScenarioConfig) -> list[Curve]:
     powers_uw = (0.01, 0.1, 2.0)
     points = [_sweep_points(cfg, "r", r_values, power_w=p_uw * 1e-6) for p_uw in powers_uw]
     V, nbar0, failures = _steady_points(
-        "reduced3", [b for builds, _ in points for b in builds],
-        np.concatenate([r for _, r in points]), PHASES[cfg.phase])
+        ["reduced3"], [b for builds, _ in points for b in builds],
+        np.concatenate([r for _, r in points]), PHASES[cfg.phase])["reduced3"]
     for c, p_uw in enumerate(powers_uw):
         curve = range(c * len(r_values), (c + 1) * len(r_values))
         if failed := [exc for k, exc in failures.items() if k in curve]:
@@ -542,11 +591,10 @@ def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
     if cfg.sweep is not None:
         name, values = cfg.sweep
         header = (name, "E_N", "dP2_minus", "dQ2_minus", "theta", "error")
-        # the points are made and checked once, for every model
-        points = _sweep_points(cfg, name, values)
-        return [(f"custom_sweep_{model}", header,
-                 _model_rows(model, points, values, PHASES[cfg.phase]))
-                for model in models]
+        # the points are made, checked and built once, for every model
+        rows = _sweep_rows(models, _sweep_points(cfg, name, values), values,
+                           PHASES[cfg.phase])
+        return [(f"custom_sweep_{model}", header, rows[model]) for model in models]
     params = _params(cfg)
     return _trajectory_curves(cfg, models, params, [params.r],
                               [f"custom_{model}" for model in models])

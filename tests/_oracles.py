@@ -15,10 +15,13 @@ from dataclasses import replace
 
 import numpy as np
 
+from sqzmirror import reduced
 from sqzmirror.dynamics import (
     DIVERGENCE_LIMIT,
     STEP_SAFETY,
     _rk4_step_span,
+    minimize_scalar,
+    normalize_phase,
 )
 from sqzmirror.errors import (
     DimensionError,
@@ -26,11 +29,23 @@ from sqzmirror.errors import (
     GeneratorError,
     SimulationError,
     StepSizeError,
+    per_entry,
 )
 from sqzmirror.full import AdiabaticComparison, mirror_block, steady_full
-from sqzmirror.gaussian import _check_covariance, frame_variances, symplectic_form
+from sqzmirror.gaussian import (
+    _check_covariance,
+    frame_variances,
+    rotation_angle,
+    symplectic_form,
+)
 from sqzmirror.generator import DRIFT_RTOL, RESERVOIR_INJECTIONS, MomentEquations
-from sqzmirror.reduced import build_system, steady_covariance
+from sqzmirror.reduced import (
+    OptimalSqueezing,
+    build_system,
+    build_systems,
+    squeezing_formula,
+    steady_covariance,
+)
 
 PAIRING_RTOL = 1e-9
 
@@ -184,3 +199,86 @@ def compare_adiabatic_loop(params, phase):
     V_r = steady_covariance(system.steady_parts(), system.nbar0, params.r, phase)
     dp2_f, dp2_r = frame_variances(np.array([V_f, V_r]))[1].tolist()
     return AdiabaticComparison(dp2_f, dp2_r, abs(dp2_f - dp2_r) / abs(dp2_f))
+
+
+def optimal_squeezings_loop(points, phase):
+    """reduced.optimal_squeezings with reduced.criterion at every step.
+
+    The same lockstep Brent search and fixed-point iteration, but every
+    evaluation (each Brent step, the optima, each fixed-point step) is one
+    steady_covariance and one criterion call over the live lanes, whose
+    report gives dP2_minus; a lane leaves at its first evaluation to fail,
+    with the error of that covariance alone.
+    """
+    def built(k):
+        system = build_systems([points[j] for j in np.atleast_1d(k)])
+        return (*system.steady_parts(), system.nbar0)
+
+    n = len(points)
+    parts, kept, failures = per_entry(built, np.arange(n))
+    x0, x1, x2, nbar0 = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex),
+                         np.zeros(n))
+    if len(kept):
+        for lane, part in zip((x0, x1, x2, nbar0), parts):
+            lane[kept] = part
+    z = normalize_phase(phase)
+    alive = np.array([k not in failures for k in range(n)])
+
+    def steady(k, r):
+        V = steady_covariance((x0[k], x1[k], x2[k]), nbar0[k], r, z)
+        return V, reduced.criterion(V, nbar0[k])
+
+    def evaluate(fn, lanes):
+        value, kept, failed = per_entry(fn, np.flatnonzero(lanes & alive))
+        failures.update(failed)
+        alive[list(failed)] = False
+        return value, kept
+
+    searched = np.flatnonzero(alive)
+
+    def dp2(r):
+        out, r_n = np.full(n, np.nan), np.full(n, np.nan)
+        r_n[searched] = r
+        value, kept = evaluate(lambda k: steady(k, r_n[k])[1].dP2_minus, ~np.isnan(r_n))
+        if len(kept):
+            out[kept] = value
+        return out[searched]
+
+    res = minimize_scalar(dp2, (np.zeros(len(searched)), np.full(len(searched), 3.0)), tol=1e-4)
+    r_opt, boundary = np.full(n, np.nan), np.zeros(n, dtype=bool)
+    r_opt[searched], boundary[searched] = res.x, res.boundary
+    dp2_opt, e_n_opt = np.full(n, np.nan), np.full(n, np.nan)
+    report, kept = evaluate(lambda k: steady(k, r_opt[k])[1], np.ones(n, dtype=bool))
+    if len(kept):
+        dp2_opt[kept], e_n_opt[kept] = report.dP2_minus, report.E_N
+
+    r_formula = np.full(n, np.nan)
+    if z == 0.0:
+        notes = ["formula undefined for the phase-averaged steady state"] * n
+    else:
+        notes = [""] * n
+        r_k = np.where(boundary, np.maximum(r_opt, 0.1), 0.5)
+        going = np.ones(n, dtype=bool)
+        for _ in range(50):
+            theta, kept = evaluate(lambda k: rotation_angle(steady(k, r_k[k])[0]), going)
+            if not len(kept):
+                break
+            r_next = squeezing_formula((x0[kept], x1[kept], x2[kept]), theta, z)
+            out = np.isnan(r_next)
+            done = ~out & (np.abs(r_next - r_k[kept]) < 1e-10)
+            for k in kept[out].tolist():
+                notes[k] = "artanh argument out of (-1, 1)"
+            r_formula[kept[done]] = r_next[done]
+            going[kept[out | done]] = False
+            r_k[kept] = np.where(out, r_k[kept], r_next)
+        for k in np.flatnonzero(going & alive).tolist():
+            r_formula[k] = r_k[k]
+            notes[k] = "fixed point not fully converged after 50 iterations"
+    return [
+        failures[k] if k in failures else OptimalSqueezing(
+            r_numeric=float(r_opt[k]),
+            r_formula=None if np.isnan(r_formula[k]) else float(r_formula[k]),
+            dP2_minus=float(dp2_opt[k]), E_N=float(e_n_opt[k]),
+            formula_note=notes[k])
+        for k in range(n)
+    ]

@@ -48,6 +48,13 @@ def random_point_hz(rng) -> dict[str, float]:
     )
 
 
+# one failing point per refusal a sweep point meets: a non-Hurwitz drift at
+# its build, a laser frequency derive refuses, and parameters PhysicalParams
+# refuses
+FAILING_POINTS_HZ = ({"delta_hz": -32.1e6}, {"delta_hz": 7e9}, {"temperature_k": -1e-3},
+                     {"power_w": -1e-6})
+
+
 def random_point(rng):
     """A point of the benchmark's figure ranges (perfbench/inputs.py), r unset."""
     return baseline_params(**random_point_hz(rng))

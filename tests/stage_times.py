@@ -10,8 +10,12 @@ derive -> model builder -> compile_generator -> reservoir_parts /
 steady_parts -> frame_variances at one point, as compare_adiabatic runs
 it, compile_generator of 1, 25 and 101 points times the three reservoir
 injections (reduced and full), the sizes of a point, a fig4 curve and
-fig2d, and compare_adiabatics over fig4a's 25 points (in a tree without
-it, one compare_adiabatic per point, as fig4 ran there). With --against, each round runs this script once per tree,
+fig2d, compare_adiabatics over fig4a's 25 points (in a tree without
+it, one compare_adiabatic per point, as fig4 ran there), the rows of a
+custom r sweep of reduced3 and reduced10 at 51 values of r (in a tree
+without scenarios._sweep_rows, one _model_rows per model), and
+optimal_squeezings over fig3b's 25 powers. With --against, each round runs
+this script once per tree,
 one subprocess at a time, alternating which tree goes first; it prints
 each stage's median over the rounds for both trees and their ratio
 (this tree / the other). The file name keeps pytest from collecting it.
@@ -38,7 +42,7 @@ def stages() -> list[tuple[str, object]]:
 
     import numpy as np
 
-    from sqzmirror import dynamics, full, gaussian, generator, params, reduced
+    from sqzmirror import dynamics, full, gaussian, generator, params, reduced, scenarios
 
     point = params.baseline_params(gamma_m_hz=6.2e4, temperature_k=1e-3)
     one = params.derive(params.stack_points([point]))
@@ -85,6 +89,17 @@ def stages() -> list[tuple[str, object]]:
         full.compare_adiabatic(p, phase) for p in points])
     table.append(("compare_adiabatics, 25 fig4a points",
                   lambda: compare_adiabatics(fig4a, 1.0)))
+    cfg = scenarios.ScenarioConfig(scenario="custom",
+                                   params_hz={"gamma_m_hz": 6.2e4, "temperature_k": 1e-3})
+    r_values = np.linspace(0.0, 2.5, 51)
+    sweep_rows = getattr(scenarios, "_sweep_rows", lambda models, points, values, phase: {
+        model: scenarios._model_rows(model, points, values, phase) for model in models})
+    table.append(("r sweep rows, reduced3 + reduced10 x 51",
+                  lambda: sweep_rows(["reduced3", "reduced10"],
+                                     scenarios._sweep_points(cfg, "r", r_values), r_values, 1.0)))
+    fig3b = [params.baseline_params(power_w=P) for P in np.geomspace(0.01e-6, 4e-6, 25)]
+    table.append(("optimal_squeezings, 25 fig3b powers",
+                  lambda: reduced.optimal_squeezings(fig3b, 1.0)))
     return table
 
 

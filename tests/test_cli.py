@@ -1,12 +1,13 @@
 """CLI and scenario runner: files, formats, determinism, exit codes."""
 
 import csv
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_point_hz
+from conftest import FAILING_POINTS_HZ, random_point_hz
 from sqzmirror import cli, full, reduced, scenarios
 from sqzmirror.dynamics import moment_ode
 from sqzmirror.generator import MomentEquations, compile_generator, full_generator
@@ -358,15 +359,17 @@ def test_r_sweep_row_fails_with_its_single_call_text(tmp_path, monkeypatch):
 
 
 def test_r_sweep_compiles_once_per_curve(tmp_path, builds):
-    """A sweep builds each model once per curve, along any axis: one spec
-    whose members are the curve's distinct points times the three reservoir
-    injections, compiled once. An r curve has one distinct point; a power
-    sweep of three values is one spec of nine members per model."""
+    """A sweep builds each generator once per curve, along any axis: one
+    spec whose members are the curve's distinct points times the three
+    reservoir injections, compiled once for every model that reads it
+    (reduced3 and reduced10 share reduced_generator's). An r curve has one
+    distinct point; a power sweep of three values is one spec of nine
+    members per generator."""
     models = ["reduced3", "reduced10", "full6"]
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("r", [0.0, 0.5, 1.0, 1.5, 2.0]),
                        output_dir=str(tmp_path / "r")))
-    assert builds == {"model": 3, "compile": 3, "members": 9, "build_systems": 1}
+    assert builds == {"model": 2, "compile": 2, "members": 6}
     builds.clear()
     run(ScenarioConfig(scenario="custom", models=["reduced10", "full6"],
                        sweep=("power_w", [1e-6, 2e-6, 3e-6]),
@@ -378,7 +381,7 @@ def test_fig2d_is_one_build(tmp_path, builds):
     """fig2d's 101 temperatures are the members of one reduced_generator
     spec: one model call and one compile of 101 x 3 members."""
     run(ScenarioConfig(scenario="fig2d", output_dir=str(tmp_path)))
-    assert builds == {"model": 1, "compile": 1, "members": 303, "build_systems": 1}
+    assert builds == {"model": 1, "compile": 1, "members": 303}
 
 
 def test_fig3a_is_one_build(tmp_path, builds):
@@ -386,7 +389,7 @@ def test_fig3a_is_one_build(tmp_path, builds):
     write what three _steady_reports curves write, byte for byte."""
     cfg = ScenarioConfig(scenario="fig3a", output_dir=str(tmp_path / "fig"))
     run(cfg)
-    assert builds == {"model": 1, "compile": 1, "members": 9, "build_systems": 1}
+    assert builds == {"model": 1, "compile": 1, "members": 9}
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
     for p_uw in (0.01, 0.1, 2.0):
         name = f"fig3a_dP2_P{p_uw:g}uW.csv"
@@ -416,12 +419,13 @@ def test_failing_fig3a_raises_its_first_failing_curves_error(tmp_path, delta_hz)
 
 def test_delta_sweep_is_one_build_per_model(tmp_path, builds):
     """Points that differ in the detuning share one build too: delta is
-    per member, down to each member's sideband frequency."""
+    per member, down to each member's sideband frequency. The four models
+    read two compiles, one per generator."""
     models = ["reduced3", "reduced10", "reduced_analytic", "full6"]
     run(ScenarioConfig(scenario="custom", models=models,
                        sweep=("delta_hz", [25e6, 32.1e6, 40e6]),
                        output_dir=str(tmp_path)))
-    assert builds == {"model": 4, "compile": 4, "members": 36, "build_systems": 2}
+    assert builds == {"model": 2, "compile": 2, "members": 18}
     for model in models:
         rows = read_csv(tmp_path / f"custom_sweep_{model}.csv")
         assert [row["error"] for row in rows] == ["", "", ""], model
@@ -488,20 +492,77 @@ def test_r_sweep_rows_equal_one_value_sweeps(tmp_path, rng, axis, phase):
             assert errors[val].startswith(start), (model, val)
 
 
+def counted_compiles(monkeypatch):
+    """Counts of compile_injections calls, by generator, from the modules
+    that make them."""
+    counts = Counter()
+    compile_injections = scenarios.compile_injections
+
+    def counting(generator, coeffs):
+        counts[generator.__name__] += 1
+        return compile_injections(generator, coeffs)
+
+    for module in (scenarios, reduced, full):
+        monkeypatch.setattr(module, "compile_injections", counting)
+    return counts
+
+
+@pytest.mark.parametrize("axis, base", [
+    pytest.param(axis, base, id=f"{axis}-{base}")
+    for axis in STACK_CASES for base in ("red", "blue")])
+def test_sweep_of_every_model_writes_each_models_csv(tmp_path, monkeypatch, rng, axis, base):
+    """A custom sweep of all four models writes, for each model, the CSV a
+    run of that model alone writes: values, error texts and their order.
+    Good and failing values are mixed, FAILING_POINTS_HZ's among them where
+    they lie on the axis, and the blue-detuned base (FAILING_POINTS_HZ[0])
+    fails every build it is not swept away from. Each run compiles each
+    generator it reads once: reduced_generator for reduced3,
+    reduced_analytic and reduced10, full_generator for full6."""
+    good, failing, unchecked = STACK_CASES[axis]
+    failing = {*failing, *(bad[axis] for bad in FAILING_POINTS_HZ if axis in bad)}
+    values = rng.permutation([*good, *failing, *unchecked]).tolist()
+    params_hz = {**random_point_hz(rng), **(FAILING_POINTS_HZ[0] if base == "blue" else {})}
+    compiles = counted_compiles(monkeypatch)
+
+    def sweep(models):
+        compiles.clear()
+        out = tmp_path / "-".join(models)
+        run(ScenarioConfig(scenario="custom", models=models, params_hz=params_hz,
+                           sweep=(axis, values), output_dir=str(out)))
+        return {m: (out / f"custom_sweep_{m}.csv").read_bytes() for m in models}, compiles
+
+    together, counts = sweep(list(scenarios.MODELS))
+    assert counts == {"reduced_generator": 1, "full_generator": 1}
+    for model in scenarios.MODELS:
+        alone, counts = sweep([model])
+        assert alone[model] == together[model], model
+        assert counts == {"full_generator" if model == "full6" else "reduced_generator": 1}
+
+
 def test_fig3b_searches_in_lockstep(tmp_path, monkeypatch):
-    """fig3b's 25 optimum searches share their criterion calls, not one per
-    power: 8 Brent steps, the optima and 3 fixed-point steps."""
-    calls = []
-    criterion = reduced.criterion
+    """fig3b's 25 optimum searches share their reads, not one per power: 8
+    Brent evaluations (the first point and 7 steps) of frame_variances over
+    the powers still searching and 3 fixed-point steps of rotation_angle
+    over the powers not yet converged. One criterion call then checks every
+    covariance they read, and the 25 optima."""
+    calls = {"criterion": [], "frame_variances": [], "rotation_angle": []}
 
-    def counting(V, nbar0):
-        calls.append(np.shape(V))
-        return criterion(V, nbar0)
+    def counting(name):
+        fn = getattr(reduced, name)
 
-    monkeypatch.setattr(reduced, "criterion", counting)
+        def wrapper(V, *args):
+            calls[name].append(len(V))
+            return fn(V, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reduced, name, counting(name))
     run(ScenarioConfig(scenario="fig3b", output_dir=str(tmp_path)))
-    assert len(calls) == 12
-    assert calls[0] == (25, 4, 4)
+    assert len(calls["frame_variances"]) == 8
+    assert calls["frame_variances"][0] == 25
+    assert len(calls["rotation_angle"]) == 3 and calls["rotation_angle"][0] == 25
+    read = sum(calls["frame_variances"]) + sum(calls["rotation_angle"])
+    assert calls["criterion"] == [read + 25]
 
 
 def test_r_sweep_is_one_observables_call_per_curve(tmp_path, monkeypatch):

@@ -486,27 +486,33 @@ def test_minimize_scalar_lanes_equal_one_lane_runs(rng, shared):
 
 def test_minimize_scalar_lane_of_nan_values_terminates(rng):
     """A lane whose values turn NaN from its k-th point on (a failed point)
-    still stops, by golden steps that shrink its bracket, and every lane,
-    that one included, is bit-equal to its search alone."""
+    stops at that point: it is evaluated k + 1 times, its x is the best of
+    its first k points (the first point when k = 0), and every lane, that
+    one included, is bit-equal to its search alone."""
     for _ in range(5):
         n = int(rng.integers(2, 12))
         fns = random_lane_functions(rng, n)
         bad, k_nan = int(rng.integers(0, n)), int(rng.integers(0, 6))
 
-        def failing(fn):
-            calls = []
-
+        def failing(fn, calls):
             def g(x):
                 calls.append(x)
                 return np.nan if len(calls) > k_nan else fn(x)
             return g
 
-        lane_fns = [failing(fn) if k == bad else fn for k, fn in enumerate(fns)]
-        res = minimize_scalar(lambda x: np.array([fn(x_k) for fn, x_k in zip(lane_fns, x)]),
-                              (np.zeros(n), np.full(n, 3.0)), 1e-4)
-        assert 0.0 < res.x[bad] < 3.0
+        seen = []
+        lane_fns = [failing(fn, seen) if k == bad else fn for k, fn in enumerate(fns)]
+
+        def f(x):
+            return np.array([fn(x_k) if not np.isnan(x_k) else np.nan
+                             for fn, x_k in zip(lane_fns, x)])
+
+        res = minimize_scalar(f, (np.zeros(n), np.full(n, 3.0)), 1e-4)
+        assert len(seen) == k_nan + 1
+        values = [fns[bad](x) for x in seen[:k_nan]]
+        assert res.x[bad] == (seen[int(np.argmin(values))] if k_nan else seen[0])
         for k, fn in enumerate(fns):
-            one = minimize_scalar(failing(fn) if k == bad else fn, (0.0, 3.0), 1e-4)
+            one = minimize_scalar(failing(fn, []) if k == bad else fn, (0.0, 3.0), 1e-4)
             assert (res.x[k], bool(res.boundary[k])) == (one.x, one.boundary)
 
 

@@ -229,7 +229,8 @@ def test_fig4_rows_equal_their_stacked_sweep(figure, name, column):
     builds, r = scenarios._sweep_points(cfg, name, [row[column] for row in rows])
     covariances = []
     for model in ("full6", "reduced3"):
-        V, _, failures = scenarios._steady_points(model, builds, r, scenarios.PHASES[cfg.phase])
+        V, _, failures = scenarios._steady_points([model], builds, r,
+                                                  scenarios.PHASES[cfg.phase])[model]
         assert not failures
         covariances.append(V)
     dp2 = frame_variances(np.concatenate(covariances))[1]

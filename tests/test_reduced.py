@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import inputs
+from _oracles import optimal_squeezings_loop
 from _periodic import at_time
-from conftest import random_point, random_point_hz
+from conftest import FAILING_POINTS_HZ, random_point, random_point_hz
 from sqzmirror.dynamics import (
     TimeGrid,
     linear_steady,
@@ -18,6 +19,7 @@ from sqzmirror.dynamics import (
 from sqzmirror.errors import (
     DegenerateAngleWarning,
     ParameterError,
+    PhysicalityError,
     PhysicalityWarning,
     SimulationError,
     StabilityError,
@@ -33,7 +35,7 @@ from sqzmirror.gaussian import (
 )
 from sqzmirror.generator import compile_generator, full_generator, reduced_generator
 from sqzmirror.params import baseline_params, derive
-from sqzmirror import reduced
+from sqzmirror import gaussian, reduced
 from sqzmirror.reduced import (
     ReducedSystem,
     build_system,
@@ -48,7 +50,7 @@ from sqzmirror.reduced import (
     steady_curve,
     steady_state,
 )
-from sqzmirror.scenarios import ScenarioConfig, _model_rows, _steady_points, _sweep_points
+from sqzmirror.scenarios import ScenarioConfig, _steady_points, _sweep_points, _sweep_rows
 
 # frozen regressions (phase +1 resolvent steady state at the baseline, r = 1)
 BASELINE_EN_STEADY = 1.023152226440142
@@ -305,7 +307,8 @@ def test_r_curve_equals_per_point_solve(rng, phase):
         r_values = rng.uniform(*inputs.R_RANGE, size=3)
         refs = {}
         for model in ("reduced3", "reduced10", "full6"):
-            V, _, failures = _steady_points(model, [p] * len(r_values), r_values, phase)
+            V, _, failures = _steady_points([model], [p] * len(r_values), r_values,
+                                            phase)[model]
             assert failures == {}
             for r, V_r in zip(r_values, V):
                 refs[model, r] = solved_at_point(model, p.with_(r=r), phase)
@@ -324,19 +327,12 @@ def test_r_curve_equals_per_point_solve(rng, phase):
             for model in ("reduced10", "full6"):
                 values = [hz["power_w"]]
                 points = _sweep_points(cfg, "power_w", values)
-                row = _model_rows(model, points, values, phase)[0]
+                row = _sweep_rows([model], points, values, phase)[model][0]
                 ref, bound = refs[model, r]
                 obs, tol = quadrature_observables(ref), observable_bounds(ref, bound)
                 assert row[-1] == ""
                 for name, value in zip(("E_N", "dP2_minus", "dQ2_minus", "theta"), row[1:-1]):
                     assert_within(value, getattr(obs, name), tol[name], (model, name))
-
-
-# one failing point per refusal a sweep point meets: a non-Hurwitz drift at
-# its build, a laser frequency derive refuses, and parameters PhysicalParams
-# refuses
-FAILING_POINTS_HZ = ({"delta_hz": -32.1e6}, {"delta_hz": 7e9}, {"temperature_k": -1e-3},
-                     {"power_w": -1e-6})
 
 
 def axis_values(rng, axis, n):
@@ -368,10 +364,10 @@ def test_stacked_points_equal_one_point_builds(rng, axis):
     r = rng.uniform(*inputs.R_RANGE, size=len(builds))
     phase = [1.0, -1.0, "average"][int(rng.integers(3))]
     for model in ("reduced3", "reduced10", "reduced_analytic", "full6"):
-        V, nbar0, failures = _steady_points(model, builds, r, phase)
+        V, nbar0, failures = _steady_points([model], builds, r, phase)[model]
         assert len(failures) == len(FAILING_POINTS_HZ), model
         for k, b in enumerate(builds):
-            V_1, nbar0_1, failures_1 = _steady_points(model, [b], r[k:k + 1], phase)
+            V_1, nbar0_1, failures_1 = _steady_points([model], [b], r[k:k + 1], phase)[model]
             if failures_1:
                 assert type(failures[k]) is type(failures_1[0])
                 assert str(failures[k]) == str(failures_1[0])
@@ -497,6 +493,108 @@ def test_failed_build_starts_its_lane_as_done(monkeypatch, phase):
     assert len(stacked_mixed) == len(stacked_alone)
     assert isinstance(mixed.pop(9), StabilityError)
     assert [optimum_cells(o) for o in mixed] == [optimum_cells(o) for o in alone]
+
+
+@pytest.mark.parametrize("refusal", ["criterion", "read"])
+@pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
+def test_optimal_squeezings_equal_the_per_step_criterion_oracle(rng, monkeypatch, phase,
+                                                                 refusal):
+    """optimal_squeezings, which checks every covariance by one criterion
+    call after the search, equals _oracles.optimal_squeezings_loop, which
+    calls criterion at every step, cell for cell and error for error. Two
+    lanes meet a refused covariance past their first evaluation, and a
+    blue-detuned point fails its build. criterion refuses it, or the read
+    does: gaussian._rotated_variances, which frame_variances, and criterion
+    through its observables, both call. After the one stacked check of
+    every covariance fails, only the evaluations that hold a refused
+    covariance are checked entry by entry."""
+    points = [random_point(rng) for _ in range(6)]
+    points.insert(int(rng.integers(0, 7)), baseline_params(delta_hz=-32.1e6))
+    criterion_, rotated_variances_ = reduced.criterion, gaussian._rotated_variances
+    seen = {}  # nbar0 -> V11 of every covariance its lane evaluates, in order
+
+    def recording(V, nbar0):
+        for nbar0_k, v11 in zip(np.ravel(nbar0).tolist(), np.ravel(V[..., 0, 0]).tolist()):
+            seen.setdefault(nbar0_k, []).append(v11)
+        return criterion_(V, nbar0)
+
+    monkeypatch.setattr(reduced, "criterion", recording)
+    optimal_squeezings_loop(points, phase)
+    lanes = rng.choice(sorted(seen), size=2, replace=False)
+    refused = [seen[lane][int(rng.integers(1, len(seen[lane])))] for lane in lanes]
+
+    def refuse(V):
+        bad = np.isin(V[..., 0, 0], refused)
+        if bad.any():
+            raise PhysicalityError(f"refused V11 = {float(V[..., 0, 0][bad].flat[0])!r}")
+
+    stacks, singles = [], []
+
+    def refusing_criterion(V, nbar0):
+        refused_here = bool(np.isin(V[..., 0, 0], refused).any())
+        (stacks if np.ndim(V) == 3 else singles).append((len(V), refused_here))
+        refuse(V)
+        return criterion_(V, nbar0)
+
+    def refusing_read(V, theta):
+        refuse(V)
+        return rotated_variances_(V, theta)
+
+    monkeypatch.setattr(reduced, "criterion", criterion_)
+    if refusal == "criterion":
+        monkeypatch.setattr(reduced, "criterion", refusing_criterion)
+    else:
+        monkeypatch.setattr(gaussian, "_rotated_variances", refusing_read)
+    results = optimal_squeezings(points, phase)
+    if refusal == "criterion":
+        assert stacks[0][1] and len(singles) == sum(n for n, bad in stacks[1:] if bad)
+    expected = optimal_squeezings_loop(points, phase)
+    kinds = []
+    for result, one in zip(results, expected, strict=True):
+        if isinstance(one, SimulationError):
+            assert type(result) is type(one) and str(result) == str(one)
+            kinds.append(type(one).__name__)
+        else:
+            assert optimum_cells(result) == optimum_cells(one)
+            kinds.append("ok")
+    assert sorted(kinds) == ["PhysicalityError"] * 2 + ["StabilityError"] + ["ok"] * 4
+
+
+def test_failing_read_ends_its_lane_at_once(monkeypatch):
+    """A lane whose read fails mid-search stops there: fig3b's 25 powers,
+    with frame_variances refusing the 6th power's covariance at the second
+    Brent evaluation, take as many Brent steps as the powers alone (8, where
+    a lane stepping on NaN values to its own tolerance took 23), and every
+    other lane's cells are bit-equal."""
+    powers = [baseline_params(power_w=P) for P in np.geomspace(0.01e-6, 4e-6, 25)]
+    frame_variances_, minimize_scalar_ = reduced.frame_variances, reduced.minimize_scalar
+    refused, stacked = [], []
+
+    def refusing(V):
+        if V.ndim == 3:
+            stacked.append(len(V))
+            if len(stacked) == 2:
+                refused.append(V[5, 0, 0])
+        if np.isin(V[..., 0, 0], refused).any():
+            raise SimulationError("refused")
+        return frame_variances_(V)
+
+    def counted(points):
+        steps = []
+
+        def counting_minimize(f, bracket, tol):
+            return minimize_scalar_(lambda x: steps.append(x) or f(x), bracket, tol)
+
+        monkeypatch.setattr(reduced, "minimize_scalar", counting_minimize)
+        return optimal_squeezings(points, 1.0), len(steps)
+
+    alone, steps_alone = counted(powers)
+    monkeypatch.setattr(reduced, "frame_variances", refusing)
+    failing, steps_failing = counted(powers)
+    assert stacked[1] == 25 and steps_failing == steps_alone == 8
+    assert str(failing.pop(5)) == "refused"
+    del alone[5]
+    assert [optimum_cells(o) for o in failing] == [optimum_cells(o) for o in alone]
 
 
 def test_r_curve_is_one_build(baseline, builds):
