@@ -361,10 +361,9 @@ def require_hurwitz(A: NDArray) -> None:
     A may be a stack (..., n, n): one batched eigvals covers it, and the
     first matrix that fails raises the error it raises alone.
     """
-    ev = np.linalg.eigvals(A)
-    unstable = ev.real.max(axis=-1) >= 0
-    if np.count_nonzero(unstable):
-        first = ev[unstable][0]
+    ev = np.linalg.eigvals(A)  # never NaN: eigvals refuses infs and NaNs
+    if np.count_nonzero(ev.real >= 0):
+        first = ev[(ev.real >= 0).any(axis=-1)][0]
         raise StabilityError(f"drift is not Hurwitz: eigenvalue "
                              f"{first[np.argmax(first.real)]:.6e} has non-negative real part")
 
@@ -389,7 +388,9 @@ def linear_steady(ode: LinearHarmonicODE) -> tuple[NDArray, NDArray]:
     """
     drift = ode.drift
     x_dc = _solve(drift, -ode.drive_static)
-    shifted = drift - 1j * np.asarray(ode.omega)[..., None, None] * np.eye(drift.shape[-1])
+    shifted = drift.astype(complex, order="C")  # drift - i omega I, i omega off the diagonal
+    diagonal = shifted.reshape(drift.shape[:-2] + (-1,))[..., ::drift.shape[-1] + 1]
+    diagonal.imag -= np.asarray(ode.omega)[..., None]
     x_2 = _solve(shifted, -ode.drive_harmonic)
     return x_dc, x_2
 
@@ -462,7 +463,7 @@ def steady_at_phase(
     V_dc: NDArray, V_2: NDArray, phase: complex | float | str
 ) -> NDArray:
     """Evaluate the periodic steady state at e^{2i Delta t} = normalize_phase(phase)."""
-    return V_dc + 2.0 * np.real(V_2 * normalize_phase(phase))
+    return V_dc + 2.0 * (V_2 * normalize_phase(phase)).real
 
 
 def reservoir_steady(

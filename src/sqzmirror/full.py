@@ -101,15 +101,15 @@ def compare_adiabatics(
     The builds stay per point: one steady_full and one build_system each,
     since the benchmark's trace pins 25 of each per fig4 figure (and so
     each point is derived twice; sharing one derive would need a new
-    argument or a cache). The reduced systems are then stacked: one Hurwitz
-    check and one solve (ReducedSystem.steady_parts), one steady_covariance
-    at the points' r and one gaussian.frame_variances over the (L, 2, 4, 4)
-    pairs of full and reduced covariances, whose dP2_minus are compared.
-    phase is read by dynamics.normalize_phase, the same for both models.
-    The stacked steps go through errors.per_entry, so entry k is point k's
-    AdiabaticComparison or the first SimulationError its one-point call
-    raises: the full6 build, the reduced3 build, its Hurwitz check and
-    solve, then the variance check.
+    argument or a cache). The built reduced systems are then compared as
+    one errors.per_entry evaluation: their fields stacked, one Hurwitz
+    check and one solve (ReducedSystem.steady_parts), one
+    steady_covariance at the points' r and one gaussian.frame_variances
+    over the (L, 2, 4, 4) pairs of full and reduced covariances, whose
+    dP2_minus are compared. phase is read by dynamics.normalize_phase, the
+    same for both models. Entry k is point k's AdiabaticComparison or the
+    first SimulationError its one-point call raises: the full6 build, the
+    reduced3 build, its Hurwitz check and solve, then the variance check.
     """
     n = len(points)
     entries: dict[int, AdiabaticComparison | SimulationError] = {}
@@ -121,27 +121,28 @@ def compare_adiabatics(
             V[k, 0] = mirror_block(steady_full(params, phase))
         except SimulationError as exc:
             entries[k] = exc
-    systems = []
+    live, systems = [], []
     for k, params in enumerate(points):
         if k not in entries:
             try:
                 systems.append(build_system(params))
+                live.append(k)
             except SimulationError as exc:
                 entries[k] = exc
-    live = np.array([k for k in range(n) if k not in entries], dtype=int)
-    if not len(live):
-        return [entries[k] for k in range(n)]
-    stack = ReducedSystem(*map(np.stack, zip(*(vars(system).values() for system in systems))))
-    row = np.zeros(n, dtype=int)
-    row[live] = np.arange(len(live))  # a live point's row of the stack
-    parts, solved, failed = per_entry(lambda k: stack.point(row[k]).steady_parts(), live)
-    entries.update(failed)
-    if len(solved):
-        r = np.array([points[k].r for k in solved.tolist()])
-        V[solved, 1] = steady_covariance(parts, stack.nbar0[row[solved]], r, phase)
-    dp2, kept, failed = per_entry(lambda k: frame_variances(V[k])[1], solved)
-    entries.update(failed)
-    for k, (dp2_f, dp2_r) in zip(kept.tolist(), dp2.tolist() if len(kept) else ()):
+    live = np.array(live, dtype=int)
+    r = np.array([points[k].r for k in live.tolist()])
+
+    def compared(j):
+        """The full and reduced dP2_minus at the points live[j], from the
+        systems j stacked (a stack of one for an int j)."""
+        stack = ReducedSystem(*map(np.array, zip(*[vars(systems[i]).values()
+                                                   for i in np.atleast_1d(j)])))
+        V[live[j], 1] = steady_covariance(stack.steady_parts(), stack.nbar0, r[j], phase)
+        return frame_variances(V[live[j]])[1]
+
+    dp2, kept, failed = per_entry(compared, np.arange(len(live)))
+    entries.update((int(live[j]), exc) for j, exc in failed.items())
+    for k, (dp2_f, dp2_r) in zip(live[kept].tolist(), dp2.tolist() if len(kept) else ()):
         entries[k] = AdiabaticComparison(
             steady_dp2_full=dp2_f,
             steady_dp2_reduced=dp2_r,

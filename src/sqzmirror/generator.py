@@ -46,7 +46,7 @@ def annihilation_vector(n_modes: int, mode: int) -> NDArray[np.complex128]:
 
 def _amax(X):
     """Largest modulus of each matrix of a stack (..., m, m)."""
-    return np.abs(X).max(axis=(-2, -1))
+    return np.maximum.reduce(np.abs(X), axis=(-2, -1))
 
 
 def hermitian_form(
@@ -104,11 +104,12 @@ class GeneratorSpec:
         """Expand Harmonic rates, given by their parts (Harmonic.parts, one
         rate per leading entry), into tagged static-amplitude terms on their
         (left, right) vectors, each kept when it is nonzero at any member."""
-        live = rates.reshape(len(vectors), -1, 3).any(axis=1).tolist()
-        for rate, (left, right), tags in zip(rates, vectors, live):
-            for h in (0, +1, -1):
-                if tags[h + 1]:
-                    self.add_dissipator(rate[..., h + 1], left, right, h)
+        live = np.logical_or.reduce(rates.reshape(len(vectors), -1, 3), axis=1).tolist()
+        # each rate's parts in front of its member axes: the tag h at h + 1
+        parts = rates.transpose(0, -1, *range(1, rates.ndim - 1))
+        self.dissipators += [DissipatorTerm(rate[h + 1], left, right, h)
+                             for rate, (left, right), tags in zip(parts, vectors, live)
+                             for h in (0, +1, -1) if tags[h + 1]]
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
     dim = 2 * spec.n_modes
     G = np.asarray(spec.hamiltonian, dtype=float)
     # an exactly symmetric G, as hermitian_form gives, needs no tolerance
-    if G.shape[-2:] != (dim, dim) or not (G == G.swapaxes(-1, -2)).all() and (
-            _amax(G - G.swapaxes(-1, -2)) > 1e-12 * np.maximum(_amax(G), 1.0)).any():
+    if G.shape[-2:] != (dim, dim) or np.count_nonzero(G != G.swapaxes(-1, -2)) and (
+            np.count_nonzero(_amax(G - G.swapaxes(-1, -2)) > 1e-12 * np.maximum(_amax(G), 1.0))):
         raise GeneratorError("hamiltonian must be a symmetric 2n x 2n matrix")
     by_tag = ([], [], [])
     for t in spec.dissipators:
@@ -195,10 +196,10 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
     terms = [*by_tag[0], *by_tag[1], *by_tag[2]]
 
     # the member shape; distinct shapes are few, however many the terms
-    shape = np.broadcast_shapes(G.shape[:-2], getattr(spec.delta, "shape", ()),
-                                *{getattr(t.rate, "shape", ()) for t in terms})
+    shapes = {getattr(x, "shape", ()) for x in [spec.delta, *[t.rate for t in terms]]}
+    shape = np.broadcast(*[np.empty(s, dtype=bool) for s in shapes | {G.shape[:-2]}]).shape
     T, S = len(terms), math.prod(shape)
-    rates = np.zeros((T,) + shape, dtype=complex)
+    rates = np.empty((T,) + shape, dtype=complex)
     for k, t in enumerate(terms):
         rates[k] = t.rate
     U = _complex_form(spec.n_modes)
@@ -223,7 +224,7 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
         K = np.empty((len(HARMONICS),) + P.shape[1:], dtype=complex)
         end = 0
         for h, ts in enumerate(by_tag):
-            P[end:end + len(ts)].sum(axis=0, out=K[h])
+            np.add.reduce(P[end:end + len(ts)], axis=0, out=K[h])
             end += len(ts)
         del P  # each temporary is freed once read, for the next to reuse
         K = K.transpose(0, 3, 2, 1)  # K[h, s, i, j]
@@ -231,16 +232,17 @@ def compile_generator(spec: GeneratorSpec) -> MomentEquations:
         Kd, Dk, Ak = K - Kt, np.add(K, Kt, out=D[:, block]), A0[block]
         del K, Kt
         Ak += 1j * (Kd[1] @ U)
-        np.abs(np.concatenate([Ak[None], Dk[1:], Ak.imag[None], Dk[1:2].imag, Kd[::2],
-                               Dk[:1] - np.conj(Dk[2:])])).max(axis=(-2, -1), out=big[:, block])
-    defect = big[3:] > DRIFT_RTOL * big[:2].max(axis=0, initial=1.0)
-    if defect.any():
+        np.maximum.reduce(np.abs(np.concatenate([
+            Ak[None], Dk[1:], Ak.imag[None], Dk[1:2].imag, Kd[::2], Dk[:1] - np.conj(Dk[2:])])),
+            axis=(-2, -1), out=big[:, block])
+    defect = big[3:] > DRIFT_RTOL * np.maximum.reduce(big[:2], axis=0, initial=1.0)
+    if np.count_nonzero(defect):
         # the first member with a defect, and its first defect, decide
         raise GeneratorError(_REFUSALS[_DEFECT_REFUSAL[np.argwhere(defect.T)[0, 1]]])
 
     omega = np.where((big[2] > 0).reshape(shape), 2.0 * spec.delta, 0.0)
-    return MomentEquations(*(x.reshape(shape + (dim, dim)) for x in (A0.real, D[1].real, D[2])),
-                           omega=omega if shape else float(omega))
+    return MomentEquations(*[x.reshape(shape + (dim, dim)) for x in (A0.real, D[1].real, D[2])],
+                           omega if shape else float(omega))
 
 
 # the reservoir correlations (N, M) at which compile_injections compiles
@@ -265,7 +267,7 @@ def compile_injections(
     j. Raises SimulationError when, at any point, the drift differs between
     the injections.
     """
-    N, M = _INJECTED.reshape((2, 3) + (1,) * np.ndim(coeffs.nbar0))
+    N, M = _INJECTED.reshape((2, 3) + (1,) * getattr(coeffs.nbar0, "ndim", 0))
     eqs = compile_generator(model(DerivedCoefficients(
         coeffs.params, coeffs.omega_drive, coeffs.alpha, coeffs.nbar0, N, M)))
     require_shared_drift(eqs.drift)
@@ -275,7 +277,7 @@ def compile_injections(
 def require_shared_drift(drift: NDArray) -> None:
     """Refuse members (leading axis) whose drifts differ by more than 1e-9 of
     the first one's scale, at any point (further axes)."""
-    moved = np.abs(drift[1:] - drift[0]).max(axis=(0, -2, -1), initial=0.0)
+    moved = np.maximum.reduce(np.abs(drift[1:] - drift[0]), axis=(0, -2, -1), initial=0.0)
     if np.count_nonzero(moved > 1e-9 * _amax(drift[0])):
         raise SimulationError("drift acquired reservoir dependence")
 
@@ -292,8 +294,12 @@ def _thermal_terms(spec: GeneratorSpec, modes, gamma, nbar) -> None:
             spec.add_dissipator(heating, ac, a)
 
 
-def _require_static(h: Harmonic, what: str) -> complex:
+def _require_static(h: Harmonic, *whats: str) -> complex:
+    """h's static part; refused when h has a harmonic part. Several names
+    name the pieces along h's leading axis, and the refusal the first one."""
     if not h.is_static():
+        pieces = h.parts if len(whats) > 1 else [h.parts]
+        what = next(w for x, w in zip(pieces, whats) if not _harmonic(x).is_static())
         raise GeneratorError(f"{what} acquired a harmonic part; cannot compile")
     return h.c0
 
@@ -338,7 +344,7 @@ def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     shift and a quadratic squeezing drive in the effective Hamiltonian.
     """
     p = coeffs.params
-    eta2 = p.eta0**2
+    eta2 = _factor(p.eta0**2)  # a factor of Harmonic parts
     a1, a2, am = _MIRROR_VECTORS
     a1c, a2c, amc = _MIRROR_CONJ
 
@@ -347,23 +353,22 @@ def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     xi_c = _conj(xi)
 
     # effective Hamiltonian pieces; their harmonic parts cancel identically
-    squeeze_w = _require_static(_harmonic((xi[1] - xi_c[0]) * _factor(1j * eta2)),
-                                "relative-mode squeezing drive")
-    shift = _require_static(_harmonic(_im(xi[0] + xi[1]) * _factor(-2.0 * eta2)),
-                            "relative-mode frequency shift").real
+    squeeze_w, shift = _require_static(_harmonic(np.array([
+        (xi[1] - xi_c[0]) * (1j * eta2), _im(xi[0] + xi[1]) * (-2.0 * eta2)])),
+        "relative-mode squeezing drive", "relative-mode frequency shift")
 
     mirrors, relative_number, relative_pair = _REDUCED_FORMS
     G = _real_form(p.omega_m / 2.0, mirrors)
     # the two below carry the member axis of array (N, M)
-    G = G + _real_form(shift / 2.0, relative_number)
+    G = G + _real_form(shift.real / 2.0, relative_number)
     G = G + _real_form(squeeze_w, relative_pair)
 
     spec = GeneratorSpec(n_modes=2, hamiltonian=G, delta=p.delta)
     _thermal_terms(spec, ((a1, a1c), (a2, a2c)), p.gamma_m, coeffs.nbar0)
     # the rates of (am, amc) and (amc, am), (Re xi+, Re xi-) 2 eta2, and of
     # (am, am) and (amc, amc), (conj xi+ + xi-, conj xi- + xi+) eta2
-    damping = 0.5 * (xi + xi_c) * _factor(2.0 * eta2)
-    squeezing = (xi_c + xi[::-1]) * _factor(eta2)
+    damping = 0.5 * (xi + xi_c) * (2.0 * eta2)
+    squeezing = (xi_c + xi[::-1]) * eta2
     spec.add_harmonic_dissipators(np.concatenate([damping, squeezing]),
                                   ((am, amc), (amc, am), (am, am), (amc, amc)))
     return spec

@@ -96,7 +96,8 @@ class Harmonic:
         each on its own scale.
         """
         size = np.abs(self.parts)
-        return bool((np.maximum(size[..., 0], size[..., 2]) <= 1e-9 * size[..., 1]).all())
+        return bool(np.logical_and.reduce(
+            np.maximum(size[..., 0], size[..., 2]) <= 1e-9 * size[..., 1], axis=None))
 
 
 def _set_parts(h: Harmonic, parts) -> Harmonic:

@@ -62,6 +62,7 @@ CRITERION_BAND = 1e-9
 
 # position of each 4x4 entry in (V11, V22, V12, c - V11, c - V22, -V12)
 _LIFT_INDEX = np.array([[0, 2, 3, 5], [2, 1, 5, 4], [3, 5, 0, 2], [5, 4, 2, 1]])
+_PROJECT_ROWS, _PROJECT_COLUMNS = np.array([[0, 1, 0], [0, 1, 1]])  # of (V11, V22, V12)
 
 
 def lift_covariance(v3: NDArray, nbar0: float | NDArray) -> NDArray[np.float64]:
@@ -84,7 +85,7 @@ _ZERO_LIFT = lift_covariance(np.zeros(3), 0.5)
 
 def project_covariance(V: NDArray) -> NDArray[np.float64]:
     """Extract the three independent entries (V11, V22, V12), of a stack too."""
-    return V[..., (0, 1, 0), (0, 1, 1)]
+    return V[..., _PROJECT_ROWS, _PROJECT_COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class ReducedSystem:
 
     def point(self, k) -> "ReducedSystem":
         """Point k of a stacked system, or its points k for an index array."""
-        return ReducedSystem(*(field[k] for field in vars(self).values()))
+        return ReducedSystem(*[field[k] for field in vars(self).values()])
 
     def steady_parts(self) -> tuple[NDArray, NDArray, NDArray]:
         """Steady responses (x0, x1, x2) to the drive pieces b0, b1 and b2.
@@ -408,9 +409,10 @@ def optimal_squeezings(
 ) -> list[OptimalSqueezing | SimulationError]:
     """optimal_squeezing at every point, all searches in lockstep.
 
-    One build_systems for all points, and one batched steady_parts: one
-    errors.per_entry evaluation, so a point whose build fails leaves with
-    the error its own build raises, and only the built points search. The
+    One build_systems for all points, then one batched steady_parts of the
+    built ones: two errors.per_entry evaluations, so a point whose build
+    fails leaves with the error its own build raises (a failing Hurwitz
+    check is not built again), and only the built points search. The
     points' steady parts are stacked. Each step reads one steady_covariance
     over every point still searching: a Brent step (the lanes of
     dynamics.minimize_scalar, each choosing its own step) reads its
@@ -423,17 +425,17 @@ def optimal_squeezings(
     to fail, in evaluation order. A point whose read fails leaves the lanes
     at once, and the others keep their values.
     """
-    def built(k):
-        system = build_systems([points[j] for j in np.atleast_1d(k)])
-        return (*system.steady_parts(), system.nbar0)
-
     n = len(points)
-    parts, kept, failures = per_entry(built, np.arange(n))
+    systems, built, failures = per_entry(
+        lambda k: build_systems([points[j] for j in np.atleast_1d(k)]), np.arange(n))
+    parts, kept, failed = per_entry(lambda j: systems.point(j).steady_parts(),
+                                    np.arange(len(built)))
+    failures.update((int(built[j]), exc) for j, exc in failed.items())
     x0, x1, x2, nbar0 = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex),
                          np.zeros(n))
     if len(kept):
-        for lane, part in zip((x0, x1, x2, nbar0), parts):
-            lane[kept] = part
+        for lane, part in zip((x0, x1, x2, nbar0), (*parts, systems.nbar0[kept])):
+            lane[built[kept]] = part
     z = normalize_phase(phase)
     alive = np.array([k not in failures for k in range(n)])
     evaluated = []  # (lanes, covariances) of every evaluation, in order

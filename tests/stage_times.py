@@ -10,13 +10,16 @@ derive -> model builder -> compile_generator -> reservoir_parts /
 steady_parts -> frame_variances at one point, as compare_adiabatic runs
 it, compile_generator of 1, 25 and 101 points times the three reservoir
 injections (reduced and full), the sizes of a point, a fig4 curve and
-fig2d, compare_adiabatics over fig4a's 25 points (in a tree without
-it, one compare_adiabatic per point, as fig4 ran there), the rows of a
-custom r sweep of reduced3 and reduced10 at 51 values of r (in a tree
-without scenarios._sweep_rows, one _model_rows per model), and
-optimal_squeezings over fig3b's 25 powers. With --against, each round runs
-this script once per tree,
-one subprocess at a time, alternating which tree goes first; it prints
+fig2d, compare_adiabatics over fig4a's and fig4b's 25 points (in a tree
+without it, one compare_adiabatic per point, as fig4 ran there), the
+layers of steady_full's and build_system's one-point chains over fig4a's
+points ("chain ...": derive, the model builder, compile_generator,
+require_shared_drift and the tail, each from the inputs the layer before
+made), the rows of a custom r sweep of reduced3 and reduced10 at 51
+values of r (in a tree without scenarios._sweep_rows, one _model_rows per
+model), and optimal_squeezings over fig3b's 25 powers. With --against,
+each round runs this script once per tree, one subprocess at a time,
+alternating which tree goes first; it prints
 each stage's median over the rounds for both trees and their ratio
 (this tree / the other). The file name keeps pytest from collecting it.
 """
@@ -85,10 +88,15 @@ def stages() -> list[tuple[str, object]]:
     kappa_hz = params.BASELINE_HZ["kappa_hz"]
     fig4a = [params.baseline_params(gamma_m_hz=x * kappa_hz)
              for x in np.geomspace(1.5e-5, 1.0, 25)]
+    fig4b = [params.baseline_params(gamma_m_hz=kappa_hz, power_w=P)
+             for P in np.geomspace(0.1e-6, 32e-6, 25)]
     compare_adiabatics = getattr(full, "compare_adiabatics", lambda points, phase: [
         full.compare_adiabatic(p, phase) for p in points])
     table.append(("compare_adiabatics, 25 fig4a points",
                   lambda: compare_adiabatics(fig4a, 1.0)))
+    table.append(("compare_adiabatics, 25 fig4b points",
+                  lambda: compare_adiabatics(fig4b, 1.0)))
+    table += chain_split(fig4a)
     cfg = scenarios.ScenarioConfig(scenario="custom",
                                    params_hz={"gamma_m_hz": 6.2e4, "temperature_k": 1e-3})
     r_values = np.linspace(0.0, 2.5, 51)
@@ -100,6 +108,47 @@ def stages() -> list[tuple[str, object]]:
     fig3b = [params.baseline_params(power_w=P) for P in np.geomspace(0.01e-6, 4e-6, 25)]
     table.append(("optimal_squeezings, 25 fig3b powers",
                   lambda: reduced.optimal_squeezings(fig3b, 1.0)))
+    return table
+
+
+def chain_split(points) -> list[tuple[str, object]]:
+    """The layers of steady_full's and build_system's one-point chains, each
+    over every point of points, from the inputs the layer before made:
+    derive of a one-point stack, the model builder at the three reservoir
+    injections, compile_generator, require_shared_drift, and the tail
+    (reservoir_parts and reservoir_steady, or project_system and point 0)."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from sqzmirror import dynamics, generator, params, reduced
+
+    N, M = np.array(generator.RESERVOIR_INJECTIONS).T.reshape(2, 3, 1)
+    coeffs = [params.derive(params.stack_points([p])) for p in points]
+    injected = [replace(c, N=N, M=M) for c in coeffs]
+    table = [("chain derive, 25 fig4a points",
+              lambda: [params.derive(params.stack_points([p])) for p in points])]
+    for name, model in (("full6", generator.full_generator),
+                        ("reduced3", generator.reduced_generator)):
+        specs = [model(c) for c in injected]
+        eqs = [generator.compile_generator(spec) for spec in specs]
+        if name == "full6":
+            def tail(eqs=eqs):
+                for c, e in zip(coeffs, eqs):
+                    parts = dynamics.reservoir_parts(e)
+                    dynamics.reservoir_steady([x[0] for x in parts], c.N[0], c.M[0], 1.0)
+        else:
+            def tail(eqs=eqs):
+                for c, e in zip(coeffs, eqs):
+                    reduced.project_system(c, e).point(0)
+        table += [
+            (f"chain {name} builder", lambda model=model: [model(c) for c in injected]),
+            (f"chain {name} compile",
+             lambda specs=specs: [generator.compile_generator(spec) for spec in specs]),
+            (f"chain {name} shared-drift check",
+             lambda eqs=eqs: [generator.require_shared_drift(e.drift) for e in eqs]),
+            (f"chain {name} tail", tail),
+        ]
     return table
 
 

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+import inputs
 from _oracles import compare_adiabatic_loop, symplectic_spectrum
+from conftest import FAILING_POINTS_HZ, random_point_hz
 from sqzmirror.dynamics import (
     TimeGrid,
     normalize_phase,
     periodic_steady_state,
     reservoir_parts,
+    reservoir_steady,
     steady_at_phase,
 )
 from sqzmirror.errors import SimulationError
 from sqzmirror.full import (
     compare_adiabatic,
+    compare_adiabatics,
     evolve_full,
     initial_covariance,
     mirror_block,
@@ -22,8 +26,14 @@ from sqzmirror.full import (
 from sqzmirror import full, scenarios
 from sqzmirror.gaussian import frame_variances, mean_phonon, quadrature_observables
 from sqzmirror.generator import compile_generator, compile_injections, full_generator
-from sqzmirror.params import baseline_params, derive
-from sqzmirror.reduced import ReducedSystem, evolve as evolve_reduced, steady_state
+from sqzmirror.params import baseline_params, derive, stack_points
+from sqzmirror.reduced import (
+    ReducedSystem,
+    build_system,
+    build_systems,
+    evolve as evolve_reduced,
+    steady_state,
+)
 
 KAPPA_HZ = 6.2e6
 
@@ -302,3 +312,66 @@ def test_fig4a_builds_per_point_and_solves_once(monkeypatch):
     comp = compare_adiabatic(points[7])
     assert (comp.steady_dp2_full, comp.steady_dp2_reduced,
             comp.steady_rel_deviation) == rows[7][2:5]
+
+
+def assert_same_error(call, expected: SimulationError):
+    with pytest.raises(SimulationError) as raised:
+        call()
+    assert type(raised.value) is type(expected) and str(raised.value) == str(expected)
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
+def test_one_point_chains_equal_their_stacked_rows(rng, phase):
+    """steady_full, build_system and compare_adiabatic at random points, with
+    the FAILING_POINTS_HZ that PhysicalParams accepts mixed in, each equal
+    row k of their stacked chain bit for bit: reservoir_steady over
+    reservoir_parts(compile_injections(full_generator, derive(stack_points)))
+    and build_systems(points).point(k); compare_adiabatics(points)[k] too. A
+    failing point raises the error, type and text, that the stacked chain
+    raises with it inserted among the others."""
+    points_hz = [random_point_hz(rng) for _ in range(6)]
+    points_hz += [{**random_point_hz(rng), **bad} for bad in FAILING_POINTS_HZ]
+    points = []
+    for k in rng.permutation(len(points_hz)):
+        try:
+            points.append(baseline_params(**points_hz[k], r=rng.uniform(*inputs.R_RANGE)))
+        except SimulationError:
+            pass  # PhysicalParams refuses it: there is no one-point call
+    full6, reduced3 = {}, {}
+    for p in points:
+        for chain, call in ((full6, lambda: steady_full(p, phase)),
+                            (reduced3, lambda: build_system(p))):
+            try:
+                chain[p] = call()
+            except SimulationError as exc:
+                chain[p] = exc
+    failing = [p for p in points if isinstance(full6[p], SimulationError)]
+    assert len(failing) >= 2  # a non-Hurwitz drift and a refused laser frequency
+
+    def stacked_full(stack):
+        coeffs = derive(stack_points(stack))
+        parts = reservoir_parts(compile_injections(full_generator, coeffs))
+        return reservoir_steady(parts, coeffs.N[:, None, None], coeffs.M[:, None, None], phase)
+
+    good = [p for p in points if p not in failing]
+    V = stacked_full(good)
+    for k, p in enumerate(good):
+        assert np.array_equal(full6[p], V[k]), k
+    for p in failing:
+        at = int(rng.integers(len(good) + 1))
+        assert_same_error(lambda: stacked_full(good[:at] + [p] + good[at:]), full6[p])
+
+    built = [p for p in points if not isinstance(reduced3[p], SimulationError)]
+    systems = build_systems(built)
+    for k, p in enumerate(built):
+        for name, field in vars(systems.point(k)).items():
+            assert np.array_equal(getattr(reduced3[p], name), field), (k, name)
+    for p in points:
+        if p not in built:
+            assert_same_error(lambda: build_systems(built + [p]), reduced3[p])
+
+    for p, comp in zip(points, compare_adiabatics(points, phase)):
+        if isinstance(comp, SimulationError):
+            assert_same_error(lambda: compare_adiabatic(p, phase), comp)
+        else:
+            assert compare_adiabatic(p, phase) == comp

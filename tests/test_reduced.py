@@ -460,6 +460,18 @@ def test_optimal_squeezings_equal_one_point_calls(rng, monkeypatch, phase):
     assert sorted(kinds) == ["SimulationError"] * 2 + ["StabilityError"] + ["ok"] * 4
 
 
+def test_point_whose_build_fails_is_built_once(builds):
+    """optimal_squeezing at a non-Hurwitz point builds it once, and raises
+    the error its build's Hurwitz check raises alone."""
+    p = baseline_params(delta_hz=-32.1e6)
+    with pytest.raises(StabilityError) as raised:
+        optimal_squeezing(p)
+    assert builds["build_systems"] == 1
+    with pytest.raises(StabilityError) as alone:
+        build_system(p).steady_parts()
+    assert str(raised.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("phase", [1.0, -1.0, "average"])
 def test_failed_build_starts_its_lane_as_done(monkeypatch, phase):
     """A point whose build fails does not search: fig3b's 25 powers plus one
