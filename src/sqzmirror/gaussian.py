@@ -78,16 +78,42 @@ def _check_covariance(V: NDArray) -> NDArray[np.float64]:
     return V
 
 
-# U V for U = symplectic_form(2) is a signed row swap: rows (V_1, -V_0, V_3,
-# -V_2), each mode's pair of rows reversed and the second negated
-_SIGN = np.array([[1.0], [-1.0]])
-_EYE4 = np.eye(4)
-for _table in (_SIGN, _EYE4):
-    _table.setflags(write=False)
+# E.take(_FACTORS, axis=0)[f, t, k], for V's entries E[4 i + j] = V_ij along
+# a first axis, is factor f of term t of the difference k, x y - z w: for
+# V = [[A, C], [C^T, B]] and J = [[0, 1], [-1, 0]], det A, det B, det C, the
+# entries 00, 11, 01, 10 of A J C and of C J B, then V_00 V_ij - V_0i V_0j
+# for i, j = 2, 3
+_DIFFERENCES = ("00 11 01 01", "22 33 23 23", "02 13 03 12",
+                "00 12 01 02", "01 13 11 03", "00 13 01 03", "01 12 11 02",
+                "02 23 03 22", "12 33 13 23", "02 33 03 23", "12 23 13 22",
+                "00 22 02 02", "00 23 02 03", "00 23 02 03", "00 33 03 03")
+_FACTORS = np.array([[4 * int(ij[0]) + int(ij[1]) for ij in d.split()] for d in _DIFFERENCES]
+                    ).T.reshape(2, 2, len(_DIFFERENCES)).swapaxes(0, 1)
+_FACTORS.setflags(write=False)
 
 
-def _symplectic_pair(V: NDArray) -> tuple[NDArray, NDArray]:
-    """(nu_-, nu_+) of every matrix of a checked stack, as two arrays."""
+def _invariants(V: NDArray) -> tuple[NDArray, NDArray]:
+    """(the differences of _DIFFERENCES along a first axis, det V) of every
+    matrix of a checked 2-mode stack."""
+    d = V.reshape(-1, 16).T.take(_FACTORS, axis=0).reshape(_FACTORS.shape + V.shape[:-2])
+    d[0] *= d[1]
+    d[0, 0] -= d[0, 1]
+    d, v00 = d[0, 0], V[..., 0, 0]
+    # det V = det A det S, S the Schur complement of A, by symmetric
+    # elimination without pivoting from V_00 (rows 3, 5 and 11- of d are its
+    # first step times V_00): backward stable for the positive definite V of a
+    # state and its partial transpose, an orthogonal congruence of it (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 10). A zero
+    # or non-finite pivot leaves det V 0, NaN or infinite, without a warning.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = d[3:6:2] / v00
+        S = d[11:].reshape((2, 2) + V.shape[:-2]) / v00 - r[:, None] * (r / (d[0] / v00))
+        return d, (d[0] * S[0, 0]) * (S[1, 1] - S[0, 1] * (S[0, 1] / S[0, 0]))
+
+
+def _symplectic_pairs(V: NDArray, signs: tuple[float, ...]) -> list[tuple[NDArray, NDArray]]:
+    """[(nu_-, nu_+)] of every matrix of a checked stack (sign 1) or of its
+    partial transpose (sign -1), one pair of arrays per sign in signs."""
     if V.shape[-1] != 4:
         raise DimensionError(
             f"symplectic spectrum implemented for 2 modes only, got dim {V.shape[-1]}"
@@ -95,56 +121,66 @@ def _symplectic_pair(V: NDArray) -> tuple[NDArray, NDArray]:
     # nu_-^2, nu_+^2 are the roots of x^2 - delta x + det V with
     # delta = det A + det B + 2 det C for V = [[A, C], [C^T, B]] (Serafini,
     # Illuminati & De Siena, J. Phys. B 37, L21 (2004)). (UV)^2 has the
-    # eigenvalues -nu_-^2, -nu_+^2, each twice: delta is minus half its trace,
-    # and N below has +-(nu_+^2 - nu_-^2)/2, so disc = tr(N^2) = delta^2 - 4 det V.
-    # N vanishes entrywise at a double root (a pure state), where
-    # delta^2 - 4 det V would cancel to its rounding and its root keep half
-    # the digits.
-    W = (V.reshape(V.shape[:-2] + (2, 2, 4))[..., ::-1, :] * _SIGN).reshape(V.shape)
-    M = W @ W
-    delta = -0.5 * _flat(M)[..., ::5].sum(axis=-1)
-    N = M + (0.5 * delta)[..., None, None] * _EYE4
-    disc = _flat(N * N.swapaxes(-1, -2)).sum(axis=-1)
-    det = np.linalg.det(V)
-    # a positive definite V has real roots; a negative discriminant is rounding
-    # only up to PAIRING_RTOL of the size its entries allow
-    bad = np.minimum(det, delta) <= 0.0
-    if (disc < 0.0).any():
-        bad |= disc < -PAIRING_RTOL * _scale(V) ** 4
-    if bad.any():
-        k = int(np.argmax(bad.ravel()))
-        raise DimensionError(
-            f"no symplectic spectrum: det V = {det.ravel()[k]!r}, "
-            f"delta = {delta.ravel()[k]!r}, discriminant = {disc.ravel()[k]!r}"
-        )
-    nu2_plus = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
-    # the small root as det V / nu_+^2 keeps its digits when the state is
-    # strongly entangled, where delta - sqrt(disc) would cancel
-    return np.sqrt(det / nu2_plus), np.sqrt(nu2_plus)
+    # eigenvalues -nu_-^2, -nu_+^2, each twice, the diagonal blocks
+    # -(det A + det C) I and -(det B + det C) I and the off-diagonal blocks
+    # J Y and -J Y^T, Y = A J C + C J B. N = -(UV)^2 - (delta/2) I has
+    # +-(nu_+^2 - nu_-^2)/2 and, as Y J Y^T = det Y J, disc = tr(N^2) =
+    # (det A - det B)^2 + 4 det Y = delta^2 - 4 det V. N vanishes entrywise
+    # at a double root (a pure state), where delta^2 - 4 det V would cancel
+    # to its rounding and its root keep half the digits. The partial
+    # transpose flips the signs of V_03, V_13 and V_23: it negates det C and
+    # C J B, multiplies Y by diag(1, -1) on the right, so negates det Y, and
+    # keeps det A, det B and det V.
+    d, det = _invariants(V)
+    trace, gap = d[0] + d[1], (d[0] - d[1]) ** 2
+    pairs = []
+    for sign in signs:
+        Y = d[3:7] + sign * d[7:11]
+        Y = Y[::2] * Y[1::2]
+        delta = trace + (2.0 * sign) * d[2]
+        disc = gap + (4.0 * sign) * (Y[0] - Y[1])
+        ok = (np.minimum(det, delta) > 0.0) & (det < np.inf)
+        if not (ok & (disc >= 0.0)).all():
+            # a positive definite V has real roots; a negative discriminant
+            # is rounding only up to PAIRING_RTOL of the size its entries allow
+            bad = ~ok | (disc < -PAIRING_RTOL * _scale(V) ** 4)
+            if bad.any():
+                k = int(np.argmax(bad.ravel()))
+                raise DimensionError(
+                    f"no symplectic spectrum: det V = {np.ravel(det)[k]!r}, "
+                    f"delta = {np.ravel(delta)[k]!r}, discriminant = {np.ravel(disc)[k]!r}"
+                )
+        nu2_plus = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
+        # the small root as det V / nu_+^2 keeps its digits when the state is
+        # strongly entangled, where delta - sqrt(disc) would cancel
+        pairs.append((np.sqrt(det / nu2_plus), np.sqrt(nu2_plus)))
+    return pairs
 
 
 def symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
     """Symplectic spectrum (nu_-, nu_+) of a 2-mode covariance, ascending.
 
     The moduli of the eigenvalues of i U V, each conjugate pair collapsed to
-    one value, from the two-mode invariants det V and
-    delta = det A + det B + 2 det C. Physical states have both values >= 1/2.
-    Refuses (DimensionError) any other mode count and a matrix that is not
-    positive definite: det V <= 0, delta <= 0 or complex roots.
+    one value: nu^2 solve x^2 - delta x + det V = 0, delta = det A + det B +
+    2 det C for V = [[A, C], [C^T, B]], with the discriminant (det A -
+    det B)^2 + 4 det(A J C + C J B) read off the 2x2 blocks of (UV)^2 and
+    det V by elimination without pivoting. Physical states have both values
+    >= 1/2. Refuses (DimensionError) any other mode count and a matrix that
+    is not positive definite: det V <= 0, a zero or non-finite pivot,
+    delta <= 0 or complex roots.
     """
-    return np.stack(_symplectic_pair(_check_covariance(V)), axis=-1)
+    return np.stack(_symplectic_pairs(_check_covariance(V), (1.0,))[0], axis=-1)
 
 
 # Lambda V Lambda for Lambda = diag(1, 1, 1, -1) flips the signs of row and
 # column 3 but not of their common entry
 _PT_SIGN = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
-# the signs that give V and its partial transpose as one stack
-_BOTH_SIGNS = np.array([np.ones((4, 4)), _PT_SIGN])
-for _table in (_PT_SIGN, _BOTH_SIGNS):
-    _table.setflags(write=False)
+_PT_SIGN.setflags(write=False)
 
 
-def _partial_transpose(V: NDArray) -> NDArray[np.float64]:
+def partial_transpose(V: NDArray) -> NDArray[np.float64]:
+    """Momentum reversal of mode 2: Lambda V Lambda with Lambda = diag(1,1,1,-1)."""
+    V = _check_covariance(V)
     if V.shape[-1] != 4:
         raise DimensionError(
             f"partial transpose implemented for 2 modes only, got dim {V.shape[-1]}"
@@ -152,28 +188,10 @@ def _partial_transpose(V: NDArray) -> NDArray[np.float64]:
     return V * _PT_SIGN
 
 
-def partial_transpose(V: NDArray) -> NDArray[np.float64]:
-    """Momentum reversal of mode 2: Lambda V Lambda with Lambda = diag(1,1,1,-1)."""
-    return _partial_transpose(_check_covariance(V))
-
-
 def _negativity(nu_min: NDArray) -> NDArray[np.float64]:
     """max{0, -log2[2 nu_min]} from the least partial-transpose eigenvalue."""
     x = -np.log2(2.0 * nu_min)
     return np.where(x > 0.0, x, 0.0)
-
-
-def _spectra(V: NDArray) -> tuple[NDArray, tuple[NDArray, NDArray]]:
-    """(nu_-, (nu~_-, nu~_+)): the least symplectic eigenvalue of each matrix
-    of a checked stack and the spectrum of its partial transpose, from one
-    pass over both."""
-    if V.shape[-1] != 4:
-        raise DimensionError(
-            f"symplectic spectrum implemented for 2 modes only, got dim {V.shape[-1]}"
-        )
-    both = V * _BOTH_SIGNS.reshape((2,) + (1,) * (V.ndim - 2) + (4, 4))
-    nu_minus, nu_plus = _symplectic_pair(both)
-    return nu_minus[0], (nu_minus[1], nu_plus[1])
 
 
 def warn_uncertainty(nu_minus) -> None:
@@ -195,7 +213,7 @@ def log_negativity(V: NDArray) -> float:
     any matrix of a stack, violates the uncertainty bound beyond PHYSICALITY_TOL.
     """
     V = _check_covariance(V)
-    nu_minus, nu_tilde = _spectra(V)
+    (nu_minus, _), nu_tilde = _symplectic_pairs(V, (1.0, -1.0))
     warn_uncertainty(nu_minus)
     return _out(_negativity(nu_tilde[0]), V)
 
@@ -243,20 +261,11 @@ def rotate_local(V: NDArray, theta: float) -> NDArray[np.float64]:
 
 
 _MINUS_PLUS = np.array([-1.0, 1.0])
-_MINUS_PLUS.setflags(write=False)
-
-
-def _checked_variances(xy: NDArray) -> tuple:
-    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) from the q and p blocks
-    V[::2, ::2] and V[1::2, 1::2], xy[..., 0] and xy[..., 1]: (V00 + V22)/2
-    -+ V02 and (V11 + V33)/2 -+ V13; refuses a negative variance."""
-    d = ((0.5 * (xy[..., 0, 0, :] + xy[..., 1, 1, :]))[..., None]
-         + _MINUS_PLUS * xy[..., 0, 1, :, None])
-    variances = d[..., 0, 0], d[..., 1, 0], d[..., 0, 1], d[..., 1, 1]
-    if (d < -PHYSICALITY_TOL).any():
-        val = next(v for v in variances if (v < -PHYSICALITY_TOL).any())
-        raise PhysicalityError(f"negative quadrature variance {np.min(val)!r}")
-    return variances
+# V's entries 4 i + j at the block entries (0, 0), (1, 1), (0, 1) of V[::2, ::2],
+# V[1::2, 1::2], V[::2, 1::2] and V[1::2, ::2], one row each
+_QP = np.array([[0, 10, 2], [5, 15, 7], [1, 11, 3], [4, 14, 6]])
+for _table in (_MINUS_PLUS, _QP):
+    _table.setflags(write=False)
 
 
 def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
@@ -268,17 +277,24 @@ def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
     negated. With a = V[::2, ::2], b = V[1::2, 1::2], r = V[::2, 1::2] +
     V[1::2, ::2] and c^2 = 1 - s^2, that is a - u and b + u for
     u = s^2 (a - b) - cs r: exactly a and b at theta = 0, as a + (-u) and
-    b + u side by side.
+    b + u side by side, read at the block entries (0, 0), (1, 1) and (0, 1).
+    The variances are (Vbar00 + Vbar22)/2 -+ Vbar02 and (Vbar11 + Vbar33)/2
+    -+ Vbar13; a negative one is refused.
     """
     if V.shape[-1] != 4:
         raise DimensionError("relative-mode variances need exactly 2 modes")
     half = 0.5 * theta
-    c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
-    # V[2i + k, 2j + l] at [..., i, k, j, l]; ab[..., i, j, k] is a (k = 0) or b
-    V4 = V.reshape(V.shape[:-2] + (2, 2, 2, 2))
-    ab = V4.diagonal(axis1=-3, axis2=-1)
-    u = (s * s) * (ab[..., 0] - ab[..., 1]) - (c * s) * (V4[..., 0, :, 1] + V4[..., 1, :, 0])
-    return _checked_variances(ab + u[..., None] * _MINUS_PLUS)
+    c, s = np.cos(half), np.sin(half)
+    qp = V.reshape(-1, 16).T.take(_QP, axis=0).reshape(_QP.shape + V.shape[:-2])
+    u = (s * s) * (qp[0] - qp[1]) - (c * s) * (qp[2] + qp[3])
+    minus_plus = _MINUS_PLUS.reshape((2,) + (1,) * (V.ndim - 1))
+    qp[:2] += u * minus_plus
+    d = 0.5 * (qp[:2, 0] + qp[:2, 1]) + minus_plus * qp[:2, 2]
+    variances = d[0, 0], d[0, 1], d[1, 0], d[1, 1]
+    if (d < -PHYSICALITY_TOL).any():
+        val = next(v for v in variances if (v < -PHYSICALITY_TOL).any())
+        raise PhysicalityError(f"negative quadrature variance {np.min(val)!r}")
+    return variances
 
 
 def relative_mode_variances(V: NDArray) -> tuple[float, ...]:
@@ -297,8 +313,8 @@ def _mean_phonons(V: NDArray, modes: slice) -> NDArray[np.float64]:
     """The mean phonon numbers of a slice of the modes, along a last axis."""
     n = V.shape[-1] // 2
     # the diagonal summed in pairs, V_2m,2m + V_2m+1,2m+1 for each mode m
-    val = 0.5 * (_flat(V)[..., ::2 * n + 1].reshape(V.shape[:-2] + (n, 2))[..., modes, :]
-                 .sum(axis=-1) - 1.0)
+    diagonal = V.diagonal(axis1=-2, axis2=-1)
+    val = 0.5 * ((diagonal[..., ::2] + diagonal[..., 1::2])[..., modes] - 1.0)
     if (val < -PHYSICALITY_TOL).any():
         k = next(k for k in range(val.shape[-1]) if (val[..., k] < -PHYSICALITY_TOL).any())
         raise PhysicalityError(f"negative phonon number {np.min(val[..., k])!r} "
@@ -359,7 +375,7 @@ def quadrature_observables(V: NDArray) -> QuadratureObservables:
     """Compute all mirror-block observables from a 2-mode covariance or a stack."""
     V = _check_covariance(V)
     frame = _frame(V)
-    return _observables(V, frame, _symplectic_pair(_partial_transpose(V)))
+    return _observables(V, frame, _symplectic_pairs(V, (-1.0,))[0])
 
 
 def frame_variances(V: NDArray) -> tuple[float, ...]:
@@ -382,7 +398,7 @@ def observables_and_nu_minus(V: NDArray) -> tuple[QuadratureObservables, float]:
     """
     V = _check_covariance(V)
     frame = _frame(V)
-    nu_minus, nu_tilde = _spectra(V)
+    (nu_minus, _), nu_tilde = _symplectic_pairs(V, (1.0, -1.0))
     return _observables(V, frame, nu_tilde), _out(nu_minus, V)
 
 

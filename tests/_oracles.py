@@ -8,10 +8,15 @@ that applies one affine span per sample, each span composed by its own
 binary doubling, the spectrum of any mode count as
 the moduli of the eigenvalues of i U V, the compiler that adds up the
 drift and diffusion of one dissipator term at a time, and the three scalar
-model builds that one build with a member axis replaces.
+model builds that one build with a member axis replaces. The two-mode
+frame variances and phonon numbers are pinned to the forms on whole 2x2
+blocks that they replace, and the spectrum is checked against exact
+rational arithmetic on the float entries.
 """
 
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,12 +32,14 @@ from sqzmirror.errors import (
     DimensionError,
     DivergenceError,
     GeneratorError,
+    PhysicalityError,
     SimulationError,
     StepSizeError,
     per_entry,
 )
 from sqzmirror.full import AdiabaticComparison, mirror_block, steady_full
 from sqzmirror.gaussian import (
+    PHYSICALITY_TOL,
     _check_covariance,
     frame_variances,
     rotation_angle,
@@ -66,6 +73,79 @@ def symplectic_spectrum(V):
         raise DimensionError(f"symplectic eigenvalues do not pair up: "
                              f"{a[unpaired][0]!r} vs {b[unpaired][0]!r}")
     return 0.5 * (a + b)
+
+
+def exact_det(V):
+    """det V of one matrix as a Fraction: Gaussian elimination in exact
+    rational arithmetic on its float entries, rows exchanged at a zero pivot."""
+    A = [[Fraction(x) for x in row] for row in np.asarray(V, dtype=float).tolist()]
+    det = Fraction(1)
+    for k in range(len(A)):
+        p = next((i for i in range(k, len(A)) if A[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            A[k], A[p], det = A[p], A[k], -det
+        det *= A[k][k]
+        for row in A[k + 1:]:
+            f = row[k] / A[k][k]
+            for j in range(k, len(A)):
+                row[j] -= f * A[k][j]
+    return det
+
+
+def exact_spectrum(V):
+    """(nu_-, nu_+, delta, disc) of one two-mode matrix, read on its upper
+    triangle: delta = det A + det B + 2 det C and disc = delta^2 - 4 det V
+    exact Fractions of its float entries, nu_+-^2 = (delta +- sqrt(disc))/2
+    to 40 digits, rounded to floats."""
+    V = np.triu(V) + np.triu(V, 1).T
+    F = [[Fraction(x) for x in row] for row in V.tolist()]
+
+    def minor(i, j, k, l):
+        return F[i][k] * F[j][l] - F[i][l] * F[j][k]
+
+    delta = minor(0, 1, 0, 1) + minor(2, 3, 2, 3) + 2 * minor(0, 1, 2, 3)
+    det = exact_det(V)
+    disc = delta * delta - 4 * det
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def dec(x):
+            return Decimal(x.numerator) / Decimal(x.denominator)
+
+        nu2_plus = (dec(delta) + dec(disc).sqrt()) / 2
+        return (float((dec(det) / nu2_plus).sqrt()), float(nu2_plus.sqrt()),
+                float(delta), float(disc))
+
+
+def rotated_variances_blocks(V, theta):
+    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) of rotate_local(V, theta)
+    for a checked two-mode stack, from all four entries of each 2x2 block:
+    a - u and b + u for a = V[::2, ::2], b = V[1::2, 1::2] and
+    u = s^2 (a - b) - cs (V[::2, 1::2] + V[1::2, ::2]), c, s = cos, sin(theta/2),
+    then (Vbar00 + Vbar22)/2 -+ Vbar02 and (Vbar11 + Vbar33)/2 -+ Vbar13."""
+    minus_plus = np.array([-1.0, 1.0])
+    half = 0.5 * theta
+    c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    V4 = V.reshape(V.shape[:-2] + (2, 2, 2, 2))  # V[2i + k, 2j + l] at [..., i, k, j, l]
+    ab = V4.diagonal(axis1=-3, axis2=-1)  # [..., i, j, k]: a (k = 0) or b
+    u = (s * s) * (ab[..., 0] - ab[..., 1]) - (c * s) * (V4[..., 0, :, 1] + V4[..., 1, :, 0])
+    xy = ab + u[..., None] * minus_plus
+    d = ((0.5 * (xy[..., 0, 0, :] + xy[..., 1, 1, :]))[..., None]
+         + minus_plus * xy[..., 0, 1, :, None])
+    if (d < -PHYSICALITY_TOL).any():
+        raise PhysicalityError("negative quadrature variance")
+    return d[..., 0, 0], d[..., 1, 0], d[..., 0, 1], d[..., 1, 1]
+
+
+def mean_phonons_pairs(V):
+    """The mean phonon numbers of both modes of a two-mode stack, along a
+    last axis: the diagonal summed in pairs, minus 1, halved, negatives
+    within PHYSICALITY_TOL set to 0."""
+    val = 0.5 * (V.reshape(V.shape[:-2] + (16,))[..., ::5].reshape(V.shape[:-2] + (2, 2))
+                 .sum(axis=-1) - 1.0)
+    return np.where(val < 0.0, 0.0, val)
 
 
 def span_power(step, m):

@@ -17,7 +17,10 @@ points ("chain ...": derive, the model builder, compile_generator,
 require_shared_drift and the tail, each from the inputs the layer before
 made), the rows of a custom r sweep of reduced3 and reduced10 at 51
 values of r (in a tree without scenarios._sweep_rows, one _model_rows per
-model), and optimal_squeezings over fig3b's 25 powers. With --against,
+model), optimal_squeezings over fig3b's 25 powers, and the observables of
+fig2a's trajectory family (lifted covariances (4, 802, 4, 4)):
+quadrature_observables of all of it, observables_and_nu_minus of 1, 25
+and 303 of its matrices, and frame_variances of 50 as (25, 2). With --against,
 each round runs this script once per tree, one subprocess at a time,
 alternating which tree goes first; it prints
 each stage's median over the rounds for both trees and their ratio
@@ -108,6 +111,33 @@ def stages() -> list[tuple[str, object]]:
     fig3b = [params.baseline_params(power_w=P) for P in np.geomspace(0.01e-6, 4e-6, 25)]
     table.append(("optimal_squeezings, 25 fig3b powers",
                   lambda: reduced.optimal_squeezings(fig3b, 1.0)))
+    return table + observable_stages()
+
+
+def observable_stages() -> list[tuple[str, object]]:
+    """The gaussian observables of fig2a's trajectory family: all of it, and
+    evenly spaced matrices of it."""
+    import numpy as np
+
+    from sqzmirror import gaussian, params, reduced, scenarios
+
+    point = params.baseline_params()
+    grid = scenarios.trajectory_grid(point, scenarios.default_t_end(point, 10.0), 800)
+    family = np.array([t.covariances for t in reduced.evolve_r(point, (0.0, 0.5, 1.0, 2.0), grid)])
+    flat = family.reshape(-1, 4, 4)
+
+    def spaced(n):
+        return flat[np.linspace(0, len(flat) - 1, n).astype(int)]
+
+    table = [(f"quadrature_observables, {family.shape[0]}x{family.shape[1]}",
+              lambda: gaussian.quadrature_observables(family)),
+             ("observables_and_nu_minus, 1 matrix",
+              lambda V=flat[len(flat) // 2]: gaussian.observables_and_nu_minus(V))]
+    for n in (25, 303):
+        table.append((f"observables_and_nu_minus, {n} matrices",
+                      lambda V=spaced(n): gaussian.observables_and_nu_minus(V)))
+    table.append(("frame_variances, 25x2 matrices",
+                  lambda V=spaced(50).reshape(25, 2, 4, 4): gaussian.frame_variances(V)))
     return table
 
 

@@ -1,12 +1,21 @@
 """Symplectic core: spectra, partial transpose, negativity, rotations."""
 
 import warnings
+from fractions import Fraction
 
+import inputs
 import numpy as np
 import pytest
 
-from _oracles import symplectic_spectrum
+from _oracles import (
+    exact_det,
+    exact_spectrum,
+    mean_phonons_pairs,
+    rotated_variances_blocks,
+    symplectic_spectrum,
+)
 from conftest import random_physical_cov
+from sqzmirror import gaussian
 from sqzmirror.errors import (
     DegenerateAngleWarning,
     DimensionError,
@@ -14,6 +23,7 @@ from sqzmirror.errors import (
     PhysicalityWarning,
 )
 from sqzmirror.gaussian import (
+    _invariants,
     frame_variances,
     log_negativity,
     mean_phonon,
@@ -29,8 +39,12 @@ from sqzmirror.gaussian import (
     two_mode_squeezed,
     vacuum,
 )
+from sqzmirror.params import baseline_params
+from sqzmirror.reduced import evolve_r
+from sqzmirror.scenarios import default_t_end, trajectory_grid
 
 TWO_OVER_LN2 = 2.8853900817779268  # 2 / ln 2
+U = np.finfo(float).eps / 2  # the unit roundoff
 
 
 def test_symplectic_form_properties():
@@ -98,6 +112,146 @@ def test_closed_form_spectrum_matches_eigvals(rng):
         assert stacked == pytest.approx(symplectic_spectrum(stack), rel=1e-12)
         for k in (0, 57, 199):
             assert np.array_equal(symplectic_eigenvalues(stack[k]), stacked[k])
+
+
+def lifted_family(rng, n_samples):
+    """The lifted covariances (4, samples, 4, 4) of a reduced3 r family at
+    four squeezing degrees in [0, 2.5] and a temperature of the benchmark's
+    range, on fig2a's grid of n_samples samples."""
+    point = baseline_params(temperature_k=rng.uniform(*inputs.TEMPERATURE_K))
+    grid = trajectory_grid(point, default_t_end(point, 10.0), n_samples)
+    return np.array([t.covariances for t in evolve_r(point, rng.uniform(0.0, 2.5, 4), grid)])
+
+
+def physical_draws(rng, n):
+    """n each of random states, two-mode squeezed vacua with s up to 3 and
+    thermal states, the last two under a random local rotation, and lifted
+    trajectory covariances; made exactly symmetric, then their partial
+    transposes after them."""
+    def rotated(V):
+        return rotate_local(V, rng.uniform(-np.pi, np.pi))
+
+    states = [random_physical_cov(rng, 2) for _ in range(n)]
+    states += [rotated(two_mode_squeezed(s)) for s in rng.uniform(0.0, 3.0, n)]
+    states += [rotated(thermal(list(rng.uniform(0.0, 50.0, 2)))) for _ in range(n)]
+    family = lifted_family(rng, 50).reshape(-1, 4, 4)
+    states += list(family[rng.choice(len(family), n, replace=False)])
+    V = np.array(states)
+    V = 0.5 * (V + V.swapaxes(-1, -2))
+    return np.concatenate([V, partial_transpose(V)])
+
+
+def scaled_lambda_min(V):
+    """The least eigenvalue of H = D^-1/2 V D^-1/2, D = diag V."""
+    d = np.sqrt(np.einsum("...ii->...i", V))
+    return np.linalg.eigvalsh(V / d[..., :, None] / d[..., None, :])[..., 0]
+
+
+def det_bound(V):
+    """(48 / lambda_min(H) + 3) u: the first-order bound on the relative
+    error of the elimination's det V (CHANGES.md derives it)."""
+    return (48.0 / scaled_lambda_min(V) + 3.0) * U
+
+
+def test_det_against_exact_elimination(rng):
+    """det V by elimination without pivoting, against det V in exact
+    rational arithmetic on the same float entries: within det_bound on every
+    draw, and its worst error times lambda_min(H), the condition that both
+    methods' errors scale with, no worse than numpy's LAPACK det's."""
+    V = physical_draws(rng, 25)
+    exact = [exact_det(v) for v in V]
+
+    def rel_err(det):
+        return np.array([float(abs(Fraction(float(x)) - e) / e) for x, e in zip(det, exact)])
+
+    new, lapack = rel_err(_invariants(V)[1]), rel_err(np.linalg.det(V))
+    assert (new <= det_bound(V)).all(), (new / det_bound(V)).max()
+    condition = scaled_lambda_min(V)
+    assert (new * condition).max() <= (lapack * condition).max()
+
+
+def with_entry(V, i, j, value):
+    V = V.copy()
+    V[i, j] = V[j, i] = value
+    return V
+
+
+@pytest.mark.parametrize("V", [
+    # V_00 = 0 beside a coupling V_01: each elimination step divides by 0
+    with_entry(np.diag([0.0, 1.0, 0.5, 0.5]), 0, 1, 0.1),
+    with_entry(two_mode_squeezed(0.5), 1, 3, np.nan),
+], ids=["zero first pivot", "nan"])
+def test_zero_pivot_and_nan_are_refused_without_a_warning(V):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (symplectic_eigenvalues, log_negativity, quadrature_observables,
+                  observables_and_nu_minus):
+            for stack in (V, np.array([vacuum(2), V])):
+                with pytest.raises(DimensionError, match="no symplectic spectrum: det V = "):
+                    f(stack)
+
+
+def spectrum_bounds(V, nu_plus, disc):
+    """First-order bounds on the relative errors of nu_- and nu_+, from
+    det_bound and, with m = max |V_ij|, the rounding of delta (gamma_4 on
+    terms of at most 8 m^2 in all) and of disc (gamma_6 on at most 144 m^4),
+    disc the exact discriminant (CHANGES.md derives them)."""
+    m2 = np.abs(V).max(axis=(-2, -1)) ** 2
+    e_delta, e_disc = 4 * U * 8 * m2, 6 * U * 144 * m2 ** 2
+    e_root = e_disc / np.maximum(np.sqrt(disc), np.sqrt(e_disc))
+    eps_plus2 = (e_delta + e_root) / (2 * nu_plus ** 2) + 2 * U
+    return 0.5 * (det_bound(V) + eps_plus2) + U, 0.5 * eps_plus2 + U / 2
+
+
+def at(value, row):
+    """Entry row of a field of QuadratureObservables, or of each array of a
+    tuple field."""
+    if isinstance(value, tuple):
+        return tuple(np.asarray(v)[row] for v in value)
+    return np.asarray(value)[row]
+
+
+def test_observables_pin_the_matrix_algebra_forms(rng):
+    """On one matrix, 25 and a (4, 802) trajectory family: the rotated-frame
+    variances, theta and the phonon numbers bit-equal to their forms on the
+    2x2 blocks (_oracles), the fields of a stacked call bit-equal to the
+    call on one of its matrices alone, and nu_tilde, E_N and V's own nu_-
+    within spectrum_bounds of exact arithmetic (the family at every 16th
+    sample)."""
+    family = lifted_family(rng, 800)
+    flat = family.reshape(-1, 4, 4)
+    for V, rows in ((flat[rng.integers(len(flat))], [()]),
+                    (flat[rng.choice(len(flat), 25, replace=False)], [(k,) for k in range(25)]),
+                    (family, [(i, j) for i in range(4) for j in range(0, 802, 16)])):
+        obs, nu_minus = observables_and_nu_minus(V)
+        theta = gaussian._rotation_angle(V)[0]
+        assert np.array_equal(obs.theta, theta)
+        blocks = rotated_variances_blocks(V, theta)
+        assert np.array_equal((obs.dQ2_minus, obs.dP2_minus, obs.dQ2_plus, obs.dP2_plus), blocks)
+        assert np.array_equal(frame_variances(V), blocks)
+        assert np.array_equal(relative_mode_variances(V), rotated_variances_blocks(V, 0.0))
+        assert np.array_equal(np.stack(obs.phonon, axis=-1), mean_phonons_pairs(V))
+        qo = quadrature_observables(V)
+        for name, value in vars(obs).items():
+            assert np.array_equal(getattr(qo, name), value), name
+        for k in rng.choice(len(rows), 3):
+            alone, nu_alone = observables_and_nu_minus(V[rows[k]])
+            assert nu_alone == at(nu_minus, rows[k])
+            for name, value in vars(obs).items():
+                assert np.array_equal(getattr(alone, name), at(value, rows[k])), name
+        for row in rows:
+            for W, nu in ((V[row], at(nu_minus, row)), (partial_transpose(V[row]), None)):
+                exact_minus, exact_plus, _, disc = exact_spectrum(W)
+                bound_minus, bound_plus = spectrum_bounds(W, exact_plus, disc)
+                if nu is not None:
+                    assert abs(nu / exact_minus - 1) <= bound_minus + U, row
+                    continue
+                nu_tilde = at(obs.nu_tilde, row)
+                assert abs(nu_tilde[0] / exact_minus - 1) <= bound_minus + U, row
+                assert abs(nu_tilde[1] / exact_plus - 1) <= bound_plus + U, row
+                e_n = max(0.0, -np.log2(2 * exact_minus))
+                assert abs(at(obs.E_N, row) - e_n) <= ((bound_minus + U) / np.log(2)
+                                                       + 2 * U * max(e_n, 1.0)), row
 
 
 def test_partial_transpose_diagonal_invariant():
