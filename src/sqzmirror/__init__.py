@@ -8,7 +8,6 @@ from .dynamics import (
     integrate,
     minimize_scalar,
     normalize_phase,
-    periodic_steady_state,
     steady_at_phase,
 )
 from .full import (

@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .errors import GeneratorError, SimulationError
 from .gaussian import symplectic_form
-from .params import DerivedCoefficients, Harmonic, _conj, _factor, _harmonic, _im
+from .params import DerivedCoefficients, is_static, member_factor, parts_conj, parts_imag
 
 DRIFT_RTOL = 1e-9
 
@@ -101,7 +101,7 @@ class GeneratorSpec:
         self.dissipators.append(DissipatorTerm(rate, left, right, harmonic))
 
     def add_harmonic_dissipators(self, rates: NDArray, vectors) -> None:
-        """Expand Harmonic rates, given by their parts (Harmonic.parts, one
+        """Expand time-periodic rates, given as parts arrays (params; one
         rate per leading entry), into tagged static-amplitude terms on their
         (left, right) vectors, each kept when it is nonzero at any member."""
         live = np.logical_or.reduce(rates.reshape(len(vectors), -1, 3), axis=1).tolist()
@@ -294,14 +294,15 @@ def _thermal_terms(spec: GeneratorSpec, modes, gamma, nbar) -> None:
             spec.add_dissipator(heating, ac, a)
 
 
-def _require_static(h: Harmonic, *whats: str) -> complex:
-    """h's static part; refused when h has a harmonic part. Several names
-    name the pieces along h's leading axis, and the refusal the first one."""
-    if not h.is_static():
-        pieces = h.parts if len(whats) > 1 else [h.parts]
-        what = next(w for x, w in zip(pieces, whats) if not _harmonic(x).is_static())
+def _require_static(parts: NDArray, *whats: str) -> NDArray:
+    """The static part of parts (params); refused when it has a harmonic
+    part. Several names name the pieces along the leading axis of parts, and
+    the refusal the first one."""
+    if not is_static(parts):
+        pieces = parts if len(whats) > 1 else [parts]
+        what = next(w for x, w in zip(pieces, whats) if not is_static(x))
         raise GeneratorError(f"{what} acquired a harmonic part; cannot compile")
-    return h.c0
+    return parts[..., 1]
 
 
 def _read_only(*vectors) -> tuple[NDArray, ...]:
@@ -344,17 +345,17 @@ def reduced_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     shift and a quadratic squeezing drive in the effective Hamiltonian.
     """
     p = coeffs.params
-    eta2 = _factor(p.eta0**2)  # a factor of Harmonic parts
+    eta2 = member_factor(p.eta0**2)
     a1, a2, am = _MIRROR_VECTORS
     a1c, a2c, amc = _MIRROR_CONJ
 
-    # Harmonic's arithmetic on the parts of (xi+, xi-) and their conjugates
-    xi = coeffs.xi_pair(p.omega_m).parts
-    xi_c = _conj(xi)
+    # the parts of (xi+, xi-) and of their conjugates
+    xi = coeffs.xi_pair(p.omega_m)
+    xi_c = parts_conj(xi)
 
     # effective Hamiltonian pieces; their harmonic parts cancel identically
-    squeeze_w, shift = _require_static(_harmonic(np.array([
-        (xi[1] - xi_c[0]) * (1j * eta2), _im(xi[0] + xi[1]) * (-2.0 * eta2)])),
+    squeeze_w, shift = _require_static(np.array([
+        (xi[1] - xi_c[0]) * (1j * eta2), parts_imag(xi[0] + xi[1]) * (-2.0 * eta2)]),
         "relative-mode squeezing drive", "relative-mode frequency shift")
 
     mirrors, relative_number, relative_pair = _REDUCED_FORMS
@@ -389,7 +390,7 @@ def full_generator(coeffs: DerivedCoefficients) -> GeneratorSpec:
     G = _real_form(p.delta / 2.0, cavity)
     G = G + _real_form(p.omega_m / 2.0, mirror_numbers)
     # (alpha c^dag + alpha* c) as a real quadrature form, one per point
-    alpha = _factor(coeffs.alpha)
+    alpha = member_factor(coeffs.alpha)
     w = alpha * cc + np.conj(alpha) * c
     # the two mirrors couple with opposite signs, eta1 = -eta2 = eta0
     G = G + hermitian_form(p.eta0 / 2.0, relative_x, w)

@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import ParameterError
 
@@ -21,119 +22,41 @@ KB = 1.380649e-23  # J / K
 TWO_PI = 2.0 * np.pi
 
 
-# a static value as Harmonic parts: (0, x, 0) along the last axis
-_STATIC = np.array([0.0, 1.0, 0.0])
-_STATIC.setflags(write=False)
+# A time-periodic coefficient c0 + cp e^{i w t} + cm e^{-i w t} (w = 2*Delta
+# here) is kept exactly as its parts: an array (..., 3) holding (cm, c0, cp)
+# along its last axis (the amplitude of e^{i h w t} at h + 1), any leading
+# axes being member axes. The functions below are its arithmetic.
+
+PARTS_ONE = np.array([0.0, 1.0, 0.0])  # the parts of 1: x * 1 is outer(x, PARTS_ONE)
+PARTS_RAISING = np.array([0.0, 0.0, 1.0], dtype=complex)  # the parts of e^{i w t}
+PARTS_ONE.setflags(write=False)
+PARTS_RAISING.setflags(write=False)
 
 
-@dataclass
-class Harmonic:
-    """Scalar of the form c0 + cp e^{i w t} + cm e^{-i w t} (w = 2*Delta here).
-
-    Small closed arithmetic used to carry time-periodic coefficients around
-    exactly instead of sampling them. The parts may be arrays along a member
-    axis; the arithmetic broadcasts over it. They are kept as one array,
-    parts = (cm, c0, cp) along its last axis (the amplitude of e^{i h w t}
-    at h + 1), so each operation is one array operation; c0, cp and cm are
-    views of it.
-    """
-
-    c0: complex = 0.0
-    cp: complex = 0.0
-    cm: complex = 0.0
-
-    # arrays combine with a Harmonic through its own arithmetic
-    __array_ufunc__ = None
-
-    def __post_init__(self):
-        given = self.cm, self.c0, self.cp
-        parts = np.empty(np.broadcast_shapes(*(getattr(c, "shape", ()) for c in given))
-                         + (3,), dtype=complex)
-        for h, part in enumerate(given):
-            parts[..., h] = part
-        _set_parts(self, parts)
-
-    def __call__(self, phase: complex) -> complex:
-        """Evaluate at e^{i w t} = phase (a unit-modulus complex number)."""
-        return self.c0 + self.cp * phase + self.cm / phase
-
-    def conj(self) -> "Harmonic":
-        return _harmonic(_conj(self.parts))
-
-    def re(self) -> "Harmonic":
-        return _harmonic(0.5 * (self.parts + _conj(self.parts)))
-
-    def im(self) -> "Harmonic":
-        return _harmonic(_im(self.parts))
-
-    def __add__(self, other):
-        return _harmonic(self.parts + _parts(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, z):
-        if isinstance(z, Harmonic):
-            raise TypeError("product of two Harmonics leaves the harmonic space")
-        return _harmonic(self.parts * _factor(z))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return _harmonic(self.parts - _parts(other))
-
-    def __rsub__(self, other):
-        return _harmonic(_parts(other) - self.parts)
-
-    def __getitem__(self, k) -> "Harmonic":
-        """The Harmonic at index k of the leading member axis."""
-        return _harmonic(self.parts[k])
-
-    def is_static(self) -> bool:
-        """True when the oscillating parts are at most 1e-9 of the static part
-        (so of the largest part).
-
-        Parts that are arrays (a member axis) are judged member by member,
-        each on its own scale.
-        """
-        size = np.abs(self.parts)
-        return bool(np.logical_and.reduce(
-            np.maximum(size[..., 0], size[..., 2]) <= 1e-9 * size[..., 1], axis=None))
-
-
-def _set_parts(h: Harmonic, parts) -> Harmonic:
-    h.parts = parts
-    h.cm, h.c0, h.cp = parts[..., 0], parts[..., 1], parts[..., 2]
-    return h
-
-
-def _harmonic(parts) -> Harmonic:
-    """The Harmonic whose parts (cm, c0, cp) are the last axis of parts."""
-    return _set_parts(object.__new__(Harmonic), parts)
-
-
-def _factor(z):
-    """z as a factor of parts: an array z carries member axes only."""
+def member_factor(z):
+    """z as a factor of an array with one more trailing axis (parts, or
+    vectors): an array z carries member axes only."""
     return z[..., None] if isinstance(z, np.ndarray) else z
 
 
-def _conj(parts):
+def parts_conj(parts):
     """conj(c e^{i h w t}) = conj(c) e^{-i h w t}: the parts conjugated, reversed."""
     return np.conj(parts[..., ::-1])
 
 
-def _im(parts):
-    """The parts of the imaginary part, (h - conj(h)) / 2i."""
-    return (parts - _conj(parts)) / 2j
+def parts_imag(parts):
+    """The parts of the imaginary part, (c - conj(c)) / 2i."""
+    return (parts - parts_conj(parts)) / 2j
 
 
-def _parts(x):
-    """The parts of a Harmonic, or of a static value x: (0, x, 0)."""
-    if isinstance(x, Harmonic):
-        return x.parts
-    return np.multiply.outer(x, _STATIC)
+def is_static(parts) -> bool:
+    """True when the oscillating parts are at most 1e-9 of the static part
+    (so of the largest part), at every member, each on its own scale."""
+    size = np.abs(parts)
+    return bool(np.logical_and.reduce(
+        np.maximum(size[..., 0], size[..., 2]) <= 1e-9 * size[..., 1], axis=None))
 
 
-_RAISING = Harmonic(cp=1.0)  # e^{i w t}
 _PLUS_MINUS = np.array([1.0, -1.0])
 _PLUS_MINUS.setflags(write=False)
 
@@ -350,28 +273,29 @@ class DerivedCoefficients:
             _unchecked((name, value[k]) for name, value in vars(self.params).items()),
             self.omega_drive[k], self.alpha[k], self.nbar0[k], self.N[k], self.M[k])
 
-    def xi_pair(self, omega_k: float) -> Harmonic:
-        """Harmonic decompositions of (xi_k^{+}, xi_k^{-}) as one Harmonic with
-        a leading axis of the two, from the fluctuation drive
-        F(t) = N |alpha|^2 + M alpha^2 e^{2i Delta t} and the cavity resolvents
-        R = (upper, lower) at Delta + omega_k and Delta - omega_k:
-        xi^{+-} = F R + (conj(F) + |alpha|^2) conj(R reversed)
+    def xi_pair(self, omega_k: float) -> NDArray[np.complex128]:
+        """The parts of (xi_k^{+}, xi_k^{-}), with a leading axis of the two,
+        from the fluctuation drive F(t) = N |alpha|^2 + M alpha^2 e^{2i Delta t}
+        and the cavity resolvents R = (upper, lower) at Delta + omega_k and
+        Delta - omega_k: xi^{+-} = F R + (conj(F) + |alpha|^2) conj(R reversed)
         (1/(kappa - i y) is conj(1/(kappa + i y)), exactly)."""
         p = self.params
         a2 = abs(self.alpha) ** 2
-        # the parts of F and of conj(F) + |alpha|^2, by Harmonic's arithmetic
-        F = _RAISING.parts * _factor(self.M * self.alpha**2) + _parts(self.N * a2)
-        Fc = _conj(F) + _parts(a2)
+        # the parts of F and of conj(F) + |alpha|^2
+        F = PARTS_RAISING * member_factor(self.M * self.alpha**2) + np.multiply.outer(
+            self.N * a2, PARTS_ONE)
+        Fc = parts_conj(F) + np.multiply.outer(a2, PARTS_ONE)
         R = 1.0 / (p.kappa + 1j * (p.delta + np.multiply.outer(_PLUS_MINUS, omega_k)))
         # the pair leads, in front of every member axis of F
         R = R.reshape(R.shape[:1] + (1,) * (F.ndim - R.ndim) + R.shape[1:])
-        return _harmonic(F * R[..., None] + Fc * np.conj(R[::-1])[..., None])
+        return F * R[..., None] + Fc * np.conj(R[::-1])[..., None]
 
-    def xi_combined(self) -> Harmonic:
-        """eta0^2 (xi_k^- + conj(xi_k^+)) at omega_k = omega_m: the drive xi^r + i xi^i."""
+    def xi_combined(self) -> NDArray[np.complex128]:
+        """The parts of eta0^2 (xi_k^- + conj(xi_k^+)) at omega_k = omega_m:
+        the drive xi^r + i xi^i."""
         p = self.params
         xi = self.xi_pair(p.omega_m)
-        return (xi[1] + xi[0].conj()) * p.eta0**2
+        return (xi[1] + parts_conj(xi[0])) * member_factor(p.eta0**2)
 
 
 def derive(params: PhysicalParams) -> DerivedCoefficients:

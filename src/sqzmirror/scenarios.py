@@ -109,7 +109,10 @@ CONFIG_KEYS = {
 
 
 def parse_config_file(path: str | Path) -> ScenarioConfig:
-    """Read a flat sectioned key-value config (same format as manifests)."""
+    """Read a flat sectioned key-value config (same format as manifests).
+
+    Checks its structure only: sections, keys and numbers. run validates the
+    config, after any overrides."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -148,7 +151,6 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
         cfg.sweep = (sec["name"].strip(), values)
     if parser.has_section("output"):
         cfg.output_dir = parser["output"].get("dir", cfg.output_dir).strip()
-    cfg.validate()
     return cfg
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import verify
 from _fock import integrate_fock_thermal
-from _periodic import at_time
+from _periodic import at_phase, at_time
 from sqzmirror.dynamics import TimeGrid, integrate
 from sqzmirror.full import compare_adiabatic, mirror_block, steady_full
 from sqzmirror.gaussian import (
@@ -148,7 +148,7 @@ def test_compiler_vs_printed_matrices():
         if np.abs(s.m3 - m3_printed).max() > 1e-10 * scale:
             failures.append(f"drift mismatch at point {k}")
         for t in rng.uniform(0.0, 2 * np.pi / p.delta, 20):
-            xi = complex(c.xi_combined()(np.exp(2j * p.delta * t)))
+            xi = complex(at_phase(c.xi_combined(), np.exp(2j * p.delta * t)))
             printed = np.array(
                 [
                     c.phi,

@@ -681,7 +681,7 @@ def test_shipped_configs_parse_and_equal_their_manifests(tmp_path):
     figures = [p for p in paths if p.stem in SCENARIOS]
     assert len(paths) == 11 and len(figures) == 10
     for path in paths:
-        parse_config_file(path)
+        parse_config_file(path).validate()
     for path in figures:
         manifest = tmp_path / path.name
         write_manifest(ScenarioConfig(scenario=path.stem), manifest)
@@ -738,6 +738,29 @@ def test_config_file_validation_names_field(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_file(bad)
     assert "params.bogus_hz" in str(err.value)
+
+
+def test_config_file_run_validates_once(tmp_path, monkeypatch):
+    """parse_config_file checks the structure; run validates, once."""
+    calls = []
+    validate = ScenarioConfig.validate
+    monkeypatch.setattr(ScenarioConfig, "validate",
+                        lambda cfg: calls.append(cfg) or validate(cfg))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[scenario]\nname = fig2c\n")
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_config_file_is_validated_after_overrides(tmp_path):
+    """A config value that fails validation is replaced by --set before it is
+    validated: the effective config runs."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[scenario]\nname = fig2c\nn_samples = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_file), "--set", "n_samples=50", "--out", str(out)]) == 0
+    assert "n_samples = 50\n" in (out / "fig2c_manifest.cfg").read_text()
+    assert main(["run", str(cfg_file), "--out", str(out)]) == 2
 
 
 def test_config_file_full_roundtrip(tmp_path):

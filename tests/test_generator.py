@@ -11,7 +11,7 @@ import pytest
 from _fock import integrate_fock_thermal
 from _oracles import compile_injections_loop, compile_loop, symplectic_spectrum
 from conftest import random_point
-from _periodic import at_time, frozen
+from _periodic import at_phase, at_time, frozen
 from sqzmirror.dynamics import (
     TimeGrid,
     integrate,
@@ -359,7 +359,7 @@ def test_compiled_ten_variable_drift_and_drive(baseline):
 
     for t in (0.0, 1.9e-9, 4.4e-9):
         _, B10_t = ten_variable_system(eqs, t)
-        xi = complex(c.xi_combined()(np.exp(2j * p.delta * t)))
+        xi = complex(at_phase(c.xi_combined(), np.exp(2j * p.delta * t)))
         xr, xi_i = xi.real, xi.imag
         phi = c.phi
         printed = np.array([phi, phi + 2*xr, phi, phi + 2*xr, xi_i, 0.0,

@@ -1,6 +1,8 @@
-"""Every module-level import of the package is used in its module.
+"""Every module-level import of the package is used in its module, and no
+module imports another package module's private (underscore) names.
 
-__init__.py is left out: its imports are the package's re-exports.
+__init__.py is left out of the first check: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sqzmirror"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,24 @@ def test_no_unused_module_imports(path):
 def test_unused_import_is_found():
     source = "import math\nfrom os import path, sep\nfrom x import y as z\nsep\n"
     assert unused_imports(source) == ["math", "path", "z"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that the source's imports take from a package module
+    (a relative import, or one from sqzmirror), anywhere in the source."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "sqzmirror")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_private_imports_from_package_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_is_found():
+    source = ("from .params import _conj, derive\nfrom numpy import _x\n"
+              "from sqzmirror.gaussian import _y\n"
+              "def f():\n    from . import _z\n")
+    assert private_imports(source) == ["_conj", "_y", "_z"]

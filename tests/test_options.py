@@ -16,9 +16,6 @@ OPTIONS = [
     "generator.GeneratorSpec(delta=0.0)",
     "generator.GeneratorSpec(dissipators=field(default_factory=list))",
     "generator.GeneratorSpec.add_dissipator(harmonic=0)",
-    "params.Harmonic(c0=0.0)",
-    "params.Harmonic(cm=0.0)",
-    "params.Harmonic(cp=0.0)",
     "reduced.optimal_squeezing(phase=1.0)",
     "reduced.squeezing_formula(phase=1.0)",
     "reduced.steady_curve(phase=1.0)",

@@ -3,17 +3,23 @@
 import numpy as np
 import pytest
 
+from _periodic import at_phase
 from sqzmirror.errors import GeneratorError, ParameterError
 from sqzmirror.generator import _require_static
 from sqzmirror.reduced import steady_curve, steady_state
 from sqzmirror.params import (
     HBAR,
     KB,
-    Harmonic,
+    PARTS_ONE,
+    PARTS_RAISING,
     baseline_params,
     check_r,
     derive,
     from_hz,
+    is_static,
+    member_factor,
+    parts_conj,
+    parts_imag,
     thermal_occupation,
 )
 
@@ -128,7 +134,7 @@ def xi_pm(params, omega_k, t):
     c = derive(params)
     phase = np.exp(2j * params.delta * t)
     xi = c.xi_pair(omega_k)
-    return xi[0](phase), xi[1](phase)
+    return at_phase(xi[0], phase), at_phase(xi[1], phase)
 
 
 def test_xi_pm_vacuum_reservoir(baseline):
@@ -160,38 +166,49 @@ def test_xi_combined_time_average_keeps_only_static_part(baseline):
     (N-dependent) component.
     """
     c = derive(baseline)
-    h = c.xi_combined()
+    cm, c0, cp = parts = c.xi_combined()
     period = np.pi / baseline.delta
     ts = np.linspace(0.0, period, 4001)
-    vals = np.array([h(np.exp(2j * baseline.delta * t)) for t in ts])
+    vals = np.array([at_phase(parts, np.exp(2j * baseline.delta * t)) for t in ts])
     avg = np.trapezoid(vals, ts) / period
-    assert avg == pytest.approx(h.c0, rel=1e-8)
-    assert abs(h.cp) > 0  # sideband present at r = 1
+    assert avg == pytest.approx(c0, rel=1e-8)
+    assert abs(cp) > 0  # sideband present at r = 1
 
 
-def test_harmonic_arithmetic():
-    h = Harmonic(1.0 + 2.0j, 0.5 - 0.5j, 0.25j)
-    z = np.exp(0.73j)
-    t_val = h(z)
-    assert h.conj()(z) == pytest.approx(np.conj(t_val), rel=1e-14)
-    assert h.re()(z) == pytest.approx(t_val.real, rel=1e-14)
-    assert h.im()(z) == pytest.approx(t_val.imag, rel=1e-14)
-    assert (h + h)(z) == pytest.approx(2 * t_val, rel=1e-14)
-    assert (3.0 * h)(z) == pytest.approx(3 * t_val, rel=1e-14)
-    assert (h - 1.0)(z) == pytest.approx(t_val - 1.0, rel=1e-14)
+@pytest.mark.parametrize("members", [(), (4,), (2, 3)],
+                         ids=["scalar", "members", "member_grid"])
+def test_parts_arithmetic_matches_evaluated_values(rng, members):
+    """parts_conj, parts_imag, member_factor, PARTS_ONE and PARTS_RAISING,
+    on random parts with and without member axes, evaluated at random phases,
+    agree with the same operations on the evaluated values."""
+    parts = rng.normal(size=members + (3,)) + 1j * rng.normal(size=members + (3,))
+    z = rng.normal(size=members) + 1j * rng.normal(size=members)
+    x = rng.normal(size=members)
+    if not members:
+        z, x = complex(z), float(x)
+    for phase in np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 5)):
+        value = at_phase(parts, phase)
+        scale = np.abs(parts).sum(axis=-1)
+        assert np.all(np.abs(at_phase(parts_conj(parts), phase) - np.conj(value))
+                      <= 1e-14 * scale)
+        assert np.all(np.abs(at_phase(parts_imag(parts), phase) - value.imag)
+                      <= 1e-14 * scale)
+        assert np.all(np.abs(at_phase(parts * member_factor(z), phase) - z * value)
+                      <= 1e-14 * scale * np.abs(z))
+        assert np.array_equal(at_phase(np.multiply.outer(x, PARTS_ONE), phase), x)
+        assert at_phase(PARTS_RAISING, phase) == phase
 
 
 def test_stacked_harmonic_judges_each_member_on_its_own_scale():
     """A member whose sideband is 1e-8 of its own size is not static beside
     a member 1e12 louder, and the refusal keeps its text; one of 1e-10 is."""
     for size, static in ((1e-8, False), (1e-10, True)):
-        h = Harmonic(np.array([1e12, 1.0]), np.array([0.0, size]), 0.0)
-        assert h.is_static() is static
-        assert Harmonic(1.0, size, 0.0).is_static() is static
+        assert is_static(np.array([[0.0, 1e12, 0.0], [0.0, 1.0, size]])) is static
+        assert is_static(np.array([0.0, 1.0, size])) is static
+        assert is_static(np.array([size, 1.0, 0.0])) is static
     with pytest.raises(GeneratorError,
                        match="^drive acquired a harmonic part; cannot compile$"):
-        _require_static(Harmonic(np.array([1e12, 1.0]), 0.0, np.array([0.0, 1e-8])),
-                        "drive")
+        _require_static(np.array([[0.0, 1e12, 0.0], [1e-8, 1.0, 0.0]]), "drive")
 
 
 def test_check_r_refuses_as_physical_params_does(baseline, rng, recwarn):

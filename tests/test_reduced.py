@@ -5,7 +5,7 @@ import pytest
 
 import inputs
 from _oracles import optimal_squeezings_loop
-from _periodic import at_time
+from _periodic import at_phase, at_time
 from conftest import FAILING_POINTS_HZ, random_point, random_point_hz
 from sqzmirror.dynamics import (
     TimeGrid,
@@ -105,7 +105,7 @@ def test_drive_decomposition_matches_direct_form(baseline, rng):
     s = build_system(p)
     zr, zi = c.zeta_minus.real, c.zeta_minus.imag
     for t in rng.uniform(0.0, 2 * np.pi / p.delta, 20):
-        xi = complex(c.xi_combined()(np.exp(2j * p.delta * t)))
+        xi = complex(at_phase(c.xi_combined(), np.exp(2j * p.delta * t)))
         direct = np.array(
             [
                 c.phi,
