@@ -55,19 +55,47 @@ def _scale(V: NDArray) -> NDArray[np.float64]:
     return np.abs(_flat(V)).max(axis=-1, initial=1.0)
 
 
+# entries _exactly_symmetric compares at a time, so that no temporary is large
+_CHECK_BLOCK = 8192
+
+
+@functools.cache
+def _triangles(m: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Flat indices of the strictly upper entries of an m x m matrix and of
+    their transposes."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return (np.array([i * m + j for i, j in pairs], dtype=np.intp),
+            np.array([j * m + i for i, j in pairs], dtype=np.intp))
+
+
+def _exactly_symmetric(V: NDArray) -> bool:
+    """Whether every matrix of a stack equals its transpose (a NaN entry
+    does not), compared _CHECK_BLOCK entries at a time."""
+    upper, lower = _triangles(V.shape[-1])
+    if not len(upper):
+        return True
+    flat = V.reshape(-1, V.shape[-1] ** 2)
+    step = max(_CHECK_BLOCK // len(upper), 1)
+    for k in range(0, len(flat), step):
+        if np.count_nonzero(flat[k:k + step, upper] != flat[k:k + step, lower]):
+            return False
+    return True
+
+
 def _check_covariance(V: NDArray) -> NDArray[np.float64]:
     V = np.asarray(V, dtype=float)
     if V.ndim < 2 or V.shape[-1] != V.shape[-2] or V.shape[-1] % 2 != 0:
         raise DimensionError(f"V must be square of even dimension, got shape {V.shape}")
-    Vt = V.swapaxes(-1, -2)
     # an exactly symmetric V, as the package's solves give, needs no tolerance
-    if not (V == Vt).all():
+    if not _exactly_symmetric(V):
+        Vt = V.swapaxes(-1, -2)
         asymmetry = np.abs(_flat(V - Vt)).max(axis=-1)
         if (asymmetry > SYMMETRY_RTOL * 100 * _scale(V)).any():
             raise DimensionError("V is not symmetric")
     # entries of size scale round at scale * eps: past PHYSICALITY_TOL no
     # uncertainty bound or variance read from them can be trusted
-    scale = np.abs(V).max(initial=1.0)
+    scale = max(np.maximum.reduce(V, axis=None, initial=1.0),
+                -np.minimum.reduce(V, axis=None, initial=-1.0))
     rounding = scale * np.finfo(float).eps
     if rounding > PHYSICALITY_TOL:
         raise PhysicalityError(

@@ -205,14 +205,130 @@ def default_t_end(params: PhysicalParams, damping_times: float) -> float:
     return damping_times / params.gamma_m
 
 
-def write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """One line per row: every number as %.12e, the error column's text as is."""
-    row_format = ",".join("{}" if name == "error" else "{:.12e}" for name in header)
-    lines = [",".join(header), *(row_format.format(*row) for row in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+# _e12_rows writes each cell into a slot of 24 bytes, six native uint32
+# words: a NUL, the minus sign or a NUL, the leading digit and "."; three
+# groups of four digits; "e", the exponent's sign and its two or three
+# digits, the cell's terminator ("," or the row's end) and NULs. No printed
+# byte is a NUL, so the NULs are all that a slot drops.
+_E12_EMAX = 279
+_E12_ENDS = (b",", b"\n", b",\n")  # the terminators _EXP holds
 
 
-Curve = tuple[str, tuple[str, ...], list[tuple]]
+def _e12_tables():
+    """(_POW10, _DIGITS4, _HEAD, _EXP): _POW10[e + _E12_EMAX] is
+    float("1e{12 - e}"), correctly rounded; _DIGITS4[g] the four digits of
+    g < 10^4 and _HEAD[10 * minus + d] the first word of a cell with
+    leading digit d, as uint32; _EXP[t, e + _E12_EMAX] the last two words,
+    for terminator _E12_ENDS[t], as uint64.
+
+    The byte tables are built by copying the ten digits around: every
+    integer ufunc a table called would map pages of numpy's code that
+    nothing else in a run uses."""
+    pow10 = np.array([float(f"1e{k}") for k in range(12 + _E12_EMAX, 11 - _E12_EMAX, -1)])
+    d = np.frombuffer(b"0123456789", np.uint8)
+    digits = np.stack([np.tile(np.repeat(d, 10**p), 10**(3 - p)) for p in (3, 2, 1, 0)], axis=1)
+    head = np.zeros((2, 10, 4), np.uint8)
+    head[1, :, 1], head[..., 2], head[..., 3] = ord("-"), d, ord(".")
+    n = 2 * _E12_EMAX + 1
+    exponent = digits[np.concatenate([np.arange(_E12_EMAX, 0, -1), np.arange(_E12_EMAX + 1)])]
+    exp = np.zeros((len(_E12_ENDS), n, 8), np.uint8)
+    exp[..., 0] = ord("e")
+    exp[:, :_E12_EMAX, 1], exp[:, _E12_EMAX:, 1] = ord("-"), ord("+")
+    # the rows of |e| >= 100 (first and last) take three digits, the others two
+    for rows, width in ((slice(0, _E12_EMAX - 99), 3), (slice(_E12_EMAX - 99, _E12_EMAX + 100), 2),
+                        (slice(_E12_EMAX + 100, n), 3)):
+        exp[:, rows, 2:2 + width] = exponent[rows, 4 - width:]
+        for t, end in enumerate(_E12_ENDS):
+            exp[t, rows, 2 + width:2 + width + len(end)] = np.frombuffer(end, np.uint8)
+    return (pow10, digits.view(np.uint32).ravel(), head.view(np.uint32).ravel(),
+            exp.view(np.uint64)[..., 0])
+
+
+_POW10, _DIGITS4, _HEAD, _EXP = _e12_tables()
+_E12_BLOCK = 4096  # cells per block: every temporary stays below glibc's 128 KB mmap threshold
+
+
+def _e12_rows(x: np.ndarray, end: bytes) -> np.ndarray:
+    """The bytes of the rows of x (n, c), each cell as format(v, ".12e"),
+    the cells of a row joined by "," and each row ended by end (b"\\n" or
+    b",\\n").
+
+    For finite v != 0 with e = floor(log10|v|), format prints the 13 digits
+    of q = round(m_exact), m_exact = |v| 10^(12 - e) in [1e12, 1e13), and e;
+    CPython's conversion is correctly rounded, ties to even. Here
+    m = |v| * P[e] in floating point, with P[e] = _POW10[e + _E12_EMAX] the
+    correctly rounded 10^(12 - e), for e clipped to [-279, 279]. P[e] is off
+    by at most 2^-53 relative (exact for 0 <= 12 - e <= 22) and the product
+    rounds once more, so |m - m_exact| <= m_exact (2^-52 + 2^-106), below
+    1e13 * 2^-52 * (1 + 2^-54), about 2.2e-3, whenever m_exact < 1e13. A
+    cell takes the fast path only when m lies in [1e12 + 1, 1e13 - 1): then
+    m_exact lies in [1e12, 1e13), so the clipped e is floor(log10|v|)
+    however log10 rounded, and rint(m) has 13 digits; and when
+    |m - rint(m)| < 1/2 - 2^-8: m_exact is within 2.2e-3 < 2^-8 of m, on
+    the same side of every half-integer, so rint(m) = round(m_exact) and no
+    tie reaches the fast path. Zeros print as q = 0, e = 0 with their sign.
+    Every other cell (NaN, inf, |e| >= 280, subnormal, or inside the
+    rounding margin) takes format(v, ".12e") itself.
+    """
+    n, c = x.shape
+    v = x.reshape(-1)
+    a = np.abs(v)
+    # zeros, NaN and inf read as 1: e = 0, and m = 1e12 leaves the fast path
+    a = np.where((a > 0) & (a < np.inf), a, 1.0)
+    # e + _E12_EMAX, taken from the tables with e clipped to [-279, 279]
+    at = (np.floor(np.log10(a)) + _E12_EMAX).astype(np.intp)
+    m = a * _POW10.take(at, mode="clip")
+    q = np.rint(m)
+    fast = (m >= 1e12 + 1) & (m < 1e13 - 1) & (np.abs(m - q) < 0.5 - 2**-8)
+    q = np.where(fast, q, 0.0)  # zeros print q = 0
+    # q's digits d0 g1 g2 g3, d0 alone and g three groups of four; each
+    # quotient of these integers below 1e13 is exact
+    hi = np.floor(q / 1e8)
+    lo = q - hi * 1e8
+    d0 = np.floor(hi / 1e4)
+    g2 = np.floor(lo / 1e4)
+    words = np.empty((len(v), 6), np.uint32)
+    words[:, 0] = _HEAD[np.where(np.signbit(v), d0 + 10, d0).astype(np.intp)]
+    words[:, 1] = _DIGITS4[(hi - d0 * 1e4).astype(np.intp)]
+    words[:, 2] = _DIGITS4[g2.astype(np.intp)]
+    words[:, 3] = _DIGITS4[(lo - g2 * 1e4).astype(np.intp)]
+    # the last column's exponents from the table of the row's end
+    at.reshape(n, c)[:, -1] += _E12_ENDS.index(end) * _EXP.shape[1]
+    words.view(np.uint64)[:, 2] = _EXP.take(at, mode="clip")
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(~fast & (v != 0))
+    if len(slow):
+        texts = "".join((format(u, ".12e") + (end.decode() if k % c == c - 1 else ",")
+                         ).ljust(23, "\0") for k, u in zip(slow.tolist(), v[slow].tolist()))
+        cells[slow, 1:] = np.frombuffer(texts.encode("ascii"), np.uint8).reshape(-1, 23)
+    cells = cells.reshape(-1)
+    return cells[cells != 0]
+
+
+def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+    """One line per row: every number as format(x, ".12e"), written in blocks
+    of rows by _e12_rows, then an "error" column's text as is (an "error"
+    column comes last).
+
+    rows is a float array (n, len(header)) or a list of tuples.
+    """
+    texts = [row[-1] for row in rows] if header[-1] == "error" else None
+    x = np.asarray(rows if texts is None else [row[:-1] for row in rows], dtype=float)
+    x = x.reshape(len(rows), len(header) - (texts is not None))
+    step = max(_E12_BLOCK // x.shape[1], 1)
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode("ascii"))
+        for start in range(0, len(x), step):
+            block = _e12_rows(x[start:start + step], b"\n" if texts is None else b",\n")
+            own = [t.encode("ascii") for t in texts[start:start + step]] if texts else []
+            if any(own):  # each text goes before its row's "\n"
+                ends = np.flatnonzero(block == ord("\n"))
+                block = np.insert(block, np.repeat(ends, [len(t) for t in own]),
+                                  np.frombuffer(b"".join(own), np.uint8))
+            out.write(block)
+
+
+Curve = tuple[str, tuple[str, ...], np.ndarray | list[tuple]]
 
 
 def _evolve_model(model: str, params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]:
@@ -242,8 +358,8 @@ def _trajectory_curves(cfg: ScenarioConfig, models, params: PhysicalParams, r, n
         curves = []
         for traj in _evolve_model(model, params, r[np.atleast_1d(k)], grid):
             o = traj.observables
-            columns = (traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, *o.phonon)
-            curves.append(list(zip(*(column.tolist() for column in columns))))
+            curves.append(np.stack((traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta,
+                                    *o.phonon), axis=1))
         return curves
 
     cells = {}

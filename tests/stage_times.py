@@ -20,7 +20,9 @@ values of r (in a tree without scenarios._sweep_rows, one _model_rows per
 model), optimal_squeezings over fig3b's 25 powers, and the observables of
 fig2a's trajectory family (lifted covariances (4, 802, 4, 4)):
 quadrature_observables of all of it, observables_and_nu_minus of 1, 25
-and 303 of its matrices, and frame_variances of 50 as (25, 2). With --against,
+and 303 of its matrices, and frame_variances of 50 as (25, 2), and
+write_csv of fig2a's four curves and of a 25-row sweep curve with an error
+column (into a temporary directory). With --against,
 each round runs this script once per tree, one subprocess at a time,
 alternating which tree goes first; it prints
 each stage's median over the rounds for both trees and their ratio
@@ -111,7 +113,35 @@ def stages() -> list[tuple[str, object]]:
     fig3b = [params.baseline_params(power_w=P) for P in np.geomspace(0.01e-6, 4e-6, 25)]
     table.append(("optimal_squeezings, 25 fig3b powers",
                   lambda: reduced.optimal_squeezings(fig3b, 1.0)))
-    return table + observable_stages()
+    return table + observable_stages() + csv_stages()
+
+
+def csv_stages() -> list[tuple[str, object]]:
+    """scenarios.write_csv of fig2a's four curves (802 x 7 each), as the tree
+    makes them, and of a 25-row sweep curve whose 13th row holds an error."""
+    import tempfile
+    from pathlib import Path
+
+    import numpy as np
+
+    from sqzmirror import scenarios
+
+    out = tempfile.TemporaryDirectory()
+    curves = scenarios._scenario_fig2a(scenarios.ScenarioConfig(scenario="fig2a"))
+    header = ("power_w", "E_N", "dP2_minus", "dQ2_minus", "theta", "error")
+    rows = [(p, 0.1 * k, 0.4 + k / 7, 2.5 + k / 3, -0.01 * k, "")
+            for k, p in enumerate(np.geomspace(0.01e-6, 4e-6, 25).tolist())]
+    rows[12] = (rows[12][0], *[np.nan] * 4, "StabilityError: drift not Hurwitz; max Re 1.2e3")
+
+    def fig2a(out=out):  # each stage holds the directory until it is gone
+        for name, columns, curve in curves:
+            scenarios.write_csv(Path(out.name, f"{name}.csv"), columns, curve)
+
+    def sweep(out=out):
+        scenarios.write_csv(Path(out.name, "sweep.csv"), header, rows)
+
+    return [("write_csv, fig2a's 4 curves of 802 rows", fig2a),
+            ("write_csv, 25-row sweep with an error", sweep)]
 
 
 def observable_stages() -> list[tuple[str, object]]:

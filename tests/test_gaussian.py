@@ -1,5 +1,6 @@
 """Symplectic core: spectra, partial transpose, negativity, rotations."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -507,6 +508,44 @@ def test_stack_equals_loop(rng, n_modes):
     if n_modes == 2:  # any number of leading axes
         obs = quadrature_observables(stack.reshape(2, 3, 4, 4))
         assert np.array_equal(obs.E_N.ravel(), stacked["quadrature_observables"][5])
+
+
+def test_check_covariance_refusals():
+    """What the shared covariance check refuses, with which error, and what
+    it lets through: rounding-level asymmetry, and NaN entries (symmetric,
+    one-sided or on the diagonal), which the spectra refuse later."""
+    check = gaussian._check_covariance
+    V = two_mode_squeezed(0.5)
+    for bad in (np.eye(3), np.ones(4), np.ones((2, 4, 3))):
+        with pytest.raises(DimensionError, match="square of even dimension"):
+            check(bad)
+    lopsided = V.copy()
+    lopsided[0, 3] += 1e-9
+    nudged = V.copy()
+    nudged[0, 3] += 1e-14 * np.abs(V).max()
+    one_nan, diagonal_nan = V.copy(), V.copy()
+    one_nan[2, 1] = np.nan
+    diagonal_nan[3, 3] = np.nan
+    # more matrices than one block of the symmetry test holds
+    many = np.array([V] * 3000)
+    many_lopsided = many.copy()
+    many_lopsided[-1] = lopsided
+    for refused in (lopsided, np.array([V, lopsided]),
+                    np.array([with_entry(V, 1, 3, np.nan), lopsided]),
+                    np.array([diagonal_nan, lopsided]), many_lopsided):
+        with pytest.raises(DimensionError, match="^V is not symmetric$"):
+            check(refused)
+    for passed in (nudged, with_entry(V, 1, 3, np.nan), one_nan, diagonal_nan,
+                   np.array([V, one_nan]), np.zeros((0, 4, 4)), many):
+        assert check(passed) is passed
+    assert check([[1, 0], [0, 1]]).dtype == float
+    # the scale is the largest entry modulus, negative entries included
+    for big in (-4.6e9, 4.6e9):
+        text = (f"covariance entries up to {abs(big):.3e} round at 1.0e-06: precision "
+                "lost beyond the physicality tolerance 1e-06")
+        with pytest.raises(PhysicalityError, match=f"^{re.escape(text)}$"):
+            check(np.array([V, with_entry(V, 0, 2, big)]))
+    assert check(with_entry(V, 0, 2, -4.4e9)) is not None
 
 
 @pytest.mark.parametrize("f", [
