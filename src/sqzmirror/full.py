@@ -23,14 +23,9 @@ from .dynamics import (
 from .errors import SimulationError, per_entry
 from .gaussian import frame_variances, quadrature_observables, thermal, vacuum
 from .generator import (MomentEquations, compile_generator, compile_injections, full_generator,
-                        require_shared_drift)
+                        mirror_block, require_shared_drift)
 from .params import PhysicalParams, derive, stack_points
 from .reduced import ReducedSystem, build_system, steady_covariance
-
-
-def mirror_block(V6: NDArray) -> NDArray[np.float64]:
-    """Trace out the cavity: keep the mirror rows/columns (of every matrix of a stack)."""
-    return np.asarray(V6)[..., 2:, 2:]
 
 
 def initial_covariance(params: PhysicalParams) -> NDArray[np.float64]:
@@ -99,14 +94,14 @@ def compare_adiabatics(
     """compare_adiabatic at every point, one model at a time.
 
     The builds stay per point: one steady_full and one build_system each,
-    since the benchmark's trace pins 25 of each per fig4 figure (and so
-    each point is derived twice; sharing one derive would need a new
-    argument or a cache). The built reduced systems are then compared as
-    one errors.per_entry evaluation: their fields stacked, one Hurwitz
-    check and one solve (ReducedSystem.steady_parts), one
-    steady_covariance at the points' r and one gaussian.frame_variances
-    over the (L, 2, 4, 4) pairs of full and reduced covariances, whose
-    dP2_minus are compared. phase is read by dynamics.normalize_phase, the
+    since the benchmark's trace pins 25 of each per fig4 figure.
+    reduced.steady_points of full6 and reduced3 is their stacked form, which
+    replaces them once that trace stops pinning per-point calls. The built
+    reduced systems are then compared as one errors.per_entry evaluation:
+    their fields stacked, one Hurwitz check and one solve
+    (ReducedSystem.steady_parts), one steady_covariance at the points' r and
+    one gaussian.frame_variances over the (L, 2, 4, 4) pairs of full and
+    reduced covariances, whose dP2_minus are compared. phase is read by dynamics.normalize_phase, the
     same for both models. Entry k is point k's AdiabaticComparison or the
     first SimulationError its one-point call raises: the full6 build, the
     reduced3 build, its Hurwitz check and solve, then the variance check.

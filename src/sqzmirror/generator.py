@@ -320,6 +320,13 @@ _MIRROR_CONJ = _read_only(*np.conj(_MIRROR_VECTORS))
 _FULL_CONJ = _read_only(*np.conj(_FULL_VECTORS))
 
 
+def mirror_block(V6: NDArray) -> NDArray[np.float64]:
+    """Trace out the cavity of a three-mode covariance, modes (cavity,
+    mirror 1, mirror 2): keep the mirror rows/columns (of every matrix of a
+    stack)."""
+    return np.asarray(V6)[..., 2:, 2:]
+
+
 # the outer products of the models' Hamiltonian forms; a sum of forms on
 # disjoint entries is each form's entry exactly. Reduced model: the mirrors'
 # number forms (a1^dag a1 + a2^dag a2), the relative mode's number and pair

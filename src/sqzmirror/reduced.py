@@ -1,5 +1,6 @@
 """Adiabatically eliminated two-mirror model: 3-variable dynamics, steady
-states, the entanglement criterion, and the optimal squeezing degree.
+states, the entanglement criterion, and the optimal squeezing degree; and
+the stacked steady build of every model (steady_points) that sweeps read.
 
 The symmetric two-mirror covariance has only three independent entries
 (V11, V22, V12); the rest follow from exchange symmetry and the conserved
@@ -29,6 +30,7 @@ from .dynamics import (
     minimize_scalar,
     normalize_phase,
     require_hurwitz,
+    reservoir_parts,
     reservoir_steady,
     steady_at_phase,
 )
@@ -46,6 +48,8 @@ from .generator import (
     MomentEquations,
     compile_generator,
     compile_injections,
+    full_generator,
+    mirror_block,
     reduced_generator,
 )
 from .params import (
@@ -365,6 +369,109 @@ def steady_state(
     return steady_curve(params, phase)(params.r)
 
 
+# the steady solve each model reads: reduced3 and reduced_analytic share one
+# system, one solve and the same rows
+SOLVES = {"reduced3": "reduced3", "reduced_analytic": "reduced3",
+          "reduced10": "reduced10", "full6": "full6"}
+
+
+def build_steady_parts(solves, points: Sequence[PhysicalParams]) -> dict[str, tuple]:
+    """{solve: (parts, solved, errors)} of each of the solves (SOLVES values)
+    at the points.
+
+    parts are (x0, x1, x2, nbar0), the r-independent steady parts with a
+    leading axis of the points solved (an index array), and errors maps
+    every other point to the error its own build raises. The build is three
+    stages, each one errors.per_entry evaluation shared by the solves that
+    read it: one derive of every point, one compile_injections per
+    generator (reduced_generator for reduced3 and reduced10, full_generator
+    for full6), then per solve one Hurwitz check and one solve:
+    ReducedSystem.steady_parts of project_system for reduced3, and
+    dynamics.reservoir_parts for reduced10 and full6, full6's cut to the
+    mirror block. A point fails at its first stage to fail, as a build of
+    that point alone does.
+    """
+    n = len(points)
+    coeffs, derived, derive_errors = per_entry(
+        lambda j: derive(stack_points([points[i] for i in np.atleast_1d(j)])), np.arange(n))
+    row = np.zeros(n, dtype=int)
+    row[derived] = np.arange(len(derived))  # a derived point's row of coeffs
+    compiled, built = {}, {}
+    for solve in solves:
+        generator = full_generator if solve == "full6" else reduced_generator
+        if generator not in compiled:
+            compiled[generator] = per_entry(
+                lambda j: compile_injections(generator, coeffs.point(row[np.atleast_1d(j)])),
+                derived)
+        eqs, points_compiled, compile_errors = compiled[generator]
+        at = np.zeros(n, dtype=int)
+        at[points_compiled] = np.arange(len(points_compiled))  # a compiled point's row of eqs
+
+        def solved(j):
+            k = np.atleast_1d(j)
+            if solve == "reduced3":
+                system = project_system(coeffs.point(row[k]), eqs[:, at[k]])
+                return (*system.steady_parts(), system.nbar0)
+            parts = reservoir_parts(eqs[:, at[k]])
+            if solve == "full6":
+                parts = [mirror_block(x) for x in parts]
+            return (*parts, coeffs.nbar0[row[k]])
+
+        parts, points_solved, solve_errors = per_entry(solved, points_compiled)
+        built[solve] = (parts, points_solved, {**derive_errors, **compile_errors, **solve_errors})
+    return built
+
+
+def steady_points(models, builds, r, phase) -> dict[str, tuple]:
+    """Each model's steady two-mirror covariances at many points, as stacks.
+
+    builds[k] is point k's PhysicalParams, or the SimulationError its
+    parameters raise, and r[k] its squeezing degree (the PhysicalParams' r
+    is not read). Consecutive points of one PhysicalParams (an r curve) are
+    one distinct point, any other point is its own, and build_steady_parts
+    builds the distinct points of every model together: one derive, one
+    compile per generator, and one Hurwitz check and one solve per solve,
+    and a build that fails (a non-Hurwitz drift, say) fails all of its
+    points with the error its own build raises. Every other point is one
+    entry of one x0 + N x1 + M x2(z) per solve.
+
+    Returns {model: (V, nbar0, failures)}, one tuple for the models that
+    share a solve. V (n, 4, 4) and nbar0 (n,) are each point's covariance
+    and thermal occupation (zero where it failed), and failures maps each
+    failing point to its error, the parameter errors first and then the
+    build errors, each in point order.
+    """
+    errors = {k: b for k, b in enumerate(builds) if isinstance(b, SimulationError)}
+    params = [k for k in range(len(builds)) if k not in errors]
+    live = np.array(params, dtype=int)
+    first = np.ones(len(live), dtype=bool)
+    first[1:] = [builds[k] is not builds[j] for j, k in zip(params, params[1:])]
+    index = np.cumsum(first) - 1  # each live point's distinct point
+    distinct = [builds[k] for k in live[first].tolist()]
+    solves = {SOLVES[model]: None for model in models}
+    steady = {}
+    for solve, (parts, solved, build_errors) in build_steady_parts(solves, distinct).items():
+        at = np.full(len(distinct), -1)
+        at[solved] = np.arange(len(solved))
+        at = at[index]  # each live point's row of parts, -1 where its build failed
+        ok = at >= 0
+        failures = dict(errors)
+        failures.update((k, build_errors[j]) for k, j in zip(live[~ok].tolist(),
+                                                             index[~ok].tolist()))
+        V, nbar0 = np.zeros((len(builds), 4, 4)), np.zeros(len(builds))
+        k = live[ok]
+        if len(k):
+            x0, x1, x2, nbar0_k = (x[at[ok]] for x in parts)
+            nbar0[k] = nbar0_k
+            if solve == "reduced3":
+                V[k] = steady_covariance((x0, x1, x2), nbar0_k, r[k], phase)
+            else:
+                N, M = reservoir_correlations(r[k][:, None, None])
+                V[k] = reservoir_steady((x0, x1, x2), N, M, phase)
+        steady[solve] = (V, nbar0, failures)
+    return {model: steady[SOLVES[model]] for model in models}
+
+
 @dataclass(frozen=True)
 class OptimalSqueezing:
     r_numeric: float
@@ -377,7 +484,7 @@ class OptimalSqueezing:
 def squeezing_formula(
     parts: tuple[NDArray, NDArray, NDArray],
     theta,
-    phase: complex | float | str = 1.0,
+    phase: complex | float | str,
 ) -> float | NDArray[np.float64] | None:
     """Stationary squeezing degree from the closed-form artanh expression.
 
@@ -409,35 +516,28 @@ def optimal_squeezings(
 ) -> list[OptimalSqueezing | SimulationError]:
     """optimal_squeezing at every point, all searches in lockstep.
 
-    One build_systems for all points, then one batched steady_parts of the
-    built ones: two errors.per_entry evaluations, so a point whose build
-    fails leaves with the error its own build raises (a failing Hurwitz
-    check is not built again), and only the built points search. The
-    points' steady parts are stacked. Each step reads one steady_covariance
-    over every point still searching: a Brent step (the lanes of
+    The reduced3 steady parts of one build_steady_parts serve every point:
+    a point whose build fails leaves with the error its own build raises (a
+    failing Hurwitz check is not built again), and the points solved are
+    the lanes that search. Each step reads one steady_covariance over every
+    lane still searching: a Brent step (the lanes of
     dynamics.minimize_scalar, each choosing its own step) reads its
     dP2_minus by gaussian.frame_variances, a step of the r_formula fixed
     points its rotation_angle. One criterion call then checks every
     covariance evaluated, the optima's included, and its rows at the optima
     give dP2_minus and E_N; only if it refuses one are the evaluations
-    checked one by one, each by errors.per_entry. Entry k is point k's OptimalSqueezing, or the
-    SimulationError its one-point call raises: that of its first evaluation
-    to fail, in evaluation order. A point whose read fails leaves the lanes
-    at once, and the others keep their values.
+    checked one by one, each by errors.per_entry. Entry k is point k's
+    OptimalSqueezing, or the SimulationError its one-point call raises:
+    that of its first evaluation to fail, in evaluation order. A lane whose
+    read fails leaves at once, and the others keep their values.
     """
-    n = len(points)
-    systems, built, failures = per_entry(
-        lambda k: build_systems([points[j] for j in np.atleast_1d(k)]), np.arange(n))
-    parts, kept, failed = per_entry(lambda j: systems.point(j).steady_parts(),
-                                    np.arange(len(built)))
-    failures.update((int(built[j]), exc) for j, exc in failed.items())
-    x0, x1, x2, nbar0 = (np.zeros((n, 3)), np.zeros((n, 3)), np.zeros((n, 3), dtype=complex),
-                         np.zeros(n))
-    if len(kept):
-        for lane, part in zip((x0, x1, x2, nbar0), (*parts, systems.nbar0[kept])):
-            lane[built[kept]] = part
+    parts, solved, failures = build_steady_parts(["reduced3"], points)["reduced3"]
     z = normalize_phase(phase)
-    alive = np.array([k not in failures for k in range(n)])
+    if parts is None:  # no point was built
+        return [failures[k] for k in range(len(points))]
+    x0, x1, x2, nbar0 = parts
+    m = len(solved)
+    alive = np.ones(m, dtype=bool)
     evaluated = []  # (lanes, covariances) of every evaluation, in order
 
     def evaluate(read, lanes: NDArray[np.bool_], r: NDArray):
@@ -447,25 +547,20 @@ def optimal_squeezings(
         V = steady_covariance((x0[k], x1[k], x2[k]), nbar0[k], r[k], z)
         value, ok, failed = per_entry(lambda j: read(V[j]), np.arange(len(k)))
         for j, exc in failed.items():
-            failures[int(k[j])] = exc
+            failures[int(solved[k[j]])] = exc
         alive[k[list(failed)]] = False
         evaluated.append((k[ok], V[ok]))
         return value, k[ok]
 
-    # the search's lanes are the built points: a failed build starts as done
-    searched = np.flatnonzero(alive)
-
     def dp2(r: NDArray) -> NDArray:
-        out, r_n = np.full(n, np.nan), np.full(n, np.nan)
-        r_n[searched] = r
-        value, read = evaluate(lambda V: frame_variances(V)[1], ~np.isnan(r_n), r_n)
+        out = np.full(m, np.nan)
+        value, read = evaluate(lambda V: frame_variances(V)[1], ~np.isnan(r), r)
         if len(read):
             out[read] = value
-        return out[searched]
+        return out
 
-    res = minimize_scalar(dp2, (np.zeros(len(searched)), np.full(len(searched), 3.0)), tol=1e-4)
-    r_opt, boundary = np.full(n, np.nan), np.zeros(n, dtype=bool)
-    r_opt[searched], boundary[searched] = res.x, res.boundary
+    res = minimize_scalar(dp2, (np.zeros(m), np.full(m, 3.0)), tol=1e-4)
+    r_opt = res.x
     optima = np.flatnonzero(alive)
     first_optimum = sum(len(k) for k, _ in evaluated)
     evaluated.append((optima, steady_covariance(
@@ -473,13 +568,13 @@ def optimal_squeezings(
 
     # r_formula: squeezing_formula at the rotation angle of the steady state
     # at its own last value
-    r_formula = np.full(n, np.nan)
+    r_formula = np.full(m, np.nan)
     if z == 0.0:
-        notes = ["formula undefined for the phase-averaged steady state"] * n
+        notes = ["formula undefined for the phase-averaged steady state"] * m
     else:
-        notes = [""] * n
-        r_k = np.where(boundary, np.maximum(r_opt, 0.1), 0.5)
-        going = np.ones(n, dtype=bool)
+        notes = [""] * m
+        r_k = np.where(res.boundary, np.maximum(r_opt, 0.1), 0.5)
+        going = np.ones(m, dtype=bool)
         for _ in range(50):
             theta, read = evaluate(rotation_angle, going, r_k)
             if not len(read):
@@ -510,24 +605,23 @@ def optimal_squeezings(
     except SimulationError:
         bounds = np.cumsum([len(k) for k, _ in evaluated[:-1]], dtype=int)
         checks = [per_entry(check, span) for span in np.split(entries, bounds)]
-    dp2_opt, e_n_opt = np.full(n, np.nan), np.full(n, np.nan)
+    dp2_opt, e_n_opt = np.full(m, np.nan), np.full(m, np.nan)
     # latest first: a lane's first refused covariance precedes any read of it
     # that failed, and any later refusal
     for report, checked, refused in reversed(checks):
         for e, exc in reversed(refused.items()):
-            failures[int(lanes[e])] = exc
+            failures[int(solved[lanes[e]])] = exc
         at_optimum = (first_optimum <= checked) & (checked < first_optimum + len(optima))
         if at_optimum.any():
             k = lanes[checked[at_optimum]]
             dp2_opt[k], e_n_opt[k] = report.dP2_minus[at_optimum], report.E_N[at_optimum]
-    return [
-        failures[k] if k in failures else OptimalSqueezing(
-            r_numeric=float(r_opt[k]),
-            r_formula=None if np.isnan(r_formula[k]) else float(r_formula[k]),
-            dP2_minus=float(dp2_opt[k]), E_N=float(e_n_opt[k]),
-            formula_note=notes[k])
-        for k in range(n)
-    ]
+    results = {k: OptimalSqueezing(
+        r_numeric=float(r_opt[j]),
+        r_formula=None if np.isnan(r_formula[j]) else float(r_formula[j]),
+        dP2_minus=float(dp2_opt[j]), E_N=float(e_n_opt[j]),
+        formula_note=notes[j]) for j, k in enumerate(solved.tolist())}
+    results.update(failures)
+    return [results[k] for k in range(len(points))]
 
 
 def optimal_squeezing(

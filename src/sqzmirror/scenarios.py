@@ -19,19 +19,10 @@ import numpy as np
 
 from . import full as full_model
 from . import reduced as reduced_model
-from .dynamics import TimeGrid, Trajectory, reservoir_parts, reservoir_steady
+from .dynamics import TimeGrid, Trajectory
 from .errors import ConfigError, ParameterError, SimulationError, per_entry
 from .gaussian import quadrature_observables
-from .generator import compile_injections, full_generator, reduced_generator
-from .params import (
-    BASELINE_HZ,
-    PhysicalParams,
-    baseline_params,
-    check_r,
-    derive,
-    reservoir_correlations,
-    stack_points,
-)
+from .params import BASELINE_HZ, PhysicalParams, baseline_params, check_r, derive
 
 OUTPUT_DIR_ENV = "SQZ_OUTPUT_DIR"
 
@@ -112,12 +103,15 @@ def parse_config_file(path: str | Path) -> ScenarioConfig:
     """Read a flat sectioned key-value config (same format as manifests).
 
     Checks its structure only: sections, keys and numbers. run validates the
-    config, after any overrides."""
-    parser = configparser.ConfigParser()
+    config, after any overrides. Values are read as written: "%" is an
+    ordinary character."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: not UTF-8 text: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
@@ -397,115 +391,16 @@ def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
                              for b in builds])
 
 
-# the steady solve each model reads: reduced3 and reduced_analytic share one
-# system, one solve and the same rows
-_SOLVES = {"reduced3": "reduced3", "reduced_analytic": "reduced3",
-           "reduced10": "reduced10", "full6": "full6"}
-
-
-def _build_parts(solves, points) -> dict[str, tuple]:
-    """{solve: (parts, solved, errors)} of each of the solves at the points.
-
-    parts are (x0, x1, x2, nbar0), the r-independent steady parts with a
-    leading axis of the points solved (an index array), and errors maps
-    every other point to the error its own build raises. The build is three
-    stages, each one errors.per_entry evaluation shared by the solves that
-    read it: one derive of every point, one compile_injections per
-    generator (reduced_generator for reduced3 and reduced10, full_generator
-    for full6), then per solve one Hurwitz check and one solve:
-    ReducedSystem.steady_parts of reduced.project_system for reduced3, and
-    dynamics.reservoir_parts for reduced10 and full6, full6's cut to the
-    mirror block. A point fails at its first stage to fail, as a build of
-    that point alone does.
-    """
-    n = len(points)
-    coeffs, derived, derive_errors = per_entry(
-        lambda j: derive(stack_points([points[i] for i in np.atleast_1d(j)])), np.arange(n))
-    row = np.zeros(n, dtype=int)
-    row[derived] = np.arange(len(derived))  # a derived point's row of coeffs
-    compiled, built = {}, {}
-    for solve in solves:
-        generator = full_generator if solve == "full6" else reduced_generator
-        if generator not in compiled:
-            compiled[generator] = per_entry(
-                lambda j: compile_injections(generator, coeffs.point(row[np.atleast_1d(j)])),
-                derived)
-        eqs, points_compiled, compile_errors = compiled[generator]
-        at = np.zeros(n, dtype=int)
-        at[points_compiled] = np.arange(len(points_compiled))  # a compiled point's row of eqs
-
-        def solved(j):
-            k = np.atleast_1d(j)
-            if solve == "reduced3":
-                system = reduced_model.project_system(coeffs.point(row[k]), eqs[:, at[k]])
-                return (*system.steady_parts(), system.nbar0)
-            parts = reservoir_parts(eqs[:, at[k]])
-            if solve == "full6":
-                parts = [full_model.mirror_block(x) for x in parts]
-            return (*parts, coeffs.nbar0[row[k]])
-
-        parts, points_solved, solve_errors = per_entry(solved, points_compiled)
-        built[solve] = (parts, points_solved, {**derive_errors, **compile_errors, **solve_errors})
-    return built
-
-
-def _steady_points(models, builds, r, phase) -> dict[str, tuple]:
-    """Each model's steady two-mirror covariances at many points, as stacks.
-
-    builds and r are _sweep_points'. Consecutive points of one
-    PhysicalParams (an r curve) are one distinct point, any other point is
-    its own, and _build_parts builds the distinct points of every model
-    together: one derive, one compile per generator, and one Hurwitz check
-    and one solve per solve, and a build that fails (a non-Hurwitz drift,
-    say) fails all of its points with the error its own build raises. Every
-    other point is one entry of one x0 + N x1 + M x2(z) per solve.
-
-    Returns {model: (V, nbar0, failures)}, one tuple for the models that
-    share a solve. V (n, 4, 4) and nbar0 (n,) are each point's covariance
-    and thermal occupation (zero where it failed), and failures maps each
-    failing point to its error, the parameter errors first and then the
-    build errors, each in point order.
-    """
-    errors = {k: b for k, b in enumerate(builds) if isinstance(b, SimulationError)}
-    params = [k for k in range(len(builds)) if k not in errors]
-    live = np.array(params, dtype=int)
-    first = np.ones(len(live), dtype=bool)
-    first[1:] = [builds[k] is not builds[j] for j, k in zip(params, params[1:])]
-    index = np.cumsum(first) - 1  # each live point's distinct point
-    distinct = [builds[k] for k in live[first].tolist()]
-    solves = {_SOLVES[model]: None for model in models}
-    steady = {}
-    for solve, (parts, solved, build_errors) in _build_parts(solves, distinct).items():
-        at = np.full(len(distinct), -1)
-        at[solved] = np.arange(len(solved))
-        at = at[index]  # each live point's row of parts, -1 where its build failed
-        ok = at >= 0
-        failures = dict(errors)
-        failures.update((k, build_errors[j]) for k, j in zip(live[~ok].tolist(),
-                                                             index[~ok].tolist()))
-        V, nbar0 = np.zeros((len(builds), 4, 4)), np.zeros(len(builds))
-        k = live[ok]
-        if len(k):
-            x0, x1, x2, nbar0_k = (x[at[ok]] for x in parts)
-            nbar0[k] = nbar0_k
-            if solve == "reduced3":
-                V[k] = reduced_model.steady_covariance((x0, x1, x2), nbar0_k, r[k], phase)
-            else:
-                N, M = reservoir_correlations(r[k][:, None, None])
-                V[k] = reservoir_steady((x0, x1, x2), N, M, phase)
-        steady[solve] = (V, nbar0, failures)
-    return {model: steady[_SOLVES[model]] for model in models}
-
-
 def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
     """reduced3's steady criterion report along one parameter field.
 
-    One criterion call reads the whole curve of _steady_points; the report's
+    One criterion call reads the whole curve of reduced.steady_points; the report's
     fields are arrays. The first failure raises: a point's parameters, then
     a build, then criterion's text "... at entry k".
     """
     builds, r = _sweep_points(cfg, name, values, **extra_hz)
-    V, nbar0, failures = _steady_points(["reduced3"], builds, r, PHASES[cfg.phase])["reduced3"]
+    V, nbar0, failures = reduced_model.steady_points(
+        ["reduced3"], builds, r, PHASES[cfg.phase])["reduced3"]
     if failures:
         raise next(iter(failures.values()))
     return reduced_model.criterion(V, nbar0)
@@ -526,7 +421,7 @@ def _sweep_rows(models, points, values, phase) -> dict[str, list[tuple]]:
     """{model: rows} of the models at the points of a sweep, _sweep_points'
     (builds, r).
 
-    The covariances are _steady_points', read by one errors.per_entry
+    The covariances are reduced.steady_points', read by one errors.per_entry
     evaluation per solve: criterion for reduced3 and reduced_analytic,
     whose steady states are read through it and whose rows (one list for
     both) take the observables it read, and quadrature_observables for
@@ -534,10 +429,10 @@ def _sweep_rows(models, points, values, phase) -> dict[str, list[tuple]]:
     own evaluation (lost precision at large r, a criterion miss), and the
     other rows keep their values.
     """
-    steady = _steady_points(models, *points, phase)
+    steady = reduced_model.steady_points(models, *points, phase)
     rows = {}
     for model in models:
-        solve = _SOLVES[model]
+        solve = reduced_model.SOLVES[model]
         if solve in rows:
             continue
         V, nbar0, cells = steady[model]
@@ -555,7 +450,7 @@ def _sweep_rows(models, points, values, phase) -> dict[str, list[tuple]]:
             columns = (obs.E_N, obs.dP2_minus, obs.dQ2_minus, obs.theta)
             cells.update(zip(kept.tolist(), zip(*(c.tolist() for c in columns))))
         rows[solve] = [_row(val, cells[k], 4) for k, val in enumerate(values)]
-    return {model: rows[_SOLVES[model]] for model in models}
+    return {model: rows[reduced_model.SOLVES[model]] for model in models}
 
 
 def _label(x: float) -> str:
@@ -604,14 +499,14 @@ def _scenario_fig2d(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _scenario_fig3a(cfg: ScenarioConfig) -> list[Curve]:
-    """The three power curves are one _steady_points, so one build of their
+    """The three power curves are one reduced.steady_points, so one build of their
     three points. Curve by curve, its first failure raises (parameters, then
     build), or one criterion reads it: what _steady_reports of each gives."""
     curves: list[Curve] = []
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
     powers_uw = (0.01, 0.1, 2.0)
     points = [_sweep_points(cfg, "r", r_values, power_w=p_uw * 1e-6) for p_uw in powers_uw]
-    V, nbar0, failures = _steady_points(
+    V, nbar0, failures = reduced_model.steady_points(
         ["reduced3"], [b for builds, _ in points for b in builds],
         np.concatenate([r for _, r in points]), PHASES[cfg.phase])["reduced3"]
     for c, p_uw in enumerate(powers_uw):

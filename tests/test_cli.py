@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import FAILING_POINTS_HZ, random_point_hz
-from sqzmirror import cli, full, reduced, scenarios
+from sqzmirror import cli, full, generator, reduced, scenarios
 from sqzmirror.dynamics import moment_ode
 from sqzmirror.generator import MomentEquations, compile_generator, full_generator
 from sqzmirror.params import derive, stack_points
@@ -498,13 +498,13 @@ def counted_compiles(monkeypatch):
     """Counts of compile_injections calls, by generator, from the modules
     that make them."""
     counts = Counter()
-    compile_injections = scenarios.compile_injections
+    compile_injections = generator.compile_injections
 
-    def counting(generator, coeffs):
-        counts[generator.__name__] += 1
-        return compile_injections(generator, coeffs)
+    def counting(model, coeffs):
+        counts[model.__name__] += 1
+        return compile_injections(model, coeffs)
 
-    for module in (scenarios, reduced, full):
+    for module in (reduced, full):
         monkeypatch.setattr(module, "compile_injections", counting)
     return counts
 
@@ -644,6 +644,7 @@ BAD_INPUTS = [
     ("[scenario]\nname = custom\nn_samples = 2.7\n", [], "scenario.n_samples"),
     ("[scenario]\nname = custom\nt_end_s = 0\n", [], "scenario.t_end_s"),
     ("[params]\nr = nan\n", [], "params.r"),
+    ("[params]\nr = 1%\n", [], "params.r"),
     ("[params]\ngamma_m_hz = 0\n", [], "scenario.t_end_s"),
     ("[sweep]\nname = r\nvalus = 0.5\n", [], "sweep.valus"),
     ("[scenario]\nname = custom\n\n[outptu]\n", [], "[outptu]"),
@@ -724,6 +725,26 @@ def test_manifest_replay_byte_identical(tmp_path):
     assert main(["run", str(manifest), "--out", str(out2)]) == 0
     for name in ("fig2c_EN.csv", "fig2c_dP2.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_with_percent_replays_byte_identical(tmp_path):
+    """A "%" in a value is an ordinary character: a manifest whose output
+    directory holds one replays to the same bytes, manifest included."""
+    out = tmp_path / "a%b"
+    assert main(["run", "fig2c", "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert f"dir = {out}\n" in first["fig2c_manifest.cfg"].decode()
+    assert main(["run", str(out / "fig2c_manifest.cfg")]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_undecodable_config_file_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"[scenario]\nname = fig2c\n# \xff\n")
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "not UTF-8" in err and str(bad) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -32,6 +32,7 @@ from sqzmirror.reduced import (
     build_system,
     build_systems,
     evolve as evolve_reduced,
+    steady_points,
     steady_state,
 )
 
@@ -228,7 +229,7 @@ def test_fig4_rows_equal_their_stacked_sweep(figure, name, column):
     """fig4's rows come from full.compare_adiabatics, whose builds stay per
     point (a traced fig4a makes 25 full.steady_full calls) while its
     reduced3 solve and its variance read are one each. The same points as
-    one sweep, _sweep_points, then _steady_points of full6 and of reduced3
+    one sweep, _sweep_points, then reduced.steady_points of full6 and of reduced3
     (one stacked build each) and one frame_variances over the 50
     covariances, give the rows' three value columns exactly: stacking the
     builds too would not change a digit."""
@@ -239,8 +240,8 @@ def test_fig4_rows_equal_their_stacked_sweep(figure, name, column):
     builds, r = scenarios._sweep_points(cfg, name, [row[column] for row in rows])
     covariances = []
     for model in ("full6", "reduced3"):
-        V, _, failures = scenarios._steady_points([model], builds, r,
-                                                  scenarios.PHASES[cfg.phase])[model]
+        V, _, failures = steady_points([model], builds, r,
+                                       scenarios.PHASES[cfg.phase])[model]
         assert not failures
         covariances.append(V)
     dp2 = frame_variances(np.concatenate(covariances))[1]

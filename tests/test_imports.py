@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used in its module, and no
-module imports another package module's private (underscore) names.
+"""Every module-level import of the package is used in its module, no
+module imports another package module's private (underscore) names, and
+scenarios reads the steady build from reduced instead of assembling it.
 
 __init__.py is left out of the first check: its imports are the package's
 re-exports.
@@ -51,6 +52,37 @@ def private_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_private_imports_from_package_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def package_imports(source: str, module: str) -> set[str]:
+    """The names that the source's imports take from the package module
+    `module`, with the module's own name for `from . import module`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module == module:
+                names |= {alias.name for alias in node.names}
+            elif node.module is None:
+                names |= {alias.name for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.ImportFrom) and node.module == f"sqzmirror.{module}":
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_scenarios_reads_the_steady_build_from_reduced():
+    """scenarios holds configs, figures, rows and CSV: it compiles no
+    generator and neither checks nor solves a drift itself."""
+    source = (SRC / "scenarios.py").read_text()
+    assert package_imports(source, "generator") == set()
+    assert package_imports(source, "dynamics").isdisjoint(
+        {"reservoir_parts", "reservoir_steady", "linear_steady", "require_hurwitz"})
+
+
+def test_package_import_is_found():
+    source = ("from .dynamics import TimeGrid, reservoir_parts\nfrom . import generator\n"
+              "from sqzmirror.generator import full_generator\nfrom numpy import generator\n")
+    assert package_imports(source, "dynamics") == {"TimeGrid", "reservoir_parts"}
+    assert package_imports(source, "generator") == {"generator", "full_generator"}
 
 
 def test_private_import_is_found():

@@ -17,7 +17,6 @@ OPTIONS = [
     "generator.GeneratorSpec(dissipators=field(default_factory=list))",
     "generator.GeneratorSpec.add_dissipator(harmonic=0)",
     "reduced.optimal_squeezing(phase=1.0)",
-    "reduced.squeezing_formula(phase=1.0)",
     "reduced.steady_curve(phase=1.0)",
     "reduced.steady_state(phase=1.0)",
     "scenarios.ScenarioConfig(models=field(default_factory=list))",
