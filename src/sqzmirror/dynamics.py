@@ -75,7 +75,7 @@ class Trajectory:
             raise DimensionError("times must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass
 class LinearHarmonicODE:
     """dx/dt = A x + b0 + (b2 e^{i w t} + c.c.) with real A, x, b0."""
 

@@ -138,11 +138,7 @@ def compare_adiabatics(
     dp2, kept, failed = per_entry(compared, np.arange(len(live)))
     entries.update((int(live[j]), exc) for j, exc in failed.items())
     for k, (dp2_f, dp2_r) in zip(live[kept].tolist(), dp2.tolist() if len(kept) else ()):
-        entries[k] = AdiabaticComparison(
-            steady_dp2_full=dp2_f,
-            steady_dp2_reduced=dp2_r,
-            steady_rel_deviation=abs(dp2_f - dp2_r) / abs(dp2_f),
-        )
+        entries[k] = AdiabaticComparison(dp2_f, dp2_r, abs(dp2_f - dp2_r) / abs(dp2_f))
     return [entries[k] for k in range(n)]
 
 

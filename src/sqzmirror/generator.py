@@ -112,7 +112,7 @@ class GeneratorSpec:
                              for h in (0, +1, -1) if tags[h + 1]]
 
 
-@dataclass(frozen=True)
+@dataclass
 class MomentEquations:
     """dV/dt = A V + V A^T + D(t), with D(t) = D0 + (D2 e^{i omega t} + c.c.).
 

@@ -75,7 +75,9 @@ def check_r(r) -> None:
     overflows (M = cosh r sinh r rounds to N there); a float overflow raises
     OverflowError, where numpy's would only warn.
     """
-    for r_k in np.ravel(r).tolist():
+    # a Python float is checked as it is; an np.float64 (a float too) goes
+    # through tolist(), so that its messages show a Python float
+    for r_k in [r] if type(r) is float else np.ravel(r).tolist():
         if not math.isfinite(r_k):
             raise ParameterError(_not_finite("r", r_k))
         if r_k < 0.0:
@@ -106,9 +108,9 @@ class PhysicalParams:
     drive_prefactor: float  # Omega = prefactor * sqrt(P kappa / hbar omega_L)
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ParameterError(_not_finite(name, value))
+        if not all(map(math.isfinite, vars(self).values())):
+            name, value = next((k, v) for k, v in vars(self).items() if not math.isfinite(v))
+            raise ParameterError(_not_finite(name, value))
         if self.omega_c <= 0 or self.kappa <= 0 or self.omega_m <= 0:
             raise ParameterError("omega_c, kappa, omega_m must be positive")
         if self.gamma_m < 0 or self.power < 0 or self.temperature < 0:
@@ -213,8 +215,14 @@ def thermal_occupation(omega, temperature):
     omega, temperature = np.asarray(omega, dtype=float), np.asarray(temperature, dtype=float)
     _refuse(omega <= 0, omega, "omega must be positive, got {!r}")
     _refuse(temperature < 0, temperature, "temperature must be >= 0, got {!r}")
+    return _occupation(omega, temperature)
+
+
+def _occupation(omega, temperature):
+    """thermal_occupation of values it would not refuse, unchecked (derive
+    reads a PhysicalParams, which has checked them)."""
     with np.errstate(divide="ignore", over="ignore"):
-        nbar = 1.0 / np.expm1(HBAR * omega / (KB * temperature))
+        nbar = 1.0 / np.expm1(np.multiply(HBAR, omega) / np.multiply(KB, temperature))
     return float(nbar) if nbar.ndim == 0 else nbar
 
 
@@ -229,7 +237,10 @@ def reservoir_correlations(r):
     return (float(N), float(M)) if r.ndim == 0 else (N, M)
 
 
-@dataclass(frozen=True)
+# not frozen, as MomentEquations, LinearHarmonicODE and ReducedSystem are not:
+# a frozen dataclass sets each field through object.__setattr__, and each
+# point of a fig4 figure builds nine of these four
+@dataclass
 class DerivedCoefficients:
     """Every symbol entering the moment equations, derived from PhysicalParams.
 
@@ -310,7 +321,7 @@ def derive(params: PhysicalParams) -> DerivedCoefficients:
     _refuse(omega_l <= 0, omega_l, "laser frequency must be positive, got {!r}")
     omega_drive = p.drive_prefactor * np.sqrt(p.power * p.kappa / (HBAR * omega_l))
     alpha = omega_drive / (1j * p.kappa - p.delta)
-    nbar0 = thermal_occupation(p.omega_m, p.temperature)
+    nbar0 = _occupation(p.omega_m, p.temperature)
     N, M = reservoir_correlations(p.r)
     return DerivedCoefficients(params=p, omega_drive=omega_drive, alpha=alpha,
                                nbar0=nbar0, N=N, M=M)

@@ -114,7 +114,7 @@ class CriterionReport:
         return self.observables.E_N
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReducedSystem:
     """3-variable moment system dV3/dt = m3 V3 + B(t).
 
@@ -202,18 +202,19 @@ def project_system(coeffs: DerivedCoefficients, injections: MomentEquations) -> 
     m3, and one projection of the diffusions gives the static drives at
     (0,0) and (1,0) and the sideband at (0,1).
     """
-    A = injections.drift[0]
-    At = A.swapaxes(-1, -2)
-    # column k of m3 is the image of the lifted unit vector e_k
-    m3 = project_covariance(A[:, None] @ _UNIT_LIFTS + _UNIT_LIFTS @ At[:, None])
-    V = (coeffs.nbar0 + 0.5)[:, None, None] * _ZERO_LIFT  # the lift of zero
-    base = project_covariance(A @ V + V @ At)
+    A = injections.drift[0][:, None]
+    # the lifted unit vectors e_k, whose images are the columns k of m3, and
+    # the lift of zero, whose image is the drive's base
+    lifts = np.empty((len(A), 4, 4, 4))
+    lifts[:, :3] = _UNIT_LIFTS
+    np.multiply((coeffs.nbar0 + 0.5)[:, None, None], _ZERO_LIFT, out=lifts[:, 3])
+    images = project_covariance(A @ lifts + lifts @ A.swapaxes(-1, -2))
     d00, d10 = project_covariance(injections.diffusion_static[:2])
-    b0 = base + d00
+    b0 = images[:, 3] + d00
     return ReducedSystem(
-        m3=m3.swapaxes(-1, -2),
+        m3=images[:, :3].swapaxes(-1, -2),
         b0=b0,
-        b1=(base + d10) - b0,
+        b1=(images[:, 3] + d10) - b0,
         b2=project_covariance(injections.diffusion_harmonic[2]),
         delta=coeffs.params.delta,
         nbar0=coeffs.nbar0,

@@ -384,7 +384,7 @@ def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
     builds = []
     for val in values:
         try:
-            builds.append(_params(cfg, **extra_hz, **{name: val}))
+            builds.append(baseline_params(**{**cfg.params_hz, **extra_hz, name: val}))
         except SimulationError as exc:
             builds.append(exc)
     return builds, np.array([b.r if isinstance(b, PhysicalParams) else np.nan
@@ -645,7 +645,7 @@ def write_manifest(cfg: ScenarioConfig, path: Path) -> None:
         lines += ["", "[sweep]", f"name = {cfg.sweep[0]}",
                   "values = " + ", ".join(repr(v) for v in cfg.sweep[1])]
     lines += ["", "[output]", f"dir = {cfg.output_dir}", ""]
-    path.write_text("\n".join(lines), encoding="ascii")
+    path.write_text("\n".join(lines), encoding="utf-8")
 
 
 def run(cfg: ScenarioConfig) -> list[Path]:

@@ -15,9 +15,14 @@ without it, one compare_adiabatic per point, as fig4 ran there), the
 layers of steady_full's and build_system's one-point chains over fig4a's
 points ("chain ...": derive, the model builder, compile_generator,
 require_shared_drift and the tail, each from the inputs the layer before
-made), the rows of a custom r sweep of reduced3 and reduced10 at 51
-values of r (in a tree without scenarios._sweep_rows, one _model_rows per
-model), optimal_squeezings over fig3b's 25 powers, and the observables of
+made), the two chains' calls over the same points, and for each chain a
+glue line, its calls' time minus the sum of its layers' times (what
+running the layers one after another costs over timing each in a loop),
+scenarios._sweep_points at fig4a's 25 gamma_m_hz values and fig2d's 101
+temperatures (one checked PhysicalParams per value), the rows of a custom
+r sweep of reduced3 and reduced10 at 51 values of r (in a tree without
+scenarios._sweep_rows, one _model_rows per model), optimal_squeezings
+over fig3b's 25 powers, and the observables of
 fig2a's trajectory family (lifted covariances (4, 802, 4, 4)):
 quadrature_observables of all of it, observables_and_nu_minus of 1, 25
 and 303 of its matrices, and frame_variances of 50 as (25, 2), and
@@ -102,6 +107,13 @@ def stages() -> list[tuple[str, object]]:
     table.append(("compare_adiabatics, 25 fig4b points",
                   lambda: compare_adiabatics(fig4b, 1.0)))
     table += chain_split(fig4a)
+    fig4a_cfg, fig2d_cfg = (scenarios.ScenarioConfig(scenario=f) for f in ("fig4a", "fig2d"))
+    gamma_m_hz = [x * kappa_hz for x in np.geomspace(1.5e-5, 1.0, 25)]
+    temperatures = np.linspace(0.0, 5e-3, 101)
+    table.append(("_sweep_points, fig4a's 25 gamma_m_hz",
+                  lambda: scenarios._sweep_points(fig4a_cfg, "gamma_m_hz", gamma_m_hz)))
+    table.append(("_sweep_points, fig2d's 101 temperatures",
+                  lambda: scenarios._sweep_points(fig2d_cfg, "temperature_k", temperatures)))
     cfg = scenarios.ScenarioConfig(scenario="custom",
                                    params_hz={"gamma_m_hz": 6.2e4, "temperature_k": 1e-3})
     r_values = np.linspace(0.0, 2.5, 51)
@@ -176,12 +188,13 @@ def chain_split(points) -> list[tuple[str, object]]:
     over every point of points, from the inputs the layer before made:
     derive of a one-point stack, the model builder at the three reservoir
     injections, compile_generator, require_shared_drift, and the tail
-    (reservoir_parts and reservoir_steady, or project_system and point 0)."""
+    (reservoir_parts and reservoir_steady, or project_system and point 0);
+    and the chains' calls themselves over the same points."""
     from dataclasses import replace
 
     import numpy as np
 
-    from sqzmirror import dynamics, generator, params, reduced
+    from sqzmirror import dynamics, full, generator, params, reduced
 
     N, M = np.array(generator.RESERVOIR_INJECTIONS).T.reshape(2, 3, 1)
     coeffs = [params.derive(params.stack_points([p])) for p in points]
@@ -201,7 +214,9 @@ def chain_split(points) -> list[tuple[str, object]]:
             def tail(eqs=eqs):
                 for c, e in zip(coeffs, eqs):
                     reduced.project_system(c, e).point(0)
+        call = full.steady_full if name == "full6" else reduced.build_system
         table += [
+            (f"chain {name} calls", lambda call=call: [call(p) for p in points]),
             (f"chain {name} builder", lambda model=model: [model(c) for c in injected]),
             (f"chain {name} compile",
              lambda specs=specs: [generator.compile_generator(spec) for spec in specs]),
@@ -232,7 +247,13 @@ def measure(calls: int) -> dict[str, list[float]]:
                 best[name] = min(best[name], time.perf_counter() - start)
             faults[name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     rounds = 10 * max(calls // 10, 1)
-    return {name: [best[name] * 1e6, faults[name] / rounds] for name in best}
+    rows = {name: [best[name] * 1e6, faults[name] / rounds] for name in best}
+    for chain in ("full6", "reduced3"):  # each chain's calls less chain_split's layers
+        layers = [rows["chain derive, 25 fig4a points"]] + [
+            rows[f"chain {chain} {x}"] for x in ("builder", "compile", "shared-drift check", "tail")]
+        rows[f"chain {chain} glue (calls - layers)"] = [
+            rows[f"chain {chain} calls"][i] - sum(x[i] for x in layers) for i in (0, 1)]
+    return rows
 
 
 def run_tree(tree: Path, calls: int) -> dict[str, list[float]]:

@@ -738,6 +738,19 @@ def test_manifest_with_percent_replays_byte_identical(tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
+def test_manifest_with_non_ascii_dir_replays_byte_identical(tmp_path):
+    """A manifest is written as UTF-8, as config files are read: a run into
+    a directory named with a non-ASCII character writes its manifest (it
+    exited 4 with a 0-byte manifest when manifests were ASCII), and the
+    manifest replays to the same bytes, manifest included."""
+    out = tmp_path / "out\u00fc"
+    assert main(["run", "fig2c", "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert f"dir = {out}\n".encode() in first["fig2c_manifest.cfg"]
+    assert main(["run", str(out / "fig2c_manifest.cfg")]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
 def test_undecodable_config_file_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"[scenario]\nname = fig2c\n# \xff\n")

@@ -329,7 +329,9 @@ def test_one_point_chains_equal_their_stacked_rows(rng, phase):
     reservoir_parts(compile_injections(full_generator, derive(stack_points)))
     and build_systems(points).point(k); compare_adiabatics(points)[k] too. A
     failing point raises the error, type and text, that the stacked chain
-    raises with it inserted among the others."""
+    raises with it inserted among the others. The random temperatures are
+    never 0, so a fixed point at T = 0 (the occupation's division by zero)
+    joins them."""
     points_hz = [random_point_hz(rng) for _ in range(6)]
     points_hz += [{**random_point_hz(rng), **bad} for bad in FAILING_POINTS_HZ]
     points = []
@@ -338,6 +340,7 @@ def test_one_point_chains_equal_their_stacked_rows(rng, phase):
             points.append(baseline_params(**points_hz[k], r=rng.uniform(*inputs.R_RANGE)))
         except SimulationError:
             pass  # PhysicalParams refuses it: there is no one-point call
+    points.append(baseline_params(temperature_k=0.0, r=1.0))
     full6, reduced3 = {}, {}
     for p in points:
         for chain, call in ((full6, lambda: steady_full(p, phase)),

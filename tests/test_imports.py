@@ -1,6 +1,7 @@
 """Every module-level import of the package is used in its module, no
-module imports another package module's private (underscore) names, and
-scenarios reads the steady build from reduced instead of assembling it.
+module imports another package module's private (underscore) names, no
+module imports or reads a private numpy module, and scenarios reads the
+steady build from reduced instead of assembling it.
 
 __init__.py is left out of the first check: its imports are the package's
 re-exports.
@@ -90,3 +91,50 @@ def test_private_import_is_found():
               "from sqzmirror.gaussian import _y\n"
               "def f():\n    from . import _z\n")
     assert private_imports(source) == ["_conj", "_y", "_z"]
+
+
+def private_numpy(source: str) -> list[str]:
+    """Every dotted name of numpy with a private (underscore, not dunder)
+    part that the source imports or reads, such as numpy._core or
+    numpy.linalg._umath_linalg: their calls skip the public functions'
+    checks, and numpy may change them in any release."""
+    tree = ast.parse(source)
+    roots = {}  # local name -> the numpy module it binds
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    found.append(alias.name)
+                    roots[alias.asname or "numpy"] = alias.name if alias.asname else "numpy"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                found.append(name)
+                roots[alias.asname or alias.name] = name
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:  # whole chains only
+            parts, base = [node.attr], node.value
+            while isinstance(base, ast.Attribute):
+                parts.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in roots:
+                found.append(".".join([roots[base.id], *reversed(parts)]))
+    return sorted({name for name in found if any(
+        part.startswith("_") and not part.endswith("__") for part in name.split("."))})
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_private_numpy_modules(path):
+    assert private_numpy(path.read_text()) == []
+
+
+def test_private_numpy_is_found():
+    source = ("import numpy as np\nimport numpy._core.umath as um\n"
+              "from numpy.linalg import _umath_linalg\nfrom numpy import linalg as la\n"
+              "np.linalg._umath_linalg.solve(a, b)\nla._linalg.solve\n"
+              "np.linalg.solve(a, b)\nnp.__version__\nla.eigvals(a)\n")
+    assert private_numpy(source) == ["numpy._core.umath", "numpy.linalg._linalg.solve",
+                                     "numpy.linalg._umath_linalg",
+                                     "numpy.linalg._umath_linalg.solve"]

@@ -20,6 +20,7 @@ from sqzmirror.params import (
     member_factor,
     parts_conj,
     parts_imag,
+    stack_points,
     thermal_occupation,
 )
 
@@ -86,6 +87,28 @@ def test_thermal_occupation_values():
     assert thermal_occupation(2 * np.pi * 32.1e6, 2.5e-3) == pytest.approx(
         NBAR_2P5_MK, rel=1e-12
     )
+
+
+def test_thermal_occupation_is_zero_out_of_the_float_range(recwarn):
+    """Where hbar w / kB T leaves the float range the occupation is exactly
+    +0.0, with no RuntimeWarning (the suite turns those into errors): at
+    T = 0, a division by zero, and at 1e-7 K, where hbar w / kB T is about
+    1.5e4 at 32.1 MHz and exp overflows. Floats and every entry of a mixed
+    array alike, the other entries keeping their own values; derive, of one
+    point and of stacked points, reads the same occupations."""
+    w = 2 * np.pi * 32.1e6
+    assert HBAR * w / (KB * 1e-7) > np.log(np.finfo(float).max)
+    temps = [0.0, 2.5e-3, 1e-7, 0.0, 1e-3]
+    alone = [thermal_occupation(w, T) for T in temps]
+    assert [type(n) for n in alone] == [float] * 5
+    assert alone[0] == alone[2] == alone[3] == 0.0 and not np.signbit(alone).any()
+    assert alone[1] == pytest.approx(NBAR_2P5_MK, rel=1e-12) and alone[4] > 0.0
+    assert np.array_equal(thermal_occupation(w, np.array(temps)), alone)
+    assert np.array_equal(thermal_occupation(np.full(5, w), np.array(temps)), alone)
+    points = [baseline_params(temperature_k=T) for T in temps]
+    assert [derive(p).nbar0 for p in points] == alone
+    assert np.array_equal(derive(stack_points(points)).nbar0, alone)
+    assert not recwarn.list
 
 
 def test_thermal_occupation_monotonicity():
