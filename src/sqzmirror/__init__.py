@@ -21,10 +21,7 @@ from .full import (
 from .gaussian import (
     QuadratureObservables,
     log_negativity,
-    mean_phonon,
-    partial_transpose,
     quadrature_observables,
-    relative_mode_variances,
     rotate_local,
     rotation_angle,
     symplectic_eigenvalues,

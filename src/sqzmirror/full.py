@@ -89,43 +89,45 @@ class AdiabaticComparison:
 
 
 def compare_adiabatics(
-    points: Sequence[PhysicalParams], phase: complex | float | str
+    builds: Sequence[PhysicalParams | SimulationError], phase: complex | float | str
 ) -> list[AdiabaticComparison | SimulationError]:
     """compare_adiabatic at every point, one model at a time.
 
-    The builds stay per point: one steady_full and one build_system each,
-    since the benchmark's trace pins 25 of each per fig4 figure.
-    reduced.steady_points of full6 and reduced3 is their stacked form, which
-    replaces them once that trace stops pinning per-point calls. The built
-    reduced systems are then compared as one errors.per_entry evaluation:
-    their fields stacked, one Hurwitz check and one solve
+    builds[k] is point k's PhysicalParams, or the SimulationError its
+    parameters raise and that is then entry k, as reduced.steady_points
+    reads them. The builds stay per point: one steady_full and one
+    build_system each, since the benchmark's trace pins 25 of each per fig4
+    figure. reduced.steady_points of full6 and reduced3 is their stacked
+    form, which replaces them once that trace stops pinning per-point calls.
+    The built reduced systems are then compared as one errors.per_entry
+    evaluation: their fields stacked, one Hurwitz check and one solve
     (ReducedSystem.steady_parts), one steady_covariance at the points' r and
     one gaussian.frame_variances over the (L, 2, 4, 4) pairs of full and
-    reduced covariances, whose dP2_minus are compared. phase is read by dynamics.normalize_phase, the
-    same for both models. Entry k is point k's AdiabaticComparison or the
-    first SimulationError its one-point call raises: the full6 build, the
-    reduced3 build, its Hurwitz check and solve, then the variance check.
+    reduced covariances, whose dP2_minus are compared. phase is read by
+    dynamics.normalize_phase, the same for both models. Any other entry k is
+    point k's AdiabaticComparison or the first SimulationError its one-point
+    call raises: the full6 build, the reduced3 build, its Hurwitz check and
+    solve, then the variance check.
     """
-    n = len(points)
-    entries: dict[int, AdiabaticComparison | SimulationError] = {}
+    n = len(builds)
+    entries = {k: b for k, b in enumerate(builds) if isinstance(b, SimulationError)}
     V = np.zeros((n, 2, 4, 4))  # each point's full and reduced mirror covariances
     # one build chain over every point, then the other: interleaving the two
     # chains point by point made a fig4 figure's builds about 10% slower
-    for k, params in enumerate(points):
+    for k in [k for k in range(n) if k not in entries]:
         try:
-            V[k, 0] = mirror_block(steady_full(params, phase))
+            V[k, 0] = mirror_block(steady_full(builds[k], phase))
         except SimulationError as exc:
             entries[k] = exc
     live, systems = [], []
-    for k, params in enumerate(points):
-        if k not in entries:
-            try:
-                systems.append(build_system(params))
-                live.append(k)
-            except SimulationError as exc:
-                entries[k] = exc
+    for k in [k for k in range(n) if k not in entries]:
+        try:
+            systems.append(build_system(builds[k]))
+            live.append(k)
+        except SimulationError as exc:
+            entries[k] = exc
     live = np.array(live, dtype=int)
-    r = np.array([points[k].r for k in live.tolist()])
+    r = np.array([builds[k].r for k in live.tolist()])
 
     def compared(j):
         """The full and reduced dP2_minus at the points live[j], from the

@@ -174,10 +174,9 @@ def _symplectic_pairs(V: NDArray, signs: tuple[float, ...]) -> list[tuple[NDArra
             bad = ~ok | (disc < -PAIRING_RTOL * _scale(V) ** 4)
             if bad.any():
                 k = int(np.argmax(bad.ravel()))
-                raise DimensionError(
-                    f"no symplectic spectrum: det V = {np.ravel(det)[k]!r}, "
-                    f"delta = {np.ravel(delta)[k]!r}, discriminant = {np.ravel(disc)[k]!r}"
-                )
+                det_k, delta_k, disc_k = (float(np.ravel(x)[k]) for x in (det, delta, disc))
+                raise DimensionError(f"no symplectic spectrum: det V = {det_k!r}, "
+                                     f"delta = {delta_k!r}, discriminant = {disc_k!r}")
         nu2_plus = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
         # the small root as det V / nu_+^2 keeps its digits when the state is
         # strongly entangled, where delta - sqrt(disc) would cancel
@@ -198,22 +197,6 @@ def symplectic_eigenvalues(V: NDArray) -> NDArray[np.float64]:
     delta <= 0 or complex roots.
     """
     return np.stack(_symplectic_pairs(_check_covariance(V), (1.0,))[0], axis=-1)
-
-
-# Lambda V Lambda for Lambda = diag(1, 1, 1, -1) flips the signs of row and
-# column 3 but not of their common entry
-_PT_SIGN = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
-_PT_SIGN.setflags(write=False)
-
-
-def partial_transpose(V: NDArray) -> NDArray[np.float64]:
-    """Momentum reversal of mode 2: Lambda V Lambda with Lambda = diag(1,1,1,-1)."""
-    V = _check_covariance(V)
-    if V.shape[-1] != 4:
-        raise DimensionError(
-            f"partial transpose implemented for 2 modes only, got dim {V.shape[-1]}"
-        )
-    return V * _PT_SIGN
 
 
 def _negativity(nu_min: NDArray) -> NDArray[np.float64]:
@@ -297,7 +280,8 @@ for _table in (_MINUS_PLUS, _QP):
 
 
 def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
-    """relative_mode_variances of rotate_local(V, theta), in closed form.
+    """(dQ2_minus, dP2_minus, dQ2_plus, dP2_plus) of rotate_local(V, theta),
+    the variances of (q1 -+ q2)/sqrt(2) and (p1 -+ p2)/sqrt(2), in closed form.
 
     With c = cos(theta/2) and s = sin(theta/2), the rotated q block is
     Vbar_ij = c^2 V_ij + cs (V_i,j+1 + V_i+1,j) + s^2 V_i+1,j+1 for even i, j,
@@ -321,41 +305,20 @@ def _rotated_variances(V: NDArray, theta: NDArray) -> tuple:
     variances = d[0, 0], d[0, 1], d[1, 0], d[1, 1]
     if (d < -PHYSICALITY_TOL).any():
         val = next(v for v in variances if (v < -PHYSICALITY_TOL).any())
-        raise PhysicalityError(f"negative quadrature variance {np.min(val)!r}")
+        raise PhysicalityError(f"negative quadrature variance {float(np.min(val))!r}")
     return variances
 
 
-def relative_mode_variances(V: NDArray) -> tuple[float, ...]:
-    """Center-of-mass / relative quadrature variances of a 2-mode covariance.
-
-    Returns (dQ2_minus, dP2_minus, dQ2_plus, dP2_plus), the variances of
-    (q1 -+ q2)/sqrt(2) and (p1 -+ p2)/sqrt(2): dQ2_pm = (V11 + V33)/2 +/- V13
-    and dP2_pm = (V22 + V44)/2 +/- V24 (1-based). Meaningful in whatever
-    frame V is expressed; pass a rotated covariance for the barred variances.
-    """
-    V = _check_covariance(V)
-    return tuple(_out(val, V) for val in _rotated_variances(V, 0.0))
-
-
-def _mean_phonons(V: NDArray, modes: slice) -> NDArray[np.float64]:
-    """The mean phonon numbers of a slice of the modes, along a last axis."""
-    n = V.shape[-1] // 2
+def _mean_phonons(V: NDArray) -> NDArray[np.float64]:
+    """The mean phonon numbers of both modes of a checked 2-mode V, along a last axis."""
     # the diagonal summed in pairs, V_2m,2m + V_2m+1,2m+1 for each mode m
     diagonal = V.diagonal(axis1=-2, axis2=-1)
-    val = 0.5 * ((diagonal[..., ::2] + diagonal[..., 1::2])[..., modes] - 1.0)
+    val = 0.5 * (diagonal[..., ::2] + diagonal[..., 1::2] - 1.0)
     if (val < -PHYSICALITY_TOL).any():
-        k = next(k for k in range(val.shape[-1]) if (val[..., k] < -PHYSICALITY_TOL).any())
-        raise PhysicalityError(f"negative phonon number {np.min(val[..., k])!r} "
-                               f"for mode {range(n)[modes][k]}")
+        k = 0 if (val[..., 0] < -PHYSICALITY_TOL).any() else 1
+        raise PhysicalityError(f"negative phonon number {float(np.min(val[..., k]))!r} "
+                               f"for mode {k}")
     return np.where(val < 0.0, 0.0, val)
-
-
-def mean_phonon(V: NDArray, mode: int) -> float:
-    """Mean excitation number of one mode of a zero-mean Gaussian state."""
-    V = _check_covariance(V)
-    if not 0 <= mode < V.shape[-1] // 2:
-        raise DimensionError(f"mode {mode} out of range for {V.shape[-1] // 2} modes")
-    return _out(_mean_phonons(V, slice(mode, mode + 1))[..., 0], V)
 
 
 @dataclass(frozen=True)
@@ -380,7 +343,7 @@ class QuadratureObservables:
 def _frame(V: NDArray) -> tuple:
     """(theta, the rotated-frame variances, the phonon numbers) of a checked V."""
     theta, _ = _rotation_angle(V)
-    return theta, _rotated_variances(V, theta), _mean_phonons(V, slice(None))
+    return theta, _rotated_variances(V, theta), _mean_phonons(V)
 
 
 def _observables(V: NDArray, frame: tuple, nu_tilde: tuple) -> QuadratureObservables:
@@ -435,20 +398,6 @@ def vacuum(n_modes: int) -> NDArray[np.float64]:
     return 0.5 * np.eye(2 * n_modes)
 
 
-def thermal(nbars: list[float] | tuple[float, ...] | float, n_modes: int | None = None
-            ) -> NDArray[np.float64]:
-    """Product thermal covariance diag(nbar_k + 1/2) per mode."""
-    if np.isscalar(nbars):
-        if n_modes is None:
-            raise DimensionError("scalar nbar needs explicit n_modes")
-        nbars = [float(nbars)] * n_modes
-    return np.diag(np.repeat(np.asarray(nbars, dtype=float) + 0.5, 2))
-
-
-def two_mode_squeezed(s: float) -> NDArray[np.float64]:
-    """Two-mode squeezed vacuum covariance with squeezing parameter s."""
-    ch, sh = 0.5 * np.cosh(2.0 * s), 0.5 * np.sinh(2.0 * s)
-    V = ch * np.eye(4)
-    V[0, 2] = V[2, 0] = sh
-    V[1, 3] = V[3, 1] = -sh
-    return V
+def thermal(nbar: float, n_modes: int) -> NDArray[np.float64]:
+    """Product thermal covariance diag(nbar + 1/2) of n_modes equal modes."""
+    return np.diag(np.full(2 * n_modes, float(nbar) + 0.5))

@@ -13,7 +13,7 @@ source of truth for the model matrices.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -119,12 +119,13 @@ class ReducedSystem:
     """3-variable moment system dV3/dt = m3 V3 + B(t).
 
     The drive decomposes as B(t) = b0 + N b1 + M (b2 e^{2i delta t} + c.c.)
-    with N, M the squeezed-reservoir correlations; b0, b1 are real, b2
-    complex, all independent of the squeezing degree, and so is m3. The
-    steady state is therefore affine in (N, M): a point and an r curve alike
-    are one build plus x0 + N x1 + M x2(z) (steady_parts,
-    steady_covariance), with N = sinh^2 r and M = cosh r sinh r. The
-    systems of build_systems carry a leading axis of points on every field.
+    with N = sinh^2 r and M = cosh r sinh r the squeezed-reservoir
+    correlations, which ode and dynamical_solution take as arguments; b0, b1
+    are real, b2 complex, all independent of the squeezing degree, and so is
+    m3. The steady state is therefore affine in (N, M): a point and an r
+    curve alike are one build plus x0 + N x1 + M x2(z) (steady_parts,
+    steady_covariance). The systems of build_systems carry a leading axis of
+    points on every field.
     """
 
     m3: NDArray[np.float64]
@@ -133,14 +134,13 @@ class ReducedSystem:
     b2: NDArray[np.complex128]
     delta: float
     nbar0: float
-    N: float
-    M: float
 
-    def ode(self) -> LinearHarmonicODE:
+    def ode(self, N, M) -> LinearHarmonicODE:
+        """The ODE at reservoir correlations N, M: floats, or arrays (K,) of K drives."""
         return LinearHarmonicODE(
             drift=self.m3,
-            drive_static=(self.b0 + np.multiply.outer(self.N, self.b1)).T,
-            drive_harmonic=np.multiply.outer(self.M, self.b2).T,
+            drive_static=(self.b0 + np.multiply.outer(N, self.b1)).T,
+            drive_harmonic=np.multiply.outer(M, self.b2).T,
             omega=2.0 * self.delta,
         )
 
@@ -167,15 +167,15 @@ class ReducedSystem:
         ))
         return x_dc[..., 0], x_dc[..., 1], x2
 
-    def dynamical_solution(self, t) -> NDArray[np.float64]:
+    def dynamical_solution(self, t, N: float, M: float) -> NDArray[np.float64]:
         """Closed form x_ss(t) + e^{m3 t} (x(0) - x_ss(0)) from the thermal state.
 
-        x_ss is the periodic solution from linear_steady, e^{m3 t} comes from
-        expm_action; an array t (result t.shape + (3,)) shares both. Equals
-        the RK4 route up to truncation error; used as the analytic
-        cross-check path (model "reduced_analytic").
+        x_ss is the periodic solution of ode(N, M) from linear_steady, e^{m3 t}
+        comes from expm_action; an array t (result t.shape + (3,)) shares
+        both. Equals the RK4 route up to truncation error; used as the
+        analytic cross-check path (model "reduced_analytic").
         """
-        x_dc, x_2 = linear_steady(self.ode())
+        x_dc, x_2 = linear_steady(self.ode(N, M))
         x_ss0 = steady_at_phase(x_dc, x_2, 1.0)
         z = np.exp(2j * self.delta * np.asarray(t, dtype=float))[..., None]
         x_sst = x_dc + 2.0 * np.real(x_2 * z)
@@ -218,8 +218,6 @@ def project_system(coeffs: DerivedCoefficients, injections: MomentEquations) -> 
         b2=project_covariance(injections.diffusion_harmonic[2]),
         delta=coeffs.params.delta,
         nbar0=coeffs.nbar0,
-        N=coeffs.N,
-        M=coeffs.M,
     )
 
 
@@ -241,9 +239,9 @@ def evolve_r(params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]:
     """evolve at each squeezing degree of r (params.r unread), as one r family:
     one build_system (m3, b0, b1, b2 do not depend on r), whose ode at arrays
     N, M gives the drive columns of one integrate_linear."""
-    N, M = reservoir_correlations(np.asarray(r, dtype=float))
-    system = replace(build_system(params), N=N, M=M)
-    times, xs = integrate_linear(system.ode(), system.initial_state(), grid)
+    system = build_system(params)
+    ode = system.ode(*reservoir_correlations(np.asarray(r, dtype=float)))
+    times, xs = integrate_linear(ode, system.initial_state(), grid)
     return [Trajectory(times=times, covariances=covs, observables=quadrature_observables(covs))
             for covs in lift_covariance(xs, system.nbar0)]
 
@@ -254,7 +252,7 @@ def evolve_analytic(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
     times = grid.t0 + grid.sample_indices() * grid.h
     # overflow is detected on the values, not reported per-operation
     with np.errstate(over="ignore", invalid="ignore"):
-        v3 = system.dynamical_solution(times)
+        v3 = system.dynamical_solution(times, *reservoir_correlations(params.r))
         bad = ~np.isfinite(v3).all(axis=1) | (np.abs(v3).max(axis=1) > DIVERGENCE_LIMIT)
     if bad.any():
         k = int(bad.argmax())

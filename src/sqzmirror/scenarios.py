@@ -11,7 +11,6 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +22,6 @@ from .dynamics import TimeGrid, Trajectory
 from .errors import ConfigError, ParameterError, SimulationError, per_entry
 from .gaussian import quadrature_observables
 from .params import BASELINE_HZ, PhysicalParams, baseline_params, check_r, derive
-
-OUTPUT_DIR_ENV = "SQZ_OUTPUT_DIR"
 
 PARAM_KEYS = tuple(BASELINE_HZ)
 MODELS = ("reduced3", "reduced10", "reduced_analytic", "full6")
@@ -184,9 +181,15 @@ def _params(cfg: ScenarioConfig, **extra_hz) -> PhysicalParams:
 
 
 def trajectory_grid(params: PhysicalParams, t_end: float, n_samples: int) -> TimeGrid:
-    """Default plot grid: the step resolves the fastest model frequency."""
+    """Default plot grid: the step resolves the fastest model frequency. A
+    step count that is not finite, or whose sample indices (an arange to
+    n_steps + 1) overflow int64, is refused before any array is made."""
     fastest = max(params.omega_m, abs(params.delta), params.kappa)
-    n_steps = max(int(np.ceil(t_end * fastest / 0.0125)), n_samples)
+    steps = np.ceil(t_end * fastest / 0.0125)
+    if not (steps < 2**63 - 2 and n_samples < 2**63 - 2):
+        raise ConfigError(f"scenario.t_end_s: a grid to {t_end!r} s with n_samples = "
+                          f"{n_samples} needs more steps than int64 indices hold")
+    n_steps = max(int(steps), n_samples)
     stride = max(n_steps // n_samples, 1)
     return TimeGrid(0.0, t_end, n_steps, sample_stride=stride)
 
@@ -391,19 +394,26 @@ def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
                              for b in builds])
 
 
-def _steady_reports(cfg: ScenarioConfig, name: str, values, **extra_hz):
-    """reduced3's steady criterion report along one parameter field.
+def _steady_reports(cfg: ScenarioConfig, name: str, values, extras) -> list:
+    """reduced3's steady criterion reports along one parameter field, one
+    curve per dict of extra parameters in extras.
 
-    One criterion call reads the whole curve of reduced.steady_points; the report's
-    fields are arrays. The first failure raises: a point's parameters, then
-    a build, then criterion's text "... at entry k".
+    The curves' points are one reduced.steady_points, so one build of their
+    distinct points, and one criterion call reads each curve; the reports'
+    fields are arrays. Curve by curve, the first failure raises: a point's
+    parameters, then a build, then criterion's text "... at entry k".
     """
-    builds, r = _sweep_points(cfg, name, values, **extra_hz)
+    points = [_sweep_points(cfg, name, values, **extra_hz) for extra_hz in extras]
     V, nbar0, failures = reduced_model.steady_points(
-        ["reduced3"], builds, r, PHASES[cfg.phase])["reduced3"]
-    if failures:
-        raise next(iter(failures.values()))
-    return reduced_model.criterion(V, nbar0)
+        ["reduced3"], [b for builds, _ in points for b in builds],
+        np.concatenate([r for _, r in points]), PHASES[cfg.phase])["reduced3"]
+    reports = []
+    for c in range(len(extras)):
+        curve = range(c * len(values), (c + 1) * len(values))
+        if failed := [exc for k, exc in failures.items() if k in curve]:
+            raise failed[0]
+        reports.append(reduced_model.criterion(V[curve], nbar0[curve]))
+    return reports
 
 
 def _err_text(exc: Exception) -> str:
@@ -470,7 +480,7 @@ def _scenario_fig2b(cfg: ScenarioConfig) -> list[Curve]:
     r = [resolved_params_hz(cfg)["r"]]
     curves = [curve for ratio, delta in zip(ratios, deltas_hz) for curve in _trajectory_curves(
         cfg, ("reduced3",), _params(cfg, delta_hz=delta), r, [f"fig2b_delta{_label(ratio)}"])]
-    rep = _steady_reports(cfg, "delta_hz", deltas_hz)
+    (rep,) = _steady_reports(cfg, "delta_hz", deltas_hz, [{}])
     curves.append(
         ("fig2b_steady", ("delta_over_omega_m", "E_N", "dP2_minus"),
          list(zip(ratios, rep.E_N.tolist(), rep.dP2_minus.tolist())))
@@ -480,7 +490,7 @@ def _scenario_fig2b(cfg: ScenarioConfig) -> list[Curve]:
 
 def _scenario_fig2c(cfg: ScenarioConfig) -> list[Curve]:
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
-    rep = _steady_reports(cfg, "r", r_values)
+    (rep,) = _steady_reports(cfg, "r", r_values, [{}])
     return [
         ("fig2c_EN", ("r", "E_N"), list(zip(r_values, rep.E_N.tolist()))),
         ("fig2c_dP2", ("r", "dP2_minus"), list(zip(r_values, rep.dP2_minus.tolist()))),
@@ -489,7 +499,7 @@ def _scenario_fig2c(cfg: ScenarioConfig) -> list[Curve]:
 
 def _scenario_fig2d(cfg: ScenarioConfig) -> list[Curve]:
     temps = np.linspace(0.0, 5e-3, 101)
-    rep = _steady_reports(cfg, "temperature_k", temps)
+    (rep,) = _steady_reports(cfg, "temperature_k", temps, [{}])
     return [
         ("fig2d_EN", ("T_K", "E_N"), list(zip(temps, rep.E_N.tolist()))),
         ("fig2d_dP2", ("T_K", "dP2_minus"), list(zip(temps, rep.dP2_minus.tolist()))),
@@ -499,24 +509,12 @@ def _scenario_fig2d(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _scenario_fig3a(cfg: ScenarioConfig) -> list[Curve]:
-    """The three power curves are one reduced.steady_points, so one build of their
-    three points. Curve by curve, its first failure raises (parameters, then
-    build), or one criterion reads it: what _steady_reports of each gives."""
-    curves: list[Curve] = []
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
     powers_uw = (0.01, 0.1, 2.0)
-    points = [_sweep_points(cfg, "r", r_values, power_w=p_uw * 1e-6) for p_uw in powers_uw]
-    V, nbar0, failures = reduced_model.steady_points(
-        ["reduced3"], [b for builds, _ in points for b in builds],
-        np.concatenate([r for _, r in points]), PHASES[cfg.phase])["reduced3"]
-    for c, p_uw in enumerate(powers_uw):
-        curve = range(c * len(r_values), (c + 1) * len(r_values))
-        if failed := [exc for k, exc in failures.items() if k in curve]:
-            raise failed[0]
-        rep = reduced_model.criterion(V[curve], nbar0[curve])
-        curves.append((f"fig3a_dP2_P{_label(p_uw)}uW", ("r", "dP2_minus"),
-                       list(zip(r_values, rep.dP2_minus.tolist()))))
-    return curves
+    reports = _steady_reports(cfg, "r", r_values, [{"power_w": p_uw * 1e-6} for p_uw in powers_uw])
+    return [(f"fig3a_dP2_P{_label(p_uw)}uW", ("r", "dP2_minus"),
+             list(zip(r_values, rep.dP2_minus.tolist())))
+            for p_uw, rep in zip(powers_uw, reports)]
 
 
 def _scenario_fig3b(cfg: ScenarioConfig) -> list[Curve]:
@@ -540,18 +538,17 @@ def _scenario_fig3b(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _adiabatic_rows(cfg: ScenarioConfig, sweep_values, sweep_field: str):
-    """fig4's rows: one full.compare_adiabatics over the points whose
-    parameters pass, so each point's full6 and reduced3 builds stay its own
-    while the reduced3 solve and the variance read are one each. A failing
-    point fails its own row, with its parameters' error or its entry's."""
-    builds, _ = _sweep_points(cfg, sweep_field, sweep_values)
-    live = [k for k, b in enumerate(builds) if isinstance(b, PhysicalParams)]
-    cells = dict(enumerate(builds))
-    for k, comp in zip(live, full_model.compare_adiabatics([builds[k] for k in live],
-                                                           PHASES[cfg.phase])):
-        cells[k] = comp if isinstance(comp, SimulationError) else (
-            comp.steady_dp2_full, comp.steady_dp2_reduced, comp.steady_rel_deviation)
-    return [_row(val, cells[k], 3) for k, val in enumerate(sweep_values)]
+    """fig4's rows: one full.compare_adiabatics over the sweep's points. A
+    failing point fails its own row, with its parameters' error or its
+    entry's."""
+    def cells(comp):
+        if isinstance(comp, SimulationError):
+            return comp
+        return comp.steady_dp2_full, comp.steady_dp2_reduced, comp.steady_rel_deviation
+
+    comps = full_model.compare_adiabatics(_sweep_points(cfg, sweep_field, sweep_values)[0],
+                                          PHASES[cfg.phase])
+    return [_row(val, cells(comp), 3) for val, comp in zip(sweep_values, comps)]
 
 
 def _scenario_fig4a(cfg: ScenarioConfig) -> list[Curve]:
@@ -656,7 +653,7 @@ def run(cfg: ScenarioConfig) -> list[Path]:
     """
     cfg.validate()
     curves = _SCENARIO_FNS[cfg.scenario](cfg)
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for name, header, rows in curves:

@@ -11,7 +11,10 @@ drift and diffusion of one dissipator term at a time, and the three scalar
 model builds that one build with a member axis replaces. The two-mode
 frame variances and phonon numbers are pinned to the forms on whole 2x2
 blocks that they replace, and the spectrum is checked against exact
-rational arithmetic on the float entries.
+rational arithmetic on the float entries. The partial transpose as a
+matrix, and the thermal and two-mode squeezed states the gaussian tests
+draw, are here too: the package reads the partial transpose's spectrum
+from V's own entries and builds no such states.
 """
 
 from dataclasses import replace
@@ -55,6 +58,27 @@ from sqzmirror.reduced import (
 )
 
 PAIRING_RTOL = 1e-9
+
+
+def partial_transpose(V):
+    """Momentum reversal of mode 2 of a two-mode covariance or a stack:
+    Lambda V Lambda with Lambda = diag(1, 1, 1, -1)."""
+    sign = np.array([1.0, 1.0, 1.0, -1.0])
+    return V * np.outer(sign, sign)
+
+
+def thermal_modes(nbars):
+    """Product thermal covariance diag(nbar_k + 1/2) of one mode per nbar_k."""
+    return np.diag(np.repeat(np.asarray(nbars, dtype=float) + 0.5, 2))
+
+
+def two_mode_squeezed(s):
+    """Two-mode squeezed vacuum covariance with squeezing parameter s."""
+    ch, sh = 0.5 * np.cosh(2.0 * s), 0.5 * np.sinh(2.0 * s)
+    V = ch * np.eye(4)
+    V[0, 2] = V[2, 0] = sh
+    V[1, 3] = V[3, 1] = -sh
+    return V
 
 
 def symplectic_spectrum(V):

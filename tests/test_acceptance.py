@@ -156,7 +156,7 @@ def test_compiler_vs_printed_matrices():
                     xi.imag - c.phi * zi / (2 * g0),
                 ]
             )
-            ode = s.ode()
+            ode = s.ode(c.N, c.M)
             drive = at_time(ode.drive_static, ode.drive_harmonic, ode.omega, t)
             if np.abs(drive - printed).max() > 1e-10 * np.abs(printed).max():
                 failures.append(f"drive mismatch at point {k}, t={t:.2e}")

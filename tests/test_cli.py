@@ -14,7 +14,6 @@ from sqzmirror.generator import MomentEquations, compile_generator, full_generat
 from sqzmirror.params import derive, stack_points
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
-    OUTPUT_DIR_ENV,
     SCENARIOS,
     ScenarioConfig,
     parse_config_file,
@@ -388,14 +387,14 @@ def test_fig2d_is_one_build(tmp_path, builds):
 
 def test_fig3a_is_one_build(tmp_path, builds):
     """fig3a's three power curves are one build of their three points, and
-    write what three _steady_reports curves write, byte for byte."""
+    write what three one-curve _steady_reports write, byte for byte."""
     cfg = ScenarioConfig(scenario="fig3a", output_dir=str(tmp_path / "fig"))
     run(cfg)
     assert builds == {"model": 1, "compile": 1, "members": 9}
     r_values = np.arange(0.0, 2.5 + 1e-12, 0.025)
     for p_uw in (0.01, 0.1, 2.0):
         name = f"fig3a_dP2_P{p_uw:g}uW.csv"
-        rep = scenarios._steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
+        (rep,) = scenarios._steady_reports(cfg, "r", r_values, [{"power_w": p_uw * 1e-6}])
         scenarios.write_csv(tmp_path / name, ("r", "dP2_minus"),
                             list(zip(r_values, rep.dP2_minus.tolist())))
         assert (tmp_path / "fig" / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -412,7 +411,7 @@ def test_failing_fig3a_raises_its_first_failing_curves_error(tmp_path, delta_hz)
     errors = []
     for p_uw in (0.01, 0.1, 2.0):
         try:
-            scenarios._steady_reports(cfg, "r", r_values, power_w=p_uw * 1e-6)
+            scenarios._steady_reports(cfg, "r", r_values, [{"power_w": p_uw * 1e-6}])
         except SimulationError as exc:
             errors.append((type(exc), str(exc), None))
     assert len(set(errors)) == (3 if delta_hz == -32.1e6 else 1)
@@ -650,6 +649,11 @@ BAD_INPUTS = [
     ("[scenario]\nname = custom\n\n[outptu]\n", [], "[outptu]"),
     ("[scenario]\nname = fig4a\n\n[sweep]\nname = r\nvalues = 0.5\n", [], "sweep"),
     ("[scenario]\nname = fig4a\nmodel = full6\n", [], "scenario.model"),
+    # trajectory grids whose step count is not finite or overflows int64 indices
+    ("[scenario]\nname = fig2a\n", ["t_end_s=1e300"], "scenario.t_end_s"),
+    ("[scenario]\nname = fig2a\n", ["gamma_m_hz=1e-300"], "scenario.t_end_s"),
+    ("[scenario]\nname = fig2a\n", ["t_end_s=1e12"], "scenario.t_end_s"),
+    ("[scenario]\nname = fig2a\n", ["n_samples=1e30"], "scenario.t_end_s"),
 ]
 
 
@@ -760,12 +764,19 @@ def test_undecodable_config_file_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    target = tmp_path / "env_dir"
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
-    assert main(["run", "fig2c", "--out", str(tmp_path / "ignored")]) == 0
-    assert (target / "fig2c_EN.csv").is_file()
-    assert not (tmp_path / "ignored").exists()
+def test_out_is_the_one_output_setting(tmp_path, monkeypatch):
+    """--out, else the config file's [output] dir, is where a run writes and
+    what its manifest records; no environment variable moves it (an
+    SQZ_OUTPUT_DIR once did, and the manifest then named a directory the run
+    had not written)."""
+    monkeypatch.setenv("SQZ_OUTPUT_DIR", str(tmp_path / "env_dir"))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"[scenario]\nname = fig2c\n\n[output]\ndir = {tmp_path / 'cfg_dir'}\n")
+    for argv, out in ((["--out", str(tmp_path / "cli_dir")], "cli_dir"), ([], "cfg_dir")):
+        assert main(["run", str(cfg_file), *argv]) == 0
+        manifest = (tmp_path / out / "fig2c_manifest.cfg").read_text()
+        assert f"dir = {tmp_path / out}\n" in manifest
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg_dir", "cli_dir", "run.cfg"]
 
 
 def test_config_file_validation_names_field(tmp_path):

@@ -260,7 +260,7 @@ def model_odes(p):
     system = build_system(p)
     c = derive(p)
     return [
-        (system.ode(), system.initial_state()),
+        (system.ode(c.N, c.M), system.initial_state()),
         (moment_ode(compile_generator(reduced_generator(c))), _vech(thermal(c.nbar0, 2))),
         (moment_ode(compile_generator(full_generator(c))), _vech(initial_covariance(p))),
     ]

@@ -24,7 +24,7 @@ from sqzmirror.full import (
     steady_full,
 )
 from sqzmirror import full, scenarios
-from sqzmirror.gaussian import frame_variances, mean_phonon, quadrature_observables
+from sqzmirror.gaussian import frame_variances, quadrature_observables
 from sqzmirror.generator import compile_generator, compile_injections, full_generator
 from sqzmirror.params import baseline_params, derive, stack_points
 from sqzmirror.reduced import (
@@ -65,8 +65,7 @@ def test_single_mirror_cooling():
     # mirror 2 decouples from the cavity
     assert np.abs(eqs.drift[:2, 4:]).max() == np.abs(eqs.drift[4:, :2]).max() == 0.0
     V = steady_at_phase(*periodic_steady_state(eqs), 1.0)
-    cooled = mean_phonon(mirror_block(V), 0)
-    spectator = mean_phonon(mirror_block(V), 1)
+    cooled, spectator = quadrature_observables(mirror_block(V)).phonon
     assert cooled < 0.5 * nbar
     assert spectator == pytest.approx(nbar, rel=1e-9)
 
@@ -184,7 +183,7 @@ def test_steady_phonon_increases_with_squeezing():
             r=r, temperature_k=2.5e-3, gamma_m_hz=1.5e-3 * KAPPA_HZ
         )
         V = steady_full(p, phase=1.0)
-        phonons.append(mean_phonon(mirror_block(V), 0))
+        phonons.append(quadrature_observables(mirror_block(V)).phonon[0])
     assert phonons[0] < phonons[1] < phonons[2]
 
 
@@ -259,11 +258,12 @@ def test_failing_fig4_rows_equal_per_point_chains(tmp_path, monkeypatch, figure,
     """Blue-detuned fig4 runs, where some or all full6 drifts are not
     Hurwitz, write the CSV that one compare_adiabatic_loop per point writes:
     every value and every error text, row by row."""
-    def per_point(points, phase):
+    def per_point(builds, phase):
         results = []
-        for p in points:
+        for p in builds:
             try:
-                results.append(compare_adiabatic_loop(p, phase))
+                results.append(p if isinstance(p, SimulationError)
+                               else compare_adiabatic_loop(p, phase))
             except SimulationError as exc:
                 results.append(exc)
         return results
@@ -374,7 +374,10 @@ def test_one_point_chains_equal_their_stacked_rows(rng, phase):
         if p not in built:
             assert_same_error(lambda: build_systems(built + [p]), reduced3[p])
 
-    for p, comp in zip(points, compare_adiabatics(points, phase)):
+    refused = SimulationError("refused parameters")  # a build of _sweep_points
+    comps = compare_adiabatics(points + [refused], phase)
+    assert comps.pop() is refused
+    for p, comp in zip(points, comps):
         if isinstance(comp, SimulationError):
             assert_same_error(lambda: compare_adiabatic(p, phase), comp)
         else:

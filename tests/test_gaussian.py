@@ -12,8 +12,11 @@ from _oracles import (
     exact_det,
     exact_spectrum,
     mean_phonons_pairs,
+    partial_transpose,
     rotated_variances_blocks,
     symplectic_spectrum,
+    thermal_modes,
+    two_mode_squeezed,
 )
 from conftest import random_physical_cov
 from sqzmirror import gaussian
@@ -27,17 +30,13 @@ from sqzmirror.gaussian import (
     _invariants,
     frame_variances,
     log_negativity,
-    mean_phonon,
     observables_and_nu_minus,
-    partial_transpose,
     quadrature_observables,
-    relative_mode_variances,
     rotate_local,
     rotation_angle,
     symplectic_eigenvalues,
     symplectic_form,
     thermal,
-    two_mode_squeezed,
     vacuum,
 )
 from sqzmirror.params import baseline_params
@@ -65,8 +64,9 @@ def test_symplectic_eigenvalues_vacuum_and_thermal():
     for a in (0.5, 0.8, 1.0, 7.3, 1e3):
         V = a * np.eye(4)
         assert np.abs(symplectic_eigenvalues(V) - a).max() <= double_root_tol(V)
-    V = thermal([1.2, 0.1])
+    V = thermal_modes([1.2, 0.1])
     assert np.abs(symplectic_eigenvalues(V) - [0.6, 1.7]).max() <= 1e-15
+    assert np.array_equal(thermal(0.7, 2), thermal_modes([0.7, 0.7]))
 
 
 def test_symplectic_eigenvalues_tmsv_pure():
@@ -90,17 +90,20 @@ def test_symplectic_eigenvalues_rejects_bad_input():
             symplectic_eigenvalues(vacuum(n_modes))
 
 
-@pytest.mark.parametrize("V", [
-    np.diag([1.0, 1.0, 1.0, -1.0]),  # det V < 0
-    np.diag([1.0, -1.0, 1.0, -1.0]),  # det V > 0, delta < 0
+@pytest.mark.parametrize("V, numbers", [
+    (np.diag([1.0, 1.0, 1.0, -1.0]), "-1.0, delta = 0.0, discriminant = 4.0"),  # det V < 0
+    (np.diag([1.0, -1.0, 1.0, -1.0]), "1.0, delta = -2.0, discriminant = 0.0"),  # delta < 0
     # det V = 50 and delta = 2 > 0, but delta^2 - 4 det V = -196: complex roots
-    np.array([[-1.0, 2.0, 1.0, -2.0], [2.0, -1.0, 2.0, 0.0],
-              [1.0, 2.0, -2.0, 1.0], [-2.0, 0.0, 1.0, 1.0]]),
+    (np.array([[-1.0, 2.0, 1.0, -2.0], [2.0, -1.0, 2.0, 0.0],
+               [1.0, 2.0, -2.0, 1.0], [-2.0, 0.0, 1.0, 1.0]]),
+     "50.0, delta = 2.0, discriminant = -196.0"),
 ], ids=["det", "delta", "discriminant"])
-def test_symplectic_eigenvalues_refuse_matrices_that_are_not_positive(V):
-    with pytest.raises(DimensionError, match="no symplectic spectrum"):
+def test_symplectic_eigenvalues_refuse_matrices_that_are_not_positive(V, numbers):
+    """The refusal prints Python floats, whatever numpy's scalar repr."""
+    text = f"^no symplectic spectrum: det V = {re.escape(numbers)}$"
+    with pytest.raises(DimensionError, match=text):
         symplectic_eigenvalues(V)
-    with pytest.raises(DimensionError, match="no symplectic spectrum"):
+    with pytest.raises(DimensionError, match=text):
         symplectic_eigenvalues(np.array([vacuum(2), V]))
 
 
@@ -134,7 +137,7 @@ def physical_draws(rng, n):
 
     states = [random_physical_cov(rng, 2) for _ in range(n)]
     states += [rotated(two_mode_squeezed(s)) for s in rng.uniform(0.0, 3.0, n)]
-    states += [rotated(thermal(list(rng.uniform(0.0, 50.0, 2)))) for _ in range(n)]
+    states += [rotated(thermal_modes(rng.uniform(0.0, 50.0, 2))) for _ in range(n)]
     family = lifted_family(rng, 50).reshape(-1, 4, 4)
     states += list(family[rng.choice(len(family), n, replace=False)])
     V = np.array(states)
@@ -230,7 +233,8 @@ def test_observables_pin_the_matrix_algebra_forms(rng):
         blocks = rotated_variances_blocks(V, theta)
         assert np.array_equal((obs.dQ2_minus, obs.dP2_minus, obs.dQ2_plus, obs.dP2_plus), blocks)
         assert np.array_equal(frame_variances(V), blocks)
-        assert np.array_equal(relative_mode_variances(V), rotated_variances_blocks(V, 0.0))
+        assert np.array_equal(gaussian._rotated_variances(V, 0.0),
+                              rotated_variances_blocks(V, 0.0))
         assert np.array_equal(np.stack(obs.phonon, axis=-1), mean_phonons_pairs(V))
         qo = quadrature_observables(V)
         for name, value in vars(obs).items():
@@ -255,27 +259,36 @@ def test_observables_pin_the_matrix_algebra_forms(rng):
                                                        + 2 * U * max(e_n, 1.0)), row
 
 
+# The package reads the partial transpose's spectrum nu_tilde from V's own
+# entries; these pin the sign flips it stands for against the matrix form.
 def test_partial_transpose_diagonal_invariant():
     V = np.diag([0.7, 0.9, 1.1, 1.3])
     assert np.array_equal(partial_transpose(V), V)
+    assert np.array_equal(quadrature_observables(V).nu_tilde, symplectic_eigenvalues(V))
 
 
 def test_partial_transpose_flips_p2_coupling():
     V = vacuum(2)
     V[1, 3] = V[3, 1] = 0.1
-    Vt = partial_transpose(V)
-    assert Vt[1, 3] == -0.1
-    assert Vt[3, 1] == -0.1
+    flipped = with_entry(V, 1, 3, -0.1)
+    assert np.array_equal(partial_transpose(V), flipped)
+    assert quadrature_observables(V).nu_tilde == pytest.approx(
+        symplectic_eigenvalues(flipped), rel=1e-15)
 
 
 def test_partial_transpose_involution(rng):
+    """nu_tilde of the matrix form's partial transpose is V's own spectrum."""
     V = random_physical_cov(rng, 2)
     assert np.allclose(partial_transpose(partial_transpose(V)), V)
+    assert quadrature_observables(partial_transpose(V)).nu_tilde == pytest.approx(
+        symplectic_eigenvalues(V), rel=1e-12)
 
 
 def test_partial_transpose_needs_two_modes():
-    with pytest.raises(DimensionError):
-        partial_transpose(vacuum(3))
+    for n_modes in (1, 3):
+        for f in (log_negativity, quadrature_observables):
+            with pytest.raises(DimensionError):
+                f(vacuum(n_modes))
 
 
 def test_tmsv_partial_transpose_eigenvalue():
@@ -361,18 +374,20 @@ def test_rotate_local_preserves_spectrum_and_negativity(rng):
         assert log_negativity(Vbar) == pytest.approx(log_negativity(V), abs=1e-10)
 
 
+# A state with V00 = V11 and V01 = 0 has no anomalous moment phase, so its
+# frame_variances are those of V itself.
 def test_relative_mode_variances_vacuum_and_offdiag():
-    assert relative_mode_variances(vacuum(2)) == (0.5, 0.5, 0.5, 0.5)
+    assert frame_variances(vacuum(2)) == (0.5, 0.5, 0.5, 0.5)
     V = vacuum(2)
     V[1, 3] = V[3, 1] = -0.1
-    dq_m, dp_m, dq_p, dp_p = relative_mode_variances(V)
+    dq_m, dp_m, dq_p, dp_p = frame_variances(V)
     assert dp_m == pytest.approx(0.6)
     assert dp_p == pytest.approx(0.4)
 
 
 def test_relative_mode_variances_tmsv():
     s = 0.8
-    dq_m, dp_m, dq_p, dp_p = relative_mode_variances(two_mode_squeezed(s))
+    dq_m, dp_m, dq_p, dp_p = frame_variances(two_mode_squeezed(s))
     assert dq_m == pytest.approx(0.5 * np.exp(-2 * s), rel=1e-12)
     assert dp_m == pytest.approx(0.5 * np.exp(2 * s), rel=1e-12)
     assert dq_p == pytest.approx(0.5 * np.exp(2 * s), rel=1e-12)
@@ -395,14 +410,14 @@ def relative_quadrature_variances(V):
 
 def test_relative_mode_variances_of_asymmetric_states(rng):
     """Each variance is that of (q1 -+ q2)/sqrt(2) or (p1 -+ p2)/sqrt(2), also
-    when the state is not exchange-symmetric: relative_mode_variances of V, and
-    frame_variances of V against the same variances of rotate_local(V, theta)
-    at V's rotation angle. Within 8 ulps of max|V|."""
+    when the state is not exchange-symmetric: the variances of V itself (the
+    frame at theta = 0), and frame_variances of V against the same variances
+    of rotate_local(V, theta) at V's rotation angle. Within 8 ulps of max|V|."""
     for _ in range(50):
         V = asymmetric_physical_cov(rng)
         ulps = 8 * np.finfo(float).eps * np.abs(V).max()
         want = relative_quadrature_variances(V)
-        assert np.abs(np.array(relative_mode_variances(V)) - want).max() <= ulps
+        assert np.abs(np.array(gaussian._rotated_variances(V, 0.0)) - want).max() <= ulps
         want = relative_quadrature_variances(rotate_local(V, rotation_angle(V)))
         assert np.abs(np.array(frame_variances(V)) - want).max() <= ulps
 
@@ -418,37 +433,34 @@ def test_relative_mode_variances_keep_the_uncertainty_bound():
 
 
 def test_relative_mode_variances_rejects_negative(rng):
+    """The refusal prints a Python float, whatever numpy's scalar repr."""
     V = vacuum(2)
-    V[1, 3] = V[3, 1] = -0.8  # dP2_plus would be -0.3
-    with pytest.raises(PhysicalityError):
-        relative_mode_variances(V)
+    V[1, 3] = V[3, 1] = -0.8  # dP2_plus = 0.5 - 0.8
+    text = f"^negative quadrature variance {0.5 - 0.8!r}$"
     stack = np.array([random_physical_cov(rng, 2), V, random_physical_cov(rng, 2)])
-    for f in (relative_mode_variances, quadrature_observables):
-        with pytest.raises(PhysicalityError):
-            f(stack)
+    for f in (frame_variances, quadrature_observables):
+        for refused in (V, stack):
+            with pytest.raises(PhysicalityError, match=text):
+                f(refused)
 
 
 def test_mean_phonon():
-    assert mean_phonon(vacuum(2), 0) == 0.0
-    assert mean_phonon(thermal([1.7, 0.2]), 0) == pytest.approx(1.7)
-    assert mean_phonon(thermal([1.7, 0.2]), 1) == pytest.approx(0.2)
+    assert quadrature_observables(vacuum(2)).phonon == (0.0, 0.0)
+    assert quadrature_observables(thermal_modes([1.7, 0.2])).phonon == pytest.approx((1.7, 0.2))
     s = 0.9
     V = np.diag([np.exp(2 * s) / 2, np.exp(-2 * s) / 2])
     V = np.block([[V, np.zeros((2, 2))], [np.zeros((2, 2)), vacuum(1)]])
-    assert mean_phonon(V, 0) == pytest.approx(np.sinh(s) ** 2, rel=1e-12)
-
-
-def test_mean_phonon_bad_mode():
-    with pytest.raises(DimensionError):
-        mean_phonon(vacuum(2), 2)
+    phonon = quadrature_observables(V).phonon
+    assert phonon[0] == pytest.approx(np.sinh(s) ** 2, rel=1e-12) and phonon[1] == 0.0
 
 
 def test_mean_phonon_rejects_negative_in_a_stack():
-    stack = np.array([vacuum(2), 0.1 * np.eye(4)])  # phonon number -0.4
-    with pytest.raises(PhysicalityError):
-        mean_phonon(stack, 0)
-    with pytest.raises(PhysicalityError):
-        quadrature_observables(stack)
+    """The refusal names the first mode with a negative number, as a Python
+    float."""
+    for mode, V in enumerate((0.1 * np.eye(4), np.diag([0.5, 0.5, 0.1, 0.1]))):
+        with pytest.raises(PhysicalityError,  # 0.5 (0.1 + 0.1 - 1) = -0.4
+                           match=f"^negative phonon number -0.4 for mode {mode}$"):
+            quadrature_observables(np.array([vacuum(2), V]))
 
 
 def test_quadrature_observables_consistency(rng):
@@ -471,15 +483,12 @@ def _per_matrix_results(V, theta, n_modes):
     out = {
         "rotation_angle": rotation_angle(V),
         "rotate_local": rotate_local(V, theta),
-        "mean_phonon": [mean_phonon(V, m) for m in range(n_modes)],
     }
     if n_modes == 2:
         obs = quadrature_observables(V)
         out.update(
             symplectic_eigenvalues=symplectic_eigenvalues(V),
-            partial_transpose=partial_transpose(V),
             log_negativity=log_negativity(V),
-            relative_mode_variances=relative_mode_variances(V),
             frame_variances=frame_variances(V),
             observables_and_nu_minus=[observables_and_nu_minus(V)[1]],
             quadrature_observables=[obs.dP2_minus, obs.dQ2_minus, obs.dP2_plus,
@@ -549,9 +558,8 @@ def test_check_covariance_refusals():
 
 
 @pytest.mark.parametrize("f", [
-    symplectic_eigenvalues, partial_transpose, log_negativity, rotation_angle,
-    lambda V: rotate_local(V, 0.3), relative_mode_variances,
-    lambda V: mean_phonon(V, 0), quadrature_observables,
+    symplectic_eigenvalues, log_negativity, rotation_angle,
+    lambda V: rotate_local(V, 0.3), frame_variances, quadrature_observables,
 ])
 def test_stack_with_one_asymmetric_matrix_is_rejected(rng, f):
     stack = np.array([random_physical_cov(rng, 2) for _ in range(3)])
@@ -561,8 +569,8 @@ def test_stack_with_one_asymmetric_matrix_is_rejected(rng, f):
 
 
 @pytest.mark.parametrize("f", [
-    symplectic_eigenvalues, log_negativity, rotation_angle, relative_mode_variances,
-    lambda V: mean_phonon(V, 0), quadrature_observables,
+    symplectic_eigenvalues, log_negativity, rotation_angle, frame_variances,
+    quadrature_observables,
 ])
 def test_entries_past_the_physicality_precision_are_refused(f):
     """Entries of size x round at x * eps; past PHYSICALITY_TOL (x > 4.5e9)

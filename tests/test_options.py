@@ -1,8 +1,12 @@
 """Every option of the package, listed: a parameter or dataclass field with a
-default. A new knob, or a removed one, shows up here as a one-line diff."""
+default, an environment variable that src/ reads and a flag of the CLI. A
+new knob, or a removed one, shows up here as a one-line diff."""
 
+import argparse
 import ast
 from pathlib import Path
+
+from sqzmirror import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sqzmirror"
 
@@ -12,7 +16,6 @@ OPTIONS = [
     "errors.DivergenceError.__init__(last_valid_time=None)",
     "full.compare_adiabatic(phase=1.0)",
     "full.steady_full(phase=1.0)",
-    "gaussian.thermal(n_modes=None)",
     "generator.GeneratorSpec(delta=0.0)",
     "generator.GeneratorSpec(dissipators=field(default_factory=list))",
     "generator.GeneratorSpec.add_dissipator(harmonic=0)",
@@ -29,6 +32,20 @@ OPTIONS = [
     "scenarios._parse_number(integer=False)",
     "scenarios._trajectory_curves(damping_times=10.0)",
 ]
+
+# every read of the process environment in src/, as "module: source"
+ENVIRONMENT = []
+
+# every argument of cli._build_parser(), with its default
+FLAGS = [
+    "sqzmirror run --model(default=[])",
+    "sqzmirror run --out(default=None)",
+    "sqzmirror run --phase(default=None)",
+    "sqzmirror run --set(default=[])",
+    "sqzmirror run scenario(default=None)",
+]
+
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -75,3 +92,46 @@ def test_option_list_is_pinned():
     removed = sorted(set(OPTIONS) - set(found))
     assert found == sorted(OPTIONS), (
         f"options added: {added or 'none'}; options removed: {removed or 'none'}")
+
+
+def environment_reads() -> list[str]:
+    """Each os.environ or os.getenv in src/, or a name imported as one, with
+    the attribute, call or subscript around it: "module: source"."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in _ENVIRONMENT_NAMES:
+                while isinstance(parents.get(node), (ast.Attribute, ast.Call, ast.Subscript)):
+                    node = parents[node]
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def cli_flags() -> list[str]:
+    """Every argument of the CLI's parser, subcommands walked, help left out."""
+    found = []
+
+    def walk(parser: argparse.ArgumentParser, prefix: str) -> None:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, f"{prefix} {name}")
+            elif not isinstance(action, argparse._HelpAction):
+                flag = "/".join(action.option_strings) or action.dest
+                found.append(f"{prefix} {flag}(default={action.default!r})")
+
+    walk(cli._build_parser(), "sqzmirror")
+    return sorted(found)
+
+
+def test_environment_reads_are_pinned():
+    assert environment_reads() == sorted(ENVIRONMENT)
+
+
+def test_cli_flags_are_pinned():
+    assert cli_flags() == sorted(FLAGS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import inputs
-from _oracles import optimal_squeezings_loop
+from _oracles import optimal_squeezings_loop, partial_transpose
 from _periodic import at_phase, at_time
 from conftest import FAILING_POINTS_HZ, random_point, random_point_hz
 from sqzmirror.dynamics import (
@@ -26,7 +26,6 @@ from sqzmirror.errors import (
 )
 from sqzmirror.full import compare_adiabatic, mirror_block, steady_full
 from sqzmirror.gaussian import (
-    partial_transpose,
     quadrature_observables,
     rotate_local,
     rotation_angle,
@@ -34,7 +33,7 @@ from sqzmirror.gaussian import (
     symplectic_form,
 )
 from sqzmirror.generator import compile_generator, full_generator, reduced_generator
-from sqzmirror.params import baseline_params, derive
+from sqzmirror.params import baseline_params, derive, reservoir_correlations
 from sqzmirror import gaussian, reduced
 from sqzmirror.reduced import (
     ReducedSystem,
@@ -114,15 +113,15 @@ def test_drive_decomposition_matches_direct_form(baseline, rng):
                 xi.imag - c.phi * zi / (2 * p.gamma_m),
             ]
         )
-        ode = s.ode()
+        ode = s.ode(c.N, c.M)
         dec = at_time(ode.drive_static, ode.drive_harmonic, ode.omega, t)
         assert np.abs(dec - direct).max() <= 1e-10 * np.abs(direct).max()
 
 
 def test_vacuum_reservoir_drive_is_static():
     s = build_system(baseline_params(r=0.0))
-    assert s.N == 0.0 and s.M == 0.0
-    ode = s.ode()
+    assert reservoir_correlations(0.0) == (0.0, 0.0)
+    ode = s.ode(*reservoir_correlations(0.0))
     assert np.allclose(at_time(ode.drive_static, ode.drive_harmonic, ode.omega, 0.0),
                        at_time(ode.drive_static, ode.drive_harmonic, ode.omega, 1.23e-9),
                        rtol=1e-14)
@@ -255,7 +254,8 @@ def solved_at_point(model, p, phase):
     if model == "reduced3":
         system = build_system(p)
         L, w = system.m3, 2.0 * system.delta
-        V = lift_covariance(steady_at_phase(*linear_steady(system.ode()), phase), system.nbar0)
+        ode = system.ode(*reservoir_correlations(p.r))
+        V = lift_covariance(steady_at_phase(*linear_steady(ode), phase), system.nbar0)
     else:
         model_fn = reduced_generator if model == "reduced10" else full_generator
         eqs = compile_generator(model_fn(derive(p)))
@@ -664,7 +664,7 @@ def test_evolve_analytic_detects_divergence():
     # on a grid that crosses the limit mid-way: the first bad sample is reported
     grid = fine_grid(p, 2.85e-6, n_samples=20, resolution=0.05)
     times = grid.t0 + grid.sample_indices() * grid.h
-    v3 = build_system(p).dynamical_solution(times)
+    v3 = build_system(p).dynamical_solution(times, *reservoir_correlations(p.r))
     first_bad = int(np.argmax(np.abs(v3).max(axis=1) > DIVERGENCE_LIMIT))
     assert first_bad > 1
     with pytest.raises(DivergenceError, match=f"t = {times[first_bad]:.6e}") as err:
@@ -896,14 +896,12 @@ def test_squeezing_formula_domain_guard():
         b2=np.array([0.0, 5.0 + 0.0j, 0.0]),
         delta=1.0,
         nbar0=0.0,
-        N=0.0,
-        M=0.0,
     )
     assert squeezing_formula(sys_.steady_parts(), theta=0.0, phase=1.0) is None
     small = ReducedSystem(
         m3=sys_.m3, b0=sys_.b0, b1=sys_.b1,
         b2=np.array([0.0, 0.5 + 0.0j, 0.0]),
-        delta=1.0, nbar0=0.0, N=0.0, M=0.0,
+        delta=1.0, nbar0=0.0,
     )
     require_hurwitz(small.m3)
     val = squeezing_formula(small.steady_parts(), theta=0.0, phase=1.0)
