@@ -39,7 +39,6 @@ from .params import (
     PhysicalParams,
     baseline_params,
     derive,
-    from_hz,
     thermal_occupation,
 )
 from .reduced import (

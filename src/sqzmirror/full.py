@@ -22,8 +22,7 @@ from .dynamics import (
 )
 from .errors import SimulationError, per_entry
 from .gaussian import frame_variances, quadrature_observables, thermal, vacuum
-from .generator import (MomentEquations, compile_generator, compile_injections, full_generator,
-                        mirror_block, require_shared_drift)
+from .generator import compile_injections, full_generator, mirror_block, reservoir_family
 from .params import PhysicalParams, derive, stack_points
 from .reduced import ReducedSystem, build_system, steady_covariance
 
@@ -38,26 +37,19 @@ def initial_covariance(params: PhysicalParams) -> NDArray[np.float64]:
 
 
 def evolve_full(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
-    """Integrate the linearized three-mode covariance from initial_covariance.
-
-    Observables are attached for the mirror marginal. Raises StabilityError
-    via the steady-state helpers only; integration itself reports divergence
-    if the drift is unstable enough to blow up on the grid. It is
-    evolve_full_r's family of one.
-    """
+    """Integrate the linearized three-mode covariance from initial_covariance,
+    with the observables of the mirror marginal: evolve_full_r's family of
+    one. Integration reports divergence if the drift blows up on the grid."""
     return evolve_full_r(params, [params.r], grid)[0]
 
 
 def evolve_full_r(params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]:
     """evolve_full at each squeezing degree of r (params.r unread), as one r
-    family: one stacked compile of the points, whose drifts must agree, and
-    their diffusions as the drive columns of one dynamics.integrate."""
-    eqs = compile_generator(full_generator(derive(stack_points([params.with_(r=x) for x in r]))))
-    require_shared_drift(eqs.drift)
-    # a member without squeezing has no sideband, and omega 0 there
-    family = MomentEquations(eqs.drift[0], eqs.diffusion_static, eqs.diffusion_harmonic,
-                             max(eqs.omega, key=abs))
-    times, covariances = integrate(family, initial_covariance(params), grid)
+    family: the drift of the point's three reservoir injections, which
+    depends on no r, and the diffusions at each r as the drive columns of
+    one dynamics.integrate (generator.reservoir_family)."""
+    times, covariances = integrate(reservoir_family(full_generator, params, r),
+                                   initial_covariance(params), grid)
     return [Trajectory(times, V, quadrature_observables(mirror_block(V))) for V in covariances]
 
 

@@ -28,7 +28,8 @@ from numpy.typing import NDArray
 
 from .errors import GeneratorError, SimulationError
 from .gaussian import symplectic_form
-from .params import DerivedCoefficients, is_static, member_factor, parts_conj, parts_imag
+from .params import (DerivedCoefficients, PhysicalParams, check_r, derive, is_static,
+                     member_factor, parts_conj, parts_imag, reservoir_correlations)
 
 DRIFT_RTOL = 1e-9
 
@@ -261,17 +262,32 @@ def compile_injections(
     every squeezing degree: the diffusion at (N, M) is D(0,0) +
     N [D(1,0) - D(0,0)] plus M times the sideband of D(0,1). model is
     called once, with N and M arrays over the three injections in front of
-    the axis of points of coeffs (derive of params.stack_points), and must
-    broadcast over them; compile_generator compiles the resulting member
-    axes. The result's leading axes are (3, *points): eqs[j] is injection
-    j. Raises SimulationError when, at any point, the drift differs between
-    the injections.
+    the axis of points of coeffs (derive of params.stack_points; of one
+    point, no axis), and must broadcast over them; compile_generator
+    compiles the resulting member axes. The result's leading axes are
+    (3, *points): eqs[j] is injection j. Raises SimulationError when, at
+    any point, the drift differs between the injections.
     """
     N, M = _INJECTED.reshape((2, 3) + (1,) * getattr(coeffs.nbar0, "ndim", 0))
     eqs = compile_generator(model(DerivedCoefficients(
         coeffs.params, coeffs.omega_drive, coeffs.alpha, coeffs.nbar0, N, M)))
     require_shared_drift(eqs.drift)
     return eqs
+
+
+def reservoir_family(
+    model: Callable[[DerivedCoefficients], GeneratorSpec], params: PhysicalParams, r
+) -> MomentEquations:
+    """compile_injections at params, read at each squeezing degree of r
+    (params.r unread): the (0, 0) drift, and the diffusions at N = sinh^2 r,
+    M = cosh r sinh r along the axes of r (a float r: one curve's). r is
+    checked as PhysicalParams checks it."""
+    check_r(r)
+    eqs = compile_injections(model, derive(params))
+    N, M = reservoir_correlations(np.asarray(r, dtype=float)[..., None, None])
+    D = eqs.diffusion_static
+    return MomentEquations(eqs.drift[0], D[0] + N * (D[1] - D[0]),
+                           M * eqs.diffusion_harmonic[2], eqs.omega[2])
 
 
 def require_shared_drift(drift: NDArray) -> None:

@@ -8,6 +8,7 @@ multiplies by 2*pi before constructing PhysicalParams.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
@@ -125,33 +126,6 @@ class PhysicalParams:
         return replace(self, **kw)
 
 
-def from_hz(
-    omega_c_hz: float,
-    kappa_hz: float,
-    omega_m_hz: float,
-    gamma_m_hz: float,
-    eta0_hz: float,
-    power_w: float,
-    delta_hz: float,
-    r: float,
-    temperature_k: float,
-    drive_prefactor: float,
-) -> PhysicalParams:
-    """Build PhysicalParams from ordinary frequencies in Hz."""
-    return PhysicalParams(
-        omega_c=TWO_PI * omega_c_hz,
-        kappa=TWO_PI * kappa_hz,
-        omega_m=TWO_PI * omega_m_hz,
-        gamma_m=TWO_PI * gamma_m_hz,
-        eta0=TWO_PI * eta0_hz,
-        power=power_w,
-        delta=TWO_PI * delta_hz,
-        r=r,
-        temperature=temperature_k,
-        drive_prefactor=drive_prefactor,
-    )
-
-
 #: Microwave optomechanics baseline used by all shipped scenarios (Hz / W / K).
 BASELINE_HZ: dict[str, float] = {
     "omega_c_hz": 6.98e9,
@@ -166,15 +140,20 @@ BASELINE_HZ: dict[str, float] = {
     "drive_prefactor": 2.0,
 }
 
+# each BASELINE_HZ value's factor to its PhysicalParams field: 2 pi for a frequency in Hz
+_FROM_HZ = [TWO_PI if key.endswith("_hz") else 1.0 for key in BASELINE_HZ]
+
 
 def baseline_params(**overrides_hz) -> PhysicalParams:
-    """Baseline parameter set, with optional Hz-level field overrides."""
+    """Baseline parameter set, with optional Hz-level field overrides. The
+    keys of BASELINE_HZ name PhysicalParams' fields in order, each with its
+    unit; a "_hz" value is an ordinary frequency, multiplied by 2 pi."""
     cfg = dict(BASELINE_HZ)
     for key, val in overrides_hz.items():
         if key not in cfg:
             raise ParameterError(f"unknown parameter field {key!r}")
         cfg[key] = float(val)
-    return from_hz(**cfg)
+    return PhysicalParams(*map(operator.mul, _FROM_HZ, cfg.values()))
 
 
 _FIELDS = [f.name for f in fields(PhysicalParams)]

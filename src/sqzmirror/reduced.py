@@ -46,11 +46,11 @@ from .gaussian import (
 )
 from .generator import (
     MomentEquations,
-    compile_generator,
     compile_injections,
     full_generator,
     mirror_block,
     reduced_generator,
+    reservoir_family,
 )
 from .params import (
     DerivedCoefficients,
@@ -266,15 +266,14 @@ def evolve_analytic(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
 
 
 def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
-    """Integrate all second moments of the compiled two-mirror generator.
+    """Integrate all second moments of the compiled two-mirror generator
+    (generator.reservoir_family at params.r) from the product thermal state.
 
-    Validates the 3-variable closure: the full 4x4 dynamics (10 independent
-    moments) starts from the product thermal state and must keep the
-    exchange-symmetry relations at all times.
+    Validates the 3-variable closure: the 10 independent moments must keep
+    the exchange-symmetry relations at all times.
     """
-    coeffs = derive(params)
-    eqs = compile_generator(reduced_generator(coeffs))
-    times, covariances = integrate(eqs, thermal(coeffs.nbar0, 2), grid)
+    eqs = reservoir_family(reduced_generator, params, params.r)
+    times, covariances = integrate(eqs, thermal(derive(params).nbar0, 2), grid)
     return Trajectory(times, covariances, quadrature_observables(covariances))
 
 

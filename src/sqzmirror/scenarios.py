@@ -25,10 +25,6 @@ from .params import BASELINE_HZ, PhysicalParams, baseline_params, check_r, deriv
 
 PARAM_KEYS = tuple(BASELINE_HZ)
 MODELS = ("reduced3", "reduced10", "reduced_analytic", "full6")
-SCENARIOS = (
-    "fig2a", "fig2b", "fig2c", "fig2d", "fig3a", "fig3b",
-    "fig4a", "fig4b", "figS1", "figS2", "custom",
-)
 # CLI and config spelling of the reservoir phase -> model argument
 PHASES = {"+1": 1.0, "-1": -1.0, "average": "average"}
 
@@ -181,15 +177,22 @@ def _params(cfg: ScenarioConfig, **extra_hz) -> PhysicalParams:
 
 
 def trajectory_grid(params: PhysicalParams, t_end: float, n_samples: int) -> TimeGrid:
-    """Default plot grid: the step resolves the fastest model frequency. A
-    step count that is not finite, or whose sample indices (an arange to
-    n_steps + 1) overflow int64, is refused before any array is made."""
+    """Default plot grid: the step resolves the fastest model frequency. Refused
+    before any array is made: a step count that is not finite or whose sample
+    indices (an arange to n_steps + 1) overflow int64, and a span whose
+    reservoir phase 2 delta t rounds (h, idx * h and the product: under three
+    float spacings at the last sample) by more than the phase of half a step,
+    the spacing of the times at which RK4 reads the drive."""
     fastest = max(params.omega_m, abs(params.delta), params.kappa)
     steps = np.ceil(t_end * fastest / 0.0125)
     if not (steps < 2**63 - 2 and n_samples < 2**63 - 2):
         raise ConfigError(f"scenario.t_end_s: a grid to {t_end!r} s with n_samples = "
                           f"{n_samples} needs more steps than int64 indices hold")
     n_steps = max(int(steps), n_samples)
+    phase = 2.0 * abs(params.delta) * t_end
+    if phase and 6 * n_steps * np.spacing(phase) > phase:
+        raise ConfigError(f"scenario.t_end_s: a grid to {t_end!r} s rounds its reservoir phase "
+                          f"2 delta t = {phase:.3e} rad by more than half a step's phase")
     stride = max(n_steps // n_samples, 1)
     return TimeGrid(0.0, t_end, n_steps, sample_stride=stride)
 
@@ -610,18 +613,12 @@ def _scenario_custom(cfg: ScenarioConfig) -> list[Curve]:
                               [f"custom_{model}" for model in models])
 
 
-_SCENARIO_FNS = {
-    "fig2a": _scenario_fig2a,
-    "fig2b": _scenario_fig2b,
-    "fig2c": _scenario_fig2c,
-    "fig2d": _scenario_fig2d,
-    "fig3a": _scenario_fig3a,
-    "fig3b": _scenario_fig3b,
-    "fig4a": _scenario_fig4a,
-    "fig4b": _scenario_fig4b,
-    "figS1": _scenario_figS1,
-    "figS2": _scenario_figS2,
-    "custom": _scenario_custom,
+# every scenario, by name, and the function that makes its curves
+SCENARIOS = {
+    "fig2a": _scenario_fig2a, "fig2b": _scenario_fig2b, "fig2c": _scenario_fig2c,
+    "fig2d": _scenario_fig2d, "fig3a": _scenario_fig3a, "fig3b": _scenario_fig3b,
+    "fig4a": _scenario_fig4a, "fig4b": _scenario_fig4b, "figS1": _scenario_figS1,
+    "figS2": _scenario_figS2, "custom": _scenario_custom,
 }
 
 
@@ -652,7 +649,7 @@ def run(cfg: ScenarioConfig) -> list[Path]:
     CLI to map onto exit codes.
     """
     cfg.validate()
-    curves = _SCENARIO_FNS[cfg.scenario](cfg)
+    curves = SCENARIOS[cfg.scenario](cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

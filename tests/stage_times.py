@@ -22,7 +22,9 @@ scenarios._sweep_points at fig4a's 25 gamma_m_hz values and fig2d's 101
 temperatures (one checked PhysicalParams per value), the rows of a custom
 r sweep of reduced3 and reduced10 at 51 values of r (in a tree without
 scenarios._sweep_rows, one _model_rows per model), optimal_squeezings
-over fig3b's 25 powers, and the observables of
+over fig3b's 25 powers, the one-curve trajectory builds full.evolve_full
+at figS2's point and reduced.evolve_full10 at the custom scenario's (each
+on its scenario's grid), and the observables of
 fig2a's trajectory family (lifted covariances (4, 802, 4, 4)):
 quadrature_observables of all of it, observables_and_nu_minus of 1, 25
 and 303 of its matrices, and frame_variances of 50 as (25, 2), and
@@ -125,7 +127,23 @@ def stages() -> list[tuple[str, object]]:
     fig3b = [params.baseline_params(power_w=P) for P in np.geomspace(0.01e-6, 4e-6, 25)]
     table.append(("optimal_squeezings, 25 fig3b powers",
                   lambda: reduced.optimal_squeezings(fig3b, 1.0)))
-    return table + observable_stages() + csv_stages()
+    return table + trajectory_stages() + observable_stages() + csv_stages()
+
+
+def trajectory_stages() -> list[tuple[str, object]]:
+    """The one-curve trajectory builds that compile their model: full.evolve_full
+    at figS2's point and reduced.evolve_full10 at the custom scenario's, each
+    on its scenario's grid."""
+    from sqzmirror import full, params, reduced, scenarios
+
+    figS2 = params.baseline_params(temperature_k=2.5e-3,
+                                   gamma_m_hz=1.5e-3 * params.BASELINE_HZ["kappa_hz"])
+    custom = params.baseline_params()
+    figS2_grid, custom_grid = (scenarios.trajectory_grid(p, scenarios.default_t_end(p, x), 800)
+                               for p, x in ((figS2, 5.0), (custom, 10.0)))
+    return [("evolve_full, figS2's point", lambda: full.evolve_full(figS2, figS2_grid)),
+            ("evolve_full10, a custom point",
+             lambda: reduced.evolve_full10(custom, custom_grid))]
 
 
 def csv_stages() -> list[tuple[str, object]]:

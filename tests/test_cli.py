@@ -1,6 +1,7 @@
 """CLI and scenario runner: files, formats, determinism, exit codes."""
 
 import csv
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -9,9 +10,7 @@ import pytest
 
 from conftest import FAILING_POINTS_HZ, random_point_hz
 from sqzmirror import cli, full, generator, reduced, scenarios
-from sqzmirror.dynamics import moment_ode
-from sqzmirror.generator import MomentEquations, compile_generator, full_generator
-from sqzmirror.params import derive, stack_points
+from sqzmirror.generator import full_generator
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
     SCENARIOS,
@@ -20,7 +19,7 @@ from sqzmirror.scenarios import (
     run,
     write_manifest,
 )
-from sqzmirror.errors import ConfigError, SimulationError
+from sqzmirror.errors import ConfigError, PhysicalityError, SimulationError
 from sqzmirror.params import baseline_params
 
 
@@ -112,33 +111,25 @@ def test_trajectory_columns_and_monotone_time(tmp_path):
         assert np.all(np.isfinite(vals))
 
 
-def family_gap_bound(grid, m, V, drift_gap=0.0):
+def family_gap_bound(grid, m, V):
     """How far an r family's curve may sit from the same curve run alone.
 
     Both sum the same products in another order (K drive columns against
     one): a state depends on about 2 log2(stride) ladder and composition
     levels, 2 log2(n_samples) scan levels and a few RK4 operator products,
     each a sum of m products, so it may move by m * levels * eps * max|V|.
-    A family that integrates with its first member's drift where the curve
-    compiled its own moves, to first order, by up to t_end * drift_gap *
-    max|V| more (drift_gap the infinity norm of the difference of the vech
-    operators, for a flow that does not grow). Never below one ulp.
     """
     levels = (2 * grid.sample_stride.bit_length()
               + 2 * (grid.n_steps // grid.sample_stride).bit_length() + 4)
     eps = np.finfo(float).eps
-    return max(m * levels * eps + (grid.t1 - grid.t0) * drift_gap, eps) * np.abs(V).max()
-
-
-def vech_drift(drift):
-    zero = np.zeros_like(drift)
-    return moment_ode(MomentEquations(drift, zero, zero, 0.0)).drift
+    return m * levels * eps * np.abs(V).max()
 
 
 def test_figure_families_equal_their_one_curve_runs():
     """Each fig2a and figS1 curve, integrated as an r family, is its model's
     one-curve run within family_gap_bound, and the CSV rows are the family's
-    columns, bit for bit."""
+    columns, bit for bit. A full6 family and its one-curve runs integrate
+    one drift, their point's (0, 0) injection's."""
     fig2a = ScenarioConfig(scenario="fig2a")
     p = scenarios._params(fig2a)
     grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 10.0), 800)
@@ -157,17 +148,40 @@ def test_figure_families_equal_their_one_curve_runs():
     p = baseline_params(temperature_k=2.5e-3, gamma_m_hz=1.5e-3 * 6.2e6)
     grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 5.0), 800)
     r = (0.0, 1.0, 2.0)
-    members = compile_generator(full_generator(derive(stack_points([p.with_(r=x) for x in r]))))
+    drift = generator.reservoir_family(full_generator, p, r).drift
     families = zip(r, full.evolve_full_r(p, r, grid), reduced.evolve_r(p, r, grid))
     for x, traj_f, traj_r in families:
-        own = compile_generator(full_generator(derive(stack_points([p.with_(r=x)])))).drift[0]
-        drift_gap = np.abs(vech_drift(own - members.drift[0])).sum(axis=1).max()
+        own = generator.reservoir_family(full_generator, p.with_(r=x), [x]).drift
+        assert np.array_equal(own, drift)
         one = full.evolve_full(p.with_(r=x), grid)
         gap = np.abs(traj_f.covariances - one.covariances).max()
-        assert gap <= family_gap_bound(grid, 21, one.covariances, drift_gap)
+        assert gap <= family_gap_bound(grid, 21, one.covariances)
         one = reduced.evolve(p.with_(r=x), grid)
         gap = np.abs(traj_r.covariances - one.covariances).max()
         assert gap <= family_gap_bound(grid, 3, one.covariances)
+
+
+def test_large_r_full_family_reads_an_r_free_drift():
+    """A full6 family's drift is its (0, 0) injection's, so no r moves it:
+    at figS1's point, r = 10.5 (N = sinh^2 r about 3e8) runs, each curve
+    its one-curve run within family_gap_bound. At r = 12 the entries of
+    the covariance round beyond the physicality tolerance, and the family
+    refuses as reduced.evolve_r does; the reduced model's largest entry
+    differs from the full model's in its fourth digit."""
+    p = baseline_params(temperature_k=2.5e-3, gamma_m_hz=1.5e-3 * 6.2e6)
+    grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 5.0), 800)
+    r = (0.0, 10.5)
+    for x, traj in zip(r, full.evolve_full_r(p, r, grid)):
+        one = full.evolve_full(p.with_(r=x), grid)
+        gap = np.abs(traj.covariances - one.covariances).max()
+        assert gap <= family_gap_bound(grid, 21, one.covariances), x
+    texts = []
+    for evolve in (full.evolve_full_r, reduced.evolve_r):
+        with pytest.raises(PhysicalityError) as err:
+            evolve(p, (0.0, 12.0), grid)
+        texts.append(re.sub(r"entries up to \S+", "entries up to V", str(err.value)))
+    assert texts[0] == texts[1]
+    assert texts[0].endswith("precision lost beyond the physicality tolerance 1e-06")
 
 
 def test_figure_families_are_one_build(tmp_path, builds):
@@ -654,6 +668,9 @@ BAD_INPUTS = [
     ("[scenario]\nname = fig2a\n", ["gamma_m_hz=1e-300"], "scenario.t_end_s"),
     ("[scenario]\nname = fig2a\n", ["t_end_s=1e12"], "scenario.t_end_s"),
     ("[scenario]\nname = fig2a\n", ["n_samples=1e30"], "scenario.t_end_s"),
+    # spans whose reservoir phase 2 delta t the floats no longer resolve
+    ("[scenario]\nname = fig2a\n", ["t_end_s=3e7"], "scenario.t_end_s"),
+    ("[scenario]\nname = fig2a\n", ["t_end_s=1e8"], "scenario.t_end_s"),
 ]
 
 

@@ -1,7 +1,8 @@
 """Every module-level import of the package is used in its module, no
 module imports another package module's private (underscore) names, no
-module imports or reads a private numpy module, and scenarios reads the
-steady build from reduced instead of assembling it.
+module imports or reads a private numpy module, scenarios reads the
+steady build from reduced instead of assembling it, and every model is
+compiled at its reservoir injections.
 
 __init__.py is left out of the first check: its imports are the package's
 re-exports.
@@ -77,6 +78,39 @@ def test_scenarios_reads_the_steady_build_from_reduced():
     assert package_imports(source, "generator") == set()
     assert package_imports(source, "dynamics").isdisjoint(
         {"reservoir_parts", "reservoir_steady", "linear_steady", "require_hurwitz"})
+
+
+def callers(source: str, name: str) -> set[str]:
+    """The functions of the source whose own bodies call `name`, as a bare
+    name or an attribute: a call in a nested function is that function's,
+    one outside every function "<module>"'s."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.add(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_compile_generator_is_called_only_by_compile_injections():
+    """Every model is compiled at its three reservoir injections, whose drift
+    depends on no squeezing degree: compile_injections is the one caller of
+    compile_generator in the package."""
+    found = {(path.name, function) for path in ALL_MODULES
+             for function in callers(path.read_text(), "compile_generator")}
+    assert found == {("generator.py", "compile_injections")}
+
+
+def test_callers_are_found():
+    source = ("f(1)\ndef g():\n    x.f()\n    def h():\n        f()\n"
+              "    return lambda: f()\ndef k():\n    return f\n")
+    assert callers(source, "f") == {"<module>", "g", "h"}
 
 
 def test_package_import_is_found():

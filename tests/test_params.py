@@ -1,5 +1,8 @@
 """Parameter derivation: drive amplitude, occupations, response coefficients."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,15 @@ from sqzmirror.errors import GeneratorError, ParameterError
 from sqzmirror.generator import _require_static
 from sqzmirror.reduced import steady_curve, steady_state
 from sqzmirror.params import (
+    BASELINE_HZ,
     HBAR,
     KB,
     PARTS_ONE,
     PARTS_RAISING,
+    PhysicalParams,
     baseline_params,
     check_r,
     derive,
-    from_hz,
     is_static,
     member_factor,
     parts_conj,
@@ -133,9 +137,21 @@ def test_laser_frequency_must_be_positive():
         derive(baseline_params(delta_hz=7e9))  # delta > omega_c
 
 
+def test_baseline_hz_names_the_fields_in_order():
+    """baseline_params reads BASELINE_HZ's values in PhysicalParams' field
+    order: each key is its field's name and unit, and the "_hz" fields are
+    the frequencies it multiplies by 2 pi."""
+    names = [f.name for f in dataclasses.fields(PhysicalParams)]
+    units = [re.fullmatch(r"(.*?)(_hz|_w|_k)?", key).groups() for key in BASELINE_HZ]
+    assert [name for name, _ in units] == names
+    p = baseline_params()
+    for (name, unit), value in zip(units, BASELINE_HZ.values()):
+        assert getattr(p, name) == (2.0 * np.pi * value if unit == "_hz" else value), name
+
+
 def test_params_invariants(baseline, recwarn):
     with pytest.raises(ParameterError):
-        from_hz(6.98e9, -6.2e6, 32.1e6, 930.0, 39.0, 4e-6, 32.1e6, 1.0, 0.0, 2.0)
+        baseline_params(kappa_hz=-6.2e6)
     with pytest.raises(ParameterError):
         baseline_params(r=-0.5)
     # non-finite fields, and an r whose N = sinh^2 r overflows
