@@ -153,7 +153,9 @@ def moment_ode(eqs: MomentEquations) -> LinearHarmonicODE:
     )
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# and an integration on a shipped figure's grid makes 21 to 28 of these
+@dataclass(slots=True)
 class _AffineSpan:
     """Exact composition of m identical RK4 steps: x -> P x + u0 + 2 Re(u2 phi).
 

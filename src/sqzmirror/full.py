@@ -23,13 +23,12 @@ from .dynamics import (
 from .errors import SimulationError, per_entry
 from .gaussian import frame_variances, quadrature_observables, thermal, vacuum
 from .generator import compile_injections, full_generator, mirror_block, reservoir_family
-from .params import PhysicalParams, derive, stack_points
+from .params import PhysicalParams, check_r, derive, stack_points
 from .reduced import ReducedSystem, build_system, steady_covariance
 
 
-def initial_covariance(params: PhysicalParams) -> NDArray[np.float64]:
-    """Vacuum cavity fluctuations, thermal mirrors."""
-    nbar0 = derive(params).nbar0
+def initial_covariance(nbar0: float) -> NDArray[np.float64]:
+    """Vacuum cavity fluctuations, thermal mirrors at occupation nbar0."""
     V0 = np.zeros((6, 6))
     V0[:2, :2] = vacuum(1)
     V0[2:, 2:] = thermal(nbar0, 2)
@@ -47,9 +46,13 @@ def evolve_full_r(params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]
     """evolve_full at each squeezing degree of r (params.r unread), as one r
     family: the drift of the point's three reservoir injections, which
     depends on no r, and the diffusions at each r as the drive columns of
-    one dynamics.integrate (generator.reservoir_family)."""
-    times, covariances = integrate(reservoir_family(full_generator, params, r),
-                                   initial_covariance(params), grid)
+    one dynamics.integrate (generator.reservoir_family), from one derive of
+    the point. r is checked first, as PhysicalParams checks it."""
+    check_r(r)
+    coeffs = derive(params)
+    times, covariances = integrate(
+        reservoir_family(compile_injections(full_generator, coeffs), r),
+        initial_covariance(coeffs.nbar0), grid)
     return [Trajectory(times, V, quadrature_observables(mirror_block(V))) for V in covariances]
 
 

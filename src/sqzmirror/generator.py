@@ -28,8 +28,8 @@ from numpy.typing import NDArray
 
 from .errors import GeneratorError, SimulationError
 from .gaussian import symplectic_form
-from .params import (DerivedCoefficients, PhysicalParams, check_r, derive, is_static,
-                     member_factor, parts_conj, parts_imag, reservoir_correlations)
+from .params import (DerivedCoefficients, is_static, member_factor, parts_conj, parts_imag,
+                     reservoir_correlations)
 
 DRIFT_RTOL = 1e-9
 
@@ -275,19 +275,15 @@ def compile_injections(
     return eqs
 
 
-def reservoir_family(
-    model: Callable[[DerivedCoefficients], GeneratorSpec], params: PhysicalParams, r
-) -> MomentEquations:
-    """compile_injections at params, read at each squeezing degree of r
-    (params.r unread): the (0, 0) drift, and the diffusions at N = sinh^2 r,
-    M = cosh r sinh r along the axes of r (a float r: one curve's). r is
-    checked as PhysicalParams checks it."""
-    check_r(r)
-    eqs = compile_injections(model, derive(params))
+def reservoir_family(injections: MomentEquations, r) -> MomentEquations:
+    """One point's compile_injections, read at each squeezing degree of r:
+    the (0, 0) drift, and the diffusions at N = sinh^2 r, M = cosh r sinh r
+    along the axes of r (a float r: one curve's). r is not checked here;
+    the callers check it as PhysicalParams does (params.check_r)."""
     N, M = reservoir_correlations(np.asarray(r, dtype=float)[..., None, None])
-    D = eqs.diffusion_static
-    return MomentEquations(eqs.drift[0], D[0] + N * (D[1] - D[0]),
-                           M * eqs.diffusion_harmonic[2], eqs.omega[2])
+    D = injections.diffusion_static
+    return MomentEquations(injections.drift[0], D[0] + N * (D[1] - D[0]),
+                           M * injections.diffusion_harmonic[2], injections.omega[2])
 
 
 def require_shared_drift(drift: NDArray) -> None:

@@ -181,18 +181,56 @@ class ReducedSystem:
         x_sst = x_dc + 2.0 * np.real(x_2 * z)
         return x_sst + expm_action(self.m3, t) @ (self.initial_state() - x_ss0)
 
+    def evolve(self, r, grid: TimeGrid) -> list[Trajectory]:
+        """Integrate from the thermal initial state at each squeezing degree
+        of r, as one r family: ode at arrays N, M gives the drive columns of
+        one integrate_linear. The covariances are the symmetry-assembled 4x4
+        matrices, with their observables."""
+        ode = self.ode(*reservoir_correlations(np.asarray(r, dtype=float)))
+        times, xs = integrate_linear(ode, self.initial_state(), grid)
+        return [Trajectory(times=times, covariances=covs, observables=quadrature_observables(covs))
+                for covs in lift_covariance(xs, self.nbar0)]
 
-def build_systems(points: Sequence[PhysicalParams]) -> ReducedSystem:
-    """Extract the 3-variable system of every point from one compiled build.
+    def evolve_analytic(self, r: float, grid: TimeGrid) -> Trajectory:
+        """The closed form (dynamical_solution) at squeezing degree r on
+        evolve's sample times; DivergenceError at the first sample that is
+        not finite or exceeds DIVERGENCE_LIMIT."""
+        times = grid.t0 + grid.sample_indices() * grid.h
+        # overflow is detected on the values, not reported per-operation
+        with np.errstate(over="ignore", invalid="ignore"):
+            v3 = self.dynamical_solution(times, *reservoir_correlations(r))
+            bad = ~np.isfinite(v3).all(axis=1) | (np.abs(v3).max(axis=1) > DIVERGENCE_LIMIT)
+        if bad.any():
+            k = int(bad.argmax())
+            raise DivergenceError(
+                f"analytic solution diverged at t = {times[k]:.6e}",
+                last_valid_time=times[k - 1] if k else None,
+            )
+        covs = lift_covariance(v3, self.nbar0)
+        return Trajectory(times=times, covariances=covs,
+                          observables=quadrature_observables(covs))
+
+
+def build_points(points: Sequence[PhysicalParams]) -> tuple[ReducedSystem, MomentEquations]:
+    """The 3-variable systems of the points and the build they are read from.
 
     derive runs once over the stacked points (params.stack_points), then
     compile_injections builds reduced_generator at the points times the
     reservoir correlations (N, M) injected as (0,0), (1,0), (0,1), and
-    project_system reads the system from that build. Every field of the
-    result carries a leading axis of points; nothing here checks stability.
+    project_system reads the systems from that build. Returns (systems,
+    injections): every field of the systems carries a leading axis of
+    points, and injections[:, k] is point k's compile, which reduced10
+    reads (evolve_moments). Nothing here checks stability.
     """
     coeffs = derive(stack_points(points))
-    return project_system(coeffs, compile_injections(reduced_generator, coeffs))
+    injections = compile_injections(reduced_generator, coeffs)
+    return project_system(coeffs, injections), injections
+
+
+def build_systems(points: Sequence[PhysicalParams]) -> ReducedSystem:
+    """The 3-variable system of every point, from one compiled build: the
+    systems of build_points."""
+    return build_points(points)[0]
 
 
 def project_system(coeffs: DerivedCoefficients, injections: MomentEquations) -> ReducedSystem:
@@ -227,54 +265,44 @@ def build_system(params: PhysicalParams) -> ReducedSystem:
 
 
 def evolve(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
-    """Integrate the 3-variable model from the thermal initial state.
-
-    Covariances in the returned trajectory are the symmetry-assembled 4x4
-    matrices with observables attached: evolve_r's family of one.
-    """
+    """Integrate the 3-variable model from the thermal initial state:
+    evolve_r's family of one."""
     return evolve_r(params, [params.r], grid)[0]
 
 
 def evolve_r(params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]:
     """evolve at each squeezing degree of r (params.r unread), as one r family:
-    one build_system (m3, b0, b1, b2 do not depend on r), whose ode at arrays
-    N, M gives the drive columns of one integrate_linear."""
-    system = build_system(params)
-    ode = system.ode(*reservoir_correlations(np.asarray(r, dtype=float)))
-    times, xs = integrate_linear(ode, system.initial_state(), grid)
-    return [Trajectory(times=times, covariances=covs, observables=quadrature_observables(covs))
-            for covs in lift_covariance(xs, system.nbar0)]
+    ReducedSystem.evolve of one build_system (m3, b0, b1, b2 do not depend
+    on r)."""
+    return build_system(params).evolve(r, grid)
 
 
 def evolve_analytic(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
-    """Closed-form counterpart of evolve() on the same sample times."""
-    system = build_system(params)
-    times = grid.t0 + grid.sample_indices() * grid.h
-    # overflow is detected on the values, not reported per-operation
-    with np.errstate(over="ignore", invalid="ignore"):
-        v3 = system.dynamical_solution(times, *reservoir_correlations(params.r))
-        bad = ~np.isfinite(v3).all(axis=1) | (np.abs(v3).max(axis=1) > DIVERGENCE_LIMIT)
-    if bad.any():
-        k = int(bad.argmax())
-        raise DivergenceError(
-            f"analytic solution diverged at t = {times[k]:.6e}",
-            last_valid_time=times[k - 1] if k else None,
-        )
-    covs = lift_covariance(v3, system.nbar0)
-    return Trajectory(times=times, covariances=covs,
-                      observables=quadrature_observables(covs))
+    """Closed-form counterpart of evolve() on the same sample times:
+    ReducedSystem.evolve_analytic of build_system at params.r."""
+    return build_system(params).evolve_analytic(params.r, grid)
+
+
+def evolve_moments(injections: MomentEquations, nbar0: float, r: float,
+                   grid: TimeGrid) -> Trajectory:
+    """Integrate all second moments of one point's compile of the two-mirror
+    generator (build_points' injections[:, k], read at squeezing degree r by
+    generator.reservoir_family; r unchecked) from the product thermal state
+    at occupation nbar0: the reduced10 model."""
+    times, covariances = integrate(reservoir_family(injections, r), thermal(nbar0, 2), grid)
+    return Trajectory(times, covariances, quadrature_observables(covariances))
 
 
 def evolve_full10(params: PhysicalParams, grid: TimeGrid) -> Trajectory:
-    """Integrate all second moments of the compiled two-mirror generator
-    (generator.reservoir_family at params.r) from the product thermal state.
+    """evolve_moments at params.r of the injections of build_points([params])
+    (the same derive and compile, without the projection).
 
     Validates the 3-variable closure: the 10 independent moments must keep
     the exchange-symmetry relations at all times.
     """
-    eqs = reservoir_family(reduced_generator, params, params.r)
-    times, covariances = integrate(eqs, thermal(derive(params).nbar0, 2), grid)
-    return Trajectory(times, covariances, quadrature_observables(covariances))
+    coeffs = derive(stack_points([params]))
+    injections = compile_injections(reduced_generator, coeffs)
+    return evolve_moments(injections[:, 0], coeffs.nbar0[0], params.r, grid)
 
 
 def criterion(V: NDArray, nbar0: float | NDArray) -> CriterionReport:

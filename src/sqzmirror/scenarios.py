@@ -9,7 +9,6 @@ power in W, temperature in K.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,14 +165,25 @@ def set_field(cfg: ScenarioConfig, key: str, text: str, where: str) -> None:
         raise ConfigError(f"{where}: unknown parameter field")
 
 
+def _params_hz(cfg: ScenarioConfig) -> dict[str, float]:
+    """The config's parameter fields over its figure's own defaults: the
+    supplement's temperature and mirror damping (figS1, figS2) and fig4b's
+    damping, each damping a multiple of the config's kappa_hz."""
+    kappa_hz = cfg.params_hz.get("kappa_hz", BASELINE_HZ["kappa_hz"])
+    if cfg.scenario in ("figS1", "figS2"):
+        return {"temperature_k": 2.5e-3, "gamma_m_hz": 1.5e-3 * kappa_hz, **cfg.params_hz}
+    if cfg.scenario == "fig4b":
+        return {"gamma_m_hz": kappa_hz, **cfg.params_hz}
+    return cfg.params_hz
+
+
 def resolved_params_hz(cfg: ScenarioConfig) -> dict[str, float]:
-    return {**BASELINE_HZ, **cfg.params_hz}
+    """Every parameter field the run reads, in BASELINE_HZ's order."""
+    return {**BASELINE_HZ, **_params_hz(cfg)}
 
 
 def _params(cfg: ScenarioConfig, **extra_hz) -> PhysicalParams:
-    merged = dict(cfg.params_hz)
-    merged.update(extra_hz)
-    return baseline_params(**merged)
+    return baseline_params(**{**_params_hz(cfg), **extra_hz})
 
 
 def trajectory_grid(params: PhysicalParams, t_end: float, n_samples: int) -> TimeGrid:
@@ -245,7 +255,12 @@ def _e12_tables():
 
 
 _POW10, _DIGITS4, _HEAD, _EXP = _e12_tables()
-_E12_BLOCK = 4096  # cells per block: every temporary stays below glibc's 128 KB mmap threshold
+# cells per block: a trajectory curve (802 x 7, 5614 cells) is one block.
+# Measured on one such curve (2 vCPU, Python 3.11, numpy 2.4): write_csv
+# took 483-490 us against 538-548 us at 4096 cells (two blocks), and
+# neither made a minor page fault per call once warm; a trajectories
+# benchmark pass made 362 at both sizes.
+_E12_BLOCK = 8192
 
 
 def _e12_rows(x: np.ndarray, end: bytes) -> np.ndarray:
@@ -331,24 +346,58 @@ def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
 Curve = tuple[str, tuple[str, ...], np.ndarray | list[tuple]]
 
 
-def _evolve_model(model: str, params: PhysicalParams, r, grid: TimeGrid) -> list[Trajectory]:
+def _reduced_builds(builds) -> tuple:
+    """One reduced.build_points of the points among builds (each a
+    PhysicalParams, or the SimulationError its parameters raise), evaluated
+    by errors.per_entry: (systems, entries), systems the stacked systems of
+    the points built (None if none was) and entries[k] point k's (system,
+    injections), or the SimulationError of its parameters or of its build
+    alone."""
+    live = [k for k, b in enumerate(builds) if isinstance(b, PhysicalParams)]
+    value, kept, failures = per_entry(lambda j: reduced_model.build_points(
+        [builds[live[i]] for i in np.atleast_1d(j)]), np.arange(len(live)))
+    entries = list(builds)
+    for row, j in enumerate(kept.tolist()):
+        entries[live[j]] = (value[0].point(row), value[1][:, row])
+    for j, exc in failures.items():
+        entries[live[j]] = exc
+    return (value[0] if value else None), entries
+
+
+def _evolve_model(model: str, params: PhysicalParams, build, r,
+                  grid: TimeGrid) -> list[Trajectory]:
     """One model's trajectories at the squeezing degrees r (params.r unread), an
-    r family for reduced3 and full6; validate has refused unknown names."""
-    if model == "reduced3":
-        return reduced_model.evolve_r(params, r, grid)
+    r family for reduced3 and full6. The reduced models read build, the
+    point's entry of _reduced_builds, and raise it if it is an error; full6
+    builds its own. validate has refused unknown names."""
     if model == "full6":
         return full_model.evolve_full_r(params, r, grid)
+    if isinstance(build, SimulationError):
+        raise build
+    system, injections = build
+    if model == "reduced3":
+        return system.evolve(r, grid)
     if model == "reduced10":
-        return [reduced_model.evolve_full10(params.with_(r=x), grid) for x in r]
-    return [reduced_model.evolve_analytic(params.with_(r=x), grid) for x in r]
+        return [reduced_model.evolve_moments(injections, system.nbar0, x, grid) for x in r]
+    return [system.evolve_analytic(x, grid) for x in r]
 
 
 def _trajectory_curves(cfg: ScenarioConfig, models, params: PhysicalParams, r, names,
                        damping_times: float = 10.0) -> list[Curve]:
+    """_point_curves at params, whose reduced models (reduced3, reduced10,
+    reduced_analytic) read one build of it (_reduced_builds)."""
+    build = _reduced_builds([params])[1][0] if set(models) - {"full6"} else None
+    return _point_curves(cfg, models, params, build, r, names, damping_times)
+
+
+def _point_curves(cfg: ScenarioConfig, models, params: PhysicalParams, build, r, names,
+                  damping_times: float) -> list[Curve]:
     """Trajectory curves up to cfg.t_end_s, or damping_times / gamma_m: at each
     squeezing degree of r (params.r unread) one per model, named by names in
-    that order. A model's curves are one r family, evaluated by per_entry:
-    the first curve to fail raises the error it raises alone."""
+    that order; the reduced models read build (_evolve_model). A model's
+    curves are one r family, evaluated by per_entry: the first curve to
+    fail raises the error it raises alone, its build's after its r's and its
+    grid's."""
     r = np.asarray(r, dtype=float)
 
     def rows(model, k):
@@ -356,7 +405,7 @@ def _trajectory_curves(cfg: ScenarioConfig, models, params: PhysicalParams, r, n
         t_end = cfg.t_end_s or default_t_end(params, damping_times)
         grid = trajectory_grid(params, t_end, cfg.n_samples)
         curves = []
-        for traj in _evolve_model(model, params, r[np.atleast_1d(k)], grid):
+        for traj in _evolve_model(model, params, build, r[np.atleast_1d(k)], grid):
             o = traj.observables
             curves.append(np.stack((traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta,
                                     *o.phonon), axis=1))
@@ -387,10 +436,10 @@ def _sweep_points(cfg: ScenarioConfig, name: str, values, **extra_hz):
         r = np.asarray(values, dtype=float)
         _, _, failures = per_entry(lambda k: check_r(r[k]), np.arange(len(r)))
         return [failures.get(k, base) for k in range(len(r))], r
-    builds = []
+    builds, base = [], {**_params_hz(cfg), **extra_hz}
     for val in values:
         try:
-            builds.append(baseline_params(**{**cfg.params_hz, **extra_hz, name: val}))
+            builds.append(baseline_params(**{**base, name: val}))
         except SimulationError as exc:
             builds.append(exc)
     return builds, np.array([b.r if isinstance(b, PhysicalParams) else np.nan
@@ -477,13 +526,25 @@ def _scenario_fig2a(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _scenario_fig2b(cfg: ScenarioConfig) -> list[Curve]:
+    """The three detunings are one build (_reduced_builds). Each detuning's
+    trajectory reads its point of it, on its own grid, and the steady row
+    reads all three: one Hurwitz check and solve, one criterion call. The
+    first failure in figure order raises: a detuning's parameters, then its
+    curve, then the steady row."""
     omega_m_hz = resolved_params_hz(cfg)["omega_m_hz"]
     ratios = (0.5, 1.0, 1.5)
-    deltas_hz = [ratio * omega_m_hz for ratio in ratios]
-    r = [resolved_params_hz(cfg)["r"]]
-    curves = [curve for ratio, delta in zip(ratios, deltas_hz) for curve in _trajectory_curves(
-        cfg, ("reduced3",), _params(cfg, delta_hz=delta), r, [f"fig2b_delta{_label(ratio)}"])]
-    (rep,) = _steady_reports(cfg, "delta_hz", deltas_hz, [{}])
+    points, r = _sweep_points(cfg, "delta_hz", [ratio * omega_m_hz for ratio in ratios])
+    systems, builds = _reduced_builds(points)
+    curves = []
+    for ratio, params, build, r_k in zip(ratios, points, builds, r):
+        if isinstance(params, SimulationError):
+            raise params
+        curves += _point_curves(cfg, ("reduced3",), params, build, [r_k],
+                                [f"fig2b_delta{_label(ratio)}"], 10.0)
+    # every curve ran, so every point was built
+    V = reduced_model.steady_covariance(systems.steady_parts(), systems.nbar0, r,
+                                        PHASES[cfg.phase])
+    rep = reduced_model.criterion(V, systems.nbar0)
     curves.append(
         ("fig2b_steady", ("delta_over_omega_m", "E_N", "dP2_minus"),
          list(zip(ratios, rep.E_N.tolist(), rep.dP2_minus.tolist())))
@@ -568,12 +629,9 @@ def _scenario_fig4a(cfg: ScenarioConfig) -> list[Curve]:
 
 
 def _scenario_fig4b(cfg: ScenarioConfig) -> list[Curve]:
-    kappa_hz = resolved_params_hz(cfg)["kappa_hz"]
+    """At gamma_m = kappa unless the config sets it (_params_hz)."""
     powers = np.geomspace(0.1e-6, 32e-6, 25)
-    base = dict(cfg.params_hz)
-    base.setdefault("gamma_m_hz", kappa_hz)
-    cfg_b = dataclasses.replace(cfg, params_hz=base)
-    rows = _adiabatic_rows(cfg_b, powers, "power_w")
+    rows = _adiabatic_rows(cfg, powers, "power_w")
     return [
         ("fig4b_dP2",
          ("power_w", "dP2_full", "dP2_reduced", "rel_deviation", "error"), rows)
@@ -582,12 +640,10 @@ def _scenario_fig4b(cfg: ScenarioConfig) -> list[Curve]:
 
 def _full_vs_reduced(cfg: ScenarioConfig, prefixes, r) -> list[Curve]:
     """Full and reduced trajectories at the supplement's temperature and
-    damping, at each squeezing degree of r, each model's an r family."""
-    kappa_hz = resolved_params_hz(cfg)["kappa_hz"]
-    params = baseline_params(**{"temperature_k": 2.5e-3, "gamma_m_hz": 1.5e-3 * kappa_hz,
-                                **cfg.params_hz})
+    damping (_params_hz), at each squeezing degree of r, each model's an r
+    family."""
     names = [f"{prefix}_{label}" for prefix in prefixes for label in ("full", "reduced")]
-    return _trajectory_curves(cfg, ("full6", "reduced3"), params, r, names, 5.0)
+    return _trajectory_curves(cfg, ("full6", "reduced3"), _params(cfg), r, names, 5.0)
 
 
 def _scenario_figS1(cfg: ScenarioConfig) -> list[Curve]:

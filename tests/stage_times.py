@@ -24,12 +24,16 @@ r sweep of reduced3 and reduced10 at 51 values of r (in a tree without
 scenarios._sweep_rows, one _model_rows per model), optimal_squeezings
 over fig3b's 25 powers, the one-curve trajectory builds full.evolve_full
 at figS2's point and reduced.evolve_full10 at the custom scenario's (each
-on its scenario's grid), and the observables of
+on its scenario's grid), the custom scenario's reduced10 and
+reduced_analytic curves together (scenarios._trajectory_curves, as a
+custom run with those two models makes them), scenarios._scenario_fig2b as
+a whole, the RK4 doubling ladder of fig2a's grid (dynamics._span_powers
+of its step, at the spans of its samples), the observables of
 fig2a's trajectory family (lifted covariances (4, 802, 4, 4)):
 quadrature_observables of all of it, observables_and_nu_minus of 1, 25
 and 303 of its matrices, and frame_variances of 50 as (25, 2), and
-write_csv of fig2a's four curves and of a 25-row sweep curve with an error
-column (into a temporary directory). With --against,
+write_csv of fig2a's four curves, of one of them (802 x 7) and of a 25-row
+sweep curve with an error column (into a temporary directory). With --against,
 each round runs this script once per tree, one subprocess at a time,
 alternating which tree goes first; it prints
 each stage's median over the rounds for both trees and their ratio
@@ -133,22 +137,40 @@ def stages() -> list[tuple[str, object]]:
 def trajectory_stages() -> list[tuple[str, object]]:
     """The one-curve trajectory builds that compile their model: full.evolve_full
     at figS2's point and reduced.evolve_full10 at the custom scenario's, each
-    on its scenario's grid."""
-    from sqzmirror import full, params, reduced, scenarios
+    on its scenario's grid; the custom scenario's reduced10 and
+    reduced_analytic curves as one run makes them; fig2b whole; and the RK4
+    ladder of fig2a's grid."""
+    import numpy as np
+
+    from sqzmirror import dynamics, full, params, reduced, scenarios
 
     figS2 = params.baseline_params(temperature_k=2.5e-3,
                                    gamma_m_hz=1.5e-3 * params.BASELINE_HZ["kappa_hz"])
     custom = params.baseline_params()
     figS2_grid, custom_grid = (scenarios.trajectory_grid(p, scenarios.default_t_end(p, x), 800)
                                for p, x in ((figS2, 5.0), (custom, 10.0)))
+    custom_cfg = scenarios.ScenarioConfig(scenario="custom")
+    models = ("reduced10", "reduced_analytic")
+    fig2b_cfg = scenarios.ScenarioConfig(scenario="fig2b")
+    # fig2a's family: its step's affine map, and the spans between its samples
+    N, M = params.reservoir_correlations(np.array([0.0, 0.5, 1.0, 2.0]))
+    step = dynamics._rk4_step_span(reduced.build_system(custom).ode(N, M), custom_grid.h)
+    spans = np.diff(custom_grid.sample_indices())
     return [("evolve_full, figS2's point", lambda: full.evolve_full(figS2, figS2_grid)),
             ("evolve_full10, a custom point",
-             lambda: reduced.evolve_full10(custom, custom_grid))]
+             lambda: reduced.evolve_full10(custom, custom_grid)),
+            ("custom reduced10 + reduced_analytic",
+             lambda: scenarios._trajectory_curves(custom_cfg, models, custom, [custom.r],
+                                                  [f"custom_{m}" for m in models])),
+            ("_scenario_fig2b", lambda: scenarios._scenario_fig2b(fig2b_cfg)),
+            ("_span_powers, fig2a's grid",
+             lambda: dynamics._span_powers(step, int(spans[0]), int(spans[-1])))]
 
 
 def csv_stages() -> list[tuple[str, object]]:
     """scenarios.write_csv of fig2a's four curves (802 x 7 each), as the tree
-    makes them, and of a 25-row sweep curve whose 13th row holds an error."""
+    makes them, of one of them, and of a 25-row sweep curve whose 13th row
+    holds an error."""
     import tempfile
     from pathlib import Path
 
@@ -167,10 +189,15 @@ def csv_stages() -> list[tuple[str, object]]:
         for name, columns, curve in curves:
             scenarios.write_csv(Path(out.name, f"{name}.csv"), columns, curve)
 
+    def one(out=out):
+        name, columns, curve = curves[1]
+        scenarios.write_csv(Path(out.name, f"{name}.csv"), columns, curve)
+
     def sweep(out=out):
         scenarios.write_csv(Path(out.name, "sweep.csv"), header, rows)
 
     return [("write_csv, fig2a's 4 curves of 802 rows", fig2a),
+            ("write_csv, one 802 x 7 curve", one),
             ("write_csv, 25-row sweep with an error", sweep)]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import FAILING_POINTS_HZ, random_point_hz
 from sqzmirror import cli, full, generator, reduced, scenarios
-from sqzmirror.generator import full_generator
+from sqzmirror.generator import compile_injections, full_generator
 from sqzmirror.cli import main
 from sqzmirror.scenarios import (
     SCENARIOS,
@@ -19,8 +19,10 @@ from sqzmirror.scenarios import (
     run,
     write_manifest,
 )
-from sqzmirror.errors import ConfigError, PhysicalityError, SimulationError
-from sqzmirror.params import baseline_params
+from sqzmirror.errors import ConfigError, PhysicalityError, SimulationError, StabilityError
+from sqzmirror.dynamics import integrate
+from sqzmirror.gaussian import thermal
+from sqzmirror.params import baseline_params, derive
 
 
 def read_csv(path):
@@ -148,10 +150,11 @@ def test_figure_families_equal_their_one_curve_runs():
     p = baseline_params(temperature_k=2.5e-3, gamma_m_hz=1.5e-3 * 6.2e6)
     grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 5.0), 800)
     r = (0.0, 1.0, 2.0)
-    drift = generator.reservoir_family(full_generator, p, r).drift
+    drift = generator.reservoir_family(compile_injections(full_generator, derive(p)), r).drift
     families = zip(r, full.evolve_full_r(p, r, grid), reduced.evolve_r(p, r, grid))
     for x, traj_f, traj_r in families:
-        own = generator.reservoir_family(full_generator, p.with_(r=x), [x]).drift
+        own = generator.reservoir_family(
+            compile_injections(full_generator, derive(p.with_(r=x))), [x]).drift
         assert np.array_equal(own, drift)
         one = full.evolve_full(p.with_(r=x), grid)
         gap = np.abs(traj_f.covariances - one.covariances).max()
@@ -185,18 +188,175 @@ def test_large_r_full_family_reads_an_r_free_drift():
 
 
 def test_figure_families_are_one_build(tmp_path, builds):
+    """fig2a's r family is one build of its point: one model call and one
+    compile of its three reservoir injections; figS1's two families one
+    build each, reduced3's and full6's."""
     run(ScenarioConfig(scenario="fig2a", output_dir=str(tmp_path)))
-    assert builds["build_system"] == 1
+    assert builds == {"model": 1, "compile": 1, "members": 3}
     builds.clear()
     run(ScenarioConfig(scenario="figS1", output_dir=str(tmp_path)))
-    # reduced3's build compiles its injections once, full6's points once
-    assert (builds["build_system"], builds["compile"]) == (1, 2)
+    assert builds == {"model": 2, "compile": 2, "members": 6}
 
 
 def error_of(f, *args):
     with pytest.raises(SimulationError) as err:
         f(*args)
     return type(err.value), str(err.value), getattr(err.value, "last_valid_time", None)
+
+
+def trajectory_columns(traj):
+    o = traj.observables
+    return np.stack((traj.times, o.E_N, o.dP2_minus, o.dQ2_minus, o.theta, *o.phonon), axis=1)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def fig2b_per_curve(cfg):
+    """fig2b as three one-detuning trajectory runs, each building its own
+    point, then one steady sweep of the three detunings: the composition
+    that fig2b's one build replaces, with its error order."""
+    omega_m_hz = scenarios.resolved_params_hz(cfg)["omega_m_hz"]
+    ratios = (0.5, 1.0, 1.5)
+    deltas_hz = [ratio * omega_m_hz for ratio in ratios]
+    r = [scenarios.resolved_params_hz(cfg)["r"]]
+    curves = [curve for ratio, delta in zip(ratios, deltas_hz)
+              for curve in scenarios._trajectory_curves(
+                  cfg, ("reduced3",), scenarios._params(cfg, delta_hz=delta), r,
+                  [f"fig2b_delta{ratio:g}"])]
+    (rep,) = scenarios._steady_reports(cfg, "delta_hz", deltas_hz, [{}])
+    return curves + [("fig2b_steady", ("delta_over_omega_m", "E_N", "dP2_minus"),
+                      list(zip(ratios, rep.E_N.tolist(), rep.dP2_minus.tolist())))]
+
+
+def test_fig2b_is_one_build(tmp_path, monkeypatch):
+    """fig2b's three detunings are one compile_injections, of their three
+    points. Each detuning's curve is its one-point reduced.evolve_r on its
+    own grid, bit for bit, and every CSV is the per-curve composition's,
+    byte for byte."""
+    compiles = counted_compiles(monkeypatch)
+    built = []
+    build_points = reduced.build_points
+    monkeypatch.setattr(reduced, "build_points",
+                        lambda points: built.append(len(points)) or build_points(points))
+    cfg = ScenarioConfig(scenario="fig2b", output_dir=str(tmp_path / "fig"))
+    run(cfg)
+    assert compiles == {"reduced_generator": 1}
+    assert built == [3]
+    monkeypatch.undo()
+    curves = dict((name, rows) for name, _, rows in scenarios._scenario_fig2b(cfg))
+    for ratio in (0.5, 1.0, 1.5):
+        p = baseline_params(delta_hz=ratio * 32.1e6)
+        grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 10.0), 800)
+        (one,) = reduced.evolve_r(p, [p.r], grid)
+        assert np.array_equal(bits(curves[f"fig2b_delta{ratio:g}"]),
+                              bits(trajectory_columns(one)))
+    for name, header, rows in fig2b_per_curve(cfg):
+        path = tmp_path / f"{name}.csv"
+        scenarios.write_csv(path, header, rows)
+        assert path.read_bytes() == (tmp_path / "fig" / path.name).read_bytes(), name
+
+
+@pytest.mark.parametrize("params_hz, t_end_s, code", [
+    ({"gamma_m_hz": 0.0}, None, 2),  # every curve's t_end
+    ({"omega_m_hz": 1e300}, None, 2),  # the first curve's grid
+    ({"omega_m_hz": 5e9}, None, 4),  # the 1.5 omega_m curve's build (laser frequency)
+    ({"power_w": 1e-3}, 1e-5, 3),  # the first curve's step size
+    ({"r": 3.0}, 1e-5, 4),  # the first curve's observables
+    ({"gamma_m_hz": 0.0}, 1e-6, 4),  # the middle curve's phonon numbers
+])
+def test_failing_fig2b_raises_its_first_failure_in_figure_order(tmp_path, capsys, params_hz,
+                                                                  t_end_s, code):
+    """A failing fig2b raises what its per-curve composition raises, with
+    the same text, exit code and first failure in figure order: a curve's
+    parameters, grid, build or integration, then the steady row."""
+    cfg = ScenarioConfig(scenario="fig2b", params_hz=dict(params_hz), t_end_s=t_end_s,
+                         output_dir=str(tmp_path))
+    expected = error_of(fig2b_per_curve, cfg)
+    assert error_of(run, cfg) == expected
+    settings = {**params_hz, **({"t_end_s": t_end_s} if t_end_s else {})}
+    argv = [arg for key, val in settings.items() for arg in ("--set", f"{key}={val!r}")]
+    assert main(["run", "fig2b", *argv, "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err.endswith(f"{expected[1]}\n")
+
+
+@pytest.mark.parametrize("stage", ["steady_parts", "criterion"])
+def test_failing_fig2b_steady_row_raises_after_its_curves(tmp_path, monkeypatch, stage):
+    """The steady row fails after every curve ran, with the error of its
+    first failing point: a Hurwitz refusal of the 1.5 omega_m point (made to
+    fail here, its curve passing), or a criterion refusal, as the per-curve
+    composition raises them."""
+    steady_parts, criterion = reduced.ReducedSystem.steady_parts, reduced.criterion
+
+    def refusing_steady_parts(system):
+        if (np.atleast_1d(system.delta) > 2 * np.pi * 40e6).any():
+            raise StabilityError("drift is not Hurwitz: the 1.5 omega_m point")
+        return steady_parts(system)
+
+    def refusing_criterion(V, nbar0):
+        raise SimulationError(f"criterion refused {len(V)} covariances")
+
+    if stage == "steady_parts":
+        monkeypatch.setattr(reduced.ReducedSystem, "steady_parts", refusing_steady_parts)
+    else:
+        monkeypatch.setattr(reduced, "criterion", refusing_criterion)
+    cfg = ScenarioConfig(scenario="fig2b", output_dir=str(tmp_path))
+    assert error_of(run, cfg) == error_of(fig2b_per_curve, cfg)
+    assert main(["run", "fig2b", "--out", str(tmp_path)]) == (3 if stage == "steady_parts" else 4)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_custom_trajectory_is_one_build_per_generator(tmp_path, monkeypatch):
+    """A custom trajectory's reduced3, reduced10 and reduced_analytic curves
+    read one compile_injections of reduced_generator, full6's its own; each
+    curve is its one-point call's, bit for bit: reduced.evolve_r,
+    reduced.evolve_full10, reduced.evolve_analytic and full.evolve_full.
+    reduced10's moments stay within 1e-12 of their largest entry of those
+    of the point's own derive and compile, unstacked."""
+    compiles = counted_compiles(monkeypatch)
+    models = ["reduced3", "reduced10", "reduced_analytic"]
+    cfg = ScenarioConfig(scenario="custom", models=models, params_hz={"r": 0.7},
+                         output_dir=str(tmp_path))
+    run(cfg)
+    assert compiles == {"reduced_generator": 1}
+    compiles.clear()
+    curves = dict((name, rows) for name, _, rows in scenarios._scenario_custom(
+        ScenarioConfig(scenario="custom", models=[*models, "full6"], params_hz={"r": 0.7})))
+    assert compiles == {"reduced_generator": 1, "full_generator": 1}
+    p = baseline_params(r=0.7)
+    grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 10.0), 800)
+    c = derive(p)
+    _, V = integrate(
+        generator.reservoir_family(compile_injections(generator.reduced_generator, c), p.r),
+        thermal(c.nbar0, 2), grid)
+    ones = {"reduced3": reduced.evolve_r(p, [p.r], grid)[0],
+            "reduced10": reduced.evolve_full10(p, grid),
+            "reduced_analytic": reduced.evolve_analytic(p, grid),
+            "full6": full.evolve_full(p, grid)}
+    # the point's own derive rounds alpha^2 as Python does, its stack as
+    # numpy does: the moments move by a few of their last digits
+    gap = np.abs(ones["reduced10"].covariances - V).max()
+    assert gap <= 1e-12 * np.abs(V).max()
+    for model, one in ones.items():
+        assert np.array_equal(bits(curves[f"custom_{model}"]), bits(trajectory_columns(one))), model
+
+
+def test_one_curve_builds_derive_their_point_once(monkeypatch):
+    """evolve_full and evolve_full10 derive their point once: the build's
+    coefficients give the initial state's occupation too."""
+    calls = Counter()
+    for module in (full, reduced):
+        derive_in = module.derive
+        monkeypatch.setattr(module, "derive", lambda p, derive_in=derive_in, name=module.__name__:
+                            calls.update([name]) or derive_in(p))
+    p = baseline_params(temperature_k=2.5e-3, gamma_m_hz=9300.0)
+    grid = scenarios.trajectory_grid(p, scenarios.default_t_end(p, 5.0), 50)
+    full.evolve_full(p, grid)
+    assert calls == {"sqzmirror.full": 1}
+    calls.clear()
+    reduced.evolve_full10(p, grid)
+    assert calls == {"sqzmirror.reduced": 1}
 
 
 def test_failing_family_raises_its_first_curves_own_error(tmp_path):
@@ -733,7 +893,17 @@ def test_reruns_byte_identical(tmp_path):
         assert (tmp_path / n).read_bytes() == first[n]
 
 
+def outputs(out):
+    """{name: bytes} of a run's files, its manifest's output line left out."""
+    return {p.name: re.sub(rb"\ndir = [^\n]*\n", b"\n", p.read_bytes()) for p in out.iterdir()}
+
+
 def test_manifest_replay_byte_identical(tmp_path):
+    """A manifest replays to its run's bytes: a run with overrides, and
+    every shipped figure, whose manifest and configs/<figure>.cfg each write
+    the figure's files again, manifest included (its output line aside).
+    figS1, figS2 and fig4b record their own defaults, from the kappa_hz
+    they run at."""
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main([
         "run", "fig2c", "--set", "r=0.7", "--set", "power_w=2e-6",
@@ -744,8 +914,27 @@ def test_manifest_replay_byte_identical(tmp_path):
     cfg = parse_config_file(manifest)
     assert cfg.params_hz["power_w"] == 2e-6
     assert main(["run", str(manifest), "--out", str(out2)]) == 0
-    for name in ("fig2c_EN.csv", "fig2c_dP2.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert outputs(out1) == outputs(out2)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for figure in (name for name in SCENARIOS if name != "custom"):
+        out = tmp_path / figure
+        assert main(["run", figure, "--out", str(out / "run")]) == 0
+        first = outputs(out / "run")
+        assert len(first) > 1, figure
+        assert main(["run", str(out / "run" / f"{figure}_manifest.cfg"),
+                     "--out", str(out / "manifest")]) == 0
+        assert main(["run", str(configs / f"{figure}.cfg"), "--out", str(out / "config")]) == 0
+        assert outputs(out / "manifest") == first, figure
+        assert outputs(out / "config") == first, figure
+    for figure, field in (("figS1", "gamma_m_hz"), ("figS2", "temperature_k"),
+                          ("fig4b", "gamma_m_hz")):
+        out = tmp_path / f"{figure}_kappa"
+        assert main(["run", figure, "--set", "kappa_hz=5e6", "--out", str(out / "run")]) == 0
+        assert main(["run", str(out / "run" / f"{figure}_manifest.cfg"),
+                     "--out", str(out / "manifest")]) == 0
+        assert outputs(out / "manifest") == outputs(out / "run"), figure
+        recorded = parse_config_file(out / "run" / f"{figure}_manifest.cfg").params_hz[field]
+        assert recorded == {"figS1": 1.5e-3 * 5e6, "figS2": 2.5e-3, "fig4b": 5e6}[figure]
 
 
 def test_manifest_with_percent_replays_byte_identical(tmp_path):

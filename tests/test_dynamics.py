@@ -262,7 +262,7 @@ def model_odes(p):
     return [
         (system.ode(c.N, c.M), system.initial_state()),
         (moment_ode(compile_generator(reduced_generator(c))), _vech(thermal(c.nbar0, 2))),
-        (moment_ode(compile_generator(full_generator(c))), _vech(initial_covariance(p))),
+        (moment_ode(compile_generator(full_generator(c))), _vech(initial_covariance(c.nbar0))),
     ]
 
 

@@ -188,8 +188,8 @@ def test_steady_phonon_increases_with_squeezing():
 
 
 def test_initial_covariance_layout(baseline):
-    V0 = initial_covariance(baseline_params(temperature_k=2.5e-3))
     nbar = derive(baseline_params(temperature_k=2.5e-3)).nbar0
+    V0 = initial_covariance(nbar)
     assert np.allclose(V0[:2, :2], 0.5 * np.eye(2))
     assert np.allclose(V0[2:, 2:], (nbar + 0.5) * np.eye(4))
 
